@@ -106,15 +106,9 @@ class Allocator {
                       units_.to_units(ResourceType::Storage, vm.storage_mb)};
   }
 
-  /// Per-allocator search arena: reusable buffers threaded through the
-  /// box-search routines so the steady-state placement path never touches
-  /// the heap.
-  [[nodiscard]] SearchScratch& scratch() noexcept { return scratch_; }
-
  private:
   AllocContext ctx_;
   UnitConverter units_;
-  SearchScratch scratch_;
 };
 
 }  // namespace risa::core

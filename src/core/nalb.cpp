@@ -8,7 +8,7 @@ Result<Placement, DropReason> NalbAllocator::try_place(const wl::VmRequest& vm) 
   const UnitVector units = demand_units(vm);
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BandwidthDescending, companion_,
-                               std::nullopt, scratch());
+                               std::nullopt);
   if (!boxes.ok()) {
     return Err{boxes.error()};
   }

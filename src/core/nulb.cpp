@@ -7,7 +7,7 @@ namespace risa::core {
 Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
     const topo::Cluster& cluster, const net::Fabric& fabric,
     const UnitVector& units, NeighborOrder order, CompanionSearch companion,
-    const RackFilter& filter, SearchScratch& scratch) {
+    const RackFilter& filter) {
   // CR over the search scope's availability.
   const PerResource<Units> avail =
       filter.restricted() ? restricted_availability(cluster, filter.masks())
@@ -26,7 +26,7 @@ Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
   for (ResourceType t : kAllResources) {
     if (t == res_max) continue;
     const BoxId found = bfs_search(cluster, fabric, anchor_rack, t, units[t],
-                                   order, companion, filter, scratch);
+                                   order, companion, filter);
     if (!found.valid()) {
       return Err{DropReason::NoComputeResources};
     }
@@ -35,20 +35,11 @@ Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
   return boxes;
 }
 
-Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
-    const topo::Cluster& cluster, const net::Fabric& fabric,
-    const UnitVector& units, NeighborOrder order, CompanionSearch companion,
-    const RackFilter& filter) {
-  SearchScratch scratch;
-  return nulb_find_boxes(cluster, fabric, units, order, companion, filter,
-                         scratch);
-}
-
 Result<Placement, DropReason> NulbAllocator::try_place(const wl::VmRequest& vm) {
   const UnitVector units = demand_units(vm);
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BoxIdOrder, companion_,
-                               std::nullopt, scratch());
+                               std::nullopt);
   if (!boxes.ok()) {
     return Err{boxes.error()};
   }

@@ -23,12 +23,6 @@ namespace risa::core {
 [[nodiscard]] Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
     const topo::Cluster& cluster, const net::Fabric& fabric,
     const UnitVector& units, NeighborOrder order, CompanionSearch companion,
-    const RackFilter& filter, SearchScratch& scratch);
-
-/// Convenience overload with a transient scratch (tests / one-off calls).
-[[nodiscard]] Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
-    const topo::Cluster& cluster, const net::Fabric& fabric,
-    const UnitVector& units, NeighborOrder order, CompanionSearch companion,
     const RackFilter& filter);
 
 class NulbAllocator : public Allocator {

@@ -184,7 +184,7 @@ Result<Placement, DropReason> RisaAllocator::try_place(const wl::VmRequest& vm) 
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BoxIdOrder,
                                CompanionSearch::GlobalOrder,
-                               RackFilter{std::move(lists)}, scratch());
+                               RackFilter{std::move(lists)});
   if (!boxes.ok()) {
     return Err{boxes.error()};
   }

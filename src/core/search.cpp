@@ -53,69 +53,54 @@ BoxId first_fit_box(const topo::Cluster& cluster, ResourceType type,
 
 namespace {
 
-/// Best free uplink capacity of a box.
-[[nodiscard]] MbitsPerSec best_uplink(const net::Fabric& fabric, BoxId box) {
-  MbitsPerSec best = 0;
-  for (LinkId id : fabric.box_uplinks(box)) {
-    best = std::max(best, fabric.link_unchecked(id).available());
-  }
-  return best;
-}
-
-/// Best free rack-uplink capacity of a rack.
-[[nodiscard]] MbitsPerSec best_rack_uplink(const net::Fabric& fabric,
-                                           RackId rack) {
-  MbitsPerSec best = 0;
-  for (LinkId id : fabric.rack_uplinks(rack)) {
-    best = std::max(best, fabric.link_unchecked(id).available());
-  }
-  return best;
-}
-
 /// NALB's bandwidth keys: the bottleneck free bandwidth of the path that
 /// would connect the anchor's rack to each candidate (candidate's best box
 /// uplink; for inter-rack candidates additionally the two rack uplinks
 /// involved), quantized to whole spatial channels because the OCS reserves
 /// channel-granular circuits.  On a lightly loaded fabric every candidate
-/// ties, so the stable sort preserves NULB's order -- which is why the
-/// paper's NALB makes the same placements as NULB (Figure 5: 255 = 255)
-/// until links genuinely congest.  Rack-uplink bests are memoized lazily
-/// per search (into the scratch buffer): since the index prunes whole
-/// racks, most searches touch a handful of racks, not all of them.
+/// ties, and ties keep the scan order -- which is why the paper's NALB
+/// makes the same placements as NULB (Figure 5: 255 = 255) until links
+/// genuinely congest.  Every hop's best link comes from the fabric's
+/// best-uplink caches, so a key costs O(1) (DESIGN.md §15).
+///
+/// Headroom is kept in raw bandwidth here; RankedBest quantizes it.  The
+/// rack-uplink hops are shared by every candidate of a rack, so they are
+/// folded into a per-rack bound once and each box only adds its own hop.
 class PathHeadroom {
  public:
-  /// Free capacities are non-negative, so -1 marks "not yet computed".
-  static constexpr MbitsPerSec kUnknown = -1;
-
-  PathHeadroom(const net::Fabric& fabric, RackId anchor_rack,
-               std::uint32_t num_racks, std::vector<MbitsPerSec>& rack_best)
+  PathHeadroom(const net::Fabric& fabric, RackId anchor_rack)
       : fabric_(&fabric), anchor_rack_(anchor_rack),
-        channel_rate_(fabric.config().channel_rate), rack_best_(&rack_best) {
-    rack_best.assign(num_racks, kUnknown);
+        capacity_(fabric.config().link_capacity),
+        anchor_uplink_(available(fabric.best_rack_uplink(anchor_rack))) {}
+
+  /// Upper bound on the headroom of every candidate in `rack`: the two
+  /// rack-uplink hops of an inter-rack path, or a full link for the anchor
+  /// rack, whose paths stay intra-rack.
+  [[nodiscard]] MbitsPerSec rack_bound(RackId rack) const {
+    if (rack == anchor_rack_) return capacity_;
+    return std::min(anchor_uplink_, available(fabric_->best_rack_uplink(rack)));
   }
 
-  /// Free channels on the candidate's bottleneck hop.
-  [[nodiscard]] MbitsPerSec of(BoxId box) const {
-    const RackId box_rack = fabric_->switch_node(fabric_->box_switch(box)).rack;
-    MbitsPerSec headroom = best_uplink(*fabric_, box);
-    if (box_rack != anchor_rack_) {
-      headroom = std::min(headroom, rack(anchor_rack_));
-      headroom = std::min(headroom, rack(box_rack));
-    }
-    return headroom / channel_rate_;
+  /// Headroom of `box`, a candidate of the rack whose bound is `bound`.
+  [[nodiscard]] MbitsPerSec of(BoxId box, MbitsPerSec bound) const {
+    return std::min(available(fabric_->best_box_uplink(box)), bound);
+  }
+
+  /// Upper bound on any headroom at all, and on any non-anchor-rack one.
+  [[nodiscard]] MbitsPerSec capacity() const noexcept { return capacity_; }
+  [[nodiscard]] MbitsPerSec anchor_uplink() const noexcept {
+    return anchor_uplink_;
   }
 
  private:
-  [[nodiscard]] MbitsPerSec rack(RackId r) const {
-    MbitsPerSec& best = (*rack_best_)[r.value()];
-    if (best == kUnknown) best = best_rack_uplink(*fabric_, r);
-    return best;
+  [[nodiscard]] MbitsPerSec available(LinkId id) const noexcept {
+    return fabric_->link_unchecked(id).available();
   }
 
   const net::Fabric* fabric_;
   RackId anchor_rack_;
-  MbitsPerSec channel_rate_;
-  std::vector<MbitsPerSec>* rack_best_;
+  MbitsPerSec capacity_;
+  MbitsPerSec anchor_uplink_;
 };
 
 /// First fit over boxes of `type` in per-type id order, restricted to the
@@ -140,33 +125,52 @@ class PathHeadroom {
   return hit;
 }
 
-/// Running argmax for the bandwidth-descending scans.  The historical
-/// implementation materialized every candidate, stable-sorted by descending
-/// headroom, then took the first fit.  Availability cannot change between
-/// the build and the scan (placement is single-threaded), so the first fit
-/// of that order is exactly "the *fitting* candidate with maximum headroom,
-/// earliest insertion order winning ties" -- which a strict-greater running
-/// maximum over fit-filtered candidates computes directly: no sort, no
-/// candidate buffer, and no headroom key evaluated for any box that could
-/// never be chosen.
+/// Running argmax for the bandwidth-descending scans: the *fitting*
+/// candidate with the most channels of headroom, earliest scan position
+/// winning ties (a later candidate replaces the best only with strictly
+/// more channels).  The comparison runs in raw bandwidth against `need`,
+/// the least headroom worth one more channel than the best, so a key is
+/// only divided out when it wins: floor(h / q) > k  <=>  h >= (k + 1) q.
 struct RankedBest {
-  MbitsPerSec key = -1;  ///< headroom keys are non-negative
-  BoxId box = BoxId::invalid();
+  explicit RankedBest(MbitsPerSec channel_rate) : channel_rate(channel_rate) {}
 
-  void offer(MbitsPerSec candidate_key, BoxId id) noexcept {
-    if (candidate_key > key) {
-      key = candidate_key;
+  void offer(MbitsPerSec headroom, BoxId id) noexcept {
+    if (headroom >= need) {
+      need = (headroom / channel_rate + 1) * channel_rate;
       box = id;
     }
   }
+
+  /// True once no candidate with headroom <= `bound` can replace the best.
+  [[nodiscard]] bool settled(MbitsPerSec bound) const noexcept {
+    return need > bound;
+  }
+
+  MbitsPerSec channel_rate;
+  MbitsPerSec need = 0;  ///< headroom is non-negative: any first fit wins
+  BoxId box = BoxId::invalid();
 };
+
+/// Offer the fitting boxes of `rack` to `best` in id order, stopping as
+/// soon as none of the rest can win.
+void rank_rack(const topo::Cluster& cluster, ResourceType type, Units units,
+               RackId rack, const PathHeadroom& headroom, RankedBest& best) {
+  const MbitsPerSec bound = headroom.rack_bound(rack);
+  if (best.settled(bound)) return;
+  for (BoxId id : cluster.boxes_of_type_in_rack(rack, type)) {
+    if (cluster.box_unchecked(id).available_units() >= units) {
+      best.offer(headroom.of(id, bound), id);
+      if (best.settled(bound)) return;
+    }
+  }
+}
 
 }  // namespace
 
 BoxId bfs_search(const topo::Cluster& cluster, const net::Fabric& fabric,
                  RackId anchor_rack, ResourceType type, Units units,
                  NeighborOrder order, CompanionSearch companion,
-                 const RackFilter& filter, SearchScratch& scratch) {
+                 const RackFilter& filter) {
   if (order == NeighborOrder::BoxIdOrder) {
     if (companion == CompanionSearch::GlobalOrder) {
       // Single tier: every eligible box in per-type id order (the ordering
@@ -186,54 +190,36 @@ BoxId bfs_search(const topo::Cluster& cluster, const net::Fabric& fabric,
   // BandwidthDescending: fit-filtered running argmax (RankedBest above).
   // Candidates come only from index-eligible racks -- racks the index
   // excludes contain no fitting box, so pruning them cannot change the
-  // winner.
-  const PathHeadroom headroom(fabric, anchor_rack, cluster.num_racks(),
-                              scratch.rack_best);
+  // winner.  The walk ends as soon as no later candidate can win: every key
+  // is capped by a full link, and past the anchor rack by the anchor's own
+  // best rack uplink (DESIGN.md §15).
+  const PathHeadroom headroom(fabric, anchor_rack);
+  const MbitsPerSec channel_rate = fabric.config().channel_rate;
   if (companion == CompanionSearch::GlobalOrder) {
-    RankedBest best;
+    RankedBest best(channel_rate);
     for_each_candidate_rack(
         cluster, type, units, filter, [&](RackId rack) {
-          for (BoxId id : cluster.boxes_of_type_in_rack(rack, type)) {
-            if (cluster.box_unchecked(id).available_units() >= units) {
-              best.offer(headroom.of(id), id);
-            }
-          }
-          return false;
+          rank_rack(cluster, type, units, rack, headroom, best);
+          return best.settled(rack < anchor_rack ? headroom.capacity()
+                                                 : headroom.anchor_uplink());
         });
     return best.box;
   }
 
   // AnchorRackFirst tiers, each ranked independently.
   if (filter.allows(type, anchor_rack)) {
-    RankedBest local;
-    for (BoxId id : cluster.boxes_of_type_in_rack(anchor_rack, type)) {
-      if (cluster.box_unchecked(id).available_units() >= units) {
-        local.offer(headroom.of(id), id);
-      }
-    }
+    RankedBest local(channel_rate);
+    rank_rack(cluster, type, units, anchor_rack, headroom, local);
     if (local.box.valid()) return local.box;
   }
-  RankedBest best;
+  RankedBest best(channel_rate);
   for_each_candidate_rack(
       cluster, type, units, filter, [&](RackId rack) {
         if (rack == anchor_rack) return false;
-        for (BoxId id : cluster.boxes_of_type_in_rack(rack, type)) {
-          if (cluster.box_unchecked(id).available_units() >= units) {
-            best.offer(headroom.of(id), id);
-          }
-        }
-        return false;
+        rank_rack(cluster, type, units, rack, headroom, best);
+        return best.settled(headroom.anchor_uplink());
       });
   return best.box;
-}
-
-BoxId bfs_search(const topo::Cluster& cluster, const net::Fabric& fabric,
-                 RackId anchor_rack, ResourceType type, Units units,
-                 NeighborOrder order, CompanionSearch companion,
-                 const RackFilter& filter) {
-  SearchScratch scratch;
-  return bfs_search(cluster, fabric, anchor_rack, type, units, order, companion,
-                    filter, scratch);
 }
 
 }  // namespace risa::core

@@ -4,8 +4,9 @@
 // most contended resource, then a BFS from the chosen box's rack for the
 // remaining types: same-rack boxes first, then boxes of other racks in rack
 // id order.  NALB runs the same BFS but "reorders neighbors ... in
-// descending order of their available bandwidth" -- here, each tier's
-// candidates are stably re-sorted by the box's best free uplink capacity.
+// descending order of their available bandwidth" -- here, each tier picks
+// the fitting candidate whose path has the most free channels, earliest
+// candidate winning ties.
 //
 // Searches optionally restrict to a per-type rack set (SUPER_RACK): RISA's
 // fallback path funnels through the same code with a filter installed.
@@ -72,15 +73,6 @@ class RackFilter {
   return filter.allows(type, rack);
 }
 
-/// Reusable scratch buffers for the search routines.  One lives in each
-/// Allocator so the steady-state placement path performs no heap
-/// allocation; the vectors grow to the high-water mark once and are
-/// reused for every subsequent VM.
-struct SearchScratch {
-  /// Per-rack best free uplink, computed once per bandwidth-ordered search.
-  std::vector<MbitsPerSec> rack_best;
-};
-
 /// First box of `type` with at least `units` available, scanning cluster-
 /// wide in per-type (rack-major) id order -- NULB's anchor search.
 [[nodiscard]] BoxId first_fit_box(const topo::Cluster& cluster,
@@ -90,7 +82,9 @@ struct SearchScratch {
 /// Candidate ordering of the BFS second phase.
 enum class NeighborOrder : std::uint8_t {
   BoxIdOrder = 0,        ///< NULB: rack-major box-id order
-  BandwidthDescending = 1,  ///< NALB: best free uplink first (stable)
+  /// NALB: the candidate whose path has the most free channels; ties go
+  /// to the earliest in BoxIdOrder.
+  BandwidthDescending = 1,
 };
 
 /// How the companion (non-anchor) resources are searched.
@@ -110,15 +104,7 @@ enum class CompanionSearch : std::uint8_t {
 
 /// BFS search for `type`: candidates ordered per `companion` tiering and
 /// `order` within each tier.  Returns the first candidate with `units`
-/// available, or an invalid id.  `scratch` holds the reusable candidate
-/// buffers (only touched for the bandwidth-descending order).
-[[nodiscard]] BoxId bfs_search(const topo::Cluster& cluster,
-                               const net::Fabric& fabric, RackId anchor_rack,
-                               ResourceType type, Units units,
-                               NeighborOrder order, CompanionSearch companion,
-                               const RackFilter& filter, SearchScratch& scratch);
-
-/// Convenience overload with a transient scratch (tests / one-off calls).
+/// available, or an invalid id.  Allocation-free.
 [[nodiscard]] BoxId bfs_search(const topo::Cluster& cluster,
                                const net::Fabric& fabric, RackId anchor_rack,
                                ResourceType type, Units units,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/string_util.hpp"
 
@@ -96,6 +97,13 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
       inter_capacity_ += config_.link_capacity;
     }
   }
+  box_best_.resize(total_boxes);
+  rack_best_.resize(racks);
+  reset_best_caches();
+}
+
+void Fabric::throw_bad_id(const char* what) {
+  throw std::out_of_range(std::string("Fabric: bad ") + what + " id");
 }
 
 std::uint32_t Fabric::pod_of_rack(RackId rack) const {
@@ -148,18 +156,15 @@ SwitchId Fabric::rack_switch(RackId rack) const {
   return rack_switches_[rack.value()];
 }
 
-Link& Fabric::link(LinkId id) {
+const Link& Fabric::link(LinkId id) const {
   if (!id.valid() || id.value() >= links_.size()) {
     throw std::out_of_range("Fabric: bad link id");
   }
   return links_[id.value()];
 }
 
-const Link& Fabric::link(LinkId id) const {
-  if (!id.valid() || id.value() >= links_.size()) {
-    throw std::out_of_range("Fabric: bad link id");
-  }
-  return links_[id.value()];
+Link& Fabric::mutable_link(LinkId id) {
+  return const_cast<Link&>(std::as_const(*this).link(id));
 }
 
 std::span<const LinkId> Fabric::box_uplinks(BoxId box) const {
@@ -176,8 +181,77 @@ std::span<const LinkId> Fabric::rack_uplinks(RackId rack) const {
   return rack_uplinks_[rack.value()];
 }
 
+namespace {
+
+/// First link of `group` with the most available() bandwidth.
+LinkId first_most_available(const std::vector<Link>& links,
+                            std::span<const LinkId> group) noexcept {
+  LinkId best = group.front();
+  MbitsPerSec best_avail = links[best.value()].available();
+  for (LinkId id : group.subspan(1)) {
+    const MbitsPerSec avail = links[id.value()].available();
+    if (avail > best_avail) {
+      best_avail = avail;
+      best = id;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
+LinkId* Fabric::best_slot(const Link& l) noexcept {
+  switch (l.kind()) {
+    case LinkKind::BoxUplink: return &box_best_[l.box().value()];
+    case LinkKind::RackUplink: return &rack_best_[l.rack().value()];
+    case LinkKind::PodUplink: break;
+  }
+  return nullptr;
+}
+
+std::span<const LinkId> Fabric::group_of(const Link& l) const noexcept {
+  switch (l.kind()) {
+    case LinkKind::BoxUplink: return box_uplinks_[l.box().value()];
+    case LinkKind::RackUplink: return rack_uplinks_[l.rack().value()];
+    case LinkKind::PodUplink: break;
+  }
+  return {};
+}
+
+// The cached link is the group's first argmax of available().  Links
+// before it hold strictly less, links after it at most as much.  A link
+// other than the cached one losing bandwidth keeps both facts true; the
+// cached one losing bandwidth may not, so its group is rescanned.
+void Fabric::on_decrease(const Link& l) noexcept {
+  LinkId* best = best_slot(l);
+  if (best != nullptr && *best == l.id()) {
+    *best = first_most_available(links_, group_of(l));
+  }
+}
+
+// A link gaining bandwidth can only displace the cached link by beating
+// it, or by tying it from an earlier position in the group (lower id).
+void Fabric::on_increase(const Link& l) noexcept {
+  LinkId* best = best_slot(l);
+  if (best == nullptr) return;
+  const MbitsPerSec best_avail = links_[best->value()].available();
+  if (l.available() > best_avail ||
+      (l.available() == best_avail && l.id().value() < best->value())) {
+    *best = l.id();
+  }
+}
+
+void Fabric::reset_best_caches() noexcept {
+  for (std::size_t b = 0; b < box_best_.size(); ++b) {
+    box_best_[b] = box_uplinks_[b].front();
+  }
+  for (std::size_t r = 0; r < rack_best_.size(); ++r) {
+    rack_best_[r] = rack_uplinks_[r].front();
+  }
+}
+
 Result<bool, std::string> Fabric::allocate(LinkId id, MbitsPerSec bw) {
-  Link& l = link(id);
+  Link& l = mutable_link(id);
   auto result = l.allocate(bw);
   if (result.ok()) {
     if (l.kind() == LinkKind::BoxUplink) {
@@ -186,12 +260,13 @@ Result<bool, std::string> Fabric::allocate(LinkId id, MbitsPerSec bw) {
     } else {
       inter_allocated_ += bw;
     }
+    on_decrease(l);
   }
   return result;
 }
 
 void Fabric::release(LinkId id, MbitsPerSec bw) {
-  Link& l = link(id);
+  Link& l = mutable_link(id);
   l.release(bw);
   if (l.kind() == LinkKind::BoxUplink) {
     intra_allocated_ -= bw;
@@ -202,10 +277,11 @@ void Fabric::release(LinkId id, MbitsPerSec bw) {
   } else {
     inter_allocated_ -= bw;
   }
+  on_increase(l);
 }
 
 void Fabric::set_link_failed(LinkId id, bool failed) {
-  Link& l = link(id);
+  Link& l = mutable_link(id);
   if (l.failed() == failed) return;
   if (failed) {
     ++failed_links_;
@@ -222,6 +298,11 @@ void Fabric::set_link_failed(LinkId id, bool failed) {
     }
   } else {
     l.set_failed(failed);
+  }
+  if (failed) {
+    on_decrease(l);
+  } else {
+    on_increase(l);
   }
 }
 
@@ -243,6 +324,7 @@ void Fabric::reset() {
       rack_intra_available_[l.rack().value()] += l.capacity();
     }
   }
+  reset_best_caches();
 }
 
 void Fabric::check_invariants() const {
@@ -273,6 +355,16 @@ void Fabric::check_invariants() const {
   for (std::size_t r = 0; r < rack_avail.size(); ++r) {
     if (rack_avail[r] != rack_intra_available_[r]) {
       throw std::logic_error("Fabric invariant: rack intra aggregate mismatch");
+    }
+  }
+  for (std::size_t b = 0; b < box_best_.size(); ++b) {
+    if (box_best_[b] != first_most_available(links_, box_uplinks_[b])) {
+      throw std::logic_error("Fabric invariant: box best-uplink cache mismatch");
+    }
+  }
+  for (std::size_t r = 0; r < rack_best_.size(); ++r) {
+    if (rack_best_[r] != first_most_available(links_, rack_uplinks_[r])) {
+      throw std::logic_error("Fabric invariant: rack best-uplink cache mismatch");
     }
   }
 }

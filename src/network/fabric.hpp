@@ -14,7 +14,9 @@
 // so Azure-workload intra-rack utilization lands in the paper's 30-43% band
 // (see DESIGN.md §2.3).  All aggregates (cluster-wide and per-rack intra
 // free bandwidth) are maintained incrementally; RISA's AVAIL_INTRA_RACK_NET
-// test reads them in O(1).
+// test reads them in O(1).  So is each box's and rack's most-available
+// uplink, which NALB's search keys and most-available routing read in O(1)
+// (DESIGN.md §15).
 #pragma once
 
 #include <cassert>
@@ -91,16 +93,14 @@ class Fabric {
   [[nodiscard]] std::size_t num_switches() const noexcept { return switches_.size(); }
 
   // --- Links --------------------------------------------------------------
-  [[nodiscard]] Link& link(LinkId id);
+  /// Links are read-only from outside: every mutation goes through
+  /// allocate / release / set_link_failed so the aggregates and the
+  /// best-uplink caches stay exact.
   [[nodiscard]] const Link& link(LinkId id) const;
 
   /// Bounds-unchecked link access for the routing/search hot loops (link
   /// ids come from the fabric's own uplink tables).  API boundaries keep
   /// the throwing accessor.
-  [[nodiscard]] Link& link_unchecked(LinkId id) noexcept {
-    assert(id.value() < links_.size());
-    return links_[id.value()];
-  }
   [[nodiscard]] const Link& link_unchecked(LinkId id) const noexcept {
     assert(id.value() < links_.size());
     return links_[id.value()];
@@ -113,6 +113,19 @@ class Fabric {
   /// Parallel uplinks of one rack (rack switch -> pod switch in three-tier
   /// mode, rack switch -> core otherwise).
   [[nodiscard]] std::span<const LinkId> rack_uplinks(RackId rack) const;
+
+  /// The first uplink, in group order, with the most available() bandwidth
+  /// -- the link Router::select_link(MostAvailable) would pick from the
+  /// group.  Maintained per mutation (O(1) unless the best link itself
+  /// loses bandwidth, which rescans its group), so a read is O(1).
+  [[nodiscard]] LinkId best_box_uplink(BoxId box) const {
+    if (box.value() >= box_best_.size()) [[unlikely]] throw_bad_id("box");
+    return box_best_[box.value()];
+  }
+  [[nodiscard]] LinkId best_rack_uplink(RackId rack) const {
+    if (rack.value() >= rack_best_.size()) [[unlikely]] throw_bad_id("rack");
+    return rack_best_[rack.value()];
+  }
 
   // --- Three-tier (pod) extension ------------------------------------------
   /// Number of pods (0 = two-tier, the paper's topology).
@@ -168,10 +181,26 @@ class Fabric {
   /// engine-reuse path.  O(links) with zero heap allocation.
   void reset();
 
-  /// Verifies aggregates against recomputation; throws on divergence.
+  /// Verifies aggregates and best-uplink caches against recomputation;
+  /// throws on divergence.
   void check_invariants() const;
 
  private:
+  [[noreturn]] static void throw_bad_id(const char* what);
+  [[nodiscard]] Link& mutable_link(LinkId id);
+
+  /// Best-uplink cache slot of the group `l` belongs to and the group
+  /// itself; null / empty for pod uplinks, which are not cached.
+  [[nodiscard]] LinkId* best_slot(const Link& l) noexcept;
+  [[nodiscard]] std::span<const LinkId> group_of(const Link& l) const noexcept;
+
+  /// Cache maintenance after `l.available()` fell / rose.
+  void on_decrease(const Link& l) noexcept;
+  void on_increase(const Link& l) noexcept;
+
+  /// Point every cache slot at its group's first link (all links idle).
+  void reset_best_caches() noexcept;
+
   FabricConfig config_;
   std::vector<SwitchNode> switches_;
   std::vector<Link> links_;
@@ -183,6 +212,8 @@ class Fabric {
   std::vector<std::vector<LinkId>> rack_uplinks_;  // by rack id
   std::vector<std::vector<LinkId>> pod_uplinks_;   // by pod index (3-tier)
   std::vector<MbitsPerSec> rack_intra_available_;  // by rack id
+  std::vector<LinkId> box_best_;                   // by box id
+  std::vector<LinkId> rack_best_;                  // by rack id
   std::uint32_t failed_links_ = 0;
   MbitsPerSec intra_capacity_ = 0;
   MbitsPerSec intra_allocated_ = 0;

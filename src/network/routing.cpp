@@ -4,6 +4,12 @@
 
 namespace risa::net {
 
+namespace {
+
+constexpr const char* kNoLink = "Router: no link with sufficient bandwidth";
+
+}  // namespace
+
 Result<LinkId, std::string> Router::select_link(std::span<const LinkId> group,
                                                 MbitsPerSec bw,
                                                 LinkSelectPolicy policy) const {
@@ -30,7 +36,15 @@ Result<LinkId, std::string> Router::select_link(std::span<const LinkId> group,
       break;
     }
   }
-  return Err<std::string>{"Router: no link with sufficient bandwidth"};
+  return Err<std::string>{kNoLink};
+}
+
+Result<LinkId, std::string> Router::select_cached(LinkId most_available,
+                                                  MbitsPerSec bw) const {
+  if (fabric_->link_unchecked(most_available).available() >= bw) {
+    return most_available;
+  }
+  return Err<std::string>{kNoLink};
 }
 
 Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
@@ -43,9 +57,21 @@ Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
   CircuitPath path;
   path.inter_rack = src_rack != dst_rack;
 
-  auto src_up = select_link(fabric_->box_uplinks(src), bw, policy);
+  // MostAvailable reads each box/rack group's maintained best link -- the
+  // same link select_link would find by scanning the group.
+  const bool cached = policy == LinkSelectPolicy::MostAvailable;
+  auto box_hop = [&](BoxId box) {
+    return cached ? select_cached(fabric_->best_box_uplink(box), bw)
+                  : select_link(fabric_->box_uplinks(box), bw, policy);
+  };
+  auto rack_hop = [&](RackId rack) {
+    return cached ? select_cached(fabric_->best_rack_uplink(rack), bw)
+                  : select_link(fabric_->rack_uplinks(rack), bw, policy);
+  };
+
+  auto src_up = box_hop(src);
   if (!src_up.ok()) return Err<std::string>{"src uplink: " + src_up.error()};
-  auto dst_up = select_link(fabric_->box_uplinks(dst), bw, policy);
+  auto dst_up = box_hop(dst);
   if (!dst_up.ok()) return Err<std::string>{"dst uplink: " + dst_up.error()};
 
   path.switches.push_back(fabric_->box_switch(src));
@@ -53,9 +79,9 @@ Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
   path.links.push_back(src_up.value());
 
   if (path.inter_rack) {
-    auto up_a = select_link(fabric_->rack_uplinks(src_rack), bw, policy);
+    auto up_a = rack_hop(src_rack);
     if (!up_a.ok()) return Err<std::string>{"rack A uplink: " + up_a.error()};
-    auto up_b = select_link(fabric_->rack_uplinks(dst_rack), bw, policy);
+    auto up_b = rack_hop(dst_rack);
     if (!up_b.ok()) return Err<std::string>{"rack B uplink: " + up_b.error()};
     path.links.push_back(up_a.value());
 

@@ -62,6 +62,11 @@ class Router {
   [[nodiscard]] MbitsPerSec group_max_available(std::span<const LinkId> group) const;
 
  private:
+  /// MostAvailable over a box or rack group, given the group's best link
+  /// as the fabric maintains it (Fabric::best_box_uplink / best_rack_uplink).
+  [[nodiscard]] Result<LinkId, std::string> select_cached(
+      LinkId most_available, MbitsPerSec bw) const;
+
   Fabric* fabric_;
 };
 

@@ -2,6 +2,9 @@
 // circuit life cycle, aggregate invariants.
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "common/rng.hpp"
 #include "network/bandwidth.hpp"
 #include "network/circuit.hpp"
 #include "network/fabric.hpp"
@@ -217,6 +220,140 @@ TEST(FabricConfig, ValidationRejectsBadShapes) {
   cfg = FabricConfig{};
   cfg.box_switch_ports = 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+/// The reference the best-uplink caches must match: a first-argmax rescan.
+LinkId naive_best(const Fabric& fabric, std::span<const LinkId> group) {
+  LinkId best = group.front();
+  for (LinkId id : group) {
+    if (fabric.link(id).available() > fabric.link(best).available()) best = id;
+  }
+  return best;
+}
+
+void expect_best_caches_exact(const Fabric& fabric,
+                              const topo::ClusterConfig& cluster) {
+  for (std::uint32_t b = 0; b < cluster.total_boxes(); ++b) {
+    ASSERT_EQ(fabric.best_box_uplink(BoxId{b}),
+              naive_best(fabric, fabric.box_uplinks(BoxId{b})))
+        << "box " << b;
+  }
+  for (std::uint32_t r = 0; r < cluster.racks; ++r) {
+    ASSERT_EQ(fabric.best_rack_uplink(RackId{r}),
+              naive_best(fabric, fabric.rack_uplinks(RackId{r})))
+        << "rack " << r;
+  }
+}
+
+/// Randomized allocate / release / fail / repair / reset; after every
+/// operation both caches must equal the rescan, and most-available routing
+/// (which reads them) must pick the links select_link finds by scanning.
+void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
+  const topo::ClusterConfig cluster = paper_cluster();
+  Fabric fabric(cluster, config);
+  Router router(fabric);
+  Rng rng(seed);
+  const auto links = static_cast<std::int64_t>(fabric.num_links());
+  const std::uint32_t boxes = cluster.total_boxes();
+  const std::uint32_t boxes_per_rack = cluster.total_boxes_per_rack();
+  const MbitsPerSec channel = config.channel_rate;
+  const MbitsPerSec capacity = config.link_capacity;
+  for (int step = 0; step < 20000; ++step) {
+    // Half the operations hit box 0's or rack 0's group, so the cached link
+    // is displaced, restored and tied over and over.
+    LinkId id;
+    if (rng.uniform_int(0, 1) == 0) {
+      const auto group = rng.uniform_int(0, 1) == 0
+                             ? fabric.box_uplinks(BoxId{0})
+                             : fabric.rack_uplinks(RackId{0});
+      id = group[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(group.size()) - 1))];
+    } else {
+      id = LinkId{static_cast<std::uint32_t>(rng.uniform_int(0, links - 1))};
+    }
+    const Link& l = fabric.link(id);
+    const std::int64_t op = rng.uniform_int(0, 999);
+    if (op < 450) {
+      // Whole channels tie often; arbitrary amounts break ties.
+      const MbitsPerSec bw = rng.uniform_int(0, 1) == 0
+                                 ? channel * rng.uniform_int(1, 8)
+                                 : rng.uniform_int(1, capacity / 2);
+      (void)fabric.allocate(id, bw);  // may be refused; nothing changes then
+    } else if (op < 850) {
+      if (l.allocated() > 0) fabric.release(id, rng.uniform_int(1, l.allocated()));
+    } else if (op < 998) {
+      fabric.set_link_failed(id, !l.failed());
+    } else {
+      fabric.reset();
+    }
+    expect_best_caches_exact(fabric, cluster);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (step % 64 == 0) fabric.check_invariants();
+
+    const BoxId src{static_cast<std::uint32_t>(rng.uniform_int(0, boxes - 1))};
+    const BoxId dst{static_cast<std::uint32_t>(rng.uniform_int(0, boxes - 1))};
+    if (src == dst) continue;
+    const RackId src_rack{src.value() / boxes_per_rack};
+    const RackId dst_rack{dst.value() / boxes_per_rack};
+    const MbitsPerSec bw = channel * rng.uniform_int(0, 8);
+    const auto path = router.find_path(src, src_rack, dst, dst_rack, bw,
+                                       LinkSelectPolicy::MostAvailable);
+    auto scan = [&](std::span<const LinkId> group) {
+      return router.select_link(group, bw, LinkSelectPolicy::MostAvailable);
+    };
+    const auto src_up = scan(fabric.box_uplinks(src));
+    const auto dst_up = scan(fabric.box_uplinks(dst));
+    bool feasible = src_up.ok() && dst_up.ok();
+    if (feasible && src_rack != dst_rack) {
+      feasible = scan(fabric.rack_uplinks(src_rack)).ok() &&
+                 scan(fabric.rack_uplinks(dst_rack)).ok();
+      if (fabric.num_pods() > 0 && !fabric.same_pod(src_rack, dst_rack)) {
+        feasible = feasible &&
+                   scan(fabric.pod_uplinks(fabric.pod_of_rack(src_rack))).ok() &&
+                   scan(fabric.pod_uplinks(fabric.pod_of_rack(dst_rack))).ok();
+      }
+    }
+    ASSERT_EQ(path.ok(), feasible) << "step " << step;
+    if (!path.ok()) continue;
+    ASSERT_EQ(path->links.front(), src_up.value());
+    ASSERT_EQ(path->links.back(), dst_up.value());
+    if (src_rack != dst_rack) {
+      ASSERT_EQ(path->links[1], scan(fabric.rack_uplinks(src_rack)).value());
+      ASSERT_EQ(path->links[path->links.size() - 2],
+                scan(fabric.rack_uplinks(dst_rack)).value());
+    }
+  }
+}
+
+TEST(Fabric, BestUplinkCachesMatchRescanUnderChurn) {
+  churn_best_uplinks(FabricConfig{}, 20231112);
+}
+
+TEST(Fabric, BestUplinkCachesMatchRescanUnderChurnThreeTier) {
+  FabricConfig config;
+  config.racks_per_pod = 6;
+  churn_best_uplinks(config, 7);
+}
+
+TEST(Fabric, BestUplinkTiesGoToTheEarliestLink) {
+  Fabric fabric(paper_cluster(), FabricConfig{});
+  const auto group = fabric.box_uplinks(BoxId{3});
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[0]);
+  ASSERT_TRUE(fabric.allocate(group[0], gbps(25.0)).ok());
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[1]);
+  ASSERT_TRUE(fabric.allocate(group[1], gbps(25.0)).ok());
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[2]);
+  // Released back to a tie with group[2]: the earlier link wins again.
+  fabric.release(group[1], gbps(25.0));
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[1]);
+  fabric.set_link_failed(group[1], true);
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[2]);
+  fabric.set_link_failed(group[1], false);
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[1]);
+  fabric.reset();
+  EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[0]);
+  EXPECT_THROW((void)fabric.best_box_uplink(BoxId::invalid()), std::out_of_range);
+  EXPECT_THROW((void)fabric.best_rack_uplink(RackId{18}), std::out_of_range);
 }
 
 }  // namespace
