@@ -4,25 +4,12 @@
 // monotonically increasing counter so simultaneous events execute in
 // scheduling (FIFO) order -- determinism the reproduction depends on.
 //
-// Two event representations share that ordering contract (DESIGN.md §7):
-//   * the generic closure payload (EventFn) used by des::Simulator for
-//     tests and stochastic processes, where flexibility beats throughput;
-//   * typed POD payloads (a bare VM index in the engine's departure
-//     calendar; the arrival/departure distinction is the merge branch in
-//     Engine::run, not a stored tag) used by the simulation hot loop,
-//     where an event must cost zero heap allocations.
-// BasicCalendar (calendar.hpp) is templated over the payload so both ride
-// the same heap implementation and the same (time, seq) tie-breaking.
+// The engine's calendar (ladder_calendar.hpp) holds typed POD payloads
+// (des::LifecycleEvent, lifecycle.hpp), so an event costs zero heap
+// allocations; arrivals never enter it -- they stream from the arrival
+// ring and are merged against the calendar head by Engine::run_impl
+// (DESIGN.md §7, §11).  The closure-payload kernel the typed loop is
+// checked against lives with the tests (tests/oracle/des/).
 #pragma once
 
-#include <functional>
-
 #include "common/units.hpp"
-
-namespace risa::des {
-
-class Simulator;
-
-using EventFn = std::function<void(Simulator&)>;
-
-}  // namespace risa::des

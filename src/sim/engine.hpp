@@ -26,15 +26,15 @@
 // The event loop is typed and allocation-free in steady state (DESIGN.md
 // §7-§8): arrivals are PULLED in chunks from a wl::ArrivalSource (DESIGN.md
 // §11) while every *injected* event -- departures, scripted faults/repairs,
-// retries -- lives in one O(1)-amortized ladder-queue calendar of POD
-// des::LifecycleEvent entries (des::LadderCalendar, DESIGN.md §12; pop
-// order provably identical to the reference 4-ary heap's (time, seq)
-// order), and the two streams are merged on (time, seq).  Arrivals carry seq 0..N-1
-// (their workload index) and injected events number from N, which preserves
-// the historical closure-calendar FIFO order exactly: with an empty
-// FaultPlan the metrics are bit-identical to the generic des::Simulator
-// replaying the same workload, and a streaming run is bit-identical to the
-// materialized run over the same requests.
+// retries, migration sweeps -- lives in one O(1)-amortized ladder-queue
+// calendar of POD des::LifecycleEvent entries (des::LadderCalendar,
+// DESIGN.md §12), and the two streams are merged on (time, seq).  Arrivals
+// carry seq 0..N-1 (their workload index) and injected events number from
+// N, which preserves the historical FIFO order exactly: with an empty
+// FaultPlan the metrics are bit-identical to the closure-calendar
+// reference loop in tests/test_engine_equivalence.cpp, and a streaming run
+// is bit-identical to the materialized run over the same requests.  Each
+// event family has its own handler on Engine::Run (DESIGN.md §16).
 //
 // Memory is bounded by the live census, not the stream length: per-VM state
 // lives in a generation-stamped slot arena of VmState records created at
@@ -76,8 +76,8 @@ class Telemetry;  // sim/telemetry.hpp (DESIGN.md §14)
 /// the loop's safe point (DESIGN.md §11) -- and hands the bytes to `emit`.
 /// A run resumed from any emitted checkpoint (Engine::resume_stream)
 /// continues bit-identically.  Wall-clock metrics (sim_wall_seconds,
-/// scheduler_exec_seconds) and the optional latency sinks restart at the
-/// resume point; every deterministic metric continues exactly.
+/// scheduler_exec_seconds) and the optional latency histogram restart at
+/// the resume point; every deterministic metric continues exactly.
 struct CheckpointPolicy {
   /// Checkpoint cadence in executed events; 0 disables checkpointing.
   std::uint64_t every_events = 0;
@@ -168,23 +168,16 @@ class Engine {
   /// so Figures 11/12 are unaffected.
   void set_timeline(Timeline* timeline) noexcept { timeline_ = timeline; }
 
-  /// Optional per-placement latency recording: when set, every
-  /// Allocator::try_place appends its wall-clock duration in nanoseconds
-  /// (success or drop, arrivals and retries alike).  The vector must
-  /// outlive run(); pass nullptr to disable.  Samples are taken outside
-  /// the timed section, so scheduler_exec_seconds is unaffected.
-  void set_placement_latency_sink(std::vector<double>* sink) noexcept {
-    latency_sink_ = sink;
-  }
-
-  /// Bounded-memory alternative to the vector sink for streaming-scale
-  /// runs: per-placement latencies land in a log-scale histogram instead
-  /// of one double per placement.  Samples are added as raw ticks; at the
-  /// end of the run the engine installs the ticks-to-nanoseconds scale via
-  /// Log2Histogram::set_value_scale, so percentiles read out in ns.  The
-  /// histogram must outlive the run and is NOT cleared between runs (nor
-  /// serialized into checkpoints -- latency is wall-clock state); pass
-  /// nullptr to disable.  Both sinks may be active at once.
+  /// Optional per-placement latency recording: every Allocator::try_place
+  /// (success or drop, arrivals and retries alike) adds its wall-clock
+  /// duration to a log-scale histogram, bounded memory at any stream
+  /// length.  Samples are added as raw ticks; at the end of the run the
+  /// engine installs the ticks-to-nanoseconds scale via
+  /// Log2Histogram::set_value_scale, so percentiles read out in ns.
+  /// Samples are taken outside the timed section, so
+  /// scheduler_exec_seconds is unaffected.  The histogram must outlive the
+  /// run and is NOT cleared between runs (nor serialized into checkpoints
+  /// -- latency is wall-clock state); pass nullptr to disable.
   void set_latency_histogram(Log2Histogram* sink) noexcept {
     latency_hist_ = sink;
   }
@@ -228,12 +221,17 @@ class Engine {
   [[nodiscard]] core::Allocator& allocator() noexcept { return *allocator_; }
 
  private:
+  /// One run's loop state and per-event-family handlers (engine.cpp,
+  /// DESIGN.md §16).
+  class Run;
+
   [[nodiscard]] core::AllocContext context() noexcept;
 
-  /// The shared merged event loop behind run/run_stream/resume_stream.
-  /// When `resume` is non-null, the serialized state it holds replaces the
-  /// fresh-run initialization (including `workload_label`, which the
-  /// checkpoint carries).
+  /// The shared merged event loop behind run/run_stream/resume_stream:
+  /// set up a Run, restore or start it, dispatch (time, seq)-ordered
+  /// events to its handlers, finalize.  When `resume` is non-null, the
+  /// serialized state it holds replaces the fresh-run initialization
+  /// (including `workload_label`, which the checkpoint carries).
   [[nodiscard]] SimMetrics run_impl(wl::ArrivalSource& source,
                                     const std::string& workload_label,
                                     const CheckpointPolicy* ckpt,
@@ -248,7 +246,6 @@ class Engine {
   std::unique_ptr<core::Allocator> allocator_;
   Timeline* timeline_ = nullptr;
   Telemetry* telemetry_ = nullptr;  ///< run telemetry hub (DESIGN.md §14)
-  std::vector<double>* latency_sink_ = nullptr;
   Log2Histogram* latency_hist_ = nullptr;
   bool profiling_ = false;  ///< fill SimMetrics::profile on each run
   bool admission_batching_ = true;  ///< admission windows (DESIGN.md §13)
@@ -262,10 +259,10 @@ class Engine {
   /// numbering starts at the source's size hint each run (arrivals own
   /// seq 0..N-1; an unknown hint of 0 is behaviorally identical because
   /// arrivals win every merge tie structurally -- DESIGN.md §11).
-  /// A ladder queue since PR 8: O(1) amortized push/pop with the exact
-  /// (time, seq) pop order of the reference BasicCalendar heap, pinned by
-  /// the differential tests in tests/test_ladder_calendar.cpp (DESIGN.md
-  /// §12).
+  /// A ladder queue: O(1) amortized push/pop with exactly a heap's
+  /// (time, seq) pop order, pinned by the differential tests in
+  /// tests/test_ladder_calendar.cpp against the test-side BasicCalendar
+  /// oracle (DESIGN.md §12).
   des::LadderCalendar<des::LifecycleEvent> events_;
 
   /// Per-VM state, keyed by workload index.  A record is created when a VM

@@ -389,7 +389,7 @@ std::vector<SchedulerBenchEntry> scheduler_bench_entries(
   std::vector<SchedulerBenchEntry> entries;
   entries.reserve(results.size());
   for (const SweepResult& r : results) {
-    if (r.latency_ns.empty() && r.metrics.total_vms > 0) {
+    if (r.latency.total() == 0 && r.metrics.total_vms > 0) {
       throw std::invalid_argument(
           "scheduler_bench_entries: sweep ran without record_latency");
     }
@@ -408,15 +408,9 @@ std::vector<SchedulerBenchEntry> scheduler_bench_entries(
     e.sim_s = r.metrics.sim_wall_seconds;
     e.events_per_sec = r.metrics.events_per_sec();
     e.profile = r.metrics.profile;
-    if (!r.latency_ns.empty()) {
-      // Log-scale bins: resolution is relative (~1/16 of an octave), so the
-      // percentiles stay meaningful no matter how many samples pile into
-      // the distribution's tail (the old fixed-width 1000-bin histogram
-      // degenerated to p50 == p99 once 5M+ samples shared one bin).
-      Log2Histogram h;
-      for (double ns : r.latency_ns) h.add(ns);
-      e.p50_ns = h.percentile(50.0);
-      e.p99_ns = h.percentile(99.0);
+    if (r.latency.total() > 0) {
+      e.p50_ns = r.latency.percentile(50.0);
+      e.p99_ns = r.latency.percentile(99.0);
     }
     entries.push_back(std::move(e));
   }

@@ -213,14 +213,7 @@ std::vector<SweepResult> SweepRunner::run(const SweepSpec& spec) const {
     engine->set_timeline(spec.record_timeline ? &r.timeline : nullptr);
     engine->set_profiling(spec.record_profile);
     const bool stream_cell = spec.streaming && spec.workloads[w].make_source;
-    if (spec.record_latency) {
-      if (!stream_cell) {
-        r.latency_ns.reserve(workloads[w * spec.seeds.size() + s].size());
-      }
-      engine->set_placement_latency_sink(&r.latency_ns);
-    } else {
-      engine->set_placement_latency_sink(nullptr);
-    }
+    engine->set_latency_histogram(spec.record_latency ? &r.latency : nullptr);
     // Per-cell trace (DESIGN.md §14): a private Telemetry per cell keeps
     // the lanes share-nothing, so traced sweeps stay deterministic at any
     // thread count (the trace file is named by cell index, not lane).
@@ -243,7 +236,7 @@ std::vector<SweepResult> SweepRunner::run(const SweepSpec& spec) const {
     }
     engine->set_telemetry(nullptr);
     engine->set_timeline(nullptr);
-    engine->set_placement_latency_sink(nullptr);
+    engine->set_latency_histogram(nullptr);
     engine->set_fault_plan(nullptr);
     engine->set_migration_plan(nullptr);
   });

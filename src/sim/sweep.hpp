@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
@@ -90,7 +91,7 @@ struct SweepSpec {
   /// variants: the empty plan reproduces the fault-only run bit-for-bit.
   std::vector<std::pair<std::string, MigrationPlan>> migration_plans;
   bool record_timeline = false;  ///< fill SweepResult::timeline per cell
-  bool record_latency = false;   ///< fill SweepResult::latency_ns per cell
+  bool record_latency = false;   ///< fill SweepResult::latency per cell
   /// Enable the phase-attributed profiler (sim/phase_profiler.hpp) for
   /// every cell: SimMetrics::profile reports where each run's wall time
   /// went.  Wall-clock measurement only -- cell results stay bit-identical
@@ -182,7 +183,9 @@ struct SweepResult {
   std::uint64_t seed = 0; ///< the cell's seed (workload RNG stream root)
   SimMetrics metrics;     ///< carries the workload label and algorithm name
   Timeline timeline;                ///< populated when record_timeline
-  std::vector<double> latency_ns;  ///< populated when record_latency
+  /// Per-placement try_place latency in ns (arrivals and retries), filled
+  /// when record_latency.
+  Log2Histogram latency;
 };
 
 class SweepRunner {

@@ -1,11 +1,13 @@
-// The event calendar: a d-ary min-heap keyed on (time, seq), templated
-// over the event payload.
+// The reference event calendar: a d-ary min-heap keyed on (time, seq),
+// templated over the event payload.  A test-side oracle: the engine runs
+// on des::LadderCalendar, whose pop order the differential tests and
+// bench_calendar check against this heap.
 //
 //   * BasicCalendar<EventFn>      -- the generic closure calendar behind
-//     des::Simulator (tests, stochastic processes).
-//   * BasicCalendar<std::uint32_t> -- the engine's departures-only heap:
-//     a 24-byte POD entry, so push/pop never touch the allocator once the
-//     backing vector has grown to the peak live-VM count.
+//     des::Simulator (the closure-loop reference engine).
+//   * BasicCalendar<std::uint32_t> -- a POD-payload heap: a 24-byte entry,
+//     so push/pop never touch the allocator once the backing vector has
+//     grown to the peak census.
 //
 // The heap is hand-rolled (rather than std::priority_queue) for two
 // reasons: pop() moves the entry out instead of copying it (priority_queue
@@ -22,12 +24,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "des/event.hpp"
 
 namespace risa::des {
+
+class Simulator;
+
+/// Closure payload: handlers receive the simulator and may schedule more.
+using EventFn = std::function<void(Simulator&)>;
 
 template <typename Payload, unsigned Arity = 4>
 class BasicCalendar {

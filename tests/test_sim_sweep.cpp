@@ -165,7 +165,8 @@ TEST(Sweep, RecordsTimelineAndLatencyPerCell) {
   const auto results = SweepRunner(2).run(spec);
   for (const SweepResult& r : results) {
     EXPECT_GT(r.timeline.size(), 0u);
-    EXPECT_EQ(r.latency_ns.size(), r.metrics.total_vms);
+    EXPECT_EQ(static_cast<std::uint64_t>(r.latency.total()),
+              r.metrics.total_vms);
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -376,6 +378,58 @@ TEST(StreamingEngine, RejectsOutOfOrderSource) {
 
 // --- Checkpoint / resume ----------------------------------------------------
 
+/// A streaming RISA run over 4000 synthetic VMs with a checkpoint every
+/// 1500 executed events; returns the run's metrics and fills `checkpoints`
+/// with every checkpoint it emitted, in order.
+SimMetrics run_with_checkpoints(const FaultPlan* faults,
+                                const MigrationPlan* migrations,
+                                std::vector<std::string>& checkpoints) {
+  wl::SyntheticConfig cfg;
+  cfg.count = 4000;
+  Engine engine(Scenario::paper_defaults(), "RISA");
+  engine.set_fault_plan(faults);
+  engine.set_migration_plan(migrations);
+  CheckpointPolicy policy;
+  policy.every_events = 1500;
+  policy.emit = [&checkpoints](const std::string& bytes) {
+    checkpoints.push_back(bytes);
+  };
+  wl::SyntheticStreamSource source(cfg, kDefaultSeed);
+  return engine.run_stream(source, "ckpt", &policy);
+}
+
+/// Box + link faults with retries in flight, for the checkpoint tests.
+FaultPlan checkpoint_faults() {
+  FaultPlan faults;
+  faults.seed = 5;
+  faults.retry.max_attempts = 2;
+  faults.retry.delay_tu = 3.0;
+  FaultAction fail;
+  fail.kind = FaultAction::Kind::Fail;
+  fail.at_time = 40.0;
+  fail.random_boxes = 2;
+  faults.actions.push_back(fail);
+  FaultAction repair = fail;
+  repair.kind = FaultAction::Kind::Repair;
+  repair.at_time = 90.0;
+  faults.actions.push_back(repair);
+  FaultAction link_fail;
+  link_fail.kind = FaultAction::Kind::LinkFail;
+  link_fail.at_time = 60.0;
+  link_fail.random_links = 1;
+  faults.actions.push_back(link_fail);
+  faults.validate();
+  return faults;
+}
+
+MigrationPlan checkpoint_migrations() {
+  MigrationPlan migrations;
+  migrations.period_tu = 25.0;
+  migrations.per_sweep_budget = 4;
+  migrations.validate();
+  return migrations;
+}
+
 /// Run `count` synthetic VMs streaming with a checkpoint every
 /// `every_events` events, then resume each captured checkpoint in a fresh
 /// engine and demand the uninterrupted run's exact fingerprint.
@@ -383,20 +437,8 @@ void expect_resume_bit_identical(const FaultPlan* faults,
                                  const MigrationPlan* migrations) {
   wl::SyntheticConfig cfg;
   cfg.count = 4000;
-
-  Engine engine(Scenario::paper_defaults(), "RISA");
-  engine.set_fault_plan(faults);
-  engine.set_migration_plan(migrations);
-
   std::vector<std::string> checkpoints;
-  CheckpointPolicy policy;
-  policy.every_events = 1500;
-  policy.emit = [&checkpoints](const std::string& bytes) {
-    checkpoints.push_back(bytes);
-  };
-
-  wl::SyntheticStreamSource source(cfg, kDefaultSeed);
-  const SimMetrics full = engine.run_stream(source, "ckpt", &policy);
+  const SimMetrics full = run_with_checkpoints(faults, migrations, checkpoints);
   const std::string want = metrics_fingerprint(full);
   ASSERT_GE(checkpoints.size(), 2u) << "cadence produced too few checkpoints";
 
@@ -420,32 +462,171 @@ TEST(StreamingCheckpoint, ResumeMatchesUninterruptedRun) {
 }
 
 TEST(StreamingCheckpoint, ResumeWithFaultsAndMigrations) {
-  FaultPlan faults;
-  faults.seed = 5;
-  faults.retry.max_attempts = 2;
-  faults.retry.delay_tu = 3.0;
-  FaultAction fail;
-  fail.kind = FaultAction::Kind::Fail;
-  fail.at_time = 40.0;
-  fail.random_boxes = 2;
-  faults.actions.push_back(fail);
-  FaultAction repair = fail;
-  repair.kind = FaultAction::Kind::Repair;
-  repair.at_time = 90.0;
-  faults.actions.push_back(repair);
-  FaultAction link_fail;
-  link_fail.kind = FaultAction::Kind::LinkFail;
-  link_fail.at_time = 60.0;
-  link_fail.random_links = 1;
-  faults.actions.push_back(link_fail);
-  faults.validate();
-
-  MigrationPlan migrations;
-  migrations.period_tu = 25.0;
-  migrations.per_sweep_budget = 4;
-  migrations.validate();
-
+  const FaultPlan faults = checkpoint_faults();
+  const MigrationPlan migrations = checkpoint_migrations();
   expect_resume_bit_identical(&faults, &migrations);
+}
+
+/// 64-bit FNV-1a over a byte string, as 16 hex digits.
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(StreamingCheckpoint, WriterBytesMatchCommittedDigests) {
+  // Pins the checkpoint *writer*: the two resume streams above must emit
+  // format-v1 bytes whose digests match tests/data/checkpoint_v1_digests.txt
+  // ("<stream> <ordinal> <fnv1a64>" per line).  The reader side is pinned
+  // by the prearena_v1 fixture below.
+  const FaultPlan faults = checkpoint_faults();
+  const MigrationPlan migrations = checkpoint_migrations();
+  std::vector<std::string> got;
+  for (const bool lifecycle : {false, true}) {
+    std::vector<std::string> checkpoints;
+    (void)run_with_checkpoints(lifecycle ? &faults : nullptr,
+                               lifecycle ? &migrations : nullptr, checkpoints);
+    for (std::size_t c = 0; c < checkpoints.size(); ++c) {
+      got.push_back(std::string(lifecycle ? "faults " : "plain ") +
+                    std::to_string(c) + " " + fnv1a_hex(checkpoints[c]));
+    }
+  }
+  std::ifstream in(RISA_TEST_DATA_DIR "/checkpoint_v1_digests.txt");
+  ASSERT_TRUE(in.good()) << "missing committed digest fixture";
+  std::vector<std::string> want;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') want.push_back(line);
+  }
+  EXPECT_EQ(got, want);
+}
+
+/// Little-endian reader over a captured format-v1 checkpoint: an
+/// independent reading of the layout, just far enough to find the fields
+/// the corruption test patches.
+class V1Cursor {
+ public:
+  explicit V1Cursor(const std::string& bytes) : bytes_(bytes) {}
+  std::uint64_t get(std::size_t width) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(bytes_.at(pos_ + i))}
+           << (8 * i);
+    }
+    pos_ += width;
+    return v;
+  }
+  void skip(std::uint64_t n) { pos_ += static_cast<std::size_t>(n); }
+  [[nodiscard]] std::size_t pos() const { return pos_; }
+
+ private:
+  const std::string& bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// Byte offsets, in a checkpoint holding a live VM with a circuit, of the
+/// first such VM's CPU box id, resource type and CPU rack id, of its first
+/// circuit's flow kind and first link id, and of the calendar entry count.
+struct V1Offsets {
+  std::size_t box = 0, type = 0, rack = 0, flow = 0, link = 0, events = 0;
+};
+
+V1Offsets locate_v1_fields(const std::string& bytes) {
+  V1Cursor c(bytes);
+  V1Offsets at;
+  c.skip(4);                              // magic
+  c.skip(c.get(8));                       // workload label
+  c.skip(c.get(8));                       // algorithm
+  c.skip(7 * 8 + 4 + 8 + 4 + 1);          // loop scalars
+  c.skip(13 * 8 + 6 * 8);                 // metric counters + RTT stats
+  c.skip(c.get(8));                       // drop reasons, first-seen order
+  c.skip(core::kNumDropReasons * 8);      // drop counts
+  c.skip((kNumResourceTypes + 2) * 41);   // time-weighted signals
+  c.skip(5 * 8 + 6 * 8);                  // power ledger
+  for (std::uint64_t b = c.get(8); b > 0; --b) c.skip(c.get(8) * 8);
+  c.skip(c.get(8) * 4);                   // offline boxes
+  c.skip(c.get(8) * 4);                   // failed links
+  for (std::uint64_t r = c.get(8); r > 0; --r) {
+    c.skip(4 + 4 + 3 * 8 + 2 * 8 + 2 * 4 + 3 * 8);
+    const bool live = c.get(1) != 0;
+    c.skip(1);  // ever_placed
+    if (!live) continue;
+    c.skip(4);  // placement VM id
+    V1Offsets rec;
+    rec.box = c.pos();
+    rec.type = c.pos() + 4;
+    for (std::size_t t = 0; t < kNumResourceTypes; ++t) {
+      c.skip(4 + 1 + 8);
+      c.skip(c.get(8) * 12);  // brick slices
+    }
+    rec.rack = c.pos();
+    c.skip(3 * 4 + 3 * 8 + 2 * 8 + 2);
+    for (std::uint64_t k = c.get(8); k > 0; --k) {
+      const std::size_t flow = c.pos() + 8;
+      c.skip(4 + 4 + 1 + 8);
+      const std::uint64_t links = c.get(8);
+      if (rec.flow == 0 && links > 0) {
+        rec.flow = flow;
+        rec.link = c.pos();
+      }
+      c.skip(links * 4);
+      c.skip(c.get(8) * 4 + 1);  // switches, inter-rack flag
+    }
+    if (at.flow == 0 && rec.flow != 0) at = rec;
+  }
+  c.skip(4 + 8);  // next circuit id, next calendar seq
+  at.events = c.pos();
+  return at;
+}
+
+TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
+  // Ids and enum tags that later reach unchecked accessors, and a length
+  // that used to size an allocation, are range-checked on restore: each
+  // corruption is a clean "checkpoint:" error, never a crash or a
+  // length_error/bad_alloc.
+  std::vector<std::string> checkpoints;
+  (void)run_with_checkpoints(nullptr, nullptr, checkpoints);
+  ASSERT_FALSE(checkpoints.empty());
+  const std::string& good = checkpoints.front();
+  const V1Offsets at = locate_v1_fields(good);
+  ASSERT_NE(at.flow, 0u) << "no live VM with a circuit in the checkpoint";
+  ASSERT_EQ(good.at(at.type), 0) << "layout walk lost sync (CPU type tag)";
+
+  const auto resume = [](const std::string& bytes) {
+    wl::SyntheticConfig cfg;
+    cfg.count = 4000;
+    Engine fresh(Scenario::paper_defaults(), "RISA");
+    wl::SyntheticStreamSource restored(cfg, kDefaultSeed);
+    std::istringstream in(bytes);
+    return fresh.resume_stream(in, restored);
+  };
+  EXPECT_NO_THROW((void)resume(good));
+
+  const struct {
+    std::size_t offset;
+    std::size_t width;
+    std::uint64_t value;
+    const char* field;
+  } patches[] = {
+      {at.box, 4, 0xFFFFFFF0u, "box id"},
+      {at.type, 1, 0xEE, "resource type"},
+      {at.rack, 4, 0xFFFFFFF0u, "rack id"},
+      {at.flow, 1, 0xEE, "circuit flow"},
+      {at.link, 4, 0xFFFFFFF0u, "link id"},
+      {at.events, 8, std::uint64_t{1} << 62, "calendar entry count"},
+  };
+  for (const auto& p : patches) {
+    std::string bad = good;
+    for (std::size_t i = 0; i < p.width; ++i) {
+      bad.at(p.offset + i) = static_cast<char>((p.value >> (8 * i)) & 0xFF);
+    }
+    EXPECT_THROW((void)resume(bad), std::runtime_error) << p.field;
+  }
 }
 
 TEST(StreamingCheckpoint, PreArenaV1FixtureRestoresBitIdentically) {
