@@ -13,6 +13,7 @@
 #include "common/binio.hpp"
 #include "common/cycle_clock.hpp"
 #include "common/rng.hpp"
+#include "common/u32_map.hpp"
 #include "sim/migration.hpp"
 #include "sim/phase_profiler.hpp"
 #include "sim/telemetry.hpp"
@@ -49,6 +50,12 @@ LifecycleKind action_kind(const FaultAction& a) {
     case FaultAction::Kind::LinkRepair: return LifecycleKind::LinkRepair;
   }
   throw std::logic_error("Engine: bad FaultAction kind");
+}
+
+/// Calendar kinds whose subject indexes the fault plan's actions.
+bool is_fault_kind(LifecycleKind k) {
+  return k == LifecycleKind::BoxFail || k == LifecycleKind::BoxRepair ||
+         k == LifecycleKind::LinkFail || k == LifecycleKind::LinkRepair;
 }
 
 // ---- Checkpoint archives (DESIGN.md §16) ------------------------------------
@@ -178,6 +185,9 @@ constexpr std::uint64_t kNumLifecycleKinds =
     static_cast<std::uint64_t>(LifecycleKind::Migrate) + 1;
 constexpr std::uint64_t kNumFlowKinds =
     static_cast<std::uint64_t>(net::FlowKind::RamStorage) + 1;
+/// VM ids key the circuit table's U32Map, whose empty-slot sentinel no
+/// id may take.
+constexpr std::uint64_t kVmIdBound = U32Map<int>::kEmptyKey;
 }  // namespace
 
 /// One run of the merged event loop (DESIGN.md §16).  Every loop-carried
@@ -1406,7 +1416,9 @@ void Engine::Run::transfer(Ar& ar) {
     ar.f64(en.time);
     ar.u64(en.seq);
     ar.u8(en.payload.kind, kNumLifecycleKinds, "bad event kind");
-    ar.u32(en.payload.subject);
+    ar.u32(en.payload.subject,
+           is_fault_kind(en.payload.kind) ? plan.actions.size() : kUnbounded,
+           "fault action index out of range");
     ar.u32(en.payload.epoch);
   });
   Xoshiro256::State rng_state = fault_rng.generator().state();
@@ -1478,7 +1490,7 @@ void Engine::Run::transfer_records(Ar& ar) {
   ar.u64(n_records);
   const auto circuit_fields = [&](auto& c) {
     ar.u32(c.id);
-    ar.u32(c.vm);
+    ar.u32(c.vm, kVmIdBound, "circuit vm id out of range");
     ar.u8(c.flow, kNumFlowKinds, "bad circuit flow");
     ar.i64(c.bandwidth);
     ar.seq(c.path.links, [&](auto& l) {
@@ -1495,7 +1507,7 @@ void Engine::Run::transfer_records(Ar& ar) {
     VmState loaded;
     VmState& st = Ar::kLoading ? loaded : *e.vms_.find(idx);
     ar.u32(idx, SlotArena<VmState>::kEmptyKey, "record index out of range");
-    ar.u32(st.vm.id);
+    ar.u32(st.vm.id, kVmIdBound, "vm id out of range");
     ar.i64(st.vm.cores);
     ar.i64(st.vm.ram_mb);
     ar.i64(st.vm.storage_mb);

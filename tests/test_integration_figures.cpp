@@ -3,6 +3,9 @@
 // whole suite stays under a few seconds because the simulator is fast).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
 #include "workload/azure.hpp"
@@ -86,12 +89,27 @@ TEST(SyntheticShape, Figure5OrderOfMagnitudeSeparation) {
   EXPECT_NEAR(risa.avg_utilization.ram(), 0.6511, 0.08);
   EXPECT_NEAR(risa.avg_utilization.storage(), 0.3172, 0.08);
 
-  // Figure 11's ordering: RISA and RISA-BF beat NALB.  NALB vs NULB is not
-  // asserted: with NALB's cached uplink headroom (DESIGN.md §15) the two
-  // baselines cost ~5 ms each here and their order flips run to run; the
-  // bench binary reports the ratios.
-  EXPECT_GT(nalb.scheduler_exec_seconds, risa.scheduler_exec_seconds);
-  EXPECT_GT(nalb.scheduler_exec_seconds, risa_bf.scheduler_exec_seconds);
+  // Figure 11's ordering: NALB is the slowest, RISA and RISA-BF the
+  // fastest.  (NULB vs RISA timing is asserted only weakly here because
+  // CI noise at millisecond scale is real; the bench binary reports it.)
+  // Each algorithm's time is the fastest of five runs, so one preempted
+  // run cannot flip an ordering.
+  std::vector<double> best;
+  for (const SimMetrics& m : runs) best.push_back(m.scheduler_exec_seconds);
+  for (int rep = 1; rep < 5; ++rep) {
+    const auto again =
+        run_all_algorithms(Scenario::paper_defaults(), workload, "Synthetic");
+    for (std::size_t a = 0; a < best.size(); ++a)
+      best[a] = std::min(best[a], again[a].scheduler_exec_seconds);
+  }
+  EXPECT_GT(best[1], best[2]);
+  EXPECT_GT(best[1], best[3]);
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__)
+  // NALB's lead over NULB (~10-40% in the optimized build) is a property
+  // of optimized code: Debug and ASan builds reweight per-call costs
+  // until the two tie.
+  EXPECT_GT(best[1], best[0]);
+#endif
 }
 
 TEST(SyntheticShape, DropRatesStayMarginal) {

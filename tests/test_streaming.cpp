@@ -530,10 +530,13 @@ class V1Cursor {
 };
 
 /// Byte offsets, in a checkpoint holding a live VM with a circuit, of the
-/// first such VM's CPU box id, resource type and CPU rack id, of its first
-/// circuit's flow kind and first link id, and of the calendar entry count.
+/// first such VM's id, CPU box id, resource type and CPU rack id, of its
+/// first circuit's VM id, flow kind and first link id, of the calendar
+/// entry count, and of the first pending fault entry's action index (0
+/// when no fault is pending).
 struct V1Offsets {
-  std::size_t box = 0, type = 0, rack = 0, flow = 0, link = 0, events = 0;
+  std::size_t vm = 0, box = 0, type = 0, rack = 0, circuit_vm = 0, flow = 0,
+              link = 0, events = 0, fault_subject = 0;
 };
 
 V1Offsets locate_v1_fields(const std::string& bytes) {
@@ -552,12 +555,14 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
   c.skip(c.get(8) * 4);                   // offline boxes
   c.skip(c.get(8) * 4);                   // failed links
   for (std::uint64_t r = c.get(8); r > 0; --r) {
+    const std::size_t vm = c.pos() + 4;
     c.skip(4 + 4 + 3 * 8 + 2 * 8 + 2 * 4 + 3 * 8);
     const bool live = c.get(1) != 0;
     c.skip(1);  // ever_placed
     if (!live) continue;
     c.skip(4);  // placement VM id
     V1Offsets rec;
+    rec.vm = vm;
     rec.box = c.pos();
     rec.type = c.pos() + 4;
     for (std::size_t t = 0; t < kNumResourceTypes; ++t) {
@@ -571,6 +576,7 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
       c.skip(4 + 4 + 1 + 8);
       const std::uint64_t links = c.get(8);
       if (rec.flow == 0 && links > 0) {
+        rec.circuit_vm = flow - 4;
         rec.flow = flow;
         rec.link = c.pos();
       }
@@ -581,6 +587,17 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
   }
   c.skip(4 + 8);  // next circuit id, next calendar seq
   at.events = c.pos();
+  for (std::uint64_t n = c.get(8); n > 0 && at.fault_subject == 0; --n) {
+    c.skip(8 + 8);  // time, seq
+    const auto kind = static_cast<des::LifecycleKind>(c.get(1));
+    if (kind == des::LifecycleKind::BoxFail ||
+        kind == des::LifecycleKind::BoxRepair ||
+        kind == des::LifecycleKind::LinkFail ||
+        kind == des::LifecycleKind::LinkRepair) {
+      at.fault_subject = c.pos();
+    }
+    c.skip(4 + 4);  // subject, epoch
+  }
   return at;
 }
 
@@ -597,15 +614,25 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
   ASSERT_NE(at.flow, 0u) << "no live VM with a circuit in the checkpoint";
   ASSERT_EQ(good.at(at.type), 0) << "layout walk lost sync (CPU type tag)";
 
-  const auto resume = [](const std::string& bytes) {
+  const auto resume = [](const std::string& bytes, const FaultPlan* faults,
+                         const MigrationPlan* migrations) {
     wl::SyntheticConfig cfg;
     cfg.count = 4000;
     Engine fresh(Scenario::paper_defaults(), "RISA");
+    fresh.set_fault_plan(faults);
+    fresh.set_migration_plan(migrations);
     wl::SyntheticStreamSource restored(cfg, kDefaultSeed);
     std::istringstream in(bytes);
     return fresh.resume_stream(in, restored);
   };
-  EXPECT_NO_THROW((void)resume(good));
+  const auto patched = [](std::string bytes, std::size_t offset,
+                          std::size_t width, std::uint64_t value) {
+    for (std::size_t i = 0; i < width; ++i) {
+      bytes.at(offset + i) = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    return bytes;
+  };
+  EXPECT_NO_THROW((void)resume(good, nullptr, nullptr));
 
   const struct {
     std::size_t offset;
@@ -613,20 +640,56 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
     std::uint64_t value;
     const char* field;
   } patches[] = {
+      {at.vm, 4, 0xFFFFFFFFu, "vm id"},
       {at.box, 4, 0xFFFFFFF0u, "box id"},
       {at.type, 1, 0xEE, "resource type"},
       {at.rack, 4, 0xFFFFFFF0u, "rack id"},
+      {at.circuit_vm, 4, 0xFFFFFFFFu, "circuit vm id"},
       {at.flow, 1, 0xEE, "circuit flow"},
       {at.link, 4, 0xFFFFFFF0u, "link id"},
       {at.events, 8, std::uint64_t{1} << 62, "calendar entry count"},
   };
   for (const auto& p : patches) {
-    std::string bad = good;
-    for (std::size_t i = 0; i < p.width; ++i) {
-      bad.at(p.offset + i) = static_cast<char>((p.value >> (8 * i)) & 0xFF);
-    }
-    EXPECT_THROW((void)resume(bad), std::runtime_error) << p.field;
+    EXPECT_THROW(
+        (void)resume(patched(good, p.offset, p.width, p.value), nullptr,
+                     nullptr),
+        std::runtime_error)
+        << p.field;
   }
+
+  // A pending fault entry's subject indexes the fault plan: a corrupt
+  // index, or a good one resumed under a shorter plan, is rejected too.
+  // The fault fires late, so early checkpoints still hold it pending.
+  FaultPlan faults;
+  faults.seed = 5;
+  FaultAction fail;
+  fail.kind = FaultAction::Kind::Fail;
+  fail.at_time = 20000.0;
+  fail.random_boxes = 2;
+  faults.actions.push_back(fail);
+  faults.validate();
+  const MigrationPlan migrations = checkpoint_migrations();
+  std::vector<std::string> fault_checkpoints;
+  (void)run_with_checkpoints(&faults, &migrations, fault_checkpoints);
+  std::size_t fault_subject = 0;
+  const std::string* with_fault = nullptr;
+  for (const std::string& ck : fault_checkpoints) {
+    fault_subject = locate_v1_fields(ck).fault_subject;
+    if (fault_subject != 0) {
+      with_fault = &ck;
+      break;
+    }
+  }
+  ASSERT_NE(with_fault, nullptr) << "no checkpoint with a pending fault";
+  EXPECT_NO_THROW((void)resume(*with_fault, &faults, &migrations));
+  EXPECT_THROW((void)resume(patched(*with_fault, fault_subject, 4,
+                                    faults.actions.size()),
+                            &faults, &migrations),
+               std::runtime_error);
+  FaultPlan shorter;
+  shorter.seed = faults.seed;
+  EXPECT_THROW((void)resume(*with_fault, &shorter, &migrations),
+               std::runtime_error);
 }
 
 TEST(StreamingCheckpoint, PreArenaV1FixtureRestoresBitIdentically) {
