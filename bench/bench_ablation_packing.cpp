@@ -3,6 +3,7 @@
 // downward so packing quality becomes the binding factor, and reports
 // placement rates.
 #include <iostream>
+#include <string>
 
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -38,10 +39,11 @@ int main(int argc, char** argv) {
     const auto& bf = runs[spec.cell_index(s, 0, 0, 1)];
     const auto advantage = static_cast<std::int64_t>(bf.placed) -
                            static_cast<std::int64_t>(nf.placed);
+    std::string signed_advantage = advantage >= 0 ? "+" : "";
+    signed_advantage += std::to_string(advantage);
     t.add_row({spec.scenarios[s].first, std::to_string(nf.placed),
                std::to_string(bf.placed), std::to_string(nf.dropped),
-               std::to_string(bf.dropped),
-               (advantage >= 0 ? "+" : "") + std::to_string(advantage)});
+               std::to_string(bf.dropped), signed_advantage});
   }
   std::cout << t
             << "At the paper's 18-rack scale the two variants are nearly "

@@ -9,6 +9,10 @@
 //                                (half intra-, half inter-rack);
 //   BM_EstablishTeardown/<policy> the same path, reserved through
 //                                CircuitTable::establish, then teardown_vm;
+//   BM_CircuitChurn              CircuitTable insert/erase at a fixed live
+//                                census: each iteration establishes two
+//                                pre-routed circuits for the newest VM id
+//                                and tears down the oldest VM's two;
 //   BM_CompanionSearch/<order>   bfs_search(GlobalOrder) from random anchor
 //                                racks for random (type, units) demands.
 // <policy> is 0 = FirstFit (NULB, RISA), 1 = MostAvailable (NALB); <order>
@@ -16,6 +20,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <deque>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -135,6 +141,54 @@ void BM_EstablishTeardown(benchmark::State& state) {
   state.SetLabel(std::string(net::name(policy)));
 }
 BENCHMARK(BM_EstablishTeardown)->Arg(0)->Arg(1);
+
+/// Live VMs in BM_CircuitChurn: the census of the end-to-end benchmark's
+/// rack256-load090-risa workload.
+constexpr std::uint32_t kChurnLiveVms = 13000;
+
+void BM_CircuitChurn(benchmark::State& state) {
+  net::Router router(stack().fabric);
+  net::CircuitTable circuits(router);
+  // First-fit paths at 10 Mb/s only cross links with a free 25 Gb/s
+  // channel, and the window's 26k circuits put about 1 Gb/s on the busiest
+  // rack uplink, so no reservation fails.
+  const MbitsPerSec bw = 10;
+  std::vector<net::CircuitPath> paths;
+  for (const PathQuery& q : make_path_queries(stack().cluster)) {
+    auto path = router.find_path(q.src, q.src_rack, q.dst, q.dst_rack, bw,
+                                 net::LinkSelectPolicy::FirstFit);
+    if (path.ok()) paths.push_back(std::move(path.value()));
+  }
+  std::size_t next_path = 0;
+  std::uint32_t next_vm = 0;
+  std::deque<VmId> live;
+  const auto admit = [&] {
+    const VmId vm{next_vm++};
+    live.push_back(vm);
+    for (const net::FlowKind flow :
+         {net::FlowKind::CpuRam, net::FlowKind::RamStorage}) {
+      if (!circuits.establish(vm, flow, bw, paths[next_path]).ok()) {
+        state.SkipWithError("circuit reservation failed");
+        return false;
+      }
+      next_path = (next_path + 1) % paths.size();
+    }
+    return true;
+  };
+  bool ok = true;
+  while (ok && live.size() < kChurnLiveVms) ok = admit();
+  if (ok) {
+    for (auto _ : state) {
+      if (!admit()) break;
+      benchmark::DoNotOptimize(circuits.teardown_vm(live.front()));
+      live.pop_front();
+    }
+  }
+  // The fabric is shared with the other rows: leave it as found.
+  for (const VmId vm : live) circuits.teardown_vm(vm);
+  state.SetLabel(std::to_string(kChurnLiveVms) + " live VMs");
+}
+BENCHMARK(BM_CircuitChurn);
 
 struct SearchQuery {
   RackId anchor;

@@ -1,19 +1,20 @@
 // Generation-stamped slot arena: a dense value slab + free list fronted by
-// a paged u32 key -> slot directory.  The engine's per-VM record table
-// (DESIGN.md §13): workload indices are dense and arrive in a sliding
-// window (old VMs depart as new ones arrive), so a direct paged index
-// beats hashing on every per-event lookup -- no Fibonacci mix, no probe
-// chain, no load-factor rehash -- while RSS stays bounded by the live
-// census plus the key window, never the stream length.
+// a paged u32 key -> slot directory.  It backs the engine's per-VM record
+// table (DESIGN.md §13) and the circuit table (network/circuit.hpp,
+// DESIGN.md §7.2), both keyed by workload index: indices are dense and
+// arrive in a sliding window (old VMs depart as new ones arrive), so a
+// direct paged index beats hashing on every per-event lookup -- no hash
+// mix, no probe chain, no load-factor rehash -- while RSS stays bounded by
+// the live census plus the key window, never the stream length.
 //
 // Layout:
 //
 //   slab       -- pages of {key, gen, value} slots (kSlabPageSize each),
 //                 allocated once and never moved, so every reference
 //                 find_or_insert() or find() hands out stays valid until
-//                 that key is erased.  This is the contract U32Map cannot
-//                 give (its find_or_insert may rehash and move *resident*
-//                 entries); the engine's admission/retry paths lean on it.
+//                 that key is erased -- a contract no open-addressing hash
+//                 map gives (a growth rehash moves *resident* entries);
+//                 the engine's admission/retry paths lean on it.
 //   free list  -- LIFO stack of vacant slot ids; steady-state churn
 //                 (insert on admission, erase on departure) recycles slots
 //                 with zero heap traffic.
@@ -26,11 +27,10 @@
 // id (held across the value's death and the slot's reuse) is detectable --
 // the differential tests pin slot reuse and stamp bumps explicitly.
 //
-// Key restriction: 0xFFFFFFFF is reserved (same sentinel as U32Map, so the
-// two are drop-in interchangeable for the differential tests).  Keys index
-// the directory directly: the arena is built for *dense* key spaces (the
-// engine's workload indices), where max_key/kDirPageSize pointer cells of
-// root vector are negligible.
+// Key restriction: 0xFFFFFFFF is reserved as the vacant-slot key.  Keys
+// index the directory directly: the arena is built for *dense* key spaces
+// (the engine's workload indices), where max_key/kDirPageSize pointer
+// cells of root vector are negligible.
 #pragma once
 
 #include <array>
@@ -62,8 +62,8 @@ class SlotArena {
     ++page.occupancy;
     Slot& slot = slot_ref(s);
     slot.key = key;
-    // Slots vacated by erase()/clear() keep a default value already, but a
-    // fresh assignment keeps the claim contract identical to U32Map's.
+    // Slots vacated by erase()/clear() keep a default value already; the
+    // fresh assignment makes "every claimant gets V{}" hold by construction.
     slot.value = V{};
     ++size_;
     return slot.value;
@@ -145,8 +145,8 @@ class SlotArena {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// Invoke `fn(key, const V&)` for every entry, in slot (slab) order --
-  /// unspecified to callers, exactly like U32Map's hash order (the engine
-  /// sorts collected indices before acting on them).
+  /// unspecified to callers (the engine sorts collected indices before
+  /// acting on them).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     if (size_ == 0) return;

@@ -1,5 +1,6 @@
 #include "network/circuit.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace risa::net {
@@ -12,15 +13,7 @@ Result<CircuitId, std::string> CircuitTable::establish(VmId vm, FlowKind flow,
     return Err<std::string>{reserved.error()};
   }
   const CircuitId id{next_id_++};
-  VmCircuits& vc = by_vm_.find_or_insert(vm.value());
-  Circuit circuit{id, vm, flow, bw, std::move(path)};
-  if (vc.count < kInlineCircuits) {
-    vc.inline_circuits[vc.count] = std::move(circuit);
-  } else {
-    vc.overflow.push_back(std::move(circuit));
-  }
-  ++vc.count;
-  ++active_;
+  append(Circuit{id, vm, flow, bw, std::move(path)});
   return id;
 }
 
@@ -29,6 +22,46 @@ void CircuitTable::adopt(Circuit circuit) {
   if (!reserved.ok()) {
     throw std::runtime_error("CircuitTable::adopt: " + reserved.error());
   }
+  append(std::move(circuit));
+}
+
+std::size_t CircuitTable::teardown_vm(VmId vm) {
+  VmCircuits* vc = by_vm_.find(vm.value());
+  if (vc == nullptr) return 0;
+  const std::uint32_t removed = vc->count;
+  for (std::uint32_t i = 0; i < removed; ++i) {
+    router_->release(slot(*vc, i).path, slot(*vc, i).bandwidth);
+  }
+  truncate(vm, *vc, 0);
+  return removed;
+}
+
+std::size_t CircuitTable::teardown_prefix(VmId vm, std::uint32_t k) {
+  VmCircuits* vc = by_vm_.find(vm.value());
+  if (vc == nullptr || k == 0) return 0;
+  k = std::min(k, vc->count);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    router_->release(slot(*vc, i).path, slot(*vc, i).bandwidth);
+  }
+  for (std::uint32_t i = k; i < vc->count; ++i) {
+    slot(*vc, i - k) = std::move(slot(*vc, i));
+  }
+  truncate(vm, *vc, vc->count - k);
+  return k;
+}
+
+std::size_t CircuitTable::teardown_suffix(VmId vm, std::uint32_t keep) {
+  VmCircuits* vc = by_vm_.find(vm.value());
+  if (vc == nullptr || keep >= vc->count) return 0;
+  const std::uint32_t removed = vc->count - keep;
+  for (std::uint32_t i = keep; i < vc->count; ++i) {
+    router_->release(slot(*vc, i).path, slot(*vc, i).bandwidth);
+  }
+  truncate(vm, *vc, keep);
+  return removed;
+}
+
+void CircuitTable::append(Circuit circuit) {
   VmCircuits& vc = by_vm_.find_or_insert(circuit.vm.value());
   if (vc.count < kInlineCircuits) {
     vc.inline_circuits[vc.count] = std::move(circuit);
@@ -39,69 +72,11 @@ void CircuitTable::adopt(Circuit circuit) {
   ++active_;
 }
 
-std::size_t CircuitTable::teardown_vm(VmId vm) {
-  VmCircuits* vc = by_vm_.find(vm.value());
-  if (vc == nullptr) return 0;
-  for (std::uint32_t i = 0; i < vc->count && i < kInlineCircuits; ++i) {
-    router_->release(vc->inline_circuits[i].path,
-                     vc->inline_circuits[i].bandwidth);
-  }
-  for (const Circuit& c : vc->overflow) {
-    router_->release(c.path, c.bandwidth);
-  }
-  const std::size_t removed = vc->count;
-  active_ -= removed;
-  by_vm_.erase(vm.value());
-  return removed;
-}
-
-std::size_t CircuitTable::teardown_prefix(VmId vm, std::uint32_t k) {
-  VmCircuits* vc = by_vm_.find(vm.value());
-  if (vc == nullptr || k == 0) return 0;
-  if (k > vc->count) k = vc->count;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const Circuit& c = slot(*vc, i);
-    router_->release(c.path, c.bandwidth);
-  }
-  for (std::uint32_t i = k; i < vc->count; ++i) {
-    slot(*vc, i - k) = std::move(slot(*vc, i));
-  }
-  vc->count -= k;
-  const std::uint32_t keep_overflow =
-      vc->count > kInlineCircuits ? vc->count - kInlineCircuits : 0;
-  while (vc->overflow.size() > keep_overflow) vc->overflow.pop_back();
-  active_ -= k;
-  if (vc->count == 0) by_vm_.erase(vm.value());
-  return k;
-}
-
-std::size_t CircuitTable::teardown_suffix(VmId vm, std::uint32_t keep) {
-  VmCircuits* vc = by_vm_.find(vm.value());
-  if (vc == nullptr || keep >= vc->count) return 0;
-  const std::uint32_t removed = vc->count - keep;
-  for (std::uint32_t i = keep; i < vc->count; ++i) {
-    const Circuit& c = slot(*vc, i);
-    router_->release(c.path, c.bandwidth);
-  }
-  vc->count = keep;
-  const std::uint32_t keep_overflow =
-      keep > kInlineCircuits ? keep - kInlineCircuits : 0;
-  while (vc->overflow.size() > keep_overflow) vc->overflow.pop_back();
-  active_ -= removed;
-  if (vc->count == 0) by_vm_.erase(vm.value());
-  return removed;
-}
-
-std::vector<const Circuit*> CircuitTable::circuits_of(VmId vm) const {
-  std::vector<const Circuit*> out;
-  const VmCircuits* vc = by_vm_.find(vm.value());
-  if (vc == nullptr) return out;
-  out.reserve(vc->count);
-  for (std::uint32_t i = 0; i < vc->count && i < kInlineCircuits; ++i) {
-    out.push_back(&vc->inline_circuits[i]);
-  }
-  for (const Circuit& c : vc->overflow) out.push_back(&c);
-  return out;
+void CircuitTable::truncate(VmId vm, VmCircuits& vc, std::uint32_t count) {
+  active_ -= vc.count - count;
+  vc.count = count;
+  vc.overflow.resize(count > kInlineCircuits ? count - kInlineCircuits : 0);
+  if (count == 0) by_vm_.erase(vm.value());
 }
 
 }  // namespace risa::net

@@ -6,11 +6,15 @@
 // "which optical resources does VM x hold", which the photonic power model
 // and the departure path of the simulator both consume.
 //
-// Storage is a flat open-addressing map (common/u32_map.hpp) keyed by VM
-// id: establish/teardown churn performs zero heap allocations once the
-// table has grown to the run's peak live-VM count, which keeps the timed
-// scheduler section (try_place -> commit -> establish) allocation-free in
-// steady state (DESIGN.md §7).
+// Storage is a SlotArena (common/slot_arena.hpp) keyed by VM id, the same
+// container as the engine's per-VM records.  The engine renumbers every
+// arrival so its VmId is its workload index (DESIGN.md §7.2): keys are
+// dense and unique per VM, which is what the arena's paged directory is
+// built for.  Establish/teardown churn recycles slab slots and directory
+// pages, so once the slab has grown to the run's peak live-VM count the
+// timed scheduler section (try_place -> commit -> establish) allocates
+// only when the key window crosses into a directory page never seen
+// before (one root-vector cell per 4096 keys).
 #pragma once
 
 #include <array>
@@ -19,8 +23,8 @@
 #include <vector>
 
 #include "common/expected.hpp"
+#include "common/slot_arena.hpp"
 #include "common/types.hpp"
-#include "common/u32_map.hpp"
 #include "common/units.hpp"
 #include "network/path.hpp"
 #include "network/routing.hpp"
@@ -90,8 +94,8 @@ class CircuitTable {
 
   /// Drop every record and restart circuit-id numbering WITHOUT releasing
   /// bandwidth -- only valid after the fabric itself has been reset (the
-  /// engine-reuse path).  The flat table's slot array is retained.
-  void clear() noexcept {
+  /// engine-reuse path).  The arena's slab is retained.
+  void clear() {
     by_vm_.clear();
     active_ = 0;
     next_id_ = 0;
@@ -111,32 +115,15 @@ class CircuitTable {
   }
 
   /// Number of circuits `vm` currently holds (0 when none) -- O(1) probe,
-  /// used by the lifecycle kill path's diagnostics and tests.
+  /// used by allocator rollback, migration and the checkpoint writer.
   [[nodiscard]] std::size_t circuit_count_of(VmId vm) const {
     const VmCircuits* vc = by_vm_.find(vm.value());
     return vc == nullptr ? 0 : vc->count;
   }
 
-  /// Circuits held by one VM (empty when none).  Allocates the returned
-  /// vector, and the pointers are invalidated by any later establish or
-  /// teardown (the flat table relocates slots) -- test/diagnostic
-  /// convenience; hot paths use for_each_circuit_of.
-  [[nodiscard]] std::vector<const Circuit*> circuits_of(VmId vm) const;
-
-  /// Iterate all active circuits (unspecified order).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    by_vm_.for_each([&](std::uint32_t, const VmCircuits& vc) {
-      for (std::uint32_t i = 0; i < vc.count && i < kInlineCircuits; ++i) {
-        fn(vc.inline_circuits[i]);
-      }
-      for (const Circuit& c : vc.overflow) fn(c);
-    });
-  }
-
  private:
   /// A VM holds two circuits (CPU-RAM, RAM-storage) in every current
-  /// scenario, stored inline in the single VM-keyed table slot so the
+  /// scenario, stored inline in the single VM-keyed arena slot so the
   /// placement path costs one probe, not three.  More circuits per VM
   /// (future multi-flow models) spill to the overflow vector.
   static constexpr std::uint32_t kInlineCircuits = 2;
@@ -152,8 +139,14 @@ class CircuitTable {
                                : vc.overflow[i - kInlineCircuits];
   }
 
+  /// Record `circuit` (already reserved) as its VM's last.
+  void append(Circuit circuit);
+  /// Keep the first `count` of `vm`'s circuits (the rest already
+  /// released), dropping the VM's entry when none remain.
+  void truncate(VmId vm, VmCircuits& vc, std::uint32_t count);
+
   Router* router_;
-  U32Map<VmCircuits> by_vm_;  // by vm id
+  SlotArena<VmCircuits> by_vm_;  // by vm id
   std::size_t active_ = 0;
   std::uint32_t next_id_ = 0;
 };

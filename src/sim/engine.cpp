@@ -13,7 +13,6 @@
 #include "common/binio.hpp"
 #include "common/cycle_clock.hpp"
 #include "common/rng.hpp"
-#include "common/u32_map.hpp"
 #include "sim/migration.hpp"
 #include "sim/phase_profiler.hpp"
 #include "sim/telemetry.hpp"
@@ -185,9 +184,6 @@ constexpr std::uint64_t kNumLifecycleKinds =
     static_cast<std::uint64_t>(LifecycleKind::Migrate) + 1;
 constexpr std::uint64_t kNumFlowKinds =
     static_cast<std::uint64_t>(net::FlowKind::RamStorage) + 1;
-/// VM ids key the circuit table's U32Map, whose empty-slot sentinel no
-/// id may take.
-constexpr std::uint64_t kVmIdBound = U32Map<int>::kEmptyKey;
 }  // namespace
 
 /// One run of the merged event loop (DESIGN.md §16).  Every loop-carried
@@ -1245,7 +1241,10 @@ void Engine::Run::refill_ring() {
     return;
   }
   for (std::size_t i = 0; i < ring_len; ++i) {
-    const wl::ArrivalItem& it = e.arrival_ring_[i];
+    wl::ArrivalItem& it = e.arrival_ring_[i];
+    // A VM is its workload index from here on: the circuit table and the
+    // placement records key on vm.id, and trace ids need not be unique.
+    it.vm.id = VmId{it.index};
     if (it.vm.lifetime < 0) {
       throw std::invalid_argument("Engine: negative lifetime in workload");
     }
@@ -1490,7 +1489,7 @@ void Engine::Run::transfer_records(Ar& ar) {
   ar.u64(n_records);
   const auto circuit_fields = [&](auto& c) {
     ar.u32(c.id);
-    ar.u32(c.vm, kVmIdBound, "circuit vm id out of range");
+    ar.u32(c.vm);
     ar.u8(c.flow, kNumFlowKinds, "bad circuit flow");
     ar.i64(c.bandwidth);
     ar.seq(c.path.links, [&](auto& l) {
@@ -1507,7 +1506,10 @@ void Engine::Run::transfer_records(Ar& ar) {
     VmState loaded;
     VmState& st = Ar::kLoading ? loaded : *e.vms_.find(idx);
     ar.u32(idx, SlotArena<VmState>::kEmptyKey, "record index out of range");
-    ar.u32(st.vm.id, kVmIdBound, "vm id out of range");
+    ar.u32(st.vm.id);
+    if (Ar::kLoading && st.vm.id.value() != idx) {
+      throw std::runtime_error("checkpoint: vm id is not its record index");
+    }
     ar.i64(st.vm.cores);
     ar.i64(st.vm.ram_mb);
     ar.i64(st.vm.storage_mb);
@@ -1524,6 +1526,10 @@ void Engine::Run::transfer_records(Ar& ar) {
       core::Placement loaded_p;
       core::Placement& p = Ar::kLoading ? loaded_p : e.slot_pool_[st.slot];
       ar.u32(p.vm);
+      if (Ar::kLoading && p.vm != st.vm.id) {
+        throw std::runtime_error(
+            "checkpoint: placement vm is not its record's");
+      }
       for (topo::BoxAllocation& a : p.compute) {
         ar.u32(a.box, cluster.num_boxes(), "box id out of range");
         ar.u8(a.type, kNumResourceTypes, "bad resource type");
@@ -1555,6 +1561,10 @@ void Engine::Run::transfer_records(Ar& ar) {
         for (std::uint64_t k = 0; k < n_circuits; ++k) {
           net::Circuit c;
           circuit_fields(c);
+          if (c.vm != st.vm.id) {
+            throw std::runtime_error(
+                "checkpoint: circuit vm is not its record's");
+          }
           circuits.adopt(std::move(c));
         }
       } else {

@@ -273,12 +273,11 @@ class Engine {
   /// vectors (live/slot/epoch/hold/attempt arrays), whose O(N) footprint
   /// and per-run O(N) clears were the last scaling wall to 10M+ VMs.
   ///
-  /// A SlotArena since §13 (previously U32Map): every per-event lookup is
-  /// a direct paged index instead of a hash probe, and -- unlike the hash
-  /// table, whose find_or_insert could rehash *resident* records -- the
-  /// references it hands out are stable until the key is erased, which
-  /// retires the defensive copy-out/re-lookup dance the admission and
-  /// retry paths used to need.
+  /// A SlotArena (DESIGN.md §13): every per-event lookup is a direct
+  /// paged index instead of a hash probe, and the references it hands out
+  /// are stable until the key is erased, which the admission and retry
+  /// paths rely on.  Intake sets vm.id to the workload index, so the
+  /// record key, vm.id and the circuit table's key are one number.
   struct VmState {
     wl::VmRequest vm{};          ///< the request (streams are not replayable)
     std::uint32_t slot = 0;      ///< slot_pool_ index, meaningful iff live

@@ -13,7 +13,9 @@
 // (generation order, not arrival order) -- the engine's deterministic
 // victim scans and the historical "arrival seq = workload index" numbering
 // both key off it, which is what keeps streaming runs bit-identical to the
-// materialized path even for unsorted input workloads.
+// materialized path even for unsorted input workloads.  The engine also
+// identifies a VM by `index` alone: it overwrites `vm.id` with the index
+// on intake (DESIGN.md §7.2), so a source's ids need not be unique.
 //
 // Backends:
 //   * WorkloadSource        -- adapter over an in-memory Workload
@@ -49,7 +51,8 @@
 namespace risa::wl {
 
 /// One arrival as the engine consumes it: the request plus its original
-/// workload index (the determinism anchor; see file comment).
+/// workload index (the determinism anchor and, once the engine sets
+/// `vm.id` from it, the VM's identity; see file comment).
 struct ArrivalItem {
   VmRequest vm;
   std::uint32_t index = 0;

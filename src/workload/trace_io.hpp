@@ -8,6 +8,11 @@
 // 1-based file line numbers on every error, and read_trace/load_trace are
 // thin accumulation wrappers over it.  A malformed row always throws --
 // records are never silently truncated or skipped.
+//
+// `vm_id` is carried through verbatim (a negative value wraps to u32) but
+// the engine does not use it: a VM is its record's position in the trace,
+// and the engine overwrites `vm.id` with that index on intake (DESIGN.md
+// §7.2), so ids may repeat or take any value.
 #pragma once
 
 #include <cstddef>

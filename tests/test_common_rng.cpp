@@ -38,7 +38,7 @@ TEST(Rng, UniformIntWithinBounds) {
 TEST(Rng, UniformIntSinglePoint) {
   Rng rng(7);
   EXPECT_EQ(rng.uniform_int(5, 5), 5);
-  EXPECT_THROW(rng.uniform_int(6, 5), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform_int(6, 5), std::invalid_argument);
 }
 
 TEST(Rng, UniformIntCoversAllValuesRoughlyEqually) {
@@ -73,7 +73,7 @@ TEST(Rng, ExponentialMeanMatches) {
   const int n = 50'000;
   for (int i = 0; i < n; ++i) sum += rng.exponential(10.0);
   EXPECT_NEAR(sum / n, 10.0, 0.25);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.exponential(0.0), std::invalid_argument);
 }
 
 TEST(Rng, PoissonMeanMatchesSmallAndLarge) {
@@ -87,7 +87,7 @@ TEST(Rng, PoissonMeanMatchesSmallAndLarge) {
     EXPECT_NEAR(sum / n, mean, mean * 0.05 + 0.05) << "mean=" << mean;
   }
   EXPECT_EQ(rng.poisson(0.0), 0);
-  EXPECT_THROW(rng.poisson(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.poisson(-1.0), std::invalid_argument);
 }
 
 TEST(Rng, ShuffleIsAPermutation) {
@@ -112,8 +112,8 @@ TEST(Rng, WeightedIndexRespectsWeights) {
   EXPECT_NEAR(counts[0], n * 0.1, 350);
   EXPECT_NEAR(counts[1], n * 0.3, 500);
   EXPECT_NEAR(counts[2], n * 0.6, 600);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({-1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)rng.weighted_index({0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)rng.weighted_index({-1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(Rng, JumpProducesDecorrelatedStream) {

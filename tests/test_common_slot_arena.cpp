@@ -1,9 +1,9 @@
 // SlotArena: the generation-stamped slab + paged directory behind the
-// engine's per-VM record table (DESIGN.md §13).  The core tests are the
-// stability contract U32Map cannot give (references survive arbitrary
-// later insertions) and a randomized churn differential against U32Map
-// shaped like the engine's lifecycle ops: admit, depart, kill, migrate,
-// retry.  Generation stamps, directory-page recycling, and deterministic
+// engine's per-VM record table (DESIGN.md §13) and the circuit table.
+// The core tests are the stability contract (references survive arbitrary
+// later insertions) and a randomized churn differential against
+// std::unordered_map shaped like the engine's lifecycle ops: admit,
+// depart, kill, migrate, retry.  Generation stamps, directory-page recycling, and deterministic
 // slot reuse are pinned explicitly.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "common/slot_arena.hpp"
-#include "common/u32_map.hpp"
 
 namespace risa {
 namespace {
@@ -50,7 +49,7 @@ TEST(SlotArena, ReservedSentinelKeyThrows) {
 
 TEST(SlotArena, ReferencesSurviveArbitraryLaterInsertions) {
   // The contract the engine's admission/retry paths lean on, and exactly
-  // what U32Map's find_or_insert cannot promise (a growth rehash moves
+  // what an open-addressing hash map cannot promise (a growth rehash moves
   // resident entries): a reference handed out stays valid until its own
   // key is erased, across thousands of later insertions.
   SlotArena<std::uint64_t> arena;
@@ -165,16 +164,16 @@ TEST(SlotArena, ForEachVisitsEveryEntryOnce) {
   EXPECT_EQ(sum, want_sum);
 }
 
-TEST(SlotArena, RandomLifecycleChurnMatchesU32Map) {
-  // Operation-by-operation differential against U32Map under the engine's
-  // op mix: admit (insert), depart/kill (erase), migrate (mutate in
-  // place), retry (find + mutate), lookup.  On top of the value agreement,
+TEST(SlotArena, RandomLifecycleChurnMatchesUnorderedMap) {
+  // Operation-by-operation differential against std::unordered_map under
+  // the engine's op mix: admit (insert), depart/kill (erase), migrate
+  // (mutate in place), retry (find + mutate), lookup.  On top of the value agreement,
   // every op round re-checks that references captured at admission are
   // still where the arena said they were -- the stability contract --
   // and that slot reuse always came with a generation bump.
   Rng rng(20230813);
   SlotArena<std::string> arena;
-  U32Map<std::string> ref;
+  std::unordered_map<std::uint32_t, std::string> ref;
   // key -> (address at admission, slot id, generation at admission)
   struct Held {
     std::string* ptr;
@@ -191,13 +190,13 @@ TEST(SlotArena, RandomLifecycleChurnMatchesU32Map) {
       const bool fresh = arena.find(key) == nullptr;
       std::string& v = arena.find_or_insert(key);
       v = value;
-      ref.find_or_insert(key) = value;
+      ref[key] = value;
       if (fresh) {
         held[key] = Held{&v, arena.slot_of(key),
                          arena.slot_generation(arena.slot_of(key))};
       }
     } else if (action < 7) {  // depart / kill
-      const bool erased_ref = ref.erase(key);
+      const bool erased_ref = ref.erase(key) == 1;
       EXPECT_EQ(arena.erase(key), erased_ref) << "key " << key;
       if (erased_ref) {
         // Death bumps the stamp past what the holder saw.
@@ -207,20 +206,20 @@ TEST(SlotArena, RandomLifecycleChurnMatchesU32Map) {
       }
     } else if (action < 8) {  // migrate / retry: mutate through find()
       std::string* a = arena.find(key);
-      std::string* r = ref.find(key);
-      ASSERT_EQ(a == nullptr, r == nullptr) << "key " << key;
+      const auto r = ref.find(key);
+      ASSERT_EQ(a == nullptr, r == ref.end()) << "key " << key;
       if (a != nullptr) {
         a->append("+m");
-        r->append("+m");
+        r->second.append("+m");
       }
     } else {  // lookup
       const std::string* a = arena.find(key);
-      const std::string* r = ref.find(key);
-      if (r == nullptr) {
+      const auto r = ref.find(key);
+      if (r == ref.end()) {
         EXPECT_EQ(a, nullptr) << "key " << key;
       } else {
         ASSERT_NE(a, nullptr) << "key " << key;
-        EXPECT_EQ(*a, *r);
+        EXPECT_EQ(*a, r->second);
       }
     }
     ASSERT_EQ(arena.size(), ref.size());
@@ -234,16 +233,16 @@ TEST(SlotArena, RandomLifecycleChurnMatchesU32Map) {
   }
 
   // Full agreement at the end, both directions.
-  ref.for_each([&](std::uint32_t key, const std::string& value) {
+  for (const auto& [key, value] : ref) {
     const std::string* found = arena.find(key);
     ASSERT_NE(found, nullptr) << "key " << key;
     EXPECT_EQ(*found, value);
-  });
+  }
   std::size_t visits = 0;
   arena.for_each([&](std::uint32_t key, const std::string& value) {
-    const std::string* found = ref.find(key);
-    ASSERT_NE(found, nullptr) << "key " << key;
-    EXPECT_EQ(*found, value);
+    const auto found = ref.find(key);
+    ASSERT_NE(found, ref.end()) << "key " << key;
+    EXPECT_EQ(found->second, value);
     ++visits;
   });
   EXPECT_EQ(visits, ref.size());

@@ -106,7 +106,9 @@ TEST(TypedCalendar, EqualTimestampsPopInFifoOrder) {
     const auto e = cal.pop();
     EXPECT_DOUBLE_EQ(e.time, 3.5);
     EXPECT_EQ(e.payload, i);  // FIFO: payload pushed i-th pops i-th
-    if (i > 0) EXPECT_GT(e.seq, prev_seq);
+    if (i > 0) {
+      EXPECT_GT(e.seq, prev_seq);
+    }
     prev_seq = e.seq;
   }
   EXPECT_TRUE(cal.empty());

@@ -183,8 +183,8 @@ TEST(CircuitTable, EstablishAndTeardownRestoresFabric) {
   ASSERT_TRUE(cid.ok());
   EXPECT_EQ(table.active_count(), 1u);
   EXPECT_EQ(fabric.intra_allocated(), 2 * gbps(20.0));
-  EXPECT_EQ(table.circuits_of(VmId{1}).size(), 1u);
-  EXPECT_TRUE(table.circuits_of(VmId{2}).empty());
+  EXPECT_EQ(table.circuit_count_of(VmId{1}), 1u);
+  EXPECT_EQ(table.circuit_count_of(VmId{2}), 0u);
 
   EXPECT_EQ(table.teardown_vm(VmId{1}), 1u);
   EXPECT_EQ(table.active_count(), 0u);

@@ -2,9 +2,14 @@
 // plausibility.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
+#include "sim/sweep.hpp"
 #include "workload/synthetic.hpp"
+#include "workload/trace_io.hpp"
 
 namespace risa::sim {
 namespace {
@@ -136,6 +141,49 @@ TEST(Engine, ScenarioValidationRejectsBadLatency) {
   Scenario s = Scenario::paper_defaults();
   s.latency.inter_rack_ns = 10.0;  // below intra
   EXPECT_THROW(Engine(s, "RISA"), std::invalid_argument);
+}
+
+// The engine identifies a VM by its workload index, not by the request's
+// id: trace ids may collide or take any u32 value, and two live VMs that
+// share an id must still hold separate circuits.
+wl::Workload with_ids_mod_7(wl::Workload workload) {
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    workload[i].id = VmId{static_cast<std::uint32_t>(i % 7)};
+  }
+  return workload;
+}
+
+TEST(Engine, CollidingVmIdsRunLikeUniqueIds) {
+  const wl::Workload unique = small_workload(3000, 7);
+  const wl::Workload colliding = with_ids_mod_7(unique);
+  wl::Workload with_reserved = colliding;
+  with_reserved[1500].id = VmId{0xFFFFFFFFu};
+  for (const char* algo : {"RISA", "NALB"}) {
+    Engine engine(Scenario::paper_defaults(), algo);
+    const std::string want = metrics_fingerprint(engine.run(unique, "ids"));
+    EXPECT_EQ(metrics_fingerprint(engine.run(colliding, "ids")), want)
+        << algo << ", ids i % 7";
+    EXPECT_EQ(metrics_fingerprint(engine.run(with_reserved, "ids")), want)
+        << algo << ", ids i % 7 and one 0xFFFFFFFF";
+  }
+}
+
+TEST(Engine, TraceWithNegativeVmIdRunsLikeUniqueIds) {
+  const wl::Workload unique = small_workload(3000, 7);
+  std::ostringstream csv;
+  wl::write_trace(csv, with_ids_mod_7(unique));
+  std::string text = csv.str();
+  const std::size_t first_id = text.find('\n') + 1;
+  ASSERT_EQ(text.compare(first_id, 2, "0,"), 0);
+  text.replace(first_id, 1, "-1");
+  std::istringstream in(text);
+  const wl::Workload traced = wl::read_trace(in);
+  ASSERT_EQ(traced.front().id, VmId{0xFFFFFFFFu});
+  for (const char* algo : {"RISA", "NALB"}) {
+    Engine engine(Scenario::paper_defaults(), algo);
+    const std::string want = metrics_fingerprint(engine.run(unique, "ids"));
+    EXPECT_EQ(metrics_fingerprint(engine.run(traced, "ids")), want) << algo;
+  }
 }
 
 // Property sweep: on any seeded workload, RISA's headline dominance holds:

@@ -530,13 +530,18 @@ class V1Cursor {
 };
 
 /// Byte offsets, in a checkpoint holding a live VM with a circuit, of the
-/// first such VM's id, CPU box id, resource type and CPU rack id, of its
-/// first circuit's VM id, flow kind and first link id, of the calendar
-/// entry count, and of the first pending fault entry's action index (0
-/// when no fault is pending).
+/// first such VM's id, placement VM id, CPU box id, resource type and CPU
+/// rack id, of its first circuit's VM id, flow kind and first link id, of
+/// the calendar entry count, and of the first pending fault entry's action
+/// index (0 when no fault is pending); plus the offsets of every VM id
+/// that names that VM's record (its own, its placement's, each circuit's)
+/// and the id of another live VM.
 struct V1Offsets {
-  std::size_t vm = 0, box = 0, type = 0, rack = 0, circuit_vm = 0, flow = 0,
-              link = 0, events = 0, fault_subject = 0;
+  std::size_t vm = 0, placement_vm = 0, box = 0, type = 0, rack = 0,
+              circuit_vm = 0, flow = 0, link = 0, events = 0,
+              fault_subject = 0;
+  std::vector<std::size_t> owner_ids;
+  std::uint32_t other_live_vm = 0xFFFFFFFFu;
 };
 
 V1Offsets locate_v1_fields(const std::string& bytes) {
@@ -554,15 +559,22 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
   for (std::uint64_t b = c.get(8); b > 0; --b) c.skip(c.get(8) * 8);
   c.skip(c.get(8) * 4);                   // offline boxes
   c.skip(c.get(8) * 4);                   // failed links
+  std::vector<std::uint32_t> live_ids;
+  std::uint32_t chosen_id = 0;
   for (std::uint64_t r = c.get(8); r > 0; --r) {
-    const std::size_t vm = c.pos() + 4;
-    c.skip(4 + 4 + 3 * 8 + 2 * 8 + 2 * 4 + 3 * 8);
+    c.skip(4);  // record index
+    const std::size_t vm = c.pos();
+    const auto vm_id = static_cast<std::uint32_t>(c.get(4));
+    c.skip(3 * 8 + 2 * 8 + 2 * 4 + 3 * 8);
     const bool live = c.get(1) != 0;
     c.skip(1);  // ever_placed
     if (!live) continue;
-    c.skip(4);  // placement VM id
+    live_ids.push_back(vm_id);
     V1Offsets rec;
     rec.vm = vm;
+    rec.placement_vm = c.pos();
+    rec.owner_ids = {vm, rec.placement_vm};
+    c.skip(4);
     rec.box = c.pos();
     rec.type = c.pos() + 4;
     for (std::size_t t = 0; t < kNumResourceTypes; ++t) {
@@ -572,6 +584,7 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
     rec.rack = c.pos();
     c.skip(3 * 4 + 3 * 8 + 2 * 8 + 2);
     for (std::uint64_t k = c.get(8); k > 0; --k) {
+      rec.owner_ids.push_back(c.pos() + 4);
       const std::size_t flow = c.pos() + 8;
       c.skip(4 + 4 + 1 + 8);
       const std::uint64_t links = c.get(8);
@@ -583,7 +596,16 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
       c.skip(links * 4);
       c.skip(c.get(8) * 4 + 1);  // switches, inter-rack flag
     }
-    if (at.flow == 0 && rec.flow != 0) at = rec;
+    if (at.flow == 0 && rec.flow != 0) {
+      at = rec;
+      chosen_id = vm_id;
+    }
+  }
+  for (const std::uint32_t id : live_ids) {
+    if (id != chosen_id) {
+      at.other_live_vm = id;
+      break;
+    }
   }
   c.skip(4 + 8);  // next circuit id, next calendar seq
   at.events = c.pos();
@@ -613,6 +635,7 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
   const V1Offsets at = locate_v1_fields(good);
   ASSERT_NE(at.flow, 0u) << "no live VM with a circuit in the checkpoint";
   ASSERT_EQ(good.at(at.type), 0) << "layout walk lost sync (CPU type tag)";
+  ASSERT_NE(at.other_live_vm, 0xFFFFFFFFu) << "only one live VM";
 
   const auto resume = [](const std::string& bytes, const FaultPlan* faults,
                          const MigrationPlan* migrations) {
@@ -641,10 +664,13 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
     const char* field;
   } patches[] = {
       {at.vm, 4, 0xFFFFFFFFu, "vm id"},
+      {at.vm, 4, at.other_live_vm, "vm id of another live VM"},
+      {at.placement_vm, 4, at.other_live_vm, "placement vm id"},
       {at.box, 4, 0xFFFFFFF0u, "box id"},
       {at.type, 1, 0xEE, "resource type"},
       {at.rack, 4, 0xFFFFFFF0u, "rack id"},
       {at.circuit_vm, 4, 0xFFFFFFFFu, "circuit vm id"},
+      {at.circuit_vm, 4, at.other_live_vm, "circuit vm id of another VM"},
       {at.flow, 1, 0xEE, "circuit flow"},
       {at.link, 4, 0xFFFFFFF0u, "link id"},
       {at.events, 8, std::uint64_t{1} << 62, "calendar entry count"},
@@ -656,6 +682,13 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
         std::runtime_error)
         << p.field;
   }
+  // The record renamed consistently (its id, placement and circuits) to
+  // another live VM's id: only its record index disagrees.
+  std::string renamed = good;
+  for (const std::size_t offset : at.owner_ids) {
+    renamed = patched(renamed, offset, 4, at.other_live_vm);
+  }
+  EXPECT_THROW((void)resume(renamed, nullptr, nullptr), std::runtime_error);
 
   // A pending fault entry's subject indexes the fault plan: a corrupt
   // index, or a good one resumed under a shorter plan, is rejected too.
@@ -694,7 +727,7 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
 
 TEST(StreamingCheckpoint, PreArenaV1FixtureRestoresBitIdentically) {
   // tests/data/prearena_v1.ckpt is a format-v1 "RSK1" checkpoint captured
-  // from the engine BEFORE the VM record table moved from U32Map to
+  // from the engine BEFORE the VM record table moved from a hash map to
   // SlotArena (DESIGN.md §13), mid-run with boxes offline, a link down,
   // retries pending, and migrations mid-schedule.  The arena swap must be
   // checkpoint-transparent: serialization walks records in ascending-index
