@@ -1,6 +1,7 @@
-// Network-layer microbenchmark: path selection, circuit set-up/teardown and
-// NALB's bandwidth-ordered companion search, isolated from the engine loop
-// on a churned 256-rack cluster (DESIGN.md §15).
+// Network-layer microbenchmark: path selection, circuit set-up/teardown,
+// per-VM power-ledger settlement and NALB's bandwidth-ordered companion
+// search, isolated from the engine loop on a churned 256-rack cluster
+// (DESIGN.md §15).
 //
 //   ./bench_fabric [--benchmark_filter=...] [--benchmark_min_time=...]
 //
@@ -13,6 +14,9 @@
 //                                census: each iteration establishes two
 //                                pre-routed circuits for the newest VM id
 //                                and tears down the oldest VM's two;
+//   BM_LedgerChargeRefund        PowerLedger::charge_vm then
+//                                refund_vm_truncation on the next of the
+//                                same 13,000 live VMs, round robin;
 //   BM_CompanionSearch/<order>   bfs_search(GlobalOrder) from random anchor
 //                                racks for random (type, units) demands.
 // <policy> is 0 = FirstFit (NULB, RISA), 1 = MostAvailable (NALB); <order>
@@ -29,6 +33,7 @@
 #include "network/circuit.hpp"
 #include "network/fabric.hpp"
 #include "network/routing.hpp"
+#include "photonics/power_ledger.hpp"
 #include "topology/cluster.hpp"
 
 namespace {
@@ -142,53 +147,95 @@ void BM_EstablishTeardown(benchmark::State& state) {
 }
 BENCHMARK(BM_EstablishTeardown)->Arg(0)->Arg(1);
 
-/// Live VMs in BM_CircuitChurn: the census of the end-to-end benchmark's
-/// rack256-load090-risa workload.
+/// Live VMs in BM_CircuitChurn and BM_LedgerChargeRefund: the census of
+/// the end-to-end benchmark's rack256-load090-risa workload.
 constexpr std::uint32_t kChurnLiveVms = 13000;
 
-void BM_CircuitChurn(benchmark::State& state) {
-  net::Router router(stack().fabric);
-  net::CircuitTable circuits(router);
-  // First-fit paths at 10 Mb/s only cross links with a free 25 Gb/s
-  // channel, and the window's 26k circuits put about 1 Gb/s on the busiest
-  // rack uplink, so no reservation fails.
-  const MbitsPerSec bw = 10;
-  std::vector<net::CircuitPath> paths;
-  for (const PathQuery& q : make_path_queries(stack().cluster)) {
-    auto path = router.find_path(q.src, q.src_rack, q.dst, q.dst_rack, bw,
-                                 net::LinkSelectPolicy::FirstFit);
-    if (path.ok()) paths.push_back(std::move(path.value()));
+/// kChurnLiveVms VMs holding two pre-routed circuits each (CPU-RAM, then
+/// RAM-storage), oldest first.  A failed reservation skips the row; the
+/// destructor tears every circuit down, leaving the shared fabric as found.
+class LiveCircuits {
+ public:
+  explicit LiveCircuits(benchmark::State& state)
+      : state_(state), router_(stack().fabric), circuits_(router_) {
+    // First-fit paths at 10 Mb/s only cross links with a free 25 Gb/s
+    // channel, and the window's 26k circuits put about 1 Gb/s on the
+    // busiest rack uplink, so no reservation fails.
+    for (const PathQuery& q : make_path_queries(stack().cluster)) {
+      auto path = router_.find_path(q.src, q.src_rack, q.dst, q.dst_rack, kBw,
+                                    net::LinkSelectPolicy::FirstFit);
+      if (path.ok()) paths_.push_back(std::move(path.value()));
+    }
+    while (full_ && live_.size() < kChurnLiveVms) full_ = admit();
   }
-  std::size_t next_path = 0;
-  std::uint32_t next_vm = 0;
-  std::deque<VmId> live;
-  const auto admit = [&] {
-    const VmId vm{next_vm++};
-    live.push_back(vm);
+  LiveCircuits(const LiveCircuits&) = delete;
+  LiveCircuits& operator=(const LiveCircuits&) = delete;
+  ~LiveCircuits() {
+    for (const VmId vm : live_) circuits_.teardown_vm(vm);
+  }
+
+  /// Establish the next VM's two circuits; false (row skipped) on failure.
+  bool admit() {
+    const VmId vm{next_vm_++};
+    live_.push_back(vm);
     for (const net::FlowKind flow :
          {net::FlowKind::CpuRam, net::FlowKind::RamStorage}) {
-      if (!circuits.establish(vm, flow, bw, paths[next_path]).ok()) {
-        state.SkipWithError("circuit reservation failed");
+      if (!circuits_.establish(vm, flow, kBw, paths_[next_path_]).ok()) {
+        state_.SkipWithError("circuit reservation failed");
         return false;
       }
-      next_path = (next_path + 1) % paths.size();
+      next_path_ = (next_path_ + 1) % paths_.size();
     }
     return true;
-  };
-  bool ok = true;
-  while (ok && live.size() < kChurnLiveVms) ok = admit();
-  if (ok) {
+  }
+
+  /// Setup reached the full census.
+  [[nodiscard]] bool full() const noexcept { return full_; }
+  [[nodiscard]] net::CircuitTable& table() noexcept { return circuits_; }
+  [[nodiscard]] std::deque<VmId>& vms() noexcept { return live_; }
+
+ private:
+  static constexpr MbitsPerSec kBw = 10;
+
+  benchmark::State& state_;
+  net::Router router_;
+  net::CircuitTable circuits_;
+  std::vector<net::CircuitPath> paths_;
+  std::size_t next_path_ = 0;
+  std::uint32_t next_vm_ = 0;
+  std::deque<VmId> live_;
+  bool full_ = true;
+};
+
+void BM_CircuitChurn(benchmark::State& state) {
+  LiveCircuits live(state);
+  if (live.full()) {
     for (auto _ : state) {
-      if (!admit()) break;
-      benchmark::DoNotOptimize(circuits.teardown_vm(live.front()));
-      live.pop_front();
+      if (!live.admit()) break;
+      benchmark::DoNotOptimize(live.table().teardown_vm(live.vms().front()));
+      live.vms().pop_front();
     }
   }
-  // The fabric is shared with the other rows: leave it as found.
-  for (const VmId vm : live) circuits.teardown_vm(vm);
   state.SetLabel(std::to_string(kChurnLiveVms) + " live VMs");
 }
 BENCHMARK(BM_CircuitChurn);
+
+void BM_LedgerChargeRefund(benchmark::State& state) {
+  LiveCircuits live(state);
+  phot::PowerLedger ledger(phot::PhotonicConfig{}, stack().fabric);
+  std::size_t next = 0;
+  if (live.full()) {
+    for (auto _ : state) {
+      const VmId vm = live.vms()[next];
+      benchmark::DoNotOptimize(ledger.charge_vm(live.table(), vm, 6300.0));
+      benchmark::DoNotOptimize(
+          ledger.refund_vm_truncation(live.table(), vm, 3150.0));
+      next = next + 1 == live.vms().size() ? 0 : next + 1;
+    }
+  }
+  state.SetLabel(std::to_string(kChurnLiveVms) + " live VMs");
+}
+BENCHMARK(BM_LedgerChargeRefund);
 
 struct SearchQuery {
   RackId anchor;

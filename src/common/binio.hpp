@@ -7,6 +7,7 @@
 // throw std::runtime_error on a short stream instead of returning garbage.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <istream>
@@ -82,14 +83,22 @@ inline double get_f64(std::istream& is) {
   return std::bit_cast<double>(get_u64(is));
 }
 
+/// Reads in chunks of at most 64 KiB, so a corrupt length runs into
+/// end-of-stream long before the string grows to the stored size.
 inline std::string get_str(std::istream& is) {
   const std::uint64_t n = get_u64(is);
   if (n > (1ULL << 32)) {
     throw std::runtime_error("checkpoint: implausible string length");
   }
-  std::string s(static_cast<std::size_t>(n), '\0');
-  if (n > 0 && !is.read(s.data(), static_cast<std::streamsize>(n))) {
-    throw std::runtime_error("checkpoint: truncated stream");
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  std::string s;
+  while (s.size() < n) {
+    const std::size_t at = s.size();
+    const auto len = static_cast<std::size_t>(std::min(n - at, kChunk));
+    s.resize(at + len);
+    if (!is.read(s.data() + at, static_cast<std::streamsize>(len))) {
+      throw std::runtime_error("checkpoint: truncated stream");
+    }
   }
   return s;
 }

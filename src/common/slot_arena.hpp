@@ -57,7 +57,9 @@ class SlotArena {
     DirPage& page = dir_page_for(key);
     std::uint32_t& entry = page.slot_of[key % kDirPageSize];
     if (entry != kNoSlot) return slot_ref(entry).value;
-    const std::uint32_t s = acquire_slot();
+    if (free_.empty()) append_slab_page();
+    const std::uint32_t s = free_.back();
+    free_.pop_back();
     entry = s;
     ++page.occupancy;
     Slot& slot = slot_ref(s);
@@ -123,22 +125,6 @@ class SlotArena {
       if (page != nullptr) dir_pool_.push_back(std::move(page));
     }
     size_ = 0;
-  }
-
-  /// Pre-size the slab for `n` concurrent entries (directory pages stay
-  /// on-demand: which key range is live depends on the stream).
-  void reserve(std::size_t n) {
-    while (slab_pages_.size() * kSlabPageSize < n) append_slab_page();
-    if (size_ == 0) {
-      // Rebuild lowest-on-top so pre-sizing never perturbs the slot
-      // sequence a growing arena would have assigned.
-      const std::size_t cap = slab_pages_.size() * kSlabPageSize;
-      free_.clear();
-      free_.reserve(cap);
-      for (std::size_t s = cap; s-- > 0;) {
-        free_.push_back(static_cast<std::uint32_t>(s));
-      }
-    }
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -236,13 +222,6 @@ class SlotArena {
     for (std::size_t i = kSlabPageSize; i-- > 0;) {
       free_.push_back(static_cast<std::uint32_t>(base + i));
     }
-  }
-
-  std::uint32_t acquire_slot() {
-    if (free_.empty()) append_slab_page();
-    const std::uint32_t s = free_.back();
-    free_.pop_back();
-    return s;
   }
 
   std::vector<std::unique_ptr<Slot[]>> slab_pages_;

@@ -42,6 +42,11 @@ void RisaAllocator::save_state(std::ostream& os) const {
 
 void RisaAllocator::restore_state(std::istream& is) {
   rr_next_rack_ = bin::get_u32(is);
+  // The cursor seeds an unchecked shard walk: fail closed on a corrupt one.
+  if (rr_next_rack_ >= ctx().cluster->num_racks()) {
+    throw std::runtime_error(
+        "RisaAllocator: checkpoint rack cursor out of range");
+  }
   fallbacks_ = bin::get_u64(is);
   if (bin::get_u64(is) != cursors_.size()) {
     throw std::runtime_error("RisaAllocator: checkpoint rack count mismatch");

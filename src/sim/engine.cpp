@@ -27,9 +27,9 @@ namespace {
 constexpr std::size_t kArrivalChunk = 1024;
 /// Checkpoint stream magic + format version ("RSK1").
 constexpr std::uint32_t kCheckpointMagic = 0x314B5352u;
-/// Upper bound on size_hint-driven pre-sizing (the record table, calendar
-/// and scan scratch are census-bounded, so reserving past any plausible
-/// live census only wastes RSS on streaming runs).
+/// Upper bound on size_hint-driven pre-sizing (the calendar and scan
+/// scratch are census-bounded, so reserving past any plausible live census
+/// only wastes RSS on streaming runs).
 constexpr std::uint64_t kCensusReserveCap = 1u << 16;
 constexpr SimTime kNeverTime = std::numeric_limits<SimTime>::infinity();
 
@@ -189,8 +189,8 @@ constexpr std::uint64_t kNumFlowKinds =
 /// One run of the merged event loop (DESIGN.md §16).  Every loop-carried
 /// value is a member, and each event family has one handler that
 /// run_impl's dispatch loop calls.  Engine-owned containers (record arena,
-/// calendar, slot pool, ring, scratch) are reached through `e` so their
-/// capacity survives across runs.
+/// calendar, ring, scratch) are reached through `e` so their capacity
+/// survives across runs.
 class Engine::Run {
  public:
   using Clock = std::chrono::steady_clock;
@@ -244,7 +244,6 @@ class Engine::Run {
   VmState* departing(const LifecycleEvent& ev);
   void fire_admission_triggers();
   void collect_live_sorted();
-  std::uint32_t acquire_slot();
   void refill_ring();
   [[nodiscard]] bool degraded() const noexcept;
   void note_time(SimTime t);
@@ -495,13 +494,9 @@ Engine::Run::Run(Engine& engine, wl::ArrivalSource& src,
   }
 
   // Per-VM records live from admission (or first requeue) to the VM's
-  // final event.  Every pool slot starts free, lowest index on top of the
-  // stack, so a reused engine assigns the same slot sequence as a fresh one.
+  // final event.  clear() keeps the slab, so a reused engine assigns the
+  // same slot sequence as a fresh one.
   e.vms_.clear();
-  e.free_slots_.resize(e.slot_pool_.size());
-  for (std::size_t s = 0; s < e.free_slots_.size(); ++s) {
-    e.free_slots_[s] = static_cast<std::uint32_t>(e.free_slots_.size() - 1 - s);
-  }
 
   // Injected events restart their sequence numbering at the source's size
   // hint so every equal-time tie against a pending arrival (seq = workload
@@ -513,13 +508,14 @@ Engine::Run::Run(Engine& engine, wl::ArrivalSource& src,
 
   // Pre-size the census-bounded containers from the size hint, capped by
   // the cluster's own hosting bound (every VM holds >= 1 CPU unit), so no
-  // regrow lands inside the measured loop.
+  // regrow lands inside the measured loop.  The record arena is not
+  // pre-sized: it grows a page at a time without moving any record, and a
+  // reserve at this cap would commit tens of MB of records no run fills.
   if (const std::uint64_t hint = source.size_hint(); hint > 0) {
     const auto cpu_units = static_cast<std::uint64_t>(
         std::max<Units>(cluster.total_capacity(ResourceType::Cpu), 0));
     const std::uint64_t census = std::min(
         hint, std::min(std::max<std::uint64_t>(cpu_units, 1), kCensusReserveCap));
-    e.vms_.reserve(static_cast<std::size_t>(census));
     e.events_.reserve(static_cast<std::size_t>(census));
     e.scan_scratch_.reserve(static_cast<std::size_t>(census));
   }
@@ -754,8 +750,7 @@ void Engine::Run::settle_departures(const Entry& first) {
     VmState* st = departing(d.payload);
     if (st == nullptr) continue;
     ++executed;
-    alloc.release_batched(e.slot_pool_[st->slot]);
-    e.free_slots_.push_back(st->slot);
+    alloc.release_batched(st->placement);
     --live_count;
     if (track_power) holding_power_w -= st->holding_power;
     if (e.timeline_ != nullptr) record_state();
@@ -812,10 +807,9 @@ void Engine::Run::fault_action(const Entry& ev) {
             return true;
           },
           [&](std::uint32_t id, const VmState& st) {
-            const core::Placement& p = e.slot_pool_[st.slot];
-            return std::ranges::any_of(p.compute, [&](const auto& held) {
-              return held.box == BoxId{id};
-            });
+            return std::ranges::any_of(
+                st.placement.compute,
+                [&](const auto& held) { return held.box == BoxId{id}; });
           });
     }
     record_state();
@@ -908,12 +902,10 @@ bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
     drop_reason = placed.error();
     return false;
   }
-  const std::uint32_t slot = acquire_slot();
-  core::Placement& p = e.slot_pool_[slot];
-  p = std::move(placed.value());
   VmState& st = e.vms_.find_or_insert(vm_index);
   st.vm = vm;
-  st.slot = slot;
+  st.placement = std::move(placed.value());
+  const core::Placement& p = st.placement;
   st.live = 1;
   ++live_count;
   ++admissions;
@@ -998,8 +990,7 @@ void Engine::Run::kill_vm(std::uint32_t vm_index, VmState& st) {
   prof.begin(phase_slot(Phase::Ledger));
   ledger.refund_vm_truncation(circuits, st.vm.id, unused);
   prof.end();
-  alloc.release_batched(e.slot_pool_[st.slot]);
-  e.free_slots_.push_back(st.slot);
+  alloc.release_batched(st.placement);
   st.live = 0;
   --live_count;
   ++m.killed;
@@ -1052,7 +1043,7 @@ void Engine::Run::fault_scan(std::uint32_t target, std::uint32_t none,
 bool Engine::Run::try_migrate(std::uint32_t vm_index) {
   VmState& st = *e.vms_.find(vm_index);
   const wl::VmRequest& vm = st.vm;
-  core::Placement& old_p = e.slot_pool_[st.slot];
+  const core::Placement& old_p = st.placement;
   const int old_score = migration_spread_score(old_p, fabric);
   const double remaining = st.place_time + st.expected_hold - now;
   // remaining > cost is guaranteed by the sweep's candidate filter.
@@ -1122,7 +1113,7 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
 
   const bool now_inter =
       new_p.rack(ResourceType::Cpu) != new_p.rack(ResourceType::Ram);
-  old_p = std::move(new_p);  // the VM's pool slot is reused in place
+  st.placement = std::move(new_p);  // old_p now reads the new placement
   st.place_time = now;
   st.expected_hold = remaining;
   const std::uint32_t epoch = ++st.epoch;
@@ -1155,7 +1146,7 @@ void Engine::Run::migrate_worst_spread() {
   e.vms_.for_each([&](std::uint32_t i, const VmState& st) {
     if (!st.live) return;
     ++live;
-    const core::Placement& p = e.slot_pool_[st.slot];
+    const core::Placement& p = st.placement;
     const int score = migration_spread_score(p, fabric);
     if (score <= 0) return;
     ++spread;  // counts toward the fraction trigger even when doomed
@@ -1219,16 +1210,6 @@ void Engine::Run::collect_live_sorted() {
     if (st.live) e.scan_scratch_.push_back(idx);
   });
   std::sort(e.scan_scratch_.begin(), e.scan_scratch_.end());
-}
-
-std::uint32_t Engine::Run::acquire_slot() {
-  if (e.free_slots_.empty()) {
-    e.slot_pool_.emplace_back();
-    return static_cast<std::uint32_t>(e.slot_pool_.size() - 1);
-  }
-  const std::uint32_t slot = e.free_slots_.back();
-  e.free_slots_.pop_back();
-  return slot;
 }
 
 void Engine::Run::refill_ring() {
@@ -1523,8 +1504,7 @@ void Engine::Run::transfer_records(Ar& ar) {
     ar.u8(st.live);
     ar.u8(st.ever_placed);
     if (st.live) {
-      core::Placement loaded_p;
-      core::Placement& p = Ar::kLoading ? loaded_p : e.slot_pool_[st.slot];
+      core::Placement& p = st.placement;
       ar.u32(p.vm);
       if (Ar::kLoading && p.vm != st.vm.id) {
         throw std::runtime_error(
@@ -1550,11 +1530,6 @@ void Engine::Run::transfer_records(Ar& ar) {
       ar.u8(p.used_fallback);
       if constexpr (Ar::kLoading) {
         ++restored_live;
-        // Slot numbering is internal (never observable through metrics or
-        // events), so ascending-record-order assignment need not match the
-        // checkpointing run's acquire/free history.
-        st.slot = acquire_slot();
-        e.slot_pool_[st.slot] = std::move(p);
         holding_power_w += st.holding_power;
         std::uint64_t n_circuits = 0;
         ar.u64(n_circuits);

@@ -278,27 +278,23 @@ class Engine {
   /// are stable until the key is erased, which the admission and retry
   /// paths rely on.  Intake sets vm.id to the workload index, so the
   /// record key, vm.id and the circuit table's key are one number.
+  ///
+  /// The record carries its own placement (boxes, racks, demand), so one
+  /// lookup reaches everything settlement, kills and migration need.
   struct VmState {
     wl::VmRequest vm{};          ///< the request (streams are not replayable)
-    std::uint32_t slot = 0;      ///< slot_pool_ index, meaningful iff live
+    core::Placement placement{}; ///< the current placement, meaningful iff live
     std::uint32_t attempts = 0;  ///< retry attempts consumed
     std::uint32_t epoch = 0;     ///< placement epoch (departure tombstones)
     SimTime place_time = 0.0;    ///< when the current placement opened
     double expected_hold = 0.0;  ///< prepaid hold (remaining hold after kill)
-    double holding_power = 0.0;  ///< instantaneous optical W (timeline only)
+    /// Instantaneous optical W of the VM's circuits, feeding the timeline's
+    /// and the telemetry power track's holding-power sum.
+    double holding_power = 0.0;
     std::uint8_t live = 0;
     std::uint8_t ever_placed = 0;
   };
   SlotArena<VmState> vms_;
-
-  /// Live-placement slot pool.  A Placement is ~600 bytes, so sizing the
-  /// table by workload length made run() O(N) in *memory* (3 GB at the
-  /// 5M-VM bench row) for a cluster that can only host a few thousand VMs
-  /// at once.  Instead VmState::slot indexes into slot_pool_, which grows
-  /// to the peak number of concurrently live VMs and is recycled through
-  /// free_slots_ -- bounded by the cluster, not the workload.
-  std::vector<core::Placement> slot_pool_;
-  std::vector<std::uint32_t> free_slots_;
 
   /// Arrival refill chunk: the engine pulls the source in batches of this
   /// ring's size.  Chunk boundaries (ring empty, top of the merge loop)

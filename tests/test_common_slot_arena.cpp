@@ -122,10 +122,10 @@ TEST(SlotArena, ClearRetainsCapacityAndResetsValues) {
   EXPECT_TRUE(arena.find_or_insert(7).empty());
 }
 
-TEST(SlotArena, ClearAndReserveKeepSlotSequenceDeterministic) {
-  // The engine reuses one arena across runs: after clear() (and after a
-  // fresh reserve()) the slot assignment sequence must replay exactly, so
-  // reused-engine runs stay bit-identical to fresh ones.
+TEST(SlotArena, ClearKeepsSlotSequenceDeterministic) {
+  // The engine reuses one arena across runs: after clear() the slot
+  // assignment sequence must replay exactly, so reused-engine runs stay
+  // bit-identical to fresh ones.
   SlotArena<int> a;
   std::vector<std::uint32_t> first;
   for (std::uint32_t k = 0; k < 700; ++k) {
@@ -136,13 +136,6 @@ TEST(SlotArena, ClearAndReserveKeepSlotSequenceDeterministic) {
   for (std::uint32_t k = 0; k < 700; ++k) {
     a.find_or_insert(k + 50000) = 2;  // different keys, same slot order
     EXPECT_EQ(a.slot_of(k + 50000), first[k]) << "k " << k;
-  }
-
-  SlotArena<int> b;
-  b.reserve(700);
-  for (std::uint32_t k = 0; k < 700; ++k) {
-    b.find_or_insert(k) = 3;
-    EXPECT_EQ(b.slot_of(k), first[k]) << "k " << k;
   }
 }
 

@@ -5,6 +5,7 @@
 // and adversarial tie/unsorted workloads, and a run resumed from any
 // mid-run checkpoint must match the uninterrupted run bit-for-bit.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -532,14 +533,15 @@ class V1Cursor {
 /// Byte offsets, in a checkpoint holding a live VM with a circuit, of the
 /// first such VM's id, placement VM id, CPU box id, resource type and CPU
 /// rack id, of its first circuit's VM id, flow kind and first link id, of
-/// the calendar entry count, and of the first pending fault entry's action
-/// index (0 when no fault is pending); plus the offsets of every VM id
+/// the calendar entry count, of the first pending fault entry's action
+/// index (0 when no fault is pending) and of the allocator state (RISA's
+/// round-robin rack cursor comes first); plus the offsets of every VM id
 /// that names that VM's record (its own, its placement's, each circuit's)
 /// and the id of another live VM.
 struct V1Offsets {
   std::size_t vm = 0, placement_vm = 0, box = 0, type = 0, rack = 0,
               circuit_vm = 0, flow = 0, link = 0, events = 0,
-              fault_subject = 0;
+              fault_subject = 0, rr_cursor = 0;
   std::vector<std::size_t> owner_ids;
   std::uint32_t other_live_vm = 0xFFFFFFFFu;
 };
@@ -609,17 +611,19 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
   }
   c.skip(4 + 8);  // next circuit id, next calendar seq
   at.events = c.pos();
-  for (std::uint64_t n = c.get(8); n > 0 && at.fault_subject == 0; --n) {
+  for (std::uint64_t n = c.get(8); n > 0; --n) {
     c.skip(8 + 8);  // time, seq
     const auto kind = static_cast<des::LifecycleKind>(c.get(1));
-    if (kind == des::LifecycleKind::BoxFail ||
-        kind == des::LifecycleKind::BoxRepair ||
-        kind == des::LifecycleKind::LinkFail ||
-        kind == des::LifecycleKind::LinkRepair) {
+    if (at.fault_subject == 0 && (kind == des::LifecycleKind::BoxFail ||
+                                  kind == des::LifecycleKind::BoxRepair ||
+                                  kind == des::LifecycleKind::LinkFail ||
+                                  kind == des::LifecycleKind::LinkRepair)) {
       at.fault_subject = c.pos();
     }
     c.skip(4 + 4);  // subject, epoch
   }
+  c.skip(4 * 8);  // fault RNG state
+  at.rr_cursor = c.pos();
   return at;
 }
 
@@ -636,6 +640,11 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
   ASSERT_NE(at.flow, 0u) << "no live VM with a circuit in the checkpoint";
   ASSERT_EQ(good.at(at.type), 0) << "layout walk lost sync (CPU type tag)";
   ASSERT_NE(at.other_live_vm, 0xFFFFFFFFu) << "only one live VM";
+  // RISA's state: cursor (u32), fallback count (u64), rack count (u64).
+  V1Cursor risa_state(good);
+  risa_state.skip(at.rr_cursor + 4 + 8);
+  ASSERT_EQ(risa_state.get(8), Scenario::paper_defaults().cluster.racks)
+      << "layout walk lost sync (RISA rack count)";
 
   const auto resume = [](const std::string& bytes, const FaultPlan* faults,
                          const MigrationPlan* migrations) {
@@ -674,6 +683,7 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
       {at.flow, 1, 0xEE, "circuit flow"},
       {at.link, 4, 0xFFFFFFF0u, "link id"},
       {at.events, 8, std::uint64_t{1} << 62, "calendar entry count"},
+      {at.rr_cursor, 4, 0xFFFFFFF0u, "RISA rack cursor"},
   };
   for (const auto& p : patches) {
     EXPECT_THROW(
@@ -689,6 +699,19 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
     renamed = patched(renamed, offset, 4, at.other_live_vm);
   }
   EXPECT_THROW((void)resume(renamed, nullptr, nullptr), std::runtime_error);
+
+  // A workload-label length just under the plausibility cap must run into
+  // end-of-stream before the string grows anywhere near it.
+  const auto peak_rss_kb = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<long>(usage.ru_maxrss);
+  };
+  const long rss_before_kb = peak_rss_kb();
+  EXPECT_THROW((void)resume(patched(good, 4, 8, 0xFFFFFFFFu), nullptr, nullptr),
+               std::runtime_error);
+  EXPECT_LT(peak_rss_kb() - rss_before_kb, 256L * 1024)
+      << "label length sized an allocation";
 
   // A pending fault entry's subject indexes the fault plan: a corrupt
   // index, or a good one resumed under a shorter plan, is rejected too.
