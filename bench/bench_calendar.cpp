@@ -5,14 +5,21 @@
 // delta.  That is exactly the engine's churn regime (DESIGN.md §7/§12):
 // the heap pays O(log N) per hold, the ladder O(1) amortized.
 //
-// Three delta distributions bracket the engine's workloads:
-//   churny    -- uniform holds (the synthetic stream's steady state)
-//   tie_heavy -- 70% zero deltas: long equal-time runs (settlement windows)
-//   bimodal   -- 80% short / 20% epoch-length holds (rung + top traffic)
+// Four delta distributions bracket the engine's workloads:
+//   churny        -- uniform holds (the synthetic stream's steady state)
+//   tie_heavy     -- 70% zero deltas: long equal-time runs (settlement
+//                    windows)
+//   bimodal       -- 80% short / 20% epoch-length holds (rung + top traffic)
+//   fault_horizon -- churny holds under 16 far-future sentinels pushed up
+//                    front, the way a fault plan's time-triggered actions
+//                    are: the first rung spans the sentinels' horizon and
+//                    is never respawned, so every hold routes into its
+//                    buckets (the retained-capacity case of DESIGN.md §12).
 //
 // Driver mode: `--emit_json[=path]` writes the committed BENCH_calendar.json
-// (structure x distribution x census grid, best-of-3 timed hold loops).
-// Interactive mode runs the same grid through google-benchmark.
+// (structure x distribution x census grid, best-of-3 timed hold loops; the
+// ladder rows also record the buffer bytes it retains at the end of the
+// loop).  Interactive mode runs the same grid through google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -35,19 +42,28 @@ namespace {
 using Heap = risa::des::BasicCalendar<std::uint32_t, 4>;
 using Ladder = risa::des::LadderCalendar<std::uint32_t>;
 
-enum class Dist { Churny, TieHeavy, Bimodal };
+enum class Dist { Churny, TieHeavy, Bimodal, FaultHorizon };
 
 const char* dist_name(Dist d) {
   switch (d) {
     case Dist::Churny: return "churny";
     case Dist::TieHeavy: return "tie_heavy";
+    case Dist::FaultHorizon: return "fault_horizon";
     default: return "bimodal";
   }
 }
 
+/// fault_horizon's sentinels sit at k/16 of this horizon, k = 1..16: about
+/// 15 tu per bucket of a 4096-bucket rung, so a 0-200 tu hold spans ~14
+/// buckets (the fault workload's 6300 tu holds over 450 tu buckets), and
+/// far past the time any hold loop below reaches.
+constexpr double kSentinelHorizon = 61'440.0;
+constexpr int kSentinels = 16;
+
 double next_delta(Dist d, risa::Rng& rng) {
   switch (d) {
     case Dist::Churny:
+    case Dist::FaultHorizon:
       return static_cast<double>(rng.uniform_int(0, 200));
     case Dist::TieHeavy:
       return rng.uniform_int(0, 9) < 7
@@ -60,13 +76,30 @@ double next_delta(Dist d, risa::Rng& rng) {
   }
 }
 
+/// Bytes of buffer capacity `cal` holds (ladder only; the heap reports 0).
+template <typename Calendar>
+std::size_t retained_bytes(const Calendar& cal) {
+  if constexpr (requires { cal.retained_capacity(); }) {
+    return cal.retained_capacity() * sizeof(typename Calendar::Entry);
+  } else {
+    return 0;
+  }
+}
+
 /// Fill `cal` to a steady-state census, then run `ops` hold operations.
-/// Returns a checksum so the work cannot be optimized away.
+/// Returns a checksum so the work cannot be optimized away; `retained`
+/// (when set) receives retained_bytes just before the final drain.
 template <typename Calendar>
 std::uint64_t hold_loop(Calendar& cal, Dist d, std::size_t census,
-                        std::size_t ops, std::uint64_t seed) {
+                        std::size_t ops, std::uint64_t seed,
+                        std::size_t* retained = nullptr) {
   risa::Rng rng(seed);
   cal.reset();
+  if (d == Dist::FaultHorizon) {
+    for (int k = 1; k <= kSentinels; ++k) {
+      cal.push(kSentinelHorizon * k / kSentinels, 0xFFFFFFFFu);
+    }
+  }
   for (std::size_t i = 0; i < census; ++i) {
     cal.push(next_delta(d, rng), static_cast<std::uint32_t>(i));
   }
@@ -76,6 +109,7 @@ std::uint64_t hold_loop(Calendar& cal, Dist d, std::size_t census,
     sum += e.seq;
     cal.push(e.time + next_delta(d, rng), e.payload);
   }
+  if (retained != nullptr) *retained = retained_bytes(cal);
   while (!cal.empty()) sum += cal.pop().seq;
   return sum;
 }
@@ -89,6 +123,11 @@ void run_hold(benchmark::State& state, Dist d) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(census * 4));
+  std::size_t retained = 0;  // one more, untimed loop: the scan is not free
+  (void)hold_loop(cal, d, census, census * 4, 42, &retained);
+  if (retained > 0) {
+    state.counters["retained_bytes"] = static_cast<double>(retained);
+  }
 }
 
 void BM_Heap_Churny(benchmark::State& s) { run_hold<Heap>(s, Dist::Churny); }
@@ -101,6 +140,12 @@ void BM_Heap_Bimodal(benchmark::State& s) { run_hold<Heap>(s, Dist::Bimodal); }
 void BM_Ladder_Bimodal(benchmark::State& s) {
   run_hold<Ladder>(s, Dist::Bimodal);
 }
+void BM_Heap_FaultHorizon(benchmark::State& s) {
+  run_hold<Heap>(s, Dist::FaultHorizon);
+}
+void BM_Ladder_FaultHorizon(benchmark::State& s) {
+  run_hold<Ladder>(s, Dist::FaultHorizon);
+}
 
 void census_args(benchmark::internal::Benchmark* b) {
   b->Arg(1'000)->Arg(10'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
@@ -112,6 +157,8 @@ BENCHMARK(BM_Heap_TieHeavy)->Apply(census_args);
 BENCHMARK(BM_Ladder_TieHeavy)->Apply(census_args);
 BENCHMARK(BM_Heap_Bimodal)->Apply(census_args);
 BENCHMARK(BM_Ladder_Bimodal)->Apply(census_args);
+BENCHMARK(BM_Heap_FaultHorizon)->Apply(census_args);
+BENCHMARK(BM_Ladder_FaultHorizon)->Apply(census_args);
 
 /// One driver-mode row: best-of-3 timed hold loops, and a differential
 /// checksum (heap and ladder must agree on every grid point -- the bench
@@ -123,6 +170,7 @@ struct Row {
   std::size_t census = 0;
   std::size_t ops = 0;
   double seconds = 0.0;
+  std::size_t retained_bytes = 0;  ///< ladder only
 };
 
 template <typename Calendar>
@@ -133,7 +181,7 @@ Row measure(const char* structure, Dist d, std::size_t census) {
   r.census = census;
   r.ops = census * 20;
   Calendar cal;
-  (void)hold_loop(cal, d, census, r.ops, 42);  // warmup
+  (void)hold_loop(cal, d, census, r.ops, 42, &r.retained_bytes);  // warmup
   double best = -1.0;
   for (int rep = 0; rep < 3; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -157,8 +205,11 @@ std::string rows_json(const std::vector<Row>& rows) {
        << ", \"ops\": " << r.ops << ", \"seconds\": "
        << risa::strformat("%.6f", r.seconds) << ", \"ops_per_sec\": "
        << risa::strformat("%.0f",
-                          static_cast<double>(r.ops) / r.seconds)
-       << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+                          static_cast<double>(r.ops) / r.seconds);
+    if (r.retained_bytes > 0) {
+      os << ", \"retained_bytes\": " << r.retained_bytes;
+    }
+    os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return os.str();
@@ -171,7 +222,8 @@ int main(int argc, char** argv) {
       risa::sim::consume_emit_json_flag(argc, argv, "BENCH_calendar.json");
   if (!json_path.empty()) {
     std::vector<Row> rows;
-    for (const Dist d : {Dist::Churny, Dist::TieHeavy, Dist::Bimodal}) {
+    for (const Dist d : {Dist::Churny, Dist::TieHeavy, Dist::Bimodal,
+                         Dist::FaultHorizon}) {
       for (const std::size_t census : {std::size_t{1'000}, std::size_t{10'000},
                                        std::size_t{100'000}}) {
         // Same seed, same schedule: the checksums must match exactly or
@@ -195,7 +247,7 @@ int main(int argc, char** argv) {
                   << static_cast<std::uint64_t>(
                          static_cast<double>(l.ops) / l.seconds)
                   << " ops/s (" << risa::strformat("%.2f", h.seconds / l.seconds)
-                  << "x)\n";
+                  << "x), ladder retains " << l.retained_bytes << " B\n";
       }
     }
     std::ofstream out(json_path);

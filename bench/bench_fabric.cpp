@@ -17,6 +17,14 @@
 //   BM_LedgerChargeRefund        PowerLedger::charge_vm then
 //                                refund_vm_truncation on the next of the
 //                                same 13,000 live VMs, round robin;
+//   BM_VmRecordChurn             the engine's two per-live-VM records at
+//                                the same census: each iteration admits
+//                                the newest VM (three box allocations into
+//                                its arena-held core::Placement, two routed
+//                                circuits) and settles the oldest (circuits
+//                                torn down, allocations released, record
+//                                erased); the record_bytes counter is
+//                                sizeof(Placement) + 2 * sizeof(Circuit);
 //   BM_CompanionSearch/<order>   bfs_search(GlobalOrder) from random anchor
 //                                racks for random (type, units) demands.
 // <policy> is 0 = FirstFit (NULB, RISA), 1 = MostAvailable (NALB); <order>
@@ -29,6 +37,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/slot_arena.hpp"
+#include "core/placement.hpp"
 #include "core/search.hpp"
 #include "network/circuit.hpp"
 #include "network/fabric.hpp"
@@ -236,6 +246,129 @@ void BM_LedgerChargeRefund(benchmark::State& state) {
   state.SetLabel(std::to_string(kChurnLiveVms) + " live VMs");
 }
 BENCHMARK(BM_LedgerChargeRefund);
+
+/// kChurnLiveVms placed VMs, oldest first: each holds a core::Placement in
+/// a VM-keyed SlotArena (the engine's record arena, DESIGN.md §13) and two
+/// circuits in the CircuitTable (§7.2).  Every VM is intra-rack -- CPU, RAM
+/// and storage boxes of one rack, 1-4 units each, the rack256 RISA
+/// workload's success path -- on a fresh cluster, with its circuits
+/// reserved at 10 Mb/s on the shared churned fabric.  VMs go round robin
+/// over racks, then over each rack's boxes, so the live window puts at most
+/// 26 VMs (104 units) on any 128-unit box and no allocation fails.  A
+/// failed allocation or reservation would skip the row; the destructor
+/// settles every VM, leaving the shared fabric as found.
+class LiveRecords {
+ public:
+  explicit LiveRecords(benchmark::State& state)
+      : state_(state),
+        cluster_(cluster_shape()),
+        router_(stack().fabric),
+        circuits_(router_) {
+    Rng rng(kSeed + 3);
+    const std::size_t racks = cluster_.num_racks();
+    specs_.resize(kSpecs);
+    for (std::size_t i = 0; i < kSpecs; ++i) {
+      VmSpec& spec = specs_[i];
+      spec.rack = RackId{static_cast<std::uint32_t>(i % racks)};
+      for (const ResourceType t : kAllResources) {
+        const auto& boxes = cluster_.rack(spec.rack).boxes(t);
+        spec.boxes[t] = boxes[(i / racks) % boxes.size()];
+        spec.units[t] = rng.uniform_int(1, 4);
+      }
+    }
+    while (full_ && live_.size() < kChurnLiveVms) full_ = admit();
+  }
+  LiveRecords(const LiveRecords&) = delete;
+  LiveRecords& operator=(const LiveRecords&) = delete;
+  ~LiveRecords() {
+    while (!live_.empty()) settle_oldest();
+  }
+
+  /// Place the next VM; false (row skipped) on failure.
+  bool admit() {
+    const VmSpec& spec = specs_[next_vm_ & (kSpecs - 1)];
+    const VmId vm{next_vm_++};
+    core::Placement& p = records_.find_or_insert(vm.value());
+    p.vm = vm;
+    p.units = spec.units;
+    live_.push_back(vm);
+    for (const ResourceType t : kAllResources) {
+      if (!cluster_.allocate_into(spec.boxes[t], spec.units[t],
+                                  p.compute[index(t)])) {
+        state_.SkipWithError("box allocation failed");
+        return false;
+      }
+      p.racks[index(t)] = spec.rack;
+    }
+    const std::pair<ResourceType, ResourceType> flows[] = {
+        {ResourceType::Cpu, ResourceType::Ram},
+        {ResourceType::Ram, ResourceType::Storage}};
+    for (const auto& [src, dst] : flows) {
+      auto path = router_.find_path(p.box(src), spec.rack, p.box(dst),
+                                    spec.rack, kBw,
+                                    net::LinkSelectPolicy::FirstFit);
+      if (!path.ok() ||
+          !circuits_
+               .establish(vm,
+                          src == ResourceType::Cpu ? net::FlowKind::CpuRam
+                                                   : net::FlowKind::RamStorage,
+                          kBw, std::move(path.value()))
+               .ok()) {
+        state_.SkipWithError("circuit reservation failed");
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Release the oldest VM's circuits and boxes and erase its record.
+  void settle_oldest() {
+    const VmId vm = live_.front();
+    live_.pop_front();
+    circuits_.teardown_vm(vm);
+    for (const topo::BoxAllocation& a : records_.find(vm.value())->compute) {
+      if (!a.empty()) cluster_.release(a);
+    }
+    records_.erase(vm.value());
+  }
+
+  [[nodiscard]] bool full() const noexcept { return full_; }
+
+ private:
+  static constexpr MbitsPerSec kBw = 10;
+  /// Power of two past kChurnLiveVms: no spec is live twice at once.
+  static constexpr std::size_t kSpecs = 16384;
+
+  struct VmSpec {
+    RackId rack;
+    PerResource<BoxId> boxes;
+    UnitVector units;
+  };
+
+  benchmark::State& state_;
+  topo::Cluster cluster_;
+  net::Router router_;
+  net::CircuitTable circuits_;
+  SlotArena<core::Placement> records_;
+  std::vector<VmSpec> specs_;
+  std::uint32_t next_vm_ = 0;
+  std::deque<VmId> live_;
+  bool full_ = true;
+};
+
+void BM_VmRecordChurn(benchmark::State& state) {
+  LiveRecords live(state);
+  if (live.full()) {
+    for (auto _ : state) {
+      if (!live.admit()) break;
+      live.settle_oldest();
+    }
+  }
+  state.counters["record_bytes"] = static_cast<double>(
+      sizeof(core::Placement) + 2 * sizeof(net::Circuit));
+  state.SetLabel(std::to_string(kChurnLiveVms) + " live VMs");
+}
+BENCHMARK(BM_VmRecordChurn);
 
 struct SearchQuery {
   RackId anchor;

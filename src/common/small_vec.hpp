@@ -1,22 +1,28 @@
 // A vector with inline storage for the first N elements.
 //
-// The placement hot path builds several tiny sequences per VM whose sizes
-// are topologically bounded in every realistic configuration (circuit hops,
-// brick slices, circuits per VM).  Storing them inline removes the per-VM
-// heap round-trips that dominated the commit phase; pathological
-// configurations (e.g. a box with hundreds of bricks) spill to a normal
-// heap vector transparently.
+// SmallVec<T, N> keeps its first N elements inline and spills to one owned
+// heap buffer past that.  The placement hot path builds several tiny
+// sequences per VM whose sizes are bounded in practice (brick slices per
+// box allocation, bricks per box), so storing them inline removes the
+// per-VM heap round-trips; pathological configurations (a box with
+// hundreds of bricks, an allocation fragmented across many of them) spill
+// transparently.  The bookkeeping is one pointer plus a u32 size/capacity
+// pair -- 16 bytes on top of the inline array -- because these vectors sit
+// in every live VM's record (DESIGN.md §13).
 //
 // Restricted to trivially copyable element types, which keeps the
-// implementation a simple memcpy-able buffer; every current use site (ids,
-// BrickSlice) satisfies this.
+// implementation a simple memcpy-able buffer; every current use site
+// (Units, BrickSlice) satisfies this.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <type_traits>
-#include <vector>
 
 namespace risa {
 
@@ -24,59 +30,54 @@ template <typename T, std::size_t N>
 class SmallVec {
   static_assert(std::is_trivially_copyable_v<T>,
                 "SmallVec is limited to trivially copyable types");
+  static_assert(N >= 1 && N <= std::numeric_limits<std::uint32_t>::max());
 
  public:
   SmallVec() = default;
+  SmallVec(const SmallVec& other) { append(other.data(), other.size_); }
+  SmallVec(SmallVec&& other) noexcept { take(other); }
+  SmallVec& operator=(const SmallVec& other) {
+    if (this != &other) {
+      size_ = 0;
+      append(other.data(), other.size_);
+    }
+    return *this;
+  }
+  SmallVec& operator=(SmallVec&& other) noexcept {
+    if (this != &other) {
+      release_heap();
+      take(other);
+    }
+    return *this;
+  }
+  ~SmallVec() { release_heap(); }
 
   void push_back(const T& value) {
-    if (!spilled_) {
-      if (inline_size_ < N) {
-        inline_[inline_size_++] = value;
-        return;
-      }
-      // Overflow: move the inline prefix to the heap and continue there.
-      spill_.reserve(2 * N);
-      spill_.assign(inline_.begin(), inline_.begin() + inline_size_);
-      spilled_ = true;
-    }
-    spill_.push_back(value);
+    const T copy = value;  // `value` may alias the buffer grow() frees
+    if (size_ == capacity_) grow(std::size_t{capacity_} + 1);
+    data()[size_++] = copy;
   }
 
-  /// Grow by one default-constructed element and return it.
-  T& emplace_back() {
-    push_back(T{});
-    return back();
-  }
+  void pop_back() noexcept { --size_; }
 
-  void resize(std::size_t n, const T& fill = T{}) {
-    while (size() > n) pop_back();
-    while (size() < n) push_back(fill);
-  }
-
-  void pop_back() noexcept {
-    if (spilled_) {
-      spill_.pop_back();
-    } else {
-      --inline_size_;
-    }
-  }
-
+  /// Empty the vector and return to inline storage (a spilled buffer is
+  /// freed, so a cleared record holds no heap memory).
   void clear() noexcept {
-    inline_size_ = 0;
-    spill_.clear();
-    spilled_ = false;
+    release_heap();
+    size_ = 0;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return spilled_ ? spill_.size() : inline_size_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// True once the elements live in the heap buffer rather than inline.
+  [[nodiscard]] bool spilled() const noexcept { return heap_ != nullptr; }
 
   [[nodiscard]] T* data() noexcept {
-    return spilled_ ? spill_.data() : inline_.data();
+    return heap_ != nullptr ? heap_ : inline_.data();
   }
   [[nodiscard]] const T* data() const noexcept {
-    return spilled_ ? spill_.data() : inline_.data();
+    return heap_ != nullptr ? heap_ : inline_.data();
   }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data()[i]; }
@@ -85,27 +86,65 @@ class SmallVec {
   }
   [[nodiscard]] T& front() noexcept { return data()[0]; }
   [[nodiscard]] const T& front() const noexcept { return data()[0]; }
-  [[nodiscard]] T& back() noexcept { return data()[size() - 1]; }
-  [[nodiscard]] const T& back() const noexcept { return data()[size() - 1]; }
+  [[nodiscard]] T& back() noexcept { return data()[size_ - 1]; }
+  [[nodiscard]] const T& back() const noexcept { return data()[size_ - 1]; }
 
   [[nodiscard]] T* begin() noexcept { return data(); }
-  [[nodiscard]] T* end() noexcept { return data() + size(); }
+  [[nodiscard]] T* end() noexcept { return data() + size_; }
   [[nodiscard]] const T* begin() const noexcept { return data(); }
-  [[nodiscard]] const T* end() const noexcept { return data() + size(); }
+  [[nodiscard]] const T* end() const noexcept { return data() + size_; }
 
   friend bool operator==(const SmallVec& a, const SmallVec& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
 
  private:
+  /// Reallocate to hold at least `min_capacity` elements (geometric
+  /// growth), moving the current contents to the new heap buffer.
+  void grow(std::size_t min_capacity) {
+    const std::size_t cap =
+        std::max<std::size_t>(min_capacity, 2 * std::size_t{capacity_});
+    if (cap > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("SmallVec: capacity overflow");
+    }
+    T* fresh = std::allocator<T>{}.allocate(cap);
+    std::uninitialized_copy_n(data(), size_, fresh);
+    release_heap();
+    heap_ = fresh;
+    capacity_ = static_cast<std::uint32_t>(cap);
+  }
+
+  void append(const T* src, std::uint32_t n) {
+    if (n > capacity_) grow(n);
+    std::copy_n(src, n, data());
+    size_ = n;
+  }
+
+  /// Steal `other`'s heap buffer, or copy its inline elements; `other` is
+  /// left empty and inline.  Precondition: this holds no heap buffer.
+  void take(SmallVec& other) noexcept {
+    if (other.heap_ != nullptr) {
+      heap_ = other.heap_;
+      capacity_ = other.capacity_;
+      other.heap_ = nullptr;
+      other.capacity_ = N;
+    } else {
+      std::copy_n(other.inline_.data(), other.size_, inline_.data());
+    }
+    size_ = other.size_;
+    other.size_ = 0;
+  }
+
+  void release_heap() noexcept {
+    if (heap_ != nullptr) std::allocator<T>{}.deallocate(heap_, capacity_);
+    heap_ = nullptr;
+    capacity_ = N;
+  }
+
   std::array<T, N> inline_{};
-  std::uint32_t inline_size_ = 0;
-  bool spilled_ = false;
-  std::vector<T> spill_;
+  T* heap_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = N;
 };
 
 }  // namespace risa

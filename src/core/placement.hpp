@@ -47,4 +47,8 @@ struct Placement {
   }
 };
 
+// Every live VM holds one Placement in its engine record (DESIGN.md §13);
+// two inline brick slices per box keep it at 216 bytes on LP64.
+static_assert(sizeof(Placement) <= 232);
+
 }  // namespace risa::core

@@ -39,6 +39,16 @@
 // equal-time pushes during a drain insert into bottom behind their already
 // popped predecessors (their seq is larger, so FIFO order is preserved).
 //
+// Retained capacity: a bucket holds a buffer only while it has residents.
+// Draining a bucket (into bottom, which keeps one buffer of its own, or
+// into a finer rung) hands its buffer to a spare pool, and the next empty
+// bucket to receive a push takes it from there -- so buffers circulate
+// across buckets and rung respawns instead of each of up to kMaxBuckets
+// buckets keeping its own.  The pool keeps only small buffers
+// (<= kMaxSpareCapacity entries) and at most four times the peak size() in
+// entries, freeing the rest, so retained capacity follows the pending
+// population rather than buckets x largest-bucket (DESIGN.md §12).
+//
 // Checkpointing serializes the *sorted* entry sequence (sorted_entries());
 // restore() accepts entries in any order -- it reloads them as a fresh top
 // epoch with top_start_ = -inf, which is exactly the state of a calendar
@@ -71,7 +81,7 @@ class LadderCalendar {
 
   void push(SimTime time, Payload payload) {
     Entry e{time, next_seq_++, std::move(payload)};
-    ++size_;
+    peak_size_ = std::max(peak_size_, ++size_);
     if (e.time >= top_start_) {
       top_min_ = std::min(top_min_, e.time);
       top_max_ = std::max(top_max_, e.time);
@@ -82,7 +92,7 @@ class LadderCalendar {
       Rung& r = rungs_[i];
       const std::size_t idx = r.bucket_index(e.time);
       if (idx >= r.cur) {
-        r.buckets[idx].push_back(std::move(e));
+        bucket_push(r.buckets[idx], std::move(e));
         ++r.count;
         return;
       }
@@ -168,6 +178,17 @@ class LadderCalendar {
     return next_seq_;
   }
 
+  /// Entries of buffer capacity held across every tier and the spare pool
+  /// (tests and bench_calendar check the retained-capacity bound with it).
+  [[nodiscard]] std::size_t retained_capacity() const noexcept {
+    std::size_t n = bottom_.capacity() + top_.capacity();
+    for (const Rung& r : rungs_) {
+      for (const std::vector<Entry>& b : r.buckets) n += b.capacity();
+    }
+    for (const std::vector<Entry>& b : spare_) n += b.capacity();
+    return n;
+  }
+
   /// Every pending entry in ascending (time, seq) order -- the canonical
   /// checkpoint serialization (tier structure is an implementation detail;
   /// DESIGN.md §12).
@@ -198,6 +219,7 @@ class LadderCalendar {
   void restore(std::vector<Entry> entries, std::uint64_t next_seq) {
     reset(next_seq);
     size_ = entries.size();
+    peak_size_ = std::max(peak_size_, size_);
     top_ = std::move(entries);
     for (const Entry& e : top_) {
       top_min_ = std::min(top_min_, e.time);
@@ -212,6 +234,10 @@ class LadderCalendar {
   static constexpr std::size_t kMaxRungs = 8;
   static constexpr std::size_t kMinBuckets = 8;
   static constexpr std::size_t kMaxBuckets = 4096;
+  /// Larger drained bucket buffers are freed rather than pooled: a pooled
+  /// buffer may land in a bucket that only ever holds one entry.
+  static constexpr std::size_t kMaxSpareCapacity = 128;
+  static constexpr std::size_t kFreshBucketCapacity = 8;
 
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
@@ -252,11 +278,46 @@ class LadderCalendar {
     top_max_ = -std::numeric_limits<double>::infinity();
   }
 
-  /// Take `src` (unsorted) as the new bottom tier, sorted ascending with
-  /// the dequeue cursor at the minimum.
+  /// Append to a rung bucket, first giving an empty buffer-less bucket a
+  /// pooled buffer, or a fresh one with room for a few entries (skipping
+  /// the 1-2-4 growth steps most buckets would otherwise take).
+  void bucket_push(std::vector<Entry>& b, Entry&& e) {
+    if (b.capacity() == 0) {
+      if (spare_.empty()) {
+        b.reserve(kFreshBucketCapacity);
+      } else {
+        b = std::move(spare_.back());
+        spare_.pop_back();
+        spare_entries_ -= b.capacity();
+      }
+    }
+    b.push_back(std::move(e));
+  }
+
+  /// Hand a drained bucket's buffer to the spare pool, or free it when it
+  /// is large or the pool already holds 4 * peak size() entries of
+  /// capacity.  The bound is the high-water mark, not the current size, so
+  /// a calendar draining to empty keeps its buffers for the next fill (the
+  /// engine-reuse path) instead of freeing them as the census falls.
+  void recycle(std::vector<Entry>& b) {
+    assert(b.empty());
+    const std::size_t cap = b.capacity();
+    if (cap == 0) return;
+    if (cap <= kMaxSpareCapacity && spare_entries_ + cap <= 4 * peak_size_) {
+      spare_entries_ += cap;
+      spare_.push_back(std::move(b));
+    }
+    std::vector<Entry>().swap(b);  // frees b, or resets the moved-from shell
+  }
+
+  /// Copy `src` (unsorted) into bottom's own buffer as the new bottom tier,
+  /// sorted ascending with the dequeue cursor at the minimum; `src` is
+  /// left empty.  Bottom never trades buffers with a bucket, so its one
+  /// buffer's capacity stays bounded by the largest run it has held.
   void sort_into_bottom(std::vector<Entry>& src) {
     assert(bottom_pos_ >= bottom_.size());
-    bottom_.swap(src);
+    bottom_.assign(std::make_move_iterator(src.begin()),
+                   std::make_move_iterator(src.end()));
     src.clear();
     bottom_pos_ = 0;
     std::sort(bottom_.begin(), bottom_.end(), before);
@@ -281,7 +342,7 @@ class LadderCalendar {
     r.nbuckets = want;
     r.count = src.size();
     for (Entry& e : src) {
-      r.buckets[r.bucket_index(e.time)].push_back(std::move(e));
+      bucket_push(r.buckets[r.bucket_index(e.time)], std::move(e));
     }
     src.clear();
   }
@@ -304,6 +365,7 @@ class LadderCalendar {
         ++r.cur;  // residents of this bucket move down, never back
         if (b.size() <= kBottomThreshold || nrungs_ >= kMaxRungs) {
           sort_into_bottom(b);
+          recycle(b);
           continue;
         }
         double lo = b.front().time, hi = b.front().time;
@@ -316,6 +378,7 @@ class LadderCalendar {
         } else {
           spawn_rung(b, lo, hi);
         }
+        recycle(b);
       } else {
         // Lower tiers empty: the top epoch is everything pending.
         assert(!top_.empty());
@@ -337,10 +400,14 @@ class LadderCalendar {
   std::array<Rung, kMaxRungs> rungs_;
   std::size_t nrungs_ = 0;
   std::vector<Entry> top_;
+  /// Empty buffers drained buckets gave up, for the next buckets to fill.
+  std::vector<std::vector<Entry>> spare_;
+  std::size_t spare_entries_ = 0;  ///< total capacity held in spare_
   double top_start_ = -std::numeric_limits<double>::infinity();
   double top_min_ = std::numeric_limits<double>::infinity();
   double top_max_ = -std::numeric_limits<double>::infinity();
   std::size_t size_ = 0;
+  std::size_t peak_size_ = 0;  ///< high-water mark of size_, never reset
   std::uint64_t next_seq_ = 0;
 };
 

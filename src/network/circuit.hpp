@@ -50,6 +50,10 @@ struct Circuit {
   CircuitPath path;
 };
 
+// Two circuits per live VM sit inline in the table's arena slot (DESIGN.md
+// §7.2); the fixed-array path keeps each at 80 bytes.
+static_assert(sizeof(Circuit) <= 80);
+
 class CircuitTable {
  public:
   explicit CircuitTable(Router& router) : router_(&router) {}

@@ -74,24 +74,23 @@ Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
   auto dst_up = box_hop(dst);
   if (!dst_up.ok()) return Err<std::string>{"dst uplink: " + dst_up.error()};
 
-  path.switches.push_back(fabric_->box_switch(src));
-  path.switches.push_back(fabric_->rack_switch(src_rack));
-  path.links.push_back(src_up.value());
+  path.push_switch(fabric_->box_switch(src));
+  path.push_switch(fabric_->rack_switch(src_rack));
+  path.push_link(src_up.value());
 
   if (path.inter_rack) {
     auto up_a = rack_hop(src_rack);
     if (!up_a.ok()) return Err<std::string>{"rack A uplink: " + up_a.error()};
     auto up_b = rack_hop(dst_rack);
     if (!up_b.ok()) return Err<std::string>{"rack B uplink: " + up_b.error()};
-    path.links.push_back(up_a.value());
+    path.push_link(up_a.value());
 
     if (fabric_->num_pods() == 0) {
       // Two-tier (the paper's topology): rack -> core -> rack.
-      path.switches.push_back(fabric_->core_switch());
+      path.push_switch(fabric_->core_switch());
     } else if (fabric_->same_pod(src_rack, dst_rack)) {
       // Three-tier, same pod: rack -> pod -> rack.
-      path.switches.push_back(
-          fabric_->pod_switch(fabric_->pod_of_rack(src_rack)));
+      path.push_switch(fabric_->pod_switch(fabric_->pod_of_rack(src_rack)));
     } else {
       // Three-tier, cross-pod: rack -> pod -> core -> pod -> rack.
       const std::uint32_t pod_a = fabric_->pod_of_rack(src_rack);
@@ -104,31 +103,32 @@ Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
       if (!pod_up_b.ok()) {
         return Err<std::string>{"pod B uplink: " + pod_up_b.error()};
       }
-      path.switches.push_back(fabric_->pod_switch(pod_a));
-      path.links.push_back(pod_up_a.value());
-      path.switches.push_back(fabric_->core_switch());
-      path.links.push_back(pod_up_b.value());
-      path.switches.push_back(fabric_->pod_switch(pod_b));
+      path.push_switch(fabric_->pod_switch(pod_a));
+      path.push_link(pod_up_a.value());
+      path.push_switch(fabric_->core_switch());
+      path.push_link(pod_up_b.value());
+      path.push_switch(fabric_->pod_switch(pod_b));
     }
 
-    path.links.push_back(up_b.value());
-    path.switches.push_back(fabric_->rack_switch(dst_rack));
+    path.push_link(up_b.value());
+    path.push_switch(fabric_->rack_switch(dst_rack));
   }
 
-  path.links.push_back(dst_up.value());
-  path.switches.push_back(fabric_->box_switch(dst));
+  path.push_link(dst_up.value());
+  path.push_switch(fabric_->box_switch(dst));
   return path;
 }
 
 Result<bool, std::string> Router::reserve(const CircuitPath& path,
                                           MbitsPerSec bw) {
-  for (std::size_t i = 0; i < path.links.size(); ++i) {
-    auto result = fabric_->allocate(path.links[i], bw);
+  const std::span<const LinkId> links = path.links();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    auto result = fabric_->allocate(links[i], bw);
     if (!result.ok()) {
       // Roll back the hops reserved so far; the fabric must be unchanged
       // after a failed reservation.
       for (std::size_t j = 0; j < i; ++j) {
-        fabric_->release(path.links[j], bw);
+        fabric_->release(links[j], bw);
       }
       return Err<std::string>{result.error()};
     }
@@ -137,7 +137,7 @@ Result<bool, std::string> Router::reserve(const CircuitPath& path,
 }
 
 void Router::release(const CircuitPath& path, MbitsPerSec bw) {
-  for (LinkId id : path.links) {
+  for (LinkId id : path.links()) {
     fabric_->release(id, bw);
   }
 }

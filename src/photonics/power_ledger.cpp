@@ -8,7 +8,7 @@ double circuit_holding_power_w(const PhotonicConfig& config,
                                const net::Fabric& fabric,
                                const net::Circuit& circuit) {
   double power = 0.0;
-  for (SwitchId sw : circuit.path.switches) {
+  for (SwitchId sw : circuit.path.switches()) {
     const auto& node = fabric.switch_node(sw);
     power += config.switch_energy.mrr.alpha *
              static_cast<double>(benes_path_cells(node.ports)) *
@@ -22,7 +22,7 @@ double circuit_holding_power_w(const PhotonicConfig& config,
 VmEnergy PowerLedger::charge_circuit(const net::Circuit& circuit,
                                      double lifetime_tu) {
   VmEnergy e;
-  for (SwitchId sw : circuit.path.switches) {
+  for (SwitchId sw : circuit.path.switches()) {
     const auto& node = fabric_->switch_node(sw);
     const SwitchEnergy se =
         circuit_switch_energy(config_.switch_energy, node.ports, lifetime_tu);
@@ -58,7 +58,7 @@ VmEnergy PowerLedger::charge_vm(const net::CircuitTable& table, VmId vm,
 void PowerLedger::accumulate_circuit_refund(const net::Circuit& circuit,
                                             double unused_tu,
                                             VmEnergy& refund) {
-  for (SwitchId sw : circuit.path.switches) {
+  for (SwitchId sw : circuit.path.switches()) {
     const auto& node = fabric_->switch_node(sw);
     // Only the holding (trimming) term of Eq. (1) scales with duration;
     // the switching term is sunk reconfiguration cost.

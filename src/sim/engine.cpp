@@ -5,6 +5,7 @@
 #include <chrono>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ranges>
 #include <span>
 #include <sstream>
@@ -89,9 +90,10 @@ struct CkptWriter {
   void i64(const auto& v) { bin::put_i64(os, static_cast<std::int64_t>(v)); }
   void f64(double v) { bin::put_f64(os, v); }
   void str(const std::string& s) { bin::put_str(os, s); }
-  /// Length-prefixed sequence; `f` transfers one element.
+  /// Length-prefixed sequence; `f` transfers one element.  The length
+  /// bound is the reader's.
   template <typename Seq, typename F>
-  void seq(const Seq& s, F&& f) {
+  void seq(const Seq& s, F&& f, std::uint64_t = 0, const char* = nullptr) {
     bin::put_u64(os, s.size());
     for (const auto& x : s) f(x);
   }
@@ -121,9 +123,15 @@ struct CkptReader {
   void str(std::string& s) { s = bin::get_str(is); }
   /// Elements are read one at a time and never reserved from the stored
   /// count, so a corrupt length runs into end-of-stream, not the allocator.
+  /// A length past `max_len` throws "checkpoint: <what>" before any
+  /// element is read.
   template <typename Seq, typename F>
-  void seq(Seq& s, F&& f) {
+  void seq(Seq& s, F&& f, std::uint64_t max_len = kUnbounded,
+           const char* what = nullptr) {
     const std::uint64_t n = bin::get_u64(is);
+    if (n > max_len) {
+      throw std::runtime_error(std::string("checkpoint: ") + what);
+    }
     s.clear();
     for (std::uint64_t k = 0; k < n; ++k) {
       std::ranges::range_value_t<Seq> x{};
@@ -184,6 +192,68 @@ constexpr std::uint64_t kNumLifecycleKinds =
     static_cast<std::uint64_t>(LifecycleKind::Migrate) + 1;
 constexpr std::uint64_t kNumFlowKinds =
     static_cast<std::uint64_t>(net::FlowKind::RamStorage) + 1;
+
+/// Restore-side checks on the compact placement records (DESIGN.md §13):
+/// each restored live placement must be one the restored cluster could
+/// have produced, and together their slices must account for exactly the
+/// units each restored brick holds.
+class BrickLedger {
+ public:
+  explicit BrickLedger(const topo::Cluster& cluster) : cluster_(cluster) {
+    base_.reserve(cluster.num_boxes());
+    std::size_t total = 0;
+    for (std::uint32_t b = 0; b < cluster.num_boxes(); ++b) {
+      base_.push_back(total);
+      total += cluster.box_unchecked(BoxId{b}).brick_count();
+    }
+    held_.assign(total, 0);
+  }
+
+  /// Check one placement's allocations (box ids, brick indices and slice
+  /// units were range-checked as they were read) and add its slices.
+  void add(const core::Placement& p) {
+    for (ResourceType t : kAllResources) {
+      const topo::BoxAllocation& a = p.compute[index(t)];
+      if (a.type != t || cluster_.box_unchecked(a.box).type() != t) {
+        throw std::runtime_error(
+            "checkpoint: allocation type is not its box's");
+      }
+      if (a.units != p.units[t]) {
+        throw std::runtime_error(
+            "checkpoint: allocation units are not the VM's demand");
+      }
+      Units sum = 0;
+      for (const topo::BrickSlice& sl : a.slices) {
+        sum += sl.units;
+        held_[base_[a.box.value()] + sl.brick] += sl.units;
+      }
+      if (sum != a.units) {
+        throw std::runtime_error(
+            "checkpoint: slice units do not sum to the allocation");
+      }
+    }
+  }
+
+  /// Once every record is in: each brick's allocated units are exactly
+  /// the live slices on it.
+  void check_conservation() const {
+    for (std::uint32_t b = 0; b < cluster_.num_boxes(); ++b) {
+      const topo::Box& box = cluster_.box_unchecked(BoxId{b});
+      for (std::uint32_t k = 0; k < box.brick_count(); ++k) {
+        const Units allocated = box.brick_capacity(k) - box.brick_available(k);
+        if (held_[base_[b] + k] != allocated) {
+          throw std::runtime_error(
+              "checkpoint: live slices do not match brick occupancy");
+        }
+      }
+    }
+  }
+
+ private:
+  const topo::Cluster& cluster_;
+  std::vector<std::size_t> base_;  ///< first ledger cell of each box
+  std::vector<Units> held_;        ///< live slice units per (box, brick)
+};
 }  // namespace
 
 /// One run of the merged event loop (DESIGN.md §16).  Every loop-carried
@@ -792,8 +862,8 @@ void Engine::Run::fault_action(const Entry& ev) {
           [&](std::uint32_t id, const VmState& st) {
             bool hit = false;
             circuits.for_each_circuit_of(st.vm.id, [&](const net::Circuit& c) {
-              hit = hit || std::ranges::find(c.path.links, LinkId{id}) !=
-                               c.path.links.end();
+              const auto links = c.path.links();
+              hit = hit || std::ranges::find(links, LinkId{id}) != links.end();
             });
             return hit;
           });
@@ -1456,6 +1526,11 @@ void Engine::Run::transfer_cluster(Ar& ar, std::vector<LinkId>& failed_links) {
 // DESIGN.md §13).  Live records carry their placement and their circuits,
 // the latter in establishment order so adopt() replays
 // for_each_circuit_of identically.
+//
+// The stored widths are the v1 format's (i64 slice units, u64 sequence
+// lengths); loading narrows them into the compact records only after a
+// range check, bounds every path and slice list by its capacity, and
+// hands each live placement to a BrickLedger.
 template <typename Ar>
 void Engine::Run::transfer_records(Ar& ar) {
   std::uint64_t n_records = 0;
@@ -1468,19 +1543,34 @@ void Engine::Run::transfer_records(Ar& ar) {
     n_records = e.scan_scratch_.size();
   }
   ar.u64(n_records);
+  const auto link_field = [&](auto& l) {
+    ar.u32(l, fabric.num_links(), "link id out of range");
+  };
+  const auto switch_field = [&](auto& s) {
+    ar.u32(s, fabric.num_switches(), "switch id out of range");
+  };
   const auto circuit_fields = [&](auto& c) {
     ar.u32(c.id);
     ar.u32(c.vm);
     ar.u8(c.flow, kNumFlowKinds, "bad circuit flow");
     ar.i64(c.bandwidth);
-    ar.seq(c.path.links, [&](auto& l) {
-      ar.u32(l, fabric.num_links(), "link id out of range");
-    });
-    ar.seq(c.path.switches, [&](auto& s) {
-      ar.u32(s, fabric.num_switches(), "switch id out of range");
-    });
+    if constexpr (Ar::kLoading) {
+      std::vector<LinkId> links;
+      std::vector<SwitchId> switches;
+      ar.seq(links, link_field, net::CircuitPath::kMaxLinks,
+             "circuit path too long");
+      ar.seq(switches, switch_field, net::CircuitPath::kMaxSwitches,
+             "circuit path too long");
+      for (const LinkId l : links) c.path.push_link(l);
+      for (const SwitchId sw : switches) c.path.push_switch(sw);
+    } else {
+      ar.seq(c.path.links(), link_field);
+      ar.seq(c.path.switches(), switch_field);
+    }
     ar.u8(c.path.inter_rack);
   };
+  std::optional<BrickLedger> ledger;
+  if constexpr (Ar::kLoading) ledger.emplace(cluster);
   std::size_t restored_live = 0;
   for (std::uint64_t r = 0; r < n_records; ++r) {
     std::uint32_t idx = Ar::kLoading ? 0 : e.scan_scratch_[r];
@@ -1514,11 +1604,22 @@ void Engine::Run::transfer_records(Ar& ar) {
         ar.u32(a.box, cluster.num_boxes(), "box id out of range");
         ar.u8(a.type, kNumResourceTypes, "bad resource type");
         ar.i64(a.units);
-        const std::size_t bricks = cluster.box_unchecked(a.box).brick_count();
-        ar.seq(a.slices, [&](auto& s) {
-          ar.u32(s.brick, bricks, "brick index out of range");
-          ar.i64(s.units);
-        });
+        const topo::Box& box = cluster.box_unchecked(a.box);
+        ar.seq(
+            a.slices,
+            [&](auto& sl) {
+              ar.u32(sl.brick, box.brick_count(), "brick index out of range");
+              std::int64_t units = sl.units;
+              ar.i64(units);
+              if constexpr (Ar::kLoading) {
+                if (units < 1 || units > box.brick_capacity(sl.brick)) {
+                  throw std::runtime_error(
+                      "checkpoint: slice units out of range");
+                }
+                sl.units = static_cast<std::uint32_t>(units);
+              }
+            },
+            box.brick_count(), "more slices than bricks");
       }
       for (RackId& rack : p.racks) {
         ar.u32(rack, cluster.num_racks(), "rack id out of range");
@@ -1529,6 +1630,7 @@ void Engine::Run::transfer_records(Ar& ar) {
       ar.u8(p.inter_rack);
       ar.u8(p.used_fallback);
       if constexpr (Ar::kLoading) {
+        ledger->add(p);
         ++restored_live;
         holding_power_w += st.holding_power;
         std::uint64_t n_circuits = 0;
@@ -1552,6 +1654,7 @@ void Engine::Run::transfer_records(Ar& ar) {
   if (Ar::kLoading && restored_live != live_count) {
     throw std::runtime_error("checkpoint: live record count mismatch");
   }
+  if constexpr (Ar::kLoading) ledger->check_conservation();
 }
 
 std::vector<SimMetrics> run_all_algorithms(const Scenario& scenario,

@@ -294,6 +294,8 @@ class Engine {
     std::uint8_t live = 0;
     std::uint8_t ever_placed = 0;
   };
+  // The arena slab holds one of these per live VM (DESIGN.md §13).
+  static_assert(sizeof(VmState) <= 320);
   SlotArena<VmState> vms_;
 
   /// Arrival refill chunk: the engine pulls the source in batches of this

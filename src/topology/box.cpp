@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/string_util.hpp"
+#include "topology/config.hpp"
 
 namespace risa::topo {
 
@@ -16,6 +17,11 @@ Box::Box(BoxId id, RackId rack, ResourceType type, std::uint32_t index_in_type,
   }
   for (Units u : brick_units) {
     if (u < 0) throw std::invalid_argument("Box: negative brick capacity");
+    // Slices record units as u32 (BrickSlice); ClusterConfig::validate
+    // bounds whole boxes, this guards directly built ones.
+    if (u > ClusterConfig::kMaxBoxUnits) {
+      throw std::invalid_argument("Box: brick exceeds u32 units");
+    }
     brick_capacity_.push_back(u);
     brick_allocated_.push_back(0);
     capacity_ += u;
@@ -61,7 +67,7 @@ bool Box::allocate_into(Units units, BoxAllocation& out) {
     if (free <= 0) continue;
     const Units take = free < remaining ? free : remaining;
     brick_allocated_[b] += take;
-    out.slices.push_back(BrickSlice{b, take});
+    out.slices.push_back(BrickSlice{b, static_cast<std::uint32_t>(take)});
     remaining -= take;
   }
   // available_units() was checked above, so the loop must have satisfied
@@ -82,7 +88,7 @@ void Box::release(const BoxAllocation& allocation) {
     if (s.brick >= brick_capacity_.size()) {
       throw std::logic_error("Box::release: bad brick index");
     }
-    if (s.units <= 0 || s.units > brick_allocated_[s.brick]) {
+    if (s.units == 0 || Units{s.units} > brick_allocated_[s.brick]) {
       throw std::logic_error("Box::release: slice exceeds allocated units");
     }
     total += s.units;

@@ -79,8 +79,23 @@ struct ClusterConfig {
       if (box_units_override[t] < 0) {
         throw std::invalid_argument("ClusterConfig: negative box override");
       }
+      // Brick slices record their units as u32 (topology/box.hpp), which
+      // is exact only while a whole box fits.  The bricks * units product
+      // is bounded by division so the check itself cannot overflow.
+      const bool too_big =
+          box_units_override[t] > 0
+              ? box_units_override[t] > kMaxBoxUnits
+              : units_per_brick > kMaxBoxUnits / bricks_per_box;
+      if (too_big) {
+        throw std::invalid_argument(
+            std::string("ClusterConfig: ") + std::string(name(t)) +
+            " box units exceed UINT32_MAX");
+      }
     }
   }
+
+  /// Largest box (in units) a config may declare: UINT32_MAX.
+  static constexpr Units kMaxBoxUnits = 0xFFFFFFFF;
 
   /// The paper's Table 1 configuration (also the default constructor).
   [[nodiscard]] static ClusterConfig paper_table1() { return ClusterConfig{}; }

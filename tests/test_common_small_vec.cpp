@@ -1,0 +1,216 @@
+// SmallVec (common/small_vec.hpp): the inline-then-spill vector behind
+// every live VM's brick slices.  Pins the inline -> heap transition, copy
+// and move of both representations, clear() returning to inline storage,
+// equality across representations, and a fragmented box whose allocation
+// spills past the inline slices through allocate, checkpoint round-trip
+// and release.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/small_vec.hpp"
+#include "sim/engine.hpp"
+#include "sim/experiments.hpp"
+#include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
+#include "topology/box.hpp"
+#include "workload/arrival_source.hpp"
+#include "workload/synthetic.hpp"
+
+namespace risa {
+namespace {
+
+using Vec = SmallVec<std::uint32_t, 2>;
+
+Vec make(std::initializer_list<std::uint32_t> xs) {
+  Vec v;
+  for (const std::uint32_t x : xs) v.push_back(x);
+  return v;
+}
+
+std::vector<std::uint32_t> contents(const Vec& v) {
+  return {v.begin(), v.end()};
+}
+
+TEST(SmallVec, InlineUntilCapacityThenSpills) {
+  Vec v;
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), 2u);
+  v.push_back(10);
+  v.push_back(11);
+  EXPECT_FALSE(v.spilled());
+  EXPECT_EQ(v.capacity(), 2u);
+  const auto* inline_data = v.data();
+
+  v.push_back(12);  // the transition: contents move to the heap buffer
+  EXPECT_TRUE(v.spilled());
+  EXPECT_NE(v.data(), inline_data);
+  EXPECT_GE(v.capacity(), 3u);
+  EXPECT_EQ(contents(v), (std::vector<std::uint32_t>{10, 11, 12}));
+
+  for (std::uint32_t x = 13; x < 40; ++x) v.push_back(x);
+  ASSERT_EQ(v.size(), 30u);
+  for (std::uint32_t i = 0; i < 30; ++i) EXPECT_EQ(v[i], 10 + i);
+  EXPECT_EQ(v.front(), 10u);
+  EXPECT_EQ(v.back(), 39u);
+  v.pop_back();
+  EXPECT_EQ(v.back(), 38u);
+}
+
+TEST(SmallVec, PushOfOwnElementSurvivesGrowth) {
+  Vec v = make({7, 8});
+  v.push_back(v[0]);  // aliases the inline buffer being spilled
+  Vec w = make({1, 2, 3, 4});
+  w.push_back(w[1]);  // aliases a heap buffer being reallocated
+  EXPECT_EQ(contents(v), (std::vector<std::uint32_t>{7, 8, 7}));
+  EXPECT_EQ(contents(w), (std::vector<std::uint32_t>{1, 2, 3, 4, 2}));
+}
+
+TEST(SmallVec, CopyOfInlineAndSpilledIsIndependent) {
+  for (const Vec& original : {make({1, 2}), make({1, 2, 3, 4, 5})}) {
+    Vec copy(original);
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.spilled(), original.spilled());
+    copy[0] = 99;
+    EXPECT_EQ(original[0], 1u);
+
+    Vec assigned = make({5, 6, 7, 8});  // spilled target
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    Vec small = make({9});  // inline target
+    small = original;
+    EXPECT_EQ(small, original);
+    const Vec& alias = small;
+    small = alias;  // self-assignment is a no-op
+    EXPECT_EQ(small, original);
+  }
+}
+
+TEST(SmallVec, MoveOfInlineAndSpilled) {
+  Vec inline_src = make({3, 4});
+  Vec a(std::move(inline_src));
+  EXPECT_EQ(contents(a), (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_FALSE(a.spilled());
+  EXPECT_TRUE(inline_src.empty());  // NOLINT(bugprone-use-after-move)
+
+  Vec spilled_src = make({1, 2, 3, 4, 5});
+  const auto* heap = spilled_src.data();
+  Vec b(std::move(spilled_src));
+  EXPECT_EQ(b.data(), heap) << "a spilled move steals the heap buffer";
+  EXPECT_EQ(contents(b), (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
+  EXPECT_TRUE(spilled_src.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(spilled_src.spilled());
+  EXPECT_EQ(spilled_src.capacity(), 2u);
+  spilled_src.push_back(6);  // a moved-from vector is reusable
+  EXPECT_EQ(contents(spilled_src), (std::vector<std::uint32_t>{6}));
+
+  Vec c = make({8, 8, 8});
+  c = std::move(b);  // spilled over spilled: the old buffer is freed
+  EXPECT_EQ(c.data(), heap);
+  Vec d = make({1, 2, 3});
+  d = make({4});  // inline over spilled: back to inline storage
+  EXPECT_FALSE(d.spilled());
+  EXPECT_EQ(contents(d), (std::vector<std::uint32_t>{4}));
+}
+
+TEST(SmallVec, ClearAfterSpillReturnsToInline) {
+  Vec v = make({1, 2, 3, 4});
+  ASSERT_TRUE(v.spilled());
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_FALSE(v.spilled());
+  EXPECT_EQ(v.capacity(), 2u);
+  v.push_back(5);
+  v.push_back(6);
+  EXPECT_FALSE(v.spilled());
+  EXPECT_EQ(contents(v), (std::vector<std::uint32_t>{5, 6}));
+}
+
+TEST(SmallVec, EqualityComparesElementsAcrossRepresentations) {
+  Vec spilled = make({1, 2, 3});
+  spilled.pop_back();  // two elements, still in the heap buffer
+  ASSERT_TRUE(spilled.spilled());
+  EXPECT_EQ(spilled, make({1, 2}));
+  EXPECT_NE(spilled, make({1, 3}));
+  EXPECT_NE(spilled, make({1}));
+  EXPECT_NE(make({1, 2, 3}), make({1, 2, 4}));
+  EXPECT_EQ(Vec{}, Vec{});
+}
+
+TEST(SmallVecRecords, FragmentedBoxSpillsSlicesAndReleasesExactly) {
+  // Eight 4-unit bricks, every other one freed again: a 12-unit request
+  // takes three slices, past the allocation's inline two.
+  topo::Box box(BoxId{0}, RackId{0}, ResourceType::Ram, 0,
+                std::vector<Units>(8, 4));
+  std::vector<topo::BoxAllocation> held;
+  for (int b = 0; b < 8; ++b) {
+    auto a = box.allocate(4);
+    ASSERT_TRUE(a.ok());
+    held.push_back(std::move(a.value()));
+  }
+  for (const int b : {1, 4, 6}) box.release(held[b]);
+  auto big = box.allocate(12);
+  ASSERT_TRUE(big.ok());
+  const topo::BoxAllocation& a = big.value();
+  ASSERT_GT(a.slices.size(), topo::BoxAllocation::kInlineSlices);
+  EXPECT_TRUE(a.slices.spilled());
+  EXPECT_EQ(a.slices[0], (topo::BrickSlice{1, 4}));
+  EXPECT_EQ(a.slices[1], (topo::BrickSlice{4, 4}));
+  EXPECT_EQ(a.slices[2], (topo::BrickSlice{6, 4}));
+
+  // Round-trip: occupancy restored into a fresh box, the record copied
+  // (as a checkpoint restore rebuilds it), then released there.
+  topo::Box restored(BoxId{0}, RackId{0}, ResourceType::Ram, 0,
+                     std::vector<Units>(8, 4));
+  restored.restore_bricks(box.available_by_brick());
+  const topo::BoxAllocation copy = a;
+  EXPECT_EQ(copy.slices, a.slices);
+  restored.release(copy);
+  box.release(a);
+  EXPECT_EQ(restored.available_by_brick(), box.available_by_brick());
+  EXPECT_EQ(restored.available_units(), 12);
+}
+
+TEST(SmallVecRecords, SpilledSlicesSurviveEngineCheckpointRoundTrip) {
+  // One-unit bricks: every allocation of k units takes k slices, so most
+  // live records spill.  Each checkpoint must resume bit-identically, and
+  // the resumed run releases every restored (spilled) allocation -- the
+  // engine's end-of-run invariant checks would throw on a wrong brick.
+  sim::Scenario scenario = sim::Scenario::paper_defaults();
+  scenario.cluster.bricks_per_box = 128;
+  scenario.cluster.units_per_brick = 1;
+  wl::SyntheticConfig cfg;
+  cfg.count = 2500;
+  std::size_t multi_slice = 0;
+  constexpr auto kInline = static_cast<Units>(topo::BoxAllocation::kInlineSlices);
+  for (const wl::VmRequest& vm : wl::generate_synthetic(cfg, sim::kDefaultSeed)) {
+    const UnitVector u = vm.units(scenario.cluster.unit_scale);
+    for (const ResourceType t : kAllResources) multi_slice += u[t] > kInline;
+  }
+  ASSERT_GT(multi_slice, 1000u) << "workload too small to spill";
+
+  std::vector<std::string> checkpoints;
+  sim::CheckpointPolicy policy;
+  policy.every_events = 1000;
+  policy.emit = [&](const std::string& bytes) { checkpoints.push_back(bytes); };
+  sim::Engine engine(scenario, "RISA");
+  wl::SyntheticStreamSource source(cfg, sim::kDefaultSeed);
+  const sim::SimMetrics full = engine.run_stream(source, "spill", &policy);
+  ASSERT_GT(full.placed, 0u);
+  ASSERT_GE(checkpoints.size(), 2u);
+  const std::string want = sim::metrics_fingerprint(full);
+  for (std::size_t c = 0; c < checkpoints.size(); ++c) {
+    sim::Engine fresh(scenario, "RISA");
+    wl::SyntheticStreamSource restored(cfg, sim::kDefaultSeed);
+    std::istringstream in(checkpoints[c]);
+    EXPECT_EQ(sim::metrics_fingerprint(fresh.resume_stream(in, restored)), want)
+        << "checkpoint " << c;
+  }
+}
+
+}  // namespace
+}  // namespace risa

@@ -6,6 +6,7 @@
 // accounting bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -218,6 +219,54 @@ TEST(LadderCalendar, RestoresV1HeapArrayBitIdentically) {
     now = h.time;
   }
   EXPECT_TRUE(ladder.empty());
+}
+
+TEST(LadderCalendar, DrainedBucketsDoNotRetainBuffers) {
+  // The fault-plan shape: far-future sentinels pushed up front make the
+  // first rung span the whole horizon, so it is never respawned and every
+  // churn push routes into its buckets.  Drained buckets must hand their
+  // buffers on rather than each keep one, so retained capacity follows the
+  // pending population -- and the pop order still matches the heap.
+  Rng rng(808);
+  Heap heap;
+  Ladder ladder;
+  std::uint32_t id = 0;
+  auto push_both = [&](double t) {
+    heap.push(t, id);
+    ladder.push(t, id);
+    ++id;
+  };
+  constexpr double kHorizon = 2'000'000.0;
+  for (int i = 1; i <= 16; ++i) push_both(kHorizon * i / 16.0);
+  double now = 0.0;
+  for (int i = 0; i < 2000; ++i) push_both(rng.uniform(0.0, 5000.0));
+  std::size_t peak = ladder.size();
+  std::size_t max_retained = 0;
+  for (int step = 0; step < 300'000; ++step) {
+    const auto h = heap.pop();
+    const auto l = ladder.pop();
+    ASSERT_EQ(l.time, h.time);
+    ASSERT_EQ(l.seq, h.seq);
+    ASSERT_EQ(l.payload, h.payload);
+    now = h.time;
+    // Steady churn: on average each pop is replaced, partly in bursts.
+    const std::int64_t r = rng.uniform_int(0, 99);
+    const int pushes = r == 0 ? 40 : (r < 40 ? 0 : 1);
+    for (int k = 0; k < pushes && now < kHorizon / 2; ++k) {
+      push_both(now + rng.uniform(0.0, 5000.0));
+    }
+    peak = std::max(peak, ladder.size());
+    if (step % 1000 == 0) {
+      max_retained = std::max(max_retained, ladder.retained_capacity());
+    }
+  }
+  while (!heap.empty()) {
+    const auto h = heap.pop();
+    const auto l = ladder.pop();
+    ASSERT_EQ(l.seq, h.seq);
+  }
+  EXPECT_TRUE(ladder.empty());
+  EXPECT_LE(max_retained, 4 * peak) << "peak size " << peak;
 }
 
 // Ladder::Entry and Heap::Entry must stay layout-compatible: the engine's

@@ -118,7 +118,7 @@ TEST(Router, IntraRackPathHasTwoHopsThreeSwitches) {
   ASSERT_TRUE(path.ok());
   EXPECT_FALSE(path->inter_rack);
   EXPECT_EQ(path->hop_count(), 2u);
-  ASSERT_EQ(path->switches.size(), 3u);  // box -> rack -> box
+  ASSERT_EQ(path->switches().size(), 3u);  // box -> rack -> box
 }
 
 TEST(Router, InterRackPathHasFourHopsFiveSwitches) {
@@ -130,8 +130,8 @@ TEST(Router, InterRackPathHasFourHopsFiveSwitches) {
   ASSERT_TRUE(path.ok());
   EXPECT_TRUE(path->inter_rack);
   EXPECT_EQ(path->hop_count(), 4u);
-  ASSERT_EQ(path->switches.size(), 5u);  // box, rack, core, rack, box
-  EXPECT_EQ(path->switches[2], fabric.core_switch());
+  ASSERT_EQ(path->switches().size(), 5u);  // box, rack, core, rack, box
+  EXPECT_EQ(path->switches()[2], fabric.core_switch());
 }
 
 TEST(Router, SameBoxPathRejected) {
@@ -149,7 +149,7 @@ TEST(Router, ReserveRollsBackOnPartialFailure) {
                                gbps(5.0), LinkSelectPolicy::FirstFit);
   ASSERT_TRUE(path.ok());
   // Exhaust the second hop after the path was found.
-  const LinkId second = path->links[1];
+  const LinkId second = path->links()[1];
   ASSERT_TRUE(fabric.allocate(second, fabric.link(second).available()).ok());
   const MbitsPerSec intra_before = fabric.intra_allocated();
   auto reserved = router.reserve(path.value(), gbps(5.0));
@@ -315,11 +315,11 @@ void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
     }
     ASSERT_EQ(path.ok(), feasible) << "step " << step;
     if (!path.ok()) continue;
-    ASSERT_EQ(path->links.front(), src_up.value());
-    ASSERT_EQ(path->links.back(), dst_up.value());
+    ASSERT_EQ(path->links().front(), src_up.value());
+    ASSERT_EQ(path->links().back(), dst_up.value());
     if (src_rack != dst_rack) {
-      ASSERT_EQ(path->links[1], scan(fabric.rack_uplinks(src_rack)).value());
-      ASSERT_EQ(path->links[path->links.size() - 2],
+      ASSERT_EQ(path->links()[1], scan(fabric.rack_uplinks(src_rack)).value());
+      ASSERT_EQ(path->links()[path->links().size() - 2],
                 scan(fabric.rack_uplinks(dst_rack)).value());
     }
   }

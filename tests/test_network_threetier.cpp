@@ -54,8 +54,8 @@ TEST(ThreeTier, IntraPodPathUsesPodSwitch) {
   ASSERT_TRUE(path.ok());
   EXPECT_TRUE(path->inter_rack);
   EXPECT_EQ(path->hop_count(), 4u);
-  ASSERT_EQ(path->switches.size(), 5u);
-  EXPECT_EQ(fabric.switch_node(path->switches[2]).kind, SwitchKind::PodSwitch);
+  ASSERT_EQ(path->switches().size(), 5u);
+  EXPECT_EQ(fabric.switch_node(path->switches()[2]).kind, SwitchKind::PodSwitch);
 }
 
 TEST(ThreeTier, CrossPodPathTraversesSixHops) {
@@ -66,10 +66,10 @@ TEST(ThreeTier, CrossPodPathTraversesSixHops) {
                                gbps(5.0), LinkSelectPolicy::FirstFit);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path->hop_count(), 6u);
-  ASSERT_EQ(path->switches.size(), 7u);
-  EXPECT_EQ(fabric.switch_node(path->switches[2]).kind, SwitchKind::PodSwitch);
-  EXPECT_EQ(path->switches[3], fabric.core_switch());
-  EXPECT_EQ(fabric.switch_node(path->switches[4]).kind, SwitchKind::PodSwitch);
+  ASSERT_EQ(path->switches().size(), 7u);
+  EXPECT_EQ(fabric.switch_node(path->switches()[2]).kind, SwitchKind::PodSwitch);
+  EXPECT_EQ(path->switches()[3], fabric.core_switch());
+  EXPECT_EQ(fabric.switch_node(path->switches()[4]).kind, SwitchKind::PodSwitch);
   // Reserving and releasing keeps aggregates clean across all three tiers.
   ASSERT_TRUE(router.reserve(path.value(), gbps(5.0)).ok());
   fabric.check_invariants();

@@ -537,11 +537,16 @@ class V1Cursor {
 /// index (0 when no fault is pending) and of the allocator state (RISA's
 /// round-robin rack cursor comes first); plus the offsets of every VM id
 /// that names that VM's record (its own, its placement's, each circuit's)
-/// and the id of another live VM.
+/// and the id of another live VM.  For the same VM's CPU allocation: its
+/// units, slice count and first slice (brick, then units), and the CPU
+/// entry of the placement's demand vector; for its first circuit: the
+/// link and switch counts.
 struct V1Offsets {
   std::size_t vm = 0, placement_vm = 0, box = 0, type = 0, rack = 0,
               circuit_vm = 0, flow = 0, link = 0, events = 0,
               fault_subject = 0, rr_cursor = 0;
+  std::size_t alloc_units = 0, slice_count = 0, slice = 0, demand_units = 0,
+              link_count = 0, switch_count = 0;
   std::vector<std::size_t> owner_ids;
   std::uint32_t other_live_vm = 0xFFFFFFFFu;
 };
@@ -579,21 +584,28 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
     c.skip(4);
     rec.box = c.pos();
     rec.type = c.pos() + 4;
+    rec.alloc_units = c.pos() + 5;
+    rec.slice_count = c.pos() + 13;
+    rec.slice = c.pos() + 21;
     for (std::size_t t = 0; t < kNumResourceTypes; ++t) {
       c.skip(4 + 1 + 8);
       c.skip(c.get(8) * 12);  // brick slices
     }
     rec.rack = c.pos();
+    rec.demand_units = c.pos() + 3 * 4;
     c.skip(3 * 4 + 3 * 8 + 2 * 8 + 2);
     for (std::uint64_t k = c.get(8); k > 0; --k) {
       rec.owner_ids.push_back(c.pos() + 4);
       const std::size_t flow = c.pos() + 8;
       c.skip(4 + 4 + 1 + 8);
+      const std::size_t link_count = c.pos();
       const std::uint64_t links = c.get(8);
       if (rec.flow == 0 && links > 0) {
         rec.circuit_vm = flow - 4;
         rec.flow = flow;
         rec.link = c.pos();
+        rec.link_count = link_count;
+        rec.switch_count = c.pos() + links * 4;
       }
       c.skip(links * 4);
       c.skip(c.get(8) * 4 + 1);  // switches, inter-rack flag
@@ -746,6 +758,102 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
   shorter.seed = faults.seed;
   EXPECT_THROW((void)resume(*with_fault, &shorter, &migrations),
                std::runtime_error);
+}
+
+TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptPlacements) {
+  // The compact records narrow slice units to u32 and hold paths in fixed
+  // arrays, so restore range-checks every placement field before it
+  // narrows or stores it, and checks that the live slices account for
+  // exactly the restored brick occupancy.  Each corruption below is
+  // plausible on its own (ids in range, lengths small) and used to pass
+  // restore, then throw at release or release the wrong brick.
+  std::vector<std::string> checkpoints;
+  (void)run_with_checkpoints(nullptr, nullptr, checkpoints);
+  ASSERT_FALSE(checkpoints.empty());
+  const std::string& good = checkpoints.front();
+  const V1Offsets at = locate_v1_fields(good);
+  ASSERT_NE(at.flow, 0u) << "no live VM with a circuit in the checkpoint";
+  ASSERT_EQ(good.at(at.type), 0) << "layout walk lost sync (CPU type tag)";
+  const auto read = [&](std::size_t offset, std::size_t width) {
+    V1Cursor c(good);
+    c.skip(offset);
+    return c.get(width);
+  };
+  const std::uint64_t units = read(at.alloc_units, 8);
+  const std::uint64_t slices = read(at.slice_count, 8);
+  const std::uint64_t brick = read(at.slice, 4);
+  const std::uint64_t slice_units = read(at.slice + 4, 8);
+  ASSERT_EQ(read(at.demand_units, 8), units) << "layout walk lost sync";
+  ASSERT_GE(slices, 1u);
+  ASSERT_GE(slice_units, 1u);
+  const topo::ClusterConfig& cluster = Scenario::paper_defaults().cluster;
+  const auto bricks = static_cast<std::uint64_t>(cluster.bricks_per_box);
+  const auto brick_units = static_cast<std::uint64_t>(cluster.units_per_brick);
+
+  const auto resume = [](const std::string& bytes) {
+    wl::SyntheticConfig cfg;
+    cfg.count = 4000;
+    Engine fresh(Scenario::paper_defaults(), "RISA");
+    wl::SyntheticStreamSource restored(cfg, kDefaultSeed);
+    std::istringstream in(bytes);
+    return fresh.resume_stream(in, restored);
+  };
+  // (offset, (width, value)) edits applied to the good checkpoint.
+  using Patch =
+      std::vector<std::pair<std::size_t, std::pair<std::size_t, std::uint64_t>>>;
+  const auto patched = [&](const Patch& edits) {
+    std::string bytes = good;
+    for (const auto& [offset, edit] : edits) {
+      const auto [width, value] = edit;
+      for (std::size_t i = 0; i < width; ++i) {
+        bytes.at(offset + i) = static_cast<char>((value >> (8 * i)) & 0xFF);
+      }
+    }
+    return bytes;
+  };
+  EXPECT_NO_THROW((void)resume(good));
+
+  // Each case names the check that must catch it.
+  const struct {
+    Patch edits;
+    const char* field;
+    const char* error;
+  } cases[] = {
+      {{{at.slice + 4, {8, 0}}}, "zero slice units", "slice units out of range"},
+      {{{at.slice + 4, {8, brick_units + 1}}}, "slice units past the brick",
+       "slice units out of range"},
+      // Would narrow to the right u32 value if it were not range-checked.
+      {{{at.slice + 4, {8, (std::uint64_t{1} << 32) + slice_units}}},
+       "slice units past u32", "slice units out of range"},
+      {{{at.slice_count, {8, bricks + 1}}}, "slice count",
+       "more slices than bricks"},
+      {{{at.alloc_units, {8, units + 1}}, {at.demand_units, {8, units + 1}}},
+       "allocation units", "do not sum to the allocation"},
+      {{{at.demand_units, {8, units + 1}}}, "demand units",
+       "not the VM's demand"},
+      {{{at.type, {1, 1}}}, "allocation type", "not its box's"},
+      // Box 2 is rack 0's first RAM box: in range, but the wrong type.
+      {{{at.box, {4, 2}}}, "CPU allocation in a RAM box", "not its box's"},
+      // In range and summing right, but charged to the wrong brick: only
+      // the conservation check against the restored occupancy sees it.
+      {{{at.slice, {4, (brick + 1) % bricks}}}, "slice brick",
+       "do not match brick occupancy"},
+      {{{at.link_count, {8, net::CircuitPath::kMaxLinks + 1}}}, "link count",
+       "circuit path too long"},
+      {{{at.switch_count, {8, net::CircuitPath::kMaxSwitches + 1}}},
+       "switch count", "circuit path too long"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)resume(patched(c.edits));
+      ADD_FAILURE() << c.field << ": restore accepted the corruption";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("checkpoint:", 0), 0u) << c.field << ": " << what;
+      EXPECT_NE(what.find(c.error), std::string::npos)
+          << c.field << ": " << what;
+    }
+  }
 }
 
 TEST(StreamingCheckpoint, PreArenaV1FixtureRestoresBitIdentically) {

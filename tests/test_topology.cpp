@@ -2,6 +2,8 @@
 // accounting, incremental rack/cluster aggregates, snapshot/restore.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "topology/cluster.hpp"
 #include "topology/config.hpp"
@@ -47,6 +49,32 @@ TEST(ClusterConfig, ValidationRejectsDegenerateShapes) {
   cfg = ClusterConfig{};
   cfg.units_per_brick = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ClusterConfig, ValidationRejectsBoxesPastU32Units) {
+  // Brick slices store their units as u32; a box that does not fit would
+  // make them inexact, so the config is rejected up front.
+  ClusterConfig cfg;
+  cfg.bricks_per_box = 1;
+  cfg.units_per_brick = ClusterConfig::kMaxBoxUnits;
+  EXPECT_NO_THROW(cfg.validate());  // exactly UINT32_MAX fits
+  cfg.units_per_brick = ClusterConfig::kMaxBoxUnits + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // The bricks * units product is what counts, and must not overflow.
+  cfg = ClusterConfig{};
+  cfg.bricks_per_box = 2;
+  cfg.units_per_brick = ClusterConfig::kMaxBoxUnits / 2 + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.units_per_brick = std::numeric_limits<Units>::max();
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // A per-type override is checked on its own value.
+  cfg = ClusterConfig{};
+  cfg.box_units_override[ResourceType::Storage] = ClusterConfig::kMaxBoxUnits + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.box_units_override[ResourceType::Storage] = ClusterConfig::kMaxBoxUnits;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Cluster, BuildsPaperShape) {
