@@ -22,6 +22,8 @@
 //                 first touch and recycled through a pool when their last
 //                 key is erased, so a 10M-index stream with a few-thousand
 //                 live census holds a handful of pages, not 10M entries.
+//                 A pooled page is vacant (every entry kNoSlot), so reusing
+//                 it costs no fill.
 //
 // Generation stamps: every erase bumps the slot's `gen`, so a stale slot
 // id (held across the value's death and the slot's reuse) is detectable --
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,9 +67,8 @@ class SlotArena {
     ++page.occupancy;
     Slot& slot = slot_ref(s);
     slot.key = key;
-    // Slots vacated by erase()/clear() keep a default value already; the
-    // fresh assignment makes "every claimant gets V{}" hold by construction.
-    slot.value = V{};
+    // A vacant slot already holds V{}: slab pages are value-initialised and
+    // erase()/clear() reset the value, so there is nothing to reset here.
     ++size_;
     return slot.value;
   }
@@ -87,9 +89,7 @@ class SlotArena {
     const std::uint32_t s = slot_of(key);
     if (s == kNoSlot) return false;
     Slot& slot = slot_ref(s);
-    slot.key = kEmptyKey;
-    slot.value = V{};  // release value-owned resources eagerly
-    ++slot.gen;        // stamp: any reference held past this point is stale
+    vacate(slot);
     free_.push_back(s);
     const std::size_t pi = key / kDirPageSize;
     DirPage& page = *dir_[pi];
@@ -109,9 +109,9 @@ class SlotArena {
       for (std::size_t i = 0; i < kSlabPageSize; ++i) {
         Slot& slot = page[i];
         if (slot.key != kEmptyKey) {
-          slot.key = kEmptyKey;
-          slot.value = V{};
-          ++slot.gen;
+          dir_[slot.key / kDirPageSize]->slot_of[slot.key % kDirPageSize] =
+              kNoSlot;
+          vacate(slot);
         }
       }
     }
@@ -122,7 +122,9 @@ class SlotArena {
       free_.push_back(static_cast<std::uint32_t>(s));
     }
     for (auto& page : dir_) {
-      if (page != nullptr) dir_pool_.push_back(std::move(page));
+      if (page == nullptr) continue;
+      page->occupancy = 0;
+      dir_pool_.push_back(std::move(page));
     }
     size_ = 0;
   }
@@ -192,6 +194,20 @@ class SlotArena {
     }
   }
 
+  /// Mark `slot` vacant: its value is reset to V{} in place (releasing
+  /// value-owned resources eagerly) and its generation stamp is bumped, so
+  /// any reference held past this point is stale.
+  static void vacate(Slot& slot) noexcept {
+    // A throwing constructor would leave the slot holding a destroyed
+    // object.  (Asserted here, not at class scope: a nested V's default
+    // member initializers are incomplete until its enclosing class is.)
+    static_assert(std::is_nothrow_default_constructible_v<V>);
+    slot.key = kEmptyKey;
+    std::destroy_at(&slot.value);
+    std::construct_at(&slot.value);
+    ++slot.gen;
+  }
+
   [[nodiscard]] Slot& slot_ref(std::uint32_t s) noexcept {
     return slab_pages_[s / kSlabPageSize][s % kSlabPageSize];
   }
@@ -203,14 +219,16 @@ class SlotArena {
     const std::size_t pi = key / kDirPageSize;
     if (pi >= dir_.size()) dir_.resize(pi + 1);
     if (dir_[pi] == nullptr) {
+      // Pooled pages come back vacant (erase() pools a page once its last
+      // key leaves; clear() vacates before pooling): only a fresh page
+      // needs the 16 KB fill.
       if (!dir_pool_.empty()) {
         dir_[pi] = std::move(dir_pool_.back());
         dir_pool_.pop_back();
       } else {
         dir_[pi] = std::make_unique<DirPage>();
+        dir_[pi]->slot_of.fill(kNoSlot);
       }
-      dir_[pi]->slot_of.fill(kNoSlot);
-      dir_[pi]->occupancy = 0;
     }
     return *dir_[pi];
   }

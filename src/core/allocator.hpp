@@ -65,10 +65,8 @@ class Allocator {
   /// refresh their internal bookkeeping.
   virtual void release(const Placement& placement);
 
-  /// Same teardown, routed through the cluster's deferred-aggregate batch
-  /// (Cluster::release_batched): circuits and box ledgers settle
-  /// immediately, the per-rack aggregate/index refresh waits for
-  /// Cluster::end_release_batch().  The engine brackets same-timestamp
+  /// The base teardown inside a Cluster::begin/end_release_batch bracket
+  /// (Cluster::release_batched): the engine brackets same-timestamp
   /// departure runs with begin/end; no placement may run in between.
   void release_batched(const Placement& placement);
 

@@ -75,7 +75,10 @@ void CircuitTable::append(Circuit circuit) {
 void CircuitTable::truncate(VmId vm, VmCircuits& vc, std::uint32_t count) {
   active_ -= vc.count - count;
   vc.count = count;
-  vc.overflow.resize(count > kInlineCircuits ? count - kInlineCircuits : 0);
+  // Every current scenario keeps both circuits inline: skip the call then.
+  if (!vc.overflow.empty()) {
+    vc.overflow.resize(count > kInlineCircuits ? count - kInlineCircuits : 0);
+  }
   if (count == 0) by_vm_.erase(vm.value());
 }
 

@@ -4,33 +4,45 @@
 
 namespace risa::phot {
 
-double circuit_holding_power_w(const PhotonicConfig& config,
-                               const net::Fabric& fabric,
-                               const net::Circuit& circuit) {
+PowerLedger::PowerLedger(const PhotonicConfig& config,
+                         const net::Fabric& fabric)
+    : config_(config) {
+  config_.validate();
+  // FabricConfig::validate guarantees every switch has >= 2 ports, so the
+  // Beneš helpers cannot throw here.
+  per_switch_.reserve(fabric.num_switches());
+  for (std::size_t i = 0; i < fabric.num_switches(); ++i) {
+    const std::uint32_t ports =
+        fabric.switch_node(SwitchId{static_cast<std::uint32_t>(i)}).ports;
+    per_switch_.push_back({switching_term_j(config_.switch_energy, ports),
+                           trim_coefficient_w(config_.switch_energy, ports)});
+  }
+}
+
+double PowerLedger::holding_power_w(const net::Circuit& circuit) const {
   double power = 0.0;
   for (SwitchId sw : circuit.path.switches()) {
-    const auto& node = fabric.switch_node(sw);
-    power += config.switch_energy.mrr.alpha *
-             static_cast<double>(benes_path_cells(node.ports)) *
-             config.switch_energy.mrr.trim_power_w;
+    power += per_switch_[sw.value()].trim_w;
   }
-  power += transceiver_power_w(config.transceiver, circuit.bandwidth,
+  power += transceiver_power_w(config_.transceiver, circuit.bandwidth,
                                circuit.path.hop_count());
   return power;
 }
 
 VmEnergy PowerLedger::charge_circuit(const net::Circuit& circuit,
                                      double lifetime_tu) {
+  if (lifetime_tu < 0) {
+    throw std::invalid_argument("charge_circuit: negative lifetime");
+  }
+  const double s_per_tu = config_.switch_energy.seconds_per_time_unit;
   VmEnergy e;
   for (SwitchId sw : circuit.path.switches()) {
-    const auto& node = fabric_->switch_node(sw);
-    const SwitchEnergy se =
-        circuit_switch_energy(config_.switch_energy, node.ports, lifetime_tu);
-    e.switch_switching_j += se.switching_j;
-    e.switch_trimming_j += se.trimming_j;
+    // The left-to-right product of circuit_switch_energy: coeff * T * s.
+    const SwitchCoefficients& k = per_switch_[sw.value()];
+    e.switch_switching_j += k.switching_j;
+    e.switch_trimming_j += k.trim_w * lifetime_tu * s_per_tu;
   }
-  const double lifetime_s =
-      lifetime_tu * config_.switch_energy.seconds_per_time_unit;
+  const double lifetime_s = lifetime_tu * s_per_tu;
   e.transceiver_j += transceiver_energy_j(
       config_.transceiver, circuit.bandwidth, circuit.path.hop_count(),
       lifetime_s);
@@ -58,16 +70,14 @@ VmEnergy PowerLedger::charge_vm(const net::CircuitTable& table, VmId vm,
 void PowerLedger::accumulate_circuit_refund(const net::Circuit& circuit,
                                             double unused_tu,
                                             VmEnergy& refund) {
+  const double s_per_tu = config_.switch_energy.seconds_per_time_unit;
   for (SwitchId sw : circuit.path.switches()) {
-    const auto& node = fabric_->switch_node(sw);
     // Only the holding (trimming) term of Eq. (1) scales with duration;
     // the switching term is sunk reconfiguration cost.
-    refund.switch_trimming_j +=
-        circuit_switch_energy(config_.switch_energy, node.ports, unused_tu)
-            .trimming_j;
+    refund.switch_trimming_j += per_switch_[sw.value()].trim_w * unused_tu *
+                                s_per_tu;
   }
-  const double unused_s =
-      unused_tu * config_.switch_energy.seconds_per_time_unit;
+  const double unused_s = unused_tu * s_per_tu;
   refund.transceiver_j += transceiver_energy_j(
       config_.transceiver, circuit.bandwidth, circuit.path.hop_count(),
       unused_s);

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -37,15 +38,6 @@ struct PhotonicConfig {
   }
 };
 
-/// Instantaneous holding power of one active circuit, watts: the trimming
-/// power of every MRR cell along its switch path (alpha * n * P_trim per
-/// switch) plus its transceiver draw.  Used by the timeline recorder; the
-/// time-integral of this quantity equals the ledger's trimming+transceiver
-/// energy.
-[[nodiscard]] double circuit_holding_power_w(const PhotonicConfig& config,
-                                             const net::Fabric& fabric,
-                                             const net::Circuit& circuit);
-
 /// Energy attributed to one VM's circuits, joules.
 struct VmEnergy {
   double switch_switching_j = 0.0;
@@ -59,10 +51,9 @@ struct VmEnergy {
 
 class PowerLedger {
  public:
-  PowerLedger(const PhotonicConfig& config, const net::Fabric& fabric)
-      : config_(config), fabric_(&fabric) {
-    config_.validate();
-  }
+  /// Validates `config` and precomputes Eq. (1)'s per-switch coefficients
+  /// for every switch of `fabric` (DESIGN.md §8.4).
+  PowerLedger(const PhotonicConfig& config, const net::Fabric& fabric);
 
   /// Charge the energy of one circuit held for `lifetime_tu` simulated time
   /// units: Eq. (1) per switch traversed plus transceiver energy per link
@@ -96,6 +87,13 @@ class PowerLedger {
   /// no-op.
   VmEnergy refund_circuit_truncation(const net::Circuit& circuit,
                                      double unused_tu);
+
+  /// Instantaneous holding power of one active circuit, watts: the trimming
+  /// power of every MRR cell along its switch path (alpha * n * P_trim per
+  /// switch) plus its transceiver draw.  Used by the timeline recorder; the
+  /// time-integral of this quantity equals the ledger's trimming+transceiver
+  /// energy.
+  [[nodiscard]] double holding_power_w(const net::Circuit& circuit) const;
 
   [[nodiscard]] double total_energy_j() const noexcept { return total_.total_j(); }
   [[nodiscard]] const VmEnergy& totals() const noexcept { return total_; }
@@ -141,8 +139,16 @@ class PowerLedger {
   void accumulate_circuit_refund(const net::Circuit& circuit,
                                  double unused_tu, VmEnergy& refund);
 
+  /// Eq. (1) terms of one circuit through one switch that do not depend on
+  /// the lifetime (switch_energy.hpp).
+  struct SwitchCoefficients {
+    double switching_j;  ///< switching_term_j
+    double trim_w;       ///< trim_coefficient_w
+  };
+
   PhotonicConfig config_;
-  const net::Fabric* fabric_;
+  /// Indexed by SwitchId; built once from the fabric's port counts.
+  std::vector<SwitchCoefficients> per_switch_;
   VmEnergy total_{};
   std::size_t charged_ = 0;
   std::size_t refunded_ = 0;

@@ -56,6 +56,24 @@ struct SwitchEnergy {
   return cfg.switch_latency_base_s * static_cast<double>(ceil_log2(ports));
 }
 
+/// Switching term of Eq. (1) for one circuit through an N-port switch,
+/// joules: (n/2) * P_swcell * lat_sw.  Independent of the lifetime.
+[[nodiscard]] inline double switching_term_j(const SwitchEnergyConfig& cfg,
+                                             std::uint32_t ports) {
+  const auto n = static_cast<double>(benes_path_cells(ports));
+  return (n / 2.0) * cfg.mrr.switch_power_w * switch_latency_s(cfg, ports);
+}
+
+/// Trim coefficient of Eq. (1) for one circuit through an N-port switch,
+/// watts: alpha * n * P_trimcell, the circuit's holding power in that
+/// switch.  The trimming term is this times T (in seconds), multiplied left
+/// to right, so a caller holding the coefficient gets the same bits.
+[[nodiscard]] inline double trim_coefficient_w(const SwitchEnergyConfig& cfg,
+                                               std::uint32_t ports) {
+  return cfg.mrr.alpha * static_cast<double>(benes_path_cells(ports)) *
+         cfg.mrr.trim_power_w;
+}
+
 /// Eq. (1) for one circuit through one N-port switch held for
 /// `lifetime_time_units` simulated time units.
 [[nodiscard]] inline SwitchEnergy circuit_switch_energy(
@@ -64,12 +82,10 @@ struct SwitchEnergy {
   if (lifetime_time_units < 0) {
     throw std::invalid_argument("circuit_switch_energy: negative lifetime");
   }
-  const auto n = static_cast<double>(benes_path_cells(ports));
   SwitchEnergy e;
-  e.switching_j =
-      (n / 2.0) * cfg.mrr.switch_power_w * switch_latency_s(cfg, ports);
-  e.trimming_j = cfg.mrr.alpha * n * cfg.mrr.trim_power_w *
-                 lifetime_time_units * cfg.seconds_per_time_unit;
+  e.switching_j = switching_term_j(cfg, ports);
+  e.trimming_j = trim_coefficient_w(cfg, ports) * lifetime_time_units *
+                 cfg.seconds_per_time_unit;
   return e;
 }
 

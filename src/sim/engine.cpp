@@ -796,9 +796,8 @@ void Engine::Run::admit_window(SimTime limit) {
 // Settlement window (DESIGN.md §12): the whole same-timestamp departure
 // run is drained out of the calendar into a scratch batch first (ties are
 // contiguous at the ladder's sorted bottom tier), then settled under one
-// begin/end_release_batch bracket -- the per-rack aggregate/index refresh
-// is deferred and deduplicated across the run, and the time-weighted
-// signals are sampled once per window (equal-time samples add zero area
+// begin/end_release_batch bracket, and the time-weighted signals are
+// sampled once per window (equal-time samples add zero area
 // and releases never set a peak; timeline runs keep per-event samples
 // because the exported series is observable).  No placement can
 // interleave: equal-time arrivals were all consumed first, and any other
@@ -1148,11 +1147,9 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
     // No improvement: roll the fresh placement back.  Its circuits are
     // exactly the suffix after the old placement's.
     circuits.teardown_suffix(vm.id, k_old);
-    cluster.begin_release_batch();
     for (ResourceType t : kAllResources) {
-      cluster.release_batched(new_p.compute[index(t)]);
+      cluster.release(new_p.compute[index(t)]);
     }
-    cluster.end_release_batch();
     return false;
   }
 
@@ -1171,15 +1168,13 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
   });
   prof.end();
 
-  // Retire the old placement: circuits, then compute as one window.
+  // Retire the old placement: circuits, then compute.
   circuits.teardown_prefix(vm.id, k_old);
   const bool was_inter =
       old_p.rack(ResourceType::Cpu) != old_p.rack(ResourceType::Ram);
-  cluster.begin_release_batch();
   for (ResourceType t : kAllResources) {
-    cluster.release_batched(old_p.compute[index(t)]);
+    cluster.release(old_p.compute[index(t)]);
   }
-  cluster.end_release_batch();
 
   const bool now_inter =
       new_p.rack(ResourceType::Cpu) != new_p.rack(ResourceType::Ram);
@@ -1324,7 +1319,7 @@ void Engine::Run::note_time(SimTime t) {
 double Engine::Run::circuit_power(VmId vm) const {
   double w = 0.0;
   circuits.for_each_circuit_of(vm, [&](const net::Circuit& c) {
-    w += phot::circuit_holding_power_w(e.scenario_.photonics, fabric, c);
+    w += ledger.holding_power_w(c);
   });
   return w;
 }

@@ -208,9 +208,6 @@ Cluster::Cluster(ClusterConfig config)
       refresh_rack_aggregates(RackId{r}, t);
     }
   }
-
-  release_dirty_.assign(static_cast<std::size_t>(config_.racks) * kNumResourceTypes, 0);
-  release_dirty_keys_.reserve(release_dirty_.size());
 }
 
 Box& Cluster::box(BoxId id) {
@@ -292,36 +289,6 @@ void Cluster::release(const BoxAllocation& allocation) {
     rk.max_available_[t] = avail;
     index_.update(b.rack(), t, avail);
   }
-}
-
-void Cluster::release_batched(const BoxAllocation& allocation) {
-  assert(release_batching_);
-  Box& b = box(allocation.box);
-  b.release(allocation);
-  // Box ledger and cluster totals settle immediately -- utilization sampled
-  // between batched releases stays exact.  Only the per-rack aggregate /
-  // index refresh (an idempotent recomputation) is deferred.
-  if (!b.offline()) {
-    total_available_[b.type()] += allocation.units;
-  }
-  const auto key = static_cast<std::uint32_t>(
-      b.rack().value() * kNumResourceTypes + index(b.type()));
-  if (!release_dirty_[key]) {
-    release_dirty_[key] = 1;
-    release_dirty_keys_.push_back(key);
-  }
-}
-
-void Cluster::end_release_batch() {
-  assert(release_batching_);
-  for (const std::uint32_t key : release_dirty_keys_) {
-    release_dirty_[key] = 0;
-    refresh_rack_aggregates(
-        RackId{static_cast<std::uint32_t>(key / kNumResourceTypes)},
-        kAllResources[key % kNumResourceTypes]);
-  }
-  release_dirty_keys_.clear();
-  release_batching_ = false;
 }
 
 void Cluster::set_box_offline(BoxId box_id, bool offline) {

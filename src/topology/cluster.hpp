@@ -239,16 +239,19 @@ class Cluster {
   /// Return a previous allocation.  Updates all aggregates.
   void release(const BoxAllocation& allocation);
 
-  /// Batched-release protocol for same-timestamp departure runs: box
-  /// ledgers and cluster totals update immediately (so utilization sampled
-  /// mid-batch is exact), but the O(boxes-in-rack) per-rack aggregate /
-  /// index refresh is deferred and deduplicated per touched (rack, type)
-  /// until end_release_batch().  No placement query may run between begin
-  /// and end; the engine guarantees this because arrivals always order
-  /// before same-time injected events in the (time, seq) contract.
+  /// Bracket for same-timestamp departure runs.  A release only raises
+  /// availability, so release()'s O(1) aggregate update is exact at every
+  /// point and release_batched() is release() itself; the bracket only
+  /// asserts (in debug builds) that batches do not nest and that every
+  /// batched release sits inside one.  No placement query may run between
+  /// begin and end; the engine guarantees this because arrivals always
+  /// order before same-time injected events in the (time, seq) contract.
   void begin_release_batch() noexcept { assert(!release_batching_); release_batching_ = true; }
-  void release_batched(const BoxAllocation& allocation);
-  void end_release_batch();
+  void release_batched(const BoxAllocation& allocation) {
+    assert(release_batching_);
+    release(allocation);
+  }
+  void end_release_batch() noexcept { assert(release_batching_); release_batching_ = false; }
 
   /// Failure injection: take a box offline (it stops accepting allocations
   /// and its free units leave every availability aggregate) or bring it
@@ -304,11 +307,8 @@ class Cluster {
   PerResource<Units> total_available_{0, 0, 0};
   std::uint32_t offline_boxes_ = 0;
   RackAvailabilityIndex index_;
-  /// Batched-release scratch: per (rack, type) dirty flags plus the dense
-  /// list of dirty keys (key = rack * kNumResourceTypes + type).
+  /// Inside a begin/end_release_batch bracket (checked by asserts only).
   bool release_batching_ = false;
-  std::vector<std::uint8_t> release_dirty_;
-  std::vector<std::uint32_t> release_dirty_keys_;
 };
 
 }  // namespace risa::topo

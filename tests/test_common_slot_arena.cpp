@@ -3,8 +3,9 @@
 // The core tests are the stability contract (references survive arbitrary
 // later insertions) and a randomized churn differential against
 // std::unordered_map shaped like the engine's lifecycle ops: admit,
-// depart, kill, migrate, retry.  Generation stamps, directory-page recycling, and deterministic
-// slot reuse are pinned explicitly.
+// depart, kill, migrate, retry.  Generation stamps, directory-page
+// recycling (pooled pages come back vacant), and deterministic slot reuse
+// are pinned explicitly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -106,6 +107,67 @@ TEST(SlotArena, DirectoryPagesRecycleUnderSlidingKeyWindow) {
   EXPECT_GT(arena.directory_pages_pooled(), 0u);
   // Slab capacity tracks peak occupancy, not the stream.
   EXPECT_LT(arena.slab_capacity(), 2u * kWindow + 1024u);
+}
+
+TEST(SlotArena, PooledDirectoryPagesComeBackVacant) {
+  // A pooled directory page is reused without a refill, so it must come
+  // back with every entry vacant -- whether it was pooled by erasing its
+  // last key or by clear().  Directory pages hold 4096 keys.
+  constexpr std::uint32_t kPage = 4096;
+  SlotArena<std::vector<int>> arena;
+  const auto expect_only = [&](std::uint32_t page,
+                               const std::vector<std::uint32_t>& present) {
+    for (std::uint32_t k = page * kPage; k < (page + 1) * kPage; ++k) {
+      bool want = false;
+      for (std::uint32_t p : present) want = want || p == k;
+      if (want) {
+        ASSERT_NE(arena.find(k), nullptr) << "key " << k;
+      } else {
+        ASSERT_EQ(arena.find(k), nullptr) << "key " << k;
+        ASSERT_EQ(arena.slot_of(k), (SlotArena<std::vector<int>>::kNoSlot));
+      }
+    }
+  };
+
+  // Erase-to-empty: fill page 0 sparsely, drain it, reuse it as page 5.
+  std::vector<std::uint32_t> old_keys;
+  for (std::uint32_t k = 0; k < kPage; k += 7) {
+    arena.find_or_insert(k).assign(3, 1);
+    old_keys.push_back(k);
+  }
+  for (std::uint32_t k : old_keys) EXPECT_TRUE(arena.erase(k));
+  EXPECT_EQ(arena.directory_pages_live(), 0u);
+  EXPECT_EQ(arena.directory_pages_pooled(), 1u);
+  const std::uint32_t reused = 5 * kPage + 3;
+  EXPECT_TRUE(arena.find_or_insert(reused).empty());
+  EXPECT_EQ(arena.directory_pages_pooled(), 0u);
+  expect_only(5, {reused});
+  expect_only(0, {});
+
+  // clear(): pages 5 and 6 hold live keys when they are pooled, then come
+  // back as pages 9 and 10.
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t k = 5 * kPage; k < 7 * kPage; k += 5) {
+    arena.find_or_insert(k).assign(2, 2);
+    live.push_back(k);
+  }
+  arena.clear();
+  EXPECT_EQ(arena.directory_pages_live(), 0u);
+  EXPECT_EQ(arena.directory_pages_pooled(), 2u);
+  const std::uint32_t a = 9 * kPage + 11;
+  const std::uint32_t b = 10 * kPage;
+  EXPECT_TRUE(arena.find_or_insert(a).empty());
+  EXPECT_TRUE(arena.find_or_insert(b).empty());
+  EXPECT_EQ(arena.directory_pages_pooled(), 0u);
+  expect_only(9, {a});
+  expect_only(10, {b});
+  for (std::uint32_t k : live) EXPECT_EQ(arena.find(k), nullptr);
+
+  // The reused pages keep counting occupancy from zero: draining them
+  // pools them again.
+  EXPECT_TRUE(arena.erase(a));
+  EXPECT_TRUE(arena.erase(b));
+  EXPECT_EQ(arena.directory_pages_pooled(), 2u);
 }
 
 TEST(SlotArena, ClearRetainsCapacityAndResetsValues) {

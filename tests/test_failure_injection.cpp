@@ -51,6 +51,55 @@ TEST(BoxFailure, IdempotentTransitions) {
   cluster.check_invariants();
 }
 
+TEST(BoxFailure, BatchedSameRackReleasesIncludingAnOfflineBox) {
+  // A settlement batch releasing several allocations in one rack, one box
+  // of which is offline.  Releases only raise availability, so every
+  // aggregate and the index must be exact after each batched release, not
+  // just when the batch closes.
+  topo::Cluster cluster((topo::ClusterConfig()));
+  const RackId rack{0};
+  const auto& cpu = cluster.rack(rack).boxes(ResourceType::Cpu);
+  ASSERT_EQ(cpu.size(), 2u);
+  const BoxId down = cpu[0];
+  const BoxId up = cpu[1];
+  const BoxId ram = cluster.rack(rack).boxes(ResourceType::Ram)[0];
+  std::vector<topo::BoxAllocation> held;
+  for (const auto& [box, units] : {std::pair{down, 40}, std::pair{up, 50},
+                                   std::pair{down, 30}, std::pair{up, 20},
+                                   std::pair{ram, 64}}) {
+    auto a = cluster.allocate(box, units);
+    ASSERT_TRUE(a.ok());
+    held.push_back(std::move(a.value()));
+  }
+  cluster.set_box_offline(down, true);
+  cluster.check_invariants();
+  EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Cpu), 58);
+
+  cluster.begin_release_batch();
+  for (const auto& a : held) {
+    cluster.release_batched(a);
+    cluster.check_invariants();
+  }
+  cluster.end_release_batch();
+
+  // The offline box's units stay out of every aggregate until repair.
+  const auto& index = cluster.rack_index();
+  EXPECT_EQ(cluster.total_available(ResourceType::Cpu), 4608 - 128);
+  EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Cpu), 128);
+  EXPECT_EQ(cluster.rack(rack).total_available(ResourceType::Cpu), 128);
+  EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Ram),
+            cluster.box(ram).capacity_units());
+  EXPECT_EQ(index.leaf(rack)[ResourceType::Cpu], 128);
+  EXPECT_EQ(index.leaf(rack)[ResourceType::Ram],
+            cluster.box(ram).capacity_units());
+  cluster.check_invariants();
+
+  cluster.set_box_offline(down, false);
+  EXPECT_EQ(cluster.rack(rack).total_available(ResourceType::Cpu), 256);
+  EXPECT_EQ(cluster.total_available(ResourceType::Cpu), 4608);
+  cluster.check_invariants();
+}
+
 TEST(BoxFailure, SchedulersRouteAroundOfflineBoxes) {
   auto stack = sim::make_table3_stack();
   // Take the only RAM box RISA would use in rack 1 (id 2) offline; rack 1

@@ -1,12 +1,17 @@
 // Photonic energy model: Beneš geometry, Eq. (1), transceivers, ledger.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "network/circuit.hpp"
 #include "network/routing.hpp"
 #include "photonics/benes.hpp"
 #include "photonics/power_ledger.hpp"
 #include "photonics/switch_energy.hpp"
 #include "photonics/transceiver.hpp"
+#include "topology/cluster.hpp"
 #include "topology/config.hpp"
 
 namespace risa::phot {
@@ -175,6 +180,184 @@ TEST(PhotonicConfig, SecondsPerTimeUnitScalesTrimming) {
   cfg.seconds_per_time_unit = 1.0;
   const double base = circuit_switch_energy(cfg, 64, 100.0).trimming_j;
   EXPECT_NEAR(doubled / base, 2.0, 1e-12);
+}
+
+// --- Per-switch coefficient table vs Eq. (1) written out ------------------
+
+// The ledger reads precomputed per-switch coefficients.  These references
+// are Eq. (1) spelled out as a direct per-switch product, so an exact
+// EXPECT_EQ on doubles proves the table keeps every bit.
+double eq1_switching_j(const SwitchEnergyConfig& cfg, std::uint32_t ports) {
+  const auto n = static_cast<double>(benes_path_cells(ports));
+  return (n / 2.0) * cfg.mrr.switch_power_w *
+         (cfg.switch_latency_base_s * static_cast<double>(ceil_log2(ports)));
+}
+
+double eq1_trimming_j(const SwitchEnergyConfig& cfg, std::uint32_t ports,
+                      double lifetime_tu) {
+  const auto n = static_cast<double>(benes_path_cells(ports));
+  return cfg.mrr.alpha * n * cfg.mrr.trim_power_w * lifetime_tu *
+         cfg.seconds_per_time_unit;
+}
+
+/// Add the energy of one circuit held `tu` time units into `e`, in the
+/// ledger's accumulation order (each switch, then the transceivers).
+void add_reference(const PhotonicConfig& cfg, const net::Fabric& fabric,
+                   const net::Circuit& c, double tu, VmEnergy& e) {
+  for (SwitchId sw : c.path.switches()) {
+    const std::uint32_t ports = fabric.switch_node(sw).ports;
+    e.switch_switching_j += eq1_switching_j(cfg.switch_energy, ports);
+    e.switch_trimming_j += eq1_trimming_j(cfg.switch_energy, ports, tu);
+  }
+  e.transceiver_j += transceiver_energy_j(
+      cfg.transceiver, c.bandwidth, c.path.hop_count(),
+      tu * cfg.switch_energy.seconds_per_time_unit);
+}
+
+void expect_bits(const VmEnergy& got, const VmEnergy& want) {
+  EXPECT_EQ(got.switch_switching_j, want.switch_switching_j);
+  EXPECT_EQ(got.switch_trimming_j, want.switch_trimming_j);
+  EXPECT_EQ(got.transceiver_j, want.transceiver_j);
+}
+
+/// Route random circuits across `fabric_cfg`, then drive every ledger entry
+/// point with random lifetimes (0 included) and compare against the
+/// written-out formulas bit for bit.  Returns the switch kinds crossed.
+std::set<net::SwitchKind> check_ledger_bits(const net::FabricConfig& fabric_cfg,
+                                            std::uint64_t seed) {
+  const topo::ClusterConfig cluster_cfg;
+  const topo::Cluster cluster(cluster_cfg);
+  net::Fabric fabric(cluster_cfg, fabric_cfg);
+  net::Router router(fabric);
+  net::CircuitTable table(router);
+  PhotonicConfig cfg;
+  // An inexact time-unit scale, so a reordered product would show.
+  cfg.switch_energy.seconds_per_time_unit = 0.1;
+  cfg.switch_energy.mrr.alpha = 0.7;
+  PowerLedger ledger(cfg, fabric);
+  Rng rng(seed);
+
+  const auto random_box = [&] {
+    const auto b = static_cast<std::uint32_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(cluster.num_boxes()) - 1));
+    return BoxId{b};
+  };
+  const auto random_tu = [&] {
+    return rng.uniform_int(0, 3) == 0 ? 0.0 : rng.uniform(0.0, 1000.0);
+  };
+
+  constexpr std::uint32_t kVms = 64;
+  std::set<net::SwitchKind> kinds;
+  VmEnergy total;
+  std::size_t charged = 0;
+  std::size_t refunded = 0;
+  for (std::uint32_t v = 0; v < kVms; ++v) {
+    for (net::FlowKind flow :
+         {net::FlowKind::CpuRam, net::FlowKind::RamStorage}) {
+      const BoxId a = random_box();
+      const BoxId b = random_box();
+      const MbitsPerSec bw = gbps(static_cast<double>(rng.uniform_int(1, 4)));
+      auto path = router.find_path(a, cluster.box(a).rack(), b,
+                                   cluster.box(b).rack(), bw,
+                                   net::LinkSelectPolicy::FirstFit);
+      if (!path.ok()) continue;
+      for (SwitchId sw : path->switches()) {
+        kinds.insert(fabric.switch_node(sw).kind);
+      }
+      EXPECT_TRUE(
+          table.establish(VmId{v}, flow, bw, std::move(path.value())).ok());
+    }
+
+    // Interval open: charge_vm and holding power.
+    const double life = random_tu();
+    VmEnergy want_vm;
+    table.for_each_circuit_of(VmId{v}, [&](const net::Circuit& c) {
+      VmEnergy e;
+      add_reference(cfg, fabric, c, life, e);
+      want_vm.switch_switching_j += e.switch_switching_j;
+      want_vm.switch_trimming_j += e.switch_trimming_j;
+      want_vm.transceiver_j += e.transceiver_j;
+      total.switch_switching_j += e.switch_switching_j;
+      total.switch_trimming_j += e.switch_trimming_j;
+      total.transceiver_j += e.transceiver_j;
+      ++charged;
+
+      double want_w = 0.0;
+      for (SwitchId sw : c.path.switches()) {
+        const auto n = static_cast<double>(
+            benes_path_cells(fabric.switch_node(sw).ports));
+        want_w += cfg.switch_energy.mrr.alpha * n *
+                  cfg.switch_energy.mrr.trim_power_w;
+      }
+      want_w += transceiver_power_w(cfg.transceiver, c.bandwidth,
+                                    c.path.hop_count());
+      EXPECT_EQ(ledger.holding_power_w(c), want_w);
+    });
+    expect_bits(ledger.charge_vm(table, VmId{v}, life), want_vm);
+  }
+
+  // Settlement: whole-VM refunds on even VMs (one accumulator across the
+  // VM's circuits, subtracted once), per-circuit refunds on odd ones.  The
+  // switching term is never refunded.
+  for (std::uint32_t v = 0; v < kVms; ++v) {
+    const double unused = random_tu();
+    if (v % 2 == 0) {
+      VmEnergy want;
+      table.for_each_circuit_of(VmId{v}, [&](const net::Circuit& c) {
+        if (unused <= 0.0) return;
+        add_reference(cfg, fabric, c, unused, want);
+        ++refunded;
+      });
+      want.switch_switching_j = 0.0;
+      expect_bits(ledger.refund_vm_truncation(table, VmId{v}, unused), want);
+      total.switch_trimming_j -= want.switch_trimming_j;
+      total.transceiver_j -= want.transceiver_j;
+    } else {
+      table.for_each_circuit_of(VmId{v}, [&](const net::Circuit& c) {
+        VmEnergy want;
+        if (unused > 0.0) {
+          add_reference(cfg, fabric, c, unused, want);
+          want.switch_switching_j = 0.0;
+          ++refunded;
+        }
+        expect_bits(ledger.refund_circuit_truncation(c, unused), want);
+        total.switch_trimming_j -= want.switch_trimming_j;
+        total.transceiver_j -= want.transceiver_j;
+      });
+    }
+  }
+
+  // A negative lifetime still throws and leaves the totals untouched.
+  table.for_each_circuit_of(VmId{0}, [&](const net::Circuit& c) {
+    EXPECT_THROW((void)ledger.charge_circuit(c, -1.0), std::invalid_argument);
+  });
+
+  expect_bits(ledger.totals(), total);
+  EXPECT_EQ(ledger.circuits_charged(), charged);
+  EXPECT_EQ(ledger.circuits_refunded(), refunded);
+  EXPECT_GT(charged, kVms);
+  EXPECT_GT(refunded, 0u);
+  return kinds;
+}
+
+TEST(PowerLedger, CoefficientTableIsBitIdenticalTwoTier) {
+  const auto kinds = check_ledger_bits(net::FabricConfig{}, 11);
+  EXPECT_EQ(kinds, (std::set<net::SwitchKind>{net::SwitchKind::BoxSwitch,
+                                              net::SwitchKind::RackSwitch,
+                                              net::SwitchKind::InterRackSwitch}));
+}
+
+TEST(PowerLedger, CoefficientTableIsBitIdenticalThreeTier) {
+  // Non-power-of-two radices on two tiers exercise the ceil_log2 rounding.
+  net::FabricConfig fc;
+  fc.racks_per_pod = 6;
+  fc.rack_switch_ports = 200;
+  fc.pod_switch_ports = 100;
+  const auto kinds = check_ledger_bits(fc, 12);
+  EXPECT_EQ(kinds, (std::set<net::SwitchKind>{
+                       net::SwitchKind::BoxSwitch, net::SwitchKind::RackSwitch,
+                       net::SwitchKind::InterRackSwitch,
+                       net::SwitchKind::PodSwitch}));
 }
 
 }  // namespace
