@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <optional>
@@ -50,6 +51,18 @@ LifecycleKind action_kind(const FaultAction& a) {
     case FaultAction::Kind::LinkRepair: return LifecycleKind::LinkRepair;
   }
   throw std::logic_error("Engine: bad FaultAction kind");
+}
+
+/// Intake check on every arrival, before it touches any state: a negative
+/// lifetime would put a departure before its own arrival, and a NaN or
+/// infinite arrival or departure time would stall the merge loop (NaN
+/// compares false against every calendar time).
+void check_times(const wl::VmRequest& vm, std::size_t index) {
+  if (!(vm.lifetime >= 0.0 && std::isfinite(vm.arrival + vm.lifetime))) {
+    throw std::invalid_argument(
+        "Engine: workload VM " + std::to_string(index) +
+        " has a negative lifetime or a non-finite arrival or departure");
+  }
 }
 
 /// Calendar kinds whose subject indexes the fault plan's actions.
@@ -442,14 +455,11 @@ void Engine::reset() {
 
 SimMetrics Engine::run(const wl::Workload& workload,
                        const std::string& workload_label) {
-  // Fail fast on malformed input, before any event mutates state: a
-  // negative lifetime would put a departure before its own arrival.
-  // (A streaming run applies the identical check per chunk at intake --
-  // the whole stream cannot be pre-scanned.)
-  for (const wl::VmRequest& vm : workload) {
-    if (vm.lifetime < 0) {
-      throw std::invalid_argument("Engine: negative lifetime in workload");
-    }
+  // Fail fast on malformed input, before any event mutates state.  (A
+  // streaming run applies the identical check per chunk at intake -- the
+  // whole stream cannot be pre-scanned.)
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    check_times(workload[i], i);
   }
   wl::WorkloadSource source(workload);
   return run_impl(source, workload_label, nullptr, nullptr);
@@ -1291,9 +1301,7 @@ void Engine::Run::refill_ring() {
     // A VM is its workload index from here on: the circuit table and the
     // placement records key on vm.id, and trace ids need not be unique.
     it.vm.id = VmId{it.index};
-    if (it.vm.lifetime < 0) {
-      throw std::invalid_argument("Engine: negative lifetime in workload");
-    }
+    check_times(it.vm, it.index);
     if (seen_arrival &&
         (it.vm.arrival < last_arrival ||
          (it.vm.arrival == last_arrival && it.index <= last_arrival_index))) {

@@ -1,318 +1,208 @@
 #include "sim/scenario_io.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <concepts>
+#include <cmath>
 #include <fstream>
-#include <functional>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <variant>
 #include <vector>
 
+#include "common/json_cursor.hpp"
 #include "common/string_util.hpp"
 
 namespace risa::sim {
 
 namespace {
 
-/// One registered key: how to read it from / write it into a Scenario.
-struct KeyBinding {
-  std::string key;
-  std::function<void(Scenario&, std::string_view)> set;
-  std::function<std::string(const Scenario&)> get;
+/// std::visit over one lambda per alternative.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
 };
 
-std::string bool_str(bool v) { return v ? "true" : "false"; }
+// --- Scenario keys ----------------------------------------------------------
+//
+// One row per key: its name, the field it sets and the scale from the
+// written unit to the field's carrier unit.  The field's type decides how
+// the value parses and prints; the row order is the save order.
 
-const std::vector<KeyBinding>& bindings() {
-  static const std::vector<KeyBinding> kBindings = [] {
-    std::vector<KeyBinding> b;
-    auto add = [&](std::string key,
-                   std::function<void(Scenario&, std::string_view)> set,
-                   std::function<std::string(const Scenario&)> get) {
-      b.push_back({std::move(key), std::move(set), std::move(get)});
-    };
+constexpr double kCount = 1.0;        ///< counts, enums and unscaled reals
+constexpr double kGb = 1024.0;        ///< GB written, MB stored (gb())
+constexpr double kGbps = 1000.0;      ///< Gb/s written, Mb/s stored (gbps())
+constexpr double kMilliwatt = 1e-3;   ///< mW written, W stored
+constexpr double kPicojoule = 1e-12;  ///< pJ/bit written, J/bit stored
 
-    // --- cluster ----------------------------------------------------------
-    add("cluster.racks",
-        [](Scenario& s, std::string_view v) {
-          s.cluster.racks = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) { return std::to_string(s.cluster.racks); });
-    for (ResourceType t : kAllResources) {
-      add("cluster.boxes_per_rack." + to_lower(name(t)),
-          [t](Scenario& s, std::string_view v) {
-            s.cluster.boxes_per_rack[t] =
-                static_cast<std::uint32_t>(parse_i64(v));
-          },
-          [t](const Scenario& s) {
-            return std::to_string(s.cluster.boxes_per_rack[t]);
-          });
+using Field = std::variant<std::uint32_t*, std::int64_t*, double*,
+                           net::BandwidthBasis*, core::CompanionSearch*>;
+
+struct Key {
+  std::string_view name;
+  Field field;
+  double scale = kCount;
+};
+
+std::vector<Key> keys(Scenario& s) {
+  topo::ClusterConfig& c = s.cluster;
+  net::FabricConfig& f = s.fabric;
+  net::BandwidthModel& b = s.bandwidth;
+  phot::MrrParams& mrr = s.photonics.switch_energy.mrr;
+  return {
+      {"cluster.racks", &c.racks},
+      {"cluster.boxes_per_rack.cpu", &c.boxes_per_rack[ResourceType::Cpu]},
+      {"cluster.boxes_per_rack.ram", &c.boxes_per_rack[ResourceType::Ram]},
+      {"cluster.boxes_per_rack.sto", &c.boxes_per_rack[ResourceType::Storage]},
+      {"cluster.bricks_per_box", &c.bricks_per_box},
+      {"cluster.units_per_brick", &c.units_per_brick},
+      {"cluster.cores_per_cpu_unit", &c.unit_scale.cores_per_cpu_unit},
+      {"cluster.gb_per_ram_unit", &c.unit_scale.mb_per_ram_unit, kGb},
+      {"cluster.gb_per_storage_unit", &c.unit_scale.mb_per_storage_unit, kGb},
+      {"fabric.links_per_box", &f.links_per_box},
+      {"fabric.links_per_rack", &f.links_per_rack},
+      {"fabric.link_capacity_gbps", &f.link_capacity, kGbps},
+      {"fabric.channel_rate_gbps", &f.channel_rate, kGbps},
+      {"fabric.box_switch_ports", &f.box_switch_ports},
+      {"fabric.rack_switch_ports", &f.rack_switch_ports},
+      {"fabric.inter_rack_switch_ports", &f.inter_rack_switch_ports},
+      {"fabric.racks_per_pod", &f.racks_per_pod},
+      {"fabric.links_per_pod", &f.links_per_pod},
+      {"fabric.pod_switch_ports", &f.pod_switch_ports},
+      {"bandwidth.cpu_ram_gbps_per_unit", &b.cpu_ram_per_unit, kGbps},
+      {"bandwidth.ram_sto_gbps_per_unit", &b.ram_sto_per_unit, kGbps},
+      {"bandwidth.cpu_ram_basis", &b.cpu_ram_basis},
+      {"bandwidth.ram_sto_basis", &b.ram_sto_basis},
+      {"photonics.alpha", &mrr.alpha},
+      {"photonics.trim_power_mw", &mrr.trim_power_w, kMilliwatt},
+      {"photonics.switch_power_mw", &mrr.switch_power_w, kMilliwatt},
+      {"photonics.transceiver_pj_per_bit",
+       &s.photonics.transceiver.energy_per_bit_j, kPicojoule},
+      {"photonics.seconds_per_time_unit",
+       &s.photonics.switch_energy.seconds_per_time_unit},
+      {"latency.intra_rack_ns", &s.latency.intra_rack_ns},
+      {"latency.inter_rack_ns", &s.latency.inter_rack_ns},
+      {"latency.inter_pod_ns", &s.latency.inter_pod_ns},
+      {"allocator.companion", &s.allocator.companion},
+  };
+}
+
+/// Enum spellings, indexed by the enumerator's value.
+constexpr std::array<std::string_view, 3> kBasisNames{"cpu-units", "ram-units",
+                                                      "sto-units"};
+constexpr std::array<std::string_view, 2> kCompanionNames{"global-order",
+                                                          "anchor-rack-first"};
+std::span<const std::string_view> enum_names(const net::BandwidthBasis*) {
+  return kBasisNames;
+}
+std::span<const std::string_view> enum_names(const core::CompanionSearch*) {
+  return kCompanionNames;
+}
+
+/// Throws "'<v>' <why>"; built by appends, which GCC 12's -Wrestrict
+/// accepts where `"'" + std::string(v)` is a false positive.
+[[noreturn]] void bad_value(std::string_view v, std::string_view why) {
+  std::string msg = "'";
+  msg.append(v).append("' ").append(why);
+  throw std::runtime_error(msg);
+}
+
+double parse_finite(std::string_view v) {
+  const double x = parse_f64(v);
+  if (!std::isfinite(x)) bad_value(v, "is not a finite number");
+  return x;
+}
+
+/// Counts take a plain integer that fits the field; scaled quantities take
+/// a real, range-checked before gb()/gbps()'s rounding converts it.
+template <std::integral T>
+void load(T* field, std::string_view v, double scale) {
+  constexpr auto kMax = std::numeric_limits<T>::max();
+  if (scale != kCount) {
+    const double x = parse_finite(v) * scale;
+    if (!(x >= 0.0 && x < static_cast<double>(kMax))) {
+      bad_value(v, "is out of range");
     }
-    add("cluster.bricks_per_box",
-        [](Scenario& s, std::string_view v) {
-          s.cluster.bricks_per_box = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.cluster.bricks_per_box);
-        });
-    add("cluster.units_per_brick",
-        [](Scenario& s, std::string_view v) {
-          s.cluster.units_per_brick = parse_i64(v);
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.cluster.units_per_brick);
-        });
-    add("cluster.cores_per_cpu_unit",
-        [](Scenario& s, std::string_view v) {
-          s.cluster.unit_scale.cores_per_cpu_unit = parse_i64(v);
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.cluster.unit_scale.cores_per_cpu_unit);
-        });
-    add("cluster.gb_per_ram_unit",
-        [](Scenario& s, std::string_view v) {
-          s.cluster.unit_scale.mb_per_ram_unit = gb(parse_f64(v));
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << to_gb(s.cluster.unit_scale.mb_per_ram_unit);
-          return os.str();
-        });
-    add("cluster.gb_per_storage_unit",
-        [](Scenario& s, std::string_view v) {
-          s.cluster.unit_scale.mb_per_storage_unit = gb(parse_f64(v));
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << to_gb(s.cluster.unit_scale.mb_per_storage_unit);
-          return os.str();
-        });
+    *field = static_cast<T>(x + 0.5);
+    return;
+  }
+  const std::int64_t n = parse_i64(v);
+  if (n < 0 || static_cast<std::uint64_t>(n) > kMax) {
+    bad_value(v, "is outside [0, " + std::to_string(kMax) + "]");
+  }
+  *field = static_cast<T>(n);
+}
 
-    // --- fabric -------------------------------------------------------------
-    add("fabric.links_per_box",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.links_per_box = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.links_per_box);
-        });
-    add("fabric.links_per_rack",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.links_per_rack = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.links_per_rack);
-        });
-    add("fabric.link_capacity_gbps",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.link_capacity = gbps(parse_f64(v));
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << to_gbps(s.fabric.link_capacity);
-          return os.str();
-        });
-    add("fabric.channel_rate_gbps",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.channel_rate = gbps(parse_f64(v));
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << to_gbps(s.fabric.channel_rate);
-          return os.str();
-        });
-    add("fabric.box_switch_ports",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.box_switch_ports = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.box_switch_ports);
-        });
-    add("fabric.rack_switch_ports",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.rack_switch_ports =
-              static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.rack_switch_ports);
-        });
-    add("fabric.inter_rack_switch_ports",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.inter_rack_switch_ports =
-              static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.inter_rack_switch_ports);
-        });
-    add("fabric.racks_per_pod",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.racks_per_pod = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.racks_per_pod);
-        });
-    add("fabric.links_per_pod",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.links_per_pod = static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.links_per_pod);
-        });
-    add("fabric.pod_switch_ports",
-        [](Scenario& s, std::string_view v) {
-          s.fabric.pod_switch_ports =
-              static_cast<std::uint32_t>(parse_i64(v));
-        },
-        [](const Scenario& s) {
-          return std::to_string(s.fabric.pod_switch_ports);
-        });
+void load(double* field, std::string_view v, double scale) {
+  *field = parse_finite(v) * scale;
+}
 
-    // --- bandwidth (Table 2) -------------------------------------------------
-    add("bandwidth.cpu_ram_gbps_per_unit",
-        [](Scenario& s, std::string_view v) {
-          s.bandwidth.cpu_ram_per_unit = gbps(parse_f64(v));
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << to_gbps(s.bandwidth.cpu_ram_per_unit);
-          return os.str();
-        });
-    add("bandwidth.ram_sto_gbps_per_unit",
-        [](Scenario& s, std::string_view v) {
-          s.bandwidth.ram_sto_per_unit = gbps(parse_f64(v));
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << to_gbps(s.bandwidth.ram_sto_per_unit);
-          return os.str();
-        });
-    auto basis_from = [](std::string_view v) {
-      const std::string key = to_lower(trim(v));
-      if (key == "cpu-units") return net::BandwidthBasis::CpuUnits;
-      if (key == "ram-units") return net::BandwidthBasis::RamUnits;
-      if (key == "sto-units") return net::BandwidthBasis::StorageUnits;
-      throw std::runtime_error("scenario: bad bandwidth basis '" +
-                               std::string(v) + "'");
-    };
-    add("bandwidth.cpu_ram_basis",
-        [basis_from](Scenario& s, std::string_view v) {
-          s.bandwidth.cpu_ram_basis = basis_from(v);
-        },
-        [](const Scenario& s) {
-          return std::string(net::name(s.bandwidth.cpu_ram_basis));
-        });
-    add("bandwidth.ram_sto_basis",
-        [basis_from](Scenario& s, std::string_view v) {
-          s.bandwidth.ram_sto_basis = basis_from(v);
-        },
-        [](const Scenario& s) {
-          return std::string(net::name(s.bandwidth.ram_sto_basis));
-        });
+template <typename E>
+  requires std::is_enum_v<E>
+void load(E* field, std::string_view v, double /*scale*/) {
+  const auto names = enum_names(field);
+  const auto it = std::find(names.begin(), names.end(), to_lower(v));
+  if (it == names.end()) {
+    std::string choices = "is not one of";
+    for (std::string_view n : names) choices.append(" ").append(n);
+    bad_value(v, choices);
+  }
+  *field = static_cast<E>(it - names.begin());
+}
 
-    // --- photonics (SS3.2) -----------------------------------------------------
-    add("photonics.alpha",
-        [](Scenario& s, std::string_view v) {
-          s.photonics.switch_energy.mrr.alpha = parse_f64(v);
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.photonics.switch_energy.mrr.alpha;
-          return os.str();
-        });
-    add("photonics.trim_power_mw",
-        [](Scenario& s, std::string_view v) {
-          s.photonics.switch_energy.mrr.trim_power_w = parse_f64(v) * 1e-3;
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.photonics.switch_energy.mrr.trim_power_w * 1e3;
-          return os.str();
-        });
-    add("photonics.switch_power_mw",
-        [](Scenario& s, std::string_view v) {
-          s.photonics.switch_energy.mrr.switch_power_w = parse_f64(v) * 1e-3;
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.photonics.switch_energy.mrr.switch_power_w * 1e3;
-          return os.str();
-        });
-    add("photonics.transceiver_pj_per_bit",
-        [](Scenario& s, std::string_view v) {
-          s.photonics.transceiver.energy_per_bit_j = parse_f64(v) * 1e-12;
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.photonics.transceiver.energy_per_bit_j * 1e12;
-          return os.str();
-        });
-    add("photonics.seconds_per_time_unit",
-        [](Scenario& s, std::string_view v) {
-          s.photonics.switch_energy.seconds_per_time_unit = parse_f64(v);
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.photonics.switch_energy.seconds_per_time_unit;
-          return os.str();
-        });
+template <std::integral T>
+std::string print(const T* field, double scale) {
+  return scale == kCount ? std::to_string(*field)
+                         : json_number(static_cast<double>(*field) / scale);
+}
 
-    // --- latency (SS5.2) -------------------------------------------------------
-    add("latency.intra_rack_ns",
-        [](Scenario& s, std::string_view v) {
-          s.latency.intra_rack_ns = parse_f64(v);
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.latency.intra_rack_ns;
-          return os.str();
-        });
-    add("latency.inter_rack_ns",
-        [](Scenario& s, std::string_view v) {
-          s.latency.inter_rack_ns = parse_f64(v);
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.latency.inter_rack_ns;
-          return os.str();
-        });
-    add("latency.inter_pod_ns",
-        [](Scenario& s, std::string_view v) {
-          s.latency.inter_pod_ns = parse_f64(v);
-        },
-        [](const Scenario& s) {
-          std::ostringstream os;
-          os << s.latency.inter_pod_ns;
-          return os.str();
-        });
+std::string print(const double* field, double scale) {
+  return json_number(*field / scale);
+}
 
-    // --- allocator -------------------------------------------------------------
-    add("allocator.companion",
-        [](Scenario& s, std::string_view v) {
-          const std::string key = to_lower(trim(v));
-          if (key == "global-order") {
-            s.allocator.companion = core::CompanionSearch::GlobalOrder;
-          } else if (key == "anchor-rack-first") {
-            s.allocator.companion = core::CompanionSearch::AnchorRackFirst;
-          } else {
-            throw std::runtime_error("scenario: bad companion search '" +
-                                     std::string(v) + "'");
-          }
-        },
-        [](const Scenario& s) {
-          return s.allocator.companion == core::CompanionSearch::GlobalOrder
-                     ? "global-order"
-                     : "anchor-rack-first";
-        });
-    (void)bool_str;
-    return b;
-  }();
-  return kBindings;
+template <typename E>
+  requires std::is_enum_v<E>
+std::string print(const E* field, double /*scale*/) {
+  return std::string(enum_names(field)[static_cast<std::size_t>(*field)]);
+}
+
+/// Whole file as a string, for the plan parsers.
+std::string read_file(const std::string& path, const char* what) {
+  std::ifstream is(path);
+  if (!is) {
+    throw std::runtime_error(std::string(what) + ": cannot open " + path);
+  }
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+void write_file(const std::string& path, const char* what,
+                const std::string& text) {
+  std::ofstream os(path);
+  os << text;
+  if (!os) {
+    throw std::runtime_error(std::string(what) + ": cannot write " + path);
+  }
+}
+
+/// Validate a parsed plan, naming the document in the error.
+template <typename Plan>
+Plan validated(Plan plan, const char* what) {
+  try {
+    plan.validate();
+  } catch (const std::exception& e) {
+    throw std::runtime_error(std::string(what) + " JSON: " + e.what());
+  }
+  return plan;
 }
 
 }  // namespace
 
 Scenario load_scenario(std::istream& is) {
   Scenario scenario = Scenario::paper_defaults();
+  const std::vector<Key> table = keys(scenario);
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -326,24 +216,20 @@ Scenario load_scenario(std::istream& is) {
       throw std::runtime_error("scenario line " + std::to_string(line_no) +
                                ": expected 'key = value'");
     }
-    const std::string key{trim(trimmed.substr(0, eq))};
+    const std::string_view key = trim(trimmed.substr(0, eq));
     const std::string_view value = trim(trimmed.substr(eq + 1));
-    bool found = false;
-    for (const KeyBinding& binding : bindings()) {
-      if (binding.key == key) {
-        try {
-          binding.set(scenario, value);
-        } catch (const std::exception& e) {
-          throw std::runtime_error("scenario line " + std::to_string(line_no) +
-                                   " (" + key + "): " + e.what());
-        }
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto row = std::find_if(table.begin(), table.end(),
+                                  [&](const Key& k) { return k.name == key; });
+    if (row == table.end()) {
       throw std::runtime_error("scenario line " + std::to_string(line_no) +
-                               ": unknown key '" + key + "'");
+                               ": unknown key '" + std::string(key) + "'");
+    }
+    try {
+      std::visit([&](auto* field) { load(field, value, row->scale); },
+                 row->field);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("scenario line " + std::to_string(line_no) +
+                               " (" + std::string(key) + "): " + e.what());
     }
   }
   scenario.validate();
@@ -358,187 +244,56 @@ Scenario load_scenario_file(const std::string& path) {
 
 void save_scenario(std::ostream& os, const Scenario& scenario) {
   os << "# RISA scenario (generated; see sim/scenario_io.hpp)\n";
-  for (const KeyBinding& binding : bindings()) {
-    os << binding.key << " = " << binding.get(scenario) << '\n';
+  Scenario copy = scenario;  // keys() binds mutable fields; only read here
+  for (const Key& row : keys(copy)) {
+    os << row.name << " = "
+       << std::visit([&](const auto* field) { return print(field, row.scale); },
+                     row.field)
+       << '\n';
   }
 }
 
 void save_scenario_file(const std::string& path, const Scenario& scenario) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("scenario: cannot open " + path);
+  std::ostringstream os;
   save_scenario(os, scenario);
-  if (!os) throw std::runtime_error("scenario: write failed: " + path);
+  write_file(path, "scenario", os.str());
 }
 
 // --- FaultPlan JSON ---------------------------------------------------------
 
 namespace {
 
-/// Render a double so it parses back to the same bits (%.17g is exact for
-/// IEEE-754 binary64) while keeping round values short.
-std::string json_number(double v) {
-  std::string s = strformat("%.17g", v);
-  const std::string shorter = strformat("%.15g", v);
-  if (std::strtod(shorter.c_str(), nullptr) == v) return shorter;
-  return s;
-}
-
-/// Minimal cursor-based parser for the fixed FaultPlan/MigrationPlan
-/// schemas.  Not a general JSON library: it understands exactly the
-/// objects, arrays, strings, numbers and booleans the schemas use, and
-/// treats everything unknown as an error with position context.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view s, const char* what = "fault plan")
-      : s_(s), what_(what) {}
-
-  void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
-                              s_[i_] == '\n' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) {
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return i_ >= s_.size();
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\') fail("escape sequences not supported");
-      out.push_back(s_[i_++]);
-    }
-    if (i_ >= s_.size()) fail("unterminated string");
-    ++i_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] double parse_number() {
-    skip_ws();
-    const std::size_t start = i_;
-    while (i_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[i_])) != 0 ||
-            s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' ||
-            s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-    }
-    if (i_ == start) fail("expected a number");
-    const std::string token{s_.substr(start, i_ - start)};
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number '" + token + "'");
-    return v;
-  }
-
-  /// Iterate "key": value members of an object whose '{' is next.
-  /// `member` is called with each key and must consume the value.
-  template <typename Fn>
-  void parse_object(Fn&& member) {
-    expect('{');
-    if (consume('}')) return;
-    do {
-      const std::string key = parse_string();
-      expect(':');
-      member(key);
-    } while (consume(','));
-    expect('}');
-  }
-
-  /// `true` / `false` literal.
-  [[nodiscard]] bool parse_bool() {
-    skip_ws();
-    if (s_.substr(i_, 4) == "true") {
-      i_ += 4;
-      return true;
-    }
-    if (s_.substr(i_, 5) == "false") {
-      i_ += 5;
-      return false;
-    }
-    fail("expected true or false");
-  }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error(std::string(what_) + " JSON (offset " +
-                             std::to_string(i_) + "): " + msg);
-  }
-
- private:
-  std::string_view s_;
-  const char* what_;
-  std::size_t i_ = 0;
-};
-
-std::uint64_t as_u64(JsonCursor& c, double v, const char* what) {
-  // Range-check BEFORE the cast: casting an out-of-range double to uint64
-  // is undefined behavior, and !(v >= 0) also rejects NaN.  2^64 is
-  // exactly representable, so the upper bound is a plain compare.
-  constexpr double kTwoPow64 = 18446744073709551616.0;
-  if (!(v >= 0.0) || v >= kTwoPow64 ||
-      v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    c.fail(std::string(what) + " must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::uint32_t as_u32(JsonCursor& c, double v, const char* what) {
-  const std::uint64_t u = as_u64(c, v, what);
-  if (u > 0xffffffffull) {
-    c.fail(std::string(what) + " exceeds the 32-bit range");
-  }
-  return static_cast<std::uint32_t>(u);
-}
+/// Action spellings, indexed by FaultAction::Kind.
+constexpr std::array<std::string_view, 4> kActionNames{"fail", "repair",
+                                                       "link-fail",
+                                                       "link-repair"};
 
 FaultAction parse_action(JsonCursor& c) {
   FaultAction a;
   bool kind_seen = false;
-  c.parse_object([&](const std::string& key) {
+  c.object([&](const std::string& key) {
     if (key == "action") {
-      const std::string kind = c.parse_string();
-      if (kind == "fail") {
-        a.kind = FaultAction::Kind::Fail;
-      } else if (kind == "repair") {
-        a.kind = FaultAction::Kind::Repair;
-      } else if (kind == "link-fail") {
-        a.kind = FaultAction::Kind::LinkFail;
-      } else if (kind == "link-repair") {
-        a.kind = FaultAction::Kind::LinkRepair;
-      } else {
+      const std::string kind = c.string();
+      const auto it = std::find(kActionNames.begin(), kActionNames.end(), kind);
+      if (it == kActionNames.end()) {
         c.fail("unknown action '" + kind +
                "' (fail | repair | link-fail | link-repair)");
       }
+      a.kind = static_cast<FaultAction::Kind>(it - kActionNames.begin());
       kind_seen = true;
     } else if (key == "at_time") {
-      a.at_time = c.parse_number();
+      a.at_time = c.number();
     } else if (key == "after_admissions") {
-      a.after_admissions =
-          static_cast<std::int64_t>(as_u64(c, c.parse_number(), "after_admissions"));
+      a.after_admissions = static_cast<std::int64_t>(c.u64(
+          "after_admissions", std::numeric_limits<std::int64_t>::max()));
     } else if (key == "box") {
-      a.box = as_u32(c, c.parse_number(), "box");
+      a.box = c.u32("box");
     } else if (key == "random_boxes") {
-      a.random_boxes = as_u32(c, c.parse_number(), "random_boxes");
+      a.random_boxes = c.u32("random_boxes");
     } else if (key == "link") {
-      a.link = as_u32(c, c.parse_number(), "link");
+      a.link = c.u32("link");
     } else if (key == "random_links") {
-      a.random_links = as_u32(c, c.parse_number(), "random_links");
+      a.random_links = c.u32("random_links");
     } else {
       c.fail("unknown action key '" + key + "'");
     }
@@ -547,14 +302,20 @@ FaultAction parse_action(JsonCursor& c) {
   return a;
 }
 
-const char* action_name(FaultAction::Kind k) {
-  switch (k) {
-    case FaultAction::Kind::Fail: return "fail";
-    case FaultAction::Kind::Repair: return "repair";
-    case FaultAction::Kind::LinkFail: return "link-fail";
-    case FaultAction::Kind::LinkRepair: return "link-repair";
-  }
-  return "?";
+/// MigrationPlan is flat: one row per member drives both the writer (in
+/// row order) and the reader.
+using PlanField = std::variant<double*, std::uint32_t*, bool*>;
+
+std::array<std::pair<const char*, PlanField>, 9> plan_keys(MigrationPlan& p) {
+  return {{{"period_tu", &p.period_tu},
+           {"first_sweep_at", &p.first_sweep_at},
+           {"min_interrack_fraction", &p.min_interrack_fraction},
+           {"per_sweep_budget", &p.per_sweep_budget},
+           {"total_budget", &p.total_budget},
+           {"fixed_cost_tu", &p.fixed_cost_tu},
+           {"charge_transfer", &p.charge_transfer},
+           {"only_if_improves", &p.only_if_improves},
+           {"skip_while_degraded", &p.skip_while_degraded}}};
 }
 
 }  // namespace
@@ -567,7 +328,7 @@ std::string fault_plan_json(const FaultPlan& plan) {
   for (std::size_t i = 0; i < plan.actions.size(); ++i) {
     const FaultAction& a = plan.actions[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"action\": \""
-       << action_name(a.kind) << '"';
+       << kActionNames[static_cast<std::size_t>(a.kind)] << '"';
     if (a.time_triggered()) {
       os << ", \"at_time\": " << json_number(a.at_time);
     } else {
@@ -591,127 +352,83 @@ std::string fault_plan_json(const FaultPlan& plan) {
 }
 
 FaultPlan parse_fault_plan_json(std::string_view json) {
-  JsonCursor c(json);
+  std::istringstream in{std::string(json)};
+  JsonCursor c(in, "fault plan");
   FaultPlan plan;
-  c.parse_object([&](const std::string& key) {
+  c.object([&](const std::string& key) {
     if (key == "seed") {
-      plan.seed = as_u64(c, c.parse_number(), "seed");
+      plan.seed = c.u64("seed");
     } else if (key == "retry") {
-      c.parse_object([&](const std::string& rkey) {
+      c.object([&](const std::string& rkey) {
         if (rkey == "max_attempts") {
-          plan.retry.max_attempts =
-              as_u32(c, c.parse_number(), "max_attempts");
+          plan.retry.max_attempts = c.u32("max_attempts");
         } else if (rkey == "delay_tu") {
-          plan.retry.delay_tu = c.parse_number();
+          plan.retry.delay_tu = c.number();
         } else {
           c.fail("unknown retry key '" + rkey + "'");
         }
       });
     } else if (key == "actions") {
-      c.expect('[');
-      if (!c.consume(']')) {
-        do {
-          plan.actions.push_back(parse_action(c));
-        } while (c.consume(','));
-        c.expect(']');
-      }
+      c.array([&] { plan.actions.push_back(parse_action(c)); });
     } else {
       c.fail("unknown key '" + key + "'");
     }
   });
-  if (!c.at_end()) c.fail("trailing content after plan object");
-  try {
-    plan.validate();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("fault plan JSON: ") + e.what());
-  }
-  return plan;
+  c.finish();
+  return validated(std::move(plan), "fault plan");
 }
 
 FaultPlan load_fault_plan_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("fault plan: cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_fault_plan_json(buf.str());
+  return parse_fault_plan_json(read_file(path, "fault plan"));
 }
 
 void save_fault_plan_file(const std::string& path, const FaultPlan& plan) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("fault plan: cannot open " + path);
-  os << fault_plan_json(plan);
-  if (!os) throw std::runtime_error("fault plan: write failed: " + path);
+  write_file(path, "fault plan", fault_plan_json(plan));
 }
 
 // --- MigrationPlan JSON -----------------------------------------------------
 
 std::string migration_plan_json(const MigrationPlan& plan) {
   std::ostringstream os;
-  os << "{\n  \"period_tu\": " << json_number(plan.period_tu)
-     << ",\n  \"first_sweep_at\": " << json_number(plan.first_sweep_at)
-     << ",\n  \"min_interrack_fraction\": "
-     << json_number(plan.min_interrack_fraction)
-     << ",\n  \"per_sweep_budget\": " << plan.per_sweep_budget
-     << ",\n  \"total_budget\": " << plan.total_budget
-     << ",\n  \"fixed_cost_tu\": " << json_number(plan.fixed_cost_tu)
-     << ",\n  \"charge_transfer\": "
-     << (plan.charge_transfer ? "true" : "false")
-     << ",\n  \"only_if_improves\": "
-     << (plan.only_if_improves ? "true" : "false")
-     << ",\n  \"skip_while_degraded\": "
-     << (plan.skip_while_degraded ? "true" : "false") << "\n}\n";
+  MigrationPlan copy = plan;  // plan_keys() binds mutable fields; only read
+  const char* sep = "{\n  \"";
+  for (const auto& [name, field] : plan_keys(copy)) {
+    os << sep << name << "\": ";
+    std::visit(Overloaded{[&](const double* v) { os << json_number(*v); },
+                          [&](const std::uint32_t* v) { os << *v; },
+                          [&](const bool* v) { os << std::boolalpha << *v; }},
+               field);
+    sep = ",\n  \"";
+  }
+  os << "\n}\n";
   return os.str();
 }
 
 MigrationPlan parse_migration_plan_json(std::string_view json) {
-  JsonCursor c(json, "migration plan");
+  std::istringstream in{std::string(json)};
+  JsonCursor c(in, "migration plan");
   MigrationPlan plan;
-  c.parse_object([&](const std::string& key) {
-    if (key == "period_tu") {
-      plan.period_tu = c.parse_number();
-    } else if (key == "first_sweep_at") {
-      plan.first_sweep_at = c.parse_number();
-    } else if (key == "min_interrack_fraction") {
-      plan.min_interrack_fraction = c.parse_number();
-    } else if (key == "per_sweep_budget") {
-      plan.per_sweep_budget = as_u32(c, c.parse_number(), "per_sweep_budget");
-    } else if (key == "total_budget") {
-      plan.total_budget = as_u32(c, c.parse_number(), "total_budget");
-    } else if (key == "fixed_cost_tu") {
-      plan.fixed_cost_tu = c.parse_number();
-    } else if (key == "charge_transfer") {
-      plan.charge_transfer = c.parse_bool();
-    } else if (key == "only_if_improves") {
-      plan.only_if_improves = c.parse_bool();
-    } else if (key == "skip_while_degraded") {
-      plan.skip_while_degraded = c.parse_bool();
-    } else {
-      c.fail("unknown key '" + key + "'");
-    }
+  const auto keys = plan_keys(plan);
+  c.object([&](const std::string& key) {
+    const auto row = std::find_if(
+        keys.begin(), keys.end(), [&](const auto& k) { return key == k.first; });
+    if (row == keys.end()) c.fail("unknown key '" + key + "'");
+    std::visit(Overloaded{[&](double* v) { *v = c.number(); },
+                          [&](std::uint32_t* v) { *v = c.u32(row->first); },
+                          [&](bool* v) { *v = c.boolean(); }},
+               row->second);
   });
-  if (!c.at_end()) c.fail("trailing content after plan object");
-  try {
-    plan.validate();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("migration plan JSON: ") + e.what());
-  }
-  return plan;
+  c.finish();
+  return validated(std::move(plan), "migration plan");
 }
 
 MigrationPlan load_migration_plan_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("migration plan: cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_migration_plan_json(buf.str());
+  return parse_migration_plan_json(read_file(path, "migration plan"));
 }
 
 void save_migration_plan_file(const std::string& path,
                               const MigrationPlan& plan) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("migration plan: cannot open " + path);
-  os << migration_plan_json(plan);
-  if (!os) throw std::runtime_error("migration plan: write failed: " + path);
+  write_file(path, "migration plan", migration_plan_json(plan));
 }
 
 }  // namespace risa::sim

@@ -1,14 +1,11 @@
 #include "sim/telemetry.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <istream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/json_cursor.hpp"
 
 namespace risa::sim {
 namespace {
@@ -248,148 +245,11 @@ void Telemetry::finish_run(const PhaseProfile* profile) {
 }
 
 // ---------------------------------------------------------------------
-// Offline reader: a single-pass recursive-descent scan of the Chrome
-// trace JSON.  Events are aggregated as they parse -- memory stays
-// O(distinct names), so multi-hundred-MB CI traces summarize in a few
-// tens of MB.
+// Offline reader: a single pass of the shared JSON cursor over the Chrome
+// trace.  Events are aggregated as they parse -- memory stays O(distinct
+// names), so multi-hundred-MB CI traces summarize in a few tens of MB.
 
 namespace {
-
-class JsonScanner {
- public:
-  explicit JsonScanner(std::istream& in) : in_(in) {}
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("trace JSON: " + what + " at byte " +
-                             std::to_string(pos_));
-  }
-
-  int peek() {
-    skip_ws();
-    return in_.peek();
-  }
-  int get() {
-    int c = in_.get();
-    if (c != EOF) ++pos_;
-    return c;
-  }
-  void expect(char want) {
-    skip_ws();
-    int c = get();
-    if (c != want) {
-      fail(std::string("expected '") + want + "'");
-    }
-  }
-  bool try_consume(char want) {
-    skip_ws();
-    if (in_.peek() == want) {
-      get();
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      int c = get();
-      if (c == EOF) fail("unterminated string");
-      if (c == '"') return out;
-      if (c == '\\') {
-        int e = get();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            for (int i = 0; i < 4; ++i) {
-              int h = get();
-              if (!std::isxdigit(h)) fail("bad \\u escape");
-            }
-            out += '?';  // summaries never need the exact code point
-            break;
-          }
-          default: fail("bad escape");
-        }
-      } else {
-        out += static_cast<char>(c);
-      }
-    }
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::string tok;
-    int c = in_.peek();
-    while (c != EOF && (std::isdigit(c) || c == '-' || c == '+' || c == '.' ||
-                        c == 'e' || c == 'E')) {
-      tok += static_cast<char>(get());
-      c = in_.peek();
-    }
-    if (tok.empty()) fail("expected number");
-    char* end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("bad number '" + tok + "'");
-    return v;
-  }
-
-  /// Skip any JSON value (validating as it goes).
-  void skip_value() {
-    int c = peek();
-    if (c == '"') {
-      parse_string();
-    } else if (c == '{') {
-      get();
-      if (try_consume('}')) return;
-      do {
-        parse_string();
-        expect(':');
-        skip_value();
-      } while (try_consume(','));
-      expect('}');
-    } else if (c == '[') {
-      get();
-      if (try_consume(']')) return;
-      do {
-        skip_value();
-      } while (try_consume(','));
-      expect(']');
-    } else if (c == 't') {
-      literal("true");
-    } else if (c == 'f') {
-      literal("false");
-    } else if (c == 'n') {
-      literal("null");
-    } else {
-      parse_number();
-    }
-  }
-
-  void literal(const char* word) {
-    skip_ws();
-    for (const char* p = word; *p != '\0'; ++p) {
-      if (get() != *p) fail(std::string("expected '") + word + "'");
-    }
-  }
-
-  void skip_ws() {
-    int c = in_.peek();
-    while (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      get();
-      c = in_.peek();
-    }
-  }
-
- private:
-  std::istream& in_;
-  std::size_t pos_ = 0;
-};
 
 struct RawEvent {
   std::string name;
@@ -398,47 +258,34 @@ struct RawEvent {
   double dur = 0.0;
   double value = 0.0;
   std::uint32_t tid = 0;
-  bool has_value = false;
 };
 
-RawEvent parse_event(JsonScanner& s) {
+RawEvent parse_event(JsonCursor& c) {
   RawEvent e;
-  s.expect('{');
-  if (s.try_consume('}')) return e;
-  do {
-    std::string key = s.parse_string();
-    s.expect(':');
+  c.object([&](const std::string& key) {
     if (key == "name") {
-      e.name = s.parse_string();
+      e.name = c.string();
     } else if (key == "ph") {
-      std::string ph = s.parse_string();
+      const std::string ph = c.string();
       e.ph = ph.empty() ? '\0' : ph[0];
     } else if (key == "ts") {
-      e.ts = s.parse_number();
+      e.ts = c.number();
     } else if (key == "dur") {
-      e.dur = s.parse_number();
+      e.dur = c.number();
     } else if (key == "tid") {
-      e.tid = static_cast<std::uint32_t>(s.parse_number());
+      e.tid = c.u32("tid");
     } else if (key == "args") {
-      s.expect('{');
-      if (!s.try_consume('}')) {
-        do {
-          std::string akey = s.parse_string();
-          s.expect(':');
-          if (akey == "value") {
-            e.value = s.parse_number();
-            e.has_value = true;
-          } else {
-            s.skip_value();
-          }
-        } while (s.try_consume(','));
-        s.expect('}');
-      }
+      c.object([&](const std::string& akey) {
+        if (akey == "value") {
+          e.value = c.number();
+        } else {
+          c.skip_value();
+        }
+      });
     } else {
-      s.skip_value();
+      c.skip_value();
     }
-  } while (s.try_consume(','));
-  s.expect('}');
+  });
   return e;
 }
 
@@ -461,82 +308,71 @@ struct NestState {
 }  // namespace
 
 TraceSummary summarize_trace(std::istream& in) {
-  JsonScanner s(in);
+  JsonCursor c(in, "trace");
   TraceSummary out;
   std::vector<NestState> nests;
   std::vector<std::pair<std::string, double>> counter_last_ts;
 
-  s.expect('{');
-  if (!s.try_consume('}')) {
-    do {
-      std::string key = s.parse_string();
-      s.expect(':');
-      if (key == "traceEvents") {
-        s.expect('[');
-        if (!s.try_consume(']')) {
-          do {
-            RawEvent e = parse_event(s);
-            if (e.ph == 'M') continue;  // metadata
-            ++out.events;
-            if (e.ph == 'X') {
-              auto& agg = find_or_add(out.spans, e.name);
-              ++agg.count;
-              agg.total_us += e.dur;
-              agg.max_us = std::max(agg.max_us, e.dur);
-              NestState* ns = nullptr;
-              for (NestState& n : nests) {
-                if (n.tid == e.tid) ns = &n;
-              }
-              if (ns == nullptr) {
-                nests.push_back(NestState{e.tid, {}});
-                ns = &nests.back();
-              }
-              // Events appear in emission order (nondecreasing ts per
-              // tid); pop spans that ended before this one starts, then
-              // require full containment in whatever is still open.
-              while (!ns->open_ends.empty() && ns->open_ends.back() <= e.ts) {
-                ns->open_ends.pop_back();
-              }
-              if (!ns->open_ends.empty() &&
-                  e.ts + e.dur > ns->open_ends.back()) {
-                out.spans_nest = false;
-              }
-              ns->open_ends.push_back(e.ts + e.dur);
-            } else if (e.ph == 'C') {
-              auto& agg = find_or_add(out.counters, e.name);
-              if (agg.samples == 0) {
-                agg.min = agg.max = e.value;
-              } else {
-                agg.min = std::min(agg.min, e.value);
-                agg.max = std::max(agg.max, e.value);
-              }
-              ++agg.samples;
-              agg.sum += e.value;
-              bool found = false;
-              for (auto& [cname, last] : counter_last_ts) {
-                if (cname == e.name) {
-                  if (e.ts < last) out.counters_monotone = false;
-                  last = e.ts;
-                  found = true;
-                }
-              }
-              if (!found) counter_last_ts.emplace_back(e.name, e.ts);
-            } else if (e.ph == 'i' || e.ph == 'I') {
-              ++find_or_add(out.instants, e.name).count;
-            }
-          } while (s.try_consume(','));
-          s.expect(']');
-        }
-      } else if (key == "overflowDropped") {
-        out.overflow_dropped = static_cast<std::uint64_t>(s.parse_number());
-      } else {
-        s.skip_value();
+  const auto add = [&](const RawEvent& e) {
+    if (e.ph == 'M') return;  // metadata
+    ++out.events;
+    if (e.ph == 'X') {
+      auto& agg = find_or_add(out.spans, e.name);
+      ++agg.count;
+      agg.total_us += e.dur;
+      agg.max_us = std::max(agg.max_us, e.dur);
+      NestState* ns = nullptr;
+      for (NestState& n : nests) {
+        if (n.tid == e.tid) ns = &n;
       }
-    } while (s.try_consume(','));
-    s.expect('}');
-  }
-  s.skip_ws();
-  if (in.peek() != EOF) s.fail("trailing content after top-level object");
+      if (ns == nullptr) {
+        nests.push_back(NestState{e.tid, {}});
+        ns = &nests.back();
+      }
+      // Events appear in emission order (nondecreasing ts per tid); pop
+      // spans that ended before this one starts, then require full
+      // containment in whatever is still open.
+      while (!ns->open_ends.empty() && ns->open_ends.back() <= e.ts) {
+        ns->open_ends.pop_back();
+      }
+      if (!ns->open_ends.empty() && e.ts + e.dur > ns->open_ends.back()) {
+        out.spans_nest = false;
+      }
+      ns->open_ends.push_back(e.ts + e.dur);
+    } else if (e.ph == 'C') {
+      auto& agg = find_or_add(out.counters, e.name);
+      if (agg.samples == 0) {
+        agg.min = agg.max = e.value;
+      } else {
+        agg.min = std::min(agg.min, e.value);
+        agg.max = std::max(agg.max, e.value);
+      }
+      ++agg.samples;
+      agg.sum += e.value;
+      bool found = false;
+      for (auto& [cname, last] : counter_last_ts) {
+        if (cname == e.name) {
+          if (e.ts < last) out.counters_monotone = false;
+          last = e.ts;
+          found = true;
+        }
+      }
+      if (!found) counter_last_ts.emplace_back(e.name, e.ts);
+    } else if (e.ph == 'i' || e.ph == 'I') {
+      ++find_or_add(out.instants, e.name).count;
+    }
+  };
+
+  c.object([&](const std::string& key) {
+    if (key == "traceEvents") {
+      c.array([&] { add(parse_event(c)); });
+    } else if (key == "overflowDropped") {
+      out.overflow_dropped = c.u64("overflowDropped");
+    } else {
+      c.skip_value();
+    }
+  });
+  c.finish();
 
   std::sort(out.spans.begin(), out.spans.end(),
             [](const TraceSummary::SpanAgg& a, const TraceSummary::SpanAgg& b) {

@@ -1,6 +1,7 @@
 #include "workload/arrival_source.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -17,6 +18,11 @@ WorkloadSource::WorkloadSource(const Workload& workload)
   const std::size_t n = workload.size();
   order_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
+    // A NaN arrival would break the sort's ordering contract below.
+    if (!std::isfinite(workload[i].arrival)) {
+      throw std::invalid_argument("WorkloadSource: VM " + std::to_string(i) +
+                                  " has a non-finite arrival");
+    }
     order_[i] = static_cast<std::uint32_t>(i);
   }
   // Same cursor the engine historically built: identity when the workload

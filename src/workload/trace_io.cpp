@@ -1,6 +1,8 @@
 #include "workload/trace_io.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
@@ -62,14 +64,17 @@ bool TraceReader::next(VmRequest& out) {
     throw std::runtime_error("trace: line " + std::to_string(line_) +
                              " has wrong column count");
   }
-  out.id = VmId{static_cast<std::uint32_t>(parse_i64(cells_[0]))};
+  const std::int64_t id = parse_i64(cells_[0]);
+  out.id = VmId{static_cast<std::uint32_t>(id)};
   out.cores = parse_i64(cells_[1]);
   out.ram_mb = parse_i64(cells_[2]);
   out.storage_mb = parse_i64(cells_[3]);
   out.arrival = parse_f64(cells_[4]);
   out.lifetime = parse_f64(cells_[5]);
-  if (out.cores <= 0 || out.ram_mb <= 0 || out.storage_mb <= 0 ||
-      out.arrival < 0 || out.lifetime <= 0) {
+  if (id < 0 || id > std::numeric_limits<std::uint32_t>::max() ||
+      out.cores <= 0 || out.ram_mb <= 0 || out.storage_mb <= 0 ||
+      !(out.arrival >= 0) || !(out.lifetime > 0) ||
+      !std::isfinite(out.arrival) || !std::isfinite(out.lifetime)) {
     throw std::runtime_error("trace: line " + std::to_string(line_) +
                              " has out-of-range values");
   }

@@ -2,12 +2,15 @@
 // plausibility.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
 #include "sim/sweep.hpp"
+#include "workload/arrival_source.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
 
@@ -132,6 +135,46 @@ TEST(Engine, NegativeLifetimeRejectedBeforeAnyEvent) {
   EXPECT_EQ(m.placed + m.dropped, m.total_vms);
 }
 
+/// Streams a vector as-is (no sorting, no checks), so the engine's own
+/// intake check is the only guard.
+class RawSource final : public wl::ArrivalSource {
+ public:
+  explicit RawSource(const wl::Workload& w) : w_(&w) {}
+  std::size_t next_batch(std::span<wl::ArrivalItem> out) override {
+    std::size_t n = 0;
+    for (; n < out.size() && i_ < w_->size(); ++n, ++i_) {
+      out[n].vm = (*w_)[i_];
+      out[n].index = static_cast<std::uint32_t>(i_);
+    }
+    return n;
+  }
+  void rewind() override { i_ = 0; }
+  void save_position(std::ostream&) const override {}
+  void restore_position(std::istream&) override {}
+
+ private:
+  const wl::Workload* w_;
+  std::size_t i_ = 0;
+};
+
+TEST(Engine, NonFiniteTimesRejectedOnBothIntakePaths) {
+  // A NaN arrival would stall the merge loop, and an infinite lifetime
+  // would schedule a departure that never comes.
+  const wl::Workload clean = small_workload(20);
+  wl::Workload nan_arrival = clean;
+  nan_arrival[7].arrival = std::numeric_limits<double>::quiet_NaN();
+  wl::Workload inf_lifetime = clean;
+  inf_lifetime[7].lifetime = std::numeric_limits<double>::infinity();
+  Engine engine(Scenario::paper_defaults(), "RISA");
+  for (const wl::Workload* bad : {&nan_arrival, &inf_lifetime}) {
+    EXPECT_THROW((void)engine.run(*bad, "t"), std::invalid_argument);
+    RawSource source(*bad);
+    EXPECT_THROW((void)engine.run_stream(source, "t"), std::invalid_argument);
+  }
+  const SimMetrics m = engine.run(clean, "t");
+  EXPECT_EQ(m.placed + m.dropped, m.total_vms);
+}
+
 TEST(Engine, UnknownAlgorithmThrowsAtConstruction) {
   EXPECT_THROW(Engine(Scenario::paper_defaults(), "bogus"),
                std::invalid_argument);
@@ -168,14 +211,14 @@ TEST(Engine, CollidingVmIdsRunLikeUniqueIds) {
   }
 }
 
-TEST(Engine, TraceWithNegativeVmIdRunsLikeUniqueIds) {
+TEST(Engine, TraceWithMaxVmIdRunsLikeUniqueIds) {
   const wl::Workload unique = small_workload(3000, 7);
   std::ostringstream csv;
   wl::write_trace(csv, with_ids_mod_7(unique));
   std::string text = csv.str();
   const std::size_t first_id = text.find('\n') + 1;
   ASSERT_EQ(text.compare(first_id, 2, "0,"), 0);
-  text.replace(first_id, 1, "-1");
+  text.replace(first_id, 1, "4294967295");
   std::istringstream in(text);
   const wl::Workload traced = wl::read_trace(in);
   ASSERT_EQ(traced.front().id, VmId{0xFFFFFFFFu});

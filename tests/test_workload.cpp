@@ -202,6 +202,30 @@ TEST(TraceIo, RejectsMalformedInput) {
   EXPECT_THROW(read_trace(bad_row), std::runtime_error);
 }
 
+TEST(TraceIo, RejectsNonFiniteTimesAndWideIds) {
+  // Each row would otherwise load silently wrong: a NaN arrival stalls the
+  // engine's merge loop, and an id past u32 would be truncated.
+  for (const char* row : {"1,4,1024,1024,nan,5", "1,4,1024,1024,inf,5",
+                          "1,4,1024,1024,0,nan", "1,4,1024,1024,0,inf",
+                          "4294967296,4,1024,1024,0,5", "-1,4,1024,1024,0,5"}) {
+    std::stringstream ss(std::string(
+                             "vm_id,cores,ram_mb,storage_mb,arrival,lifetime\n"
+                             "0,4,1024,1024,0,5\n") +
+                         row + "\n");
+    try {
+      (void)read_trace(ss);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream widest(
+      "vm_id,cores,ram_mb,storage_mb,arrival,lifetime\n"
+      "4294967295,4,1024,1024,0,5\n");
+  EXPECT_EQ(read_trace(widest).at(0).id, VmId{0xFFFFFFFFu});
+}
+
 TEST(SyntheticConfig, ValidationRejectsBadRanges) {
   SyntheticConfig cfg;
   cfg.count = 0;
