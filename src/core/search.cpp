@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace risa::core {
 
@@ -86,6 +87,7 @@ class PathHeadroom {
     return std::min(available(fabric_->best_box_uplink(box)), bound);
   }
 
+  [[nodiscard]] RackId anchor_rack() const noexcept { return anchor_rack_; }
   /// Upper bound on any headroom at all, and on any non-anchor-rack one.
   [[nodiscard]] MbitsPerSec capacity() const noexcept { return capacity_; }
   [[nodiscard]] MbitsPerSec anchor_uplink() const noexcept {
@@ -131,6 +133,7 @@ class PathHeadroom {
 /// more channels).  The comparison runs in raw bandwidth against `need`,
 /// the least headroom worth one more channel than the best, so a key is
 /// only divided out when it wins: floor(h / q) > k  <=>  h >= (k + 1) q.
+/// `need` is therefore always 0 or a multiple of q, and only grows.
 struct RankedBest {
   explicit RankedBest(MbitsPerSec channel_rate) : channel_rate(channel_rate) {}
 
@@ -152,11 +155,14 @@ struct RankedBest {
 };
 
 /// Offer the fitting boxes of `rack` to `best` in id order, stopping as
-/// soon as none of the rest can win.
+/// soon as none of the rest can win.  Callers pass only racks whose bound
+/// admits `need`; a rack whose bound is below it could not change `best`.
 void rank_rack(const topo::Cluster& cluster, ResourceType type, Units units,
-               RackId rack, const PathHeadroom& headroom, RankedBest& best) {
+               RackId rack, const PathHeadroom& headroom, RankedBest& best,
+               SearchTally* tally) {
   const MbitsPerSec bound = headroom.rack_bound(rack);
-  if (best.settled(bound)) return;
+  assert(!best.settled(bound));
+  if (tally != nullptr) ++tally->racks;
   for (BoxId id : cluster.boxes_of_type_in_rack(rack, type)) {
     if (cluster.box_unchecked(id).available_units() >= units) {
       best.offer(headroom.of(id, bound), id);
@@ -165,12 +171,63 @@ void rank_rack(const topo::Cluster& cluster, ResourceType type, Units units,
   }
 }
 
+/// The bandwidth-descending walk over the candidate racks in ascending id
+/// order, ranking only the racks whose bound still admits `best.need`.
+/// Each shard's candidate word is the index's type word (racks with a
+/// fitting box), the filter word and `live`: the anchor rack while `need`
+/// fits a full link, and every other rack while `need` fits both the
+/// anchor's best rack uplink and its own -- one lane compare of the
+/// fabric's rack-headroom lanes per 64 racks.  `need` is a multiple of the
+/// channel rate, so the lane compare decides `need <= bound` exactly, and
+/// it only grows, so re-masking the rest of the word after a rank raises
+/// it drops exactly the racks that became unable to win (DESIGN.md §15).
+/// `rank_anchor` false leaves the anchor rack out (AnchorRackFirst's
+/// second tier).
+[[nodiscard]] BoxId ranked_walk(const topo::Cluster& cluster,
+                                const net::Fabric& fabric, ResourceType type,
+                                Units units, const RackFilter& filter,
+                                const PathHeadroom& headroom, bool rank_anchor,
+                                SearchTally* tally) {
+  static_assert(net::Fabric::kShardRacks ==
+                topo::RackAvailabilityIndex::kShardRacks);
+  constexpr std::uint32_t kShardRacks = net::Fabric::kShardRacks;
+  const topo::RackAvailabilityIndex& index = cluster.rack_index();
+  const std::uint32_t anchor = headroom.anchor_rack().value();
+  const std::uint64_t anchor_bit = std::uint64_t{1} << (anchor % kShardRacks);
+  RankedBest best(fabric.config().channel_rate);
+  auto live = [&](std::uint32_t shard) {
+    std::uint64_t word = best.settled(headroom.anchor_uplink())
+                             ? 0
+                             : fabric.rack_headroom_word(shard, best.need);
+    if (shard == anchor / kShardRacks) {
+      word &= ~anchor_bit;
+      if (rank_anchor && !best.settled(headroom.capacity())) word |= anchor_bit;
+    }
+    return word;
+  };
+  for (std::uint32_t s = 0; s < index.num_shards(); ++s) {
+    std::uint64_t word = live(s);
+    if (word == 0) continue;
+    word &= index.type_word(s, type, units);
+    if (filter.restricted()) word &= filter.mask(type).word(s);
+    while (word != 0) {
+      const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+      word &= word - 1;
+      const MbitsPerSec need = best.need;
+      rank_rack(cluster, type, units, RackId{s * kShardRacks + bit}, headroom,
+                best, tally);
+      if (best.need != need) word &= live(s);
+    }
+  }
+  return best.box;
+}
+
 }  // namespace
 
 BoxId bfs_search(const topo::Cluster& cluster, const net::Fabric& fabric,
                  RackId anchor_rack, ResourceType type, Units units,
                  NeighborOrder order, CompanionSearch companion,
-                 const RackFilter& filter) {
+                 const RackFilter& filter, SearchTally* tally) {
   if (order == NeighborOrder::BoxIdOrder) {
     if (companion == CompanionSearch::GlobalOrder) {
       // Single tier: every eligible box in per-type id order (the ordering
@@ -187,39 +244,24 @@ BoxId bfs_search(const topo::Cluster& cluster, const net::Fabric& fabric,
     return scan_in_id_order(cluster, type, units, filter, anchor_rack);
   }
 
-  // BandwidthDescending: fit-filtered running argmax (RankedBest above).
-  // Candidates come only from index-eligible racks -- racks the index
-  // excludes contain no fitting box, so pruning them cannot change the
-  // winner.  The walk ends as soon as no later candidate can win: every key
-  // is capped by a full link, and past the anchor rack by the anchor's own
-  // best rack uplink (DESIGN.md §15).
+  // BandwidthDescending: fit-filtered running argmax (RankedBest above)
+  // over index-eligible racks -- racks the index excludes contain no
+  // fitting box, so pruning them cannot change the winner -- ranking only
+  // racks whose bound admits a winner (ranked_walk).
   const PathHeadroom headroom(fabric, anchor_rack);
-  const MbitsPerSec channel_rate = fabric.config().channel_rate;
   if (companion == CompanionSearch::GlobalOrder) {
-    RankedBest best(channel_rate);
-    for_each_candidate_rack(
-        cluster, type, units, filter, [&](RackId rack) {
-          rank_rack(cluster, type, units, rack, headroom, best);
-          return best.settled(rack < anchor_rack ? headroom.capacity()
-                                                 : headroom.anchor_uplink());
-        });
-    return best.box;
+    return ranked_walk(cluster, fabric, type, units, filter, headroom,
+                       /*rank_anchor=*/true, tally);
   }
 
   // AnchorRackFirst tiers, each ranked independently.
   if (filter.allows(type, anchor_rack)) {
-    RankedBest local(channel_rate);
-    rank_rack(cluster, type, units, anchor_rack, headroom, local);
+    RankedBest local(fabric.config().channel_rate);
+    rank_rack(cluster, type, units, anchor_rack, headroom, local, tally);
     if (local.box.valid()) return local.box;
   }
-  RankedBest best(channel_rate);
-  for_each_candidate_rack(
-      cluster, type, units, filter, [&](RackId rack) {
-        if (rack == anchor_rack) return false;
-        rank_rack(cluster, type, units, rack, headroom, best);
-        return best.settled(headroom.anchor_uplink());
-      });
-  return best.box;
+  return ranked_walk(cluster, fabric, type, units, filter, headroom,
+                     /*rank_anchor=*/false, tally);
 }
 
 }  // namespace risa::core

@@ -102,6 +102,13 @@ enum class CompanionSearch : std::uint8_t {
   AnchorRackFirst = 1,  ///< literal Algorithm 2: anchor rack, then the rest
 };
 
+/// What a BandwidthDescending bfs_search did, summed over the calls it is
+/// passed to (the exactness test and instrumented runs read it; the
+/// placement path passes none, and BoxIdOrder searches leave it alone).
+struct SearchTally {
+  std::uint64_t racks = 0;  ///< racks whose boxes were ranked
+};
+
 /// BFS search for `type`: candidates ordered per `companion` tiering and
 /// `order` within each tier.  Returns the first candidate with `units`
 /// available, or an invalid id.  Allocation-free.
@@ -109,6 +116,7 @@ enum class CompanionSearch : std::uint8_t {
                                const net::Fabric& fabric, RackId anchor_rack,
                                ResourceType type, Units units,
                                NeighborOrder order, CompanionSearch companion,
-                               const RackFilter& filter);
+                               const RackFilter& filter,
+                               SearchTally* tally = nullptr);
 
 }  // namespace risa::core

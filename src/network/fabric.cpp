@@ -1,9 +1,11 @@
 #include "network/fabric.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "common/simd.hpp"
 #include "common/string_util.hpp"
 
 namespace risa::net {
@@ -99,6 +101,10 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
   }
   box_best_.resize(total_boxes);
   rack_best_.resize(racks);
+  rack_headroom_.assign(
+      static_cast<std::size_t>((racks + kShardRacks - 1) / kShardRacks) *
+          kShardRacks,
+      0);
   reset_best_caches();
 }
 
@@ -218,19 +224,32 @@ std::span<const LinkId> Fabric::group_of(const Link& l) const noexcept {
   return {};
 }
 
+std::uint16_t Fabric::headroom_lane(std::size_t rack) const noexcept {
+  constexpr MbitsPerSec kLaneMax = std::numeric_limits<std::uint16_t>::max();
+  return static_cast<std::uint16_t>(std::min(
+      links_[rack_best_[rack].value()].available() / config_.channel_rate,
+      kLaneMax));
+}
+
 // The cached link is the group's first argmax of available().  Links
 // before it hold strictly less, links after it at most as much.  A link
 // other than the cached one losing bandwidth keeps both facts true; the
-// cached one losing bandwidth may not, so its group is rescanned.
+// cached one losing bandwidth may not, so its group is rescanned.  A rack's
+// headroom lane reads only its cached link, so it is refreshed after that
+// rescan here and in on_increase when the rising link is the cached one.
 void Fabric::on_decrease(const Link& l) noexcept {
   LinkId* best = best_slot(l);
   if (best != nullptr && *best == l.id()) {
     *best = first_most_available(links_, group_of(l));
+    if (l.kind() == LinkKind::RackUplink) {
+      rack_headroom_[l.rack().value()] = headroom_lane(l.rack().value());
+    }
   }
 }
 
 // A link gaining bandwidth can only displace the cached link by beating
 // it, or by tying it from an earlier position in the group (lower id).
+// Either way the cached link is then `l`, whose lane is refreshed.
 void Fabric::on_increase(const Link& l) noexcept {
   LinkId* best = best_slot(l);
   if (best == nullptr) return;
@@ -238,6 +257,9 @@ void Fabric::on_increase(const Link& l) noexcept {
   if (l.available() > best_avail ||
       (l.available() == best_avail && l.id().value() < best->value())) {
     *best = l.id();
+  }
+  if (*best == l.id() && l.kind() == LinkKind::RackUplink) {
+    rack_headroom_[l.rack().value()] = headroom_lane(l.rack().value());
   }
 }
 
@@ -247,7 +269,37 @@ void Fabric::reset_best_caches() noexcept {
   }
   for (std::size_t r = 0; r < rack_best_.size(); ++r) {
     rack_best_[r] = rack_uplinks_[r].front();
+    rack_headroom_[r] = headroom_lane(r);
   }
+}
+
+std::uint64_t Fabric::rack_headroom_word(std::uint32_t shard,
+                                         MbitsPerSec need) const {
+  const std::size_t begin = std::size_t{shard} * kShardRacks;
+  if (begin >= rack_best_.size()) [[unlikely]] throw_bad_id("rack shard");
+  const std::size_t racks = std::min<std::size_t>(kShardRacks,
+                                                  rack_best_.size() - begin);
+  const std::uint64_t live = racks == kShardRacks
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << racks) - 1;
+  const MbitsPerSec q = config_.channel_rate;
+  const MbitsPerSec channels = need > 0 ? (need + q - 1) / q : 0;
+  if (channels <= std::numeric_limits<std::uint16_t>::max()) {
+    // A saturated lane under-reports only above the u16 range, so for a
+    // threshold inside it, lane >= channels iff the exact count is.
+    return simd::ge_mask64(&rack_headroom_[begin],
+                           static_cast<std::uint16_t>(channels)) &
+           live;
+  }
+  // Channel counts past the lane range (channel rates of a few Mb/s):
+  // exact scan, the RackAvailabilityIndex saturation rule (DESIGN.md §10.1).
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < racks; ++i) {
+    const MbitsPerSec free =
+        links_[rack_best_[begin + i].value()].available() / q;
+    word |= std::uint64_t{free >= channels} << i;
+  }
+  return word;
 }
 
 Result<bool, std::string> Fabric::allocate(LinkId id, MbitsPerSec bw) {
@@ -365,6 +417,12 @@ void Fabric::check_invariants() const {
   for (std::size_t r = 0; r < rack_best_.size(); ++r) {
     if (rack_best_[r] != first_most_available(links_, rack_uplinks_[r])) {
       throw std::logic_error("Fabric invariant: rack best-uplink cache mismatch");
+    }
+  }
+  for (std::size_t r = 0; r < rack_headroom_.size(); ++r) {
+    const std::uint16_t lane = r < rack_best_.size() ? headroom_lane(r) : 0;
+    if (rack_headroom_[r] != lane) {
+      throw std::logic_error("Fabric invariant: rack headroom lane mismatch");
     }
   }
 }

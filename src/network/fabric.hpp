@@ -15,8 +15,9 @@
 // (see DESIGN.md §2.3).  All aggregates (cluster-wide and per-rack intra
 // free bandwidth) are maintained incrementally; RISA's AVAIL_INTRA_RACK_NET
 // test reads them in O(1).  So is each box's and rack's most-available
-// uplink, which NALB's search keys and most-available routing read in O(1)
-// (DESIGN.md §15).
+// uplink, which NALB's search keys and most-available routing read in O(1),
+// and a u16 lane of each rack's free uplink channels, which NALB's companion
+// walk compares 64 racks at a time (DESIGN.md §15).
 #pragma once
 
 #include <cassert>
@@ -127,6 +128,19 @@ class Fabric {
     return rack_best_[rack.value()];
   }
 
+  /// Racks per rack-headroom shard: the availability index's shard width,
+  /// so a search can AND the two words bit for bit.
+  static constexpr std::uint32_t kShardRacks = 64;
+
+  /// One shard's rack-headroom word: bit i is set iff rack
+  /// shard * kShardRacks + i exists and its best uplink has at least
+  /// ceil(need / channel_rate) free channels -- for a `need` that is a
+  /// multiple of the channel rate, iff available() >= need.  One SIMD lane
+  /// compare while that channel count fits a u16; an exact scan of the
+  /// shard's racks beyond it (DESIGN.md §15).
+  [[nodiscard]] std::uint64_t rack_headroom_word(std::uint32_t shard,
+                                                 MbitsPerSec need) const;
+
   // --- Three-tier (pod) extension ------------------------------------------
   /// Number of pods (0 = two-tier, the paper's topology).
   [[nodiscard]] std::uint32_t num_pods() const noexcept {
@@ -201,6 +215,9 @@ class Fabric {
   /// Point every cache slot at its group's first link (all links idle).
   void reset_best_caches() noexcept;
 
+  /// Free channels of `rack`'s best uplink, saturated to a u16 lane.
+  [[nodiscard]] std::uint16_t headroom_lane(std::size_t rack) const noexcept;
+
   FabricConfig config_;
   std::vector<SwitchNode> switches_;
   std::vector<Link> links_;
@@ -214,6 +231,8 @@ class Fabric {
   std::vector<MbitsPerSec> rack_intra_available_;  // by rack id
   std::vector<LinkId> box_best_;                   // by box id
   std::vector<LinkId> rack_best_;                  // by rack id
+  /// headroom_lane(r) by rack id, zero-padded to whole kShardRacks shards.
+  std::vector<std::uint16_t> rack_headroom_;
   std::uint32_t failed_links_ = 0;
   MbitsPerSec intra_capacity_ = 0;
   MbitsPerSec intra_allocated_ = 0;

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -206,15 +208,89 @@ BoxId reference_bandwidth_search(const topo::Cluster& cluster,
   return first_of_ranked(std::move(rest));
 }
 
-struct BandwidthSearchDifferential : ::testing::Test {
-  // 96 racks: two index shards, so the walk crosses a shard boundary.
+/// The racks bfs_search(BandwidthDescending) must rank: walking each
+/// tier's fitting racks in ascending id with the running `need` of the
+/// rank above, exactly those whose bound (a full link for the anchor rack
+/// under GlobalOrder, else the smaller of the two best rack uplinks) is at
+/// least `need` -- no other rack can change the winner.  AnchorRackFirst
+/// ranks the anchor rack first whenever the filter admits it.
+std::uint64_t reference_racks_ranked(const topo::Cluster& cluster,
+                                     const net::Fabric& fabric, RackId anchor,
+                                     ResourceType type, Units units,
+                                     CompanionSearch companion,
+                                     const RackFilter& filter) {
+  const MbitsPerSec channel = fabric.config().channel_rate;
+  const MbitsPerSec capacity = fabric.config().link_capacity;
+  const MbitsPerSec anchor_uplink = rescan_best(fabric, fabric.rack_uplinks(anchor));
+  std::uint64_t ranked = 0;
+  MbitsPerSec need = 0;
+  bool found = false;
+  auto rank = [&](RackId rack, MbitsPerSec bound) {
+    ++ranked;
+    for (BoxId box : cluster.boxes_of_type_in_rack(rack, type)) {
+      if (cluster.box(box).available_units() < units) continue;
+      const MbitsPerSec headroom =
+          std::min(rescan_best(fabric, fabric.box_uplinks(box)), bound);
+      if (headroom >= need) {
+        need = (headroom / channel + 1) * channel;
+        found = true;
+      }
+    }
+  };
+  const bool tiered = companion == CompanionSearch::AnchorRackFirst;
+  if (tiered && filter.allows(type, anchor)) {
+    rank(anchor, capacity);
+    if (found) return ranked;
+    need = 0;
+  }
+  for (std::uint32_t r = 0; r < cluster.num_racks(); ++r) {
+    const RackId rack{r};
+    if ((tiered && rack == anchor) || !filter.allows(type, rack)) continue;
+    const auto& boxes = cluster.boxes_of_type_in_rack(rack, type);
+    if (std::none_of(boxes.begin(), boxes.end(), [&](BoxId box) {
+          return cluster.box(box).available_units() >= units;
+        })) {
+      continue;
+    }
+    const MbitsPerSec bound =
+        rack == anchor ? capacity
+                       : std::min(anchor_uplink,
+                                  rescan_best(fabric, fabric.rack_uplinks(rack)));
+    if (bound >= need) rank(rack, bound);
+  }
+  return ranked;
+}
+
+/// One cluster/fabric shape for the differential.  The churned "hot"
+/// racks straddle the rack-64 shard boundary, so pruning is checked on
+/// both sides of it.
+struct DifferentialShape {
+  const char* name;
+  std::uint32_t racks;
+  MbitsPerSec channel_rate;
+  int step_divisor;  ///< the larger shapes run fewer search steps
+};
+
+std::ostream& operator<<(std::ostream& os, const DifferentialShape& shape) {
+  return os << shape.name;
+}
+
+struct BandwidthSearchDifferential
+    : ::testing::TestWithParam<DifferentialShape> {
   static topo::ClusterConfig shape() {
     topo::ClusterConfig config;
-    config.racks = 96;
+    config.racks = GetParam().racks;
+    return config;
+  }
+  static net::FabricConfig fabric_config() {
+    net::FabricConfig config;
+    config.channel_rate = GetParam().channel_rate;
     return config;
   }
 
-  BandwidthSearchDifferential() : cluster(shape()), fabric(shape(), net::FabricConfig{}) {}
+  BandwidthSearchDifferential() : cluster(shape()), fabric(shape(), fabric_config()) {}
+
+  [[nodiscard]] static int steps(int full) { return full / GetParam().step_divisor; }
 
   RackFilter random_filter() {
     PerResource<std::vector<RackId>> racks;
@@ -226,12 +302,14 @@ struct BandwidthSearchDifferential : ::testing::Test {
     return RackFilter{racks};
   }
 
-  /// Every anchor position (first, mid-walk, last, random) x type x tiering
-  /// x filter must agree with the reference.
+  /// Every anchor position (first, both sides of the shard boundary,
+  /// mid-walk, last, random) x type x tiering x filter must agree with the
+  /// reference, and rank exactly the racks that could change the winner.
+  /// Counts the searches whose winner is not the box-id-order one.
   void expect_matches_reference() {
     const std::uint32_t last = cluster.num_racks() - 1;
     const RackId anchors[] = {
-        RackId{0}, RackId{last / 2}, RackId{64}, RackId{last},
+        RackId{0}, RackId{63}, RackId{64}, RackId{last / 2}, RackId{last},
         RackId{static_cast<std::uint32_t>(rng.uniform_int(0, last))}};
     const RackFilter filters[] = {RackFilter{}, random_filter()};
     for (RackId anchor : anchors) {
@@ -240,14 +318,26 @@ struct BandwidthSearchDifferential : ::testing::Test {
         for (CompanionSearch companion :
              {CompanionSearch::GlobalOrder, CompanionSearch::AnchorRackFirst}) {
           for (const RackFilter& filter : filters) {
-            ASSERT_EQ(bfs_search(cluster, fabric, anchor, type, units,
-                                 NeighborOrder::BandwidthDescending, companion,
-                                 filter),
+            SearchTally tally;
+            const BoxId ranked =
+                bfs_search(cluster, fabric, anchor, type, units,
+                           NeighborOrder::BandwidthDescending, companion,
+                           filter, &tally);
+            ASSERT_EQ(ranked,
                       reference_bandwidth_search(cluster, fabric, anchor, type,
                                                  units, companion, filter))
                 << "anchor " << anchor.value() << " units " << units
                 << " companion " << static_cast<int>(companion)
                 << " restricted " << filter.restricted();
+            ASSERT_EQ(tally.racks,
+                      reference_racks_ranked(cluster, fabric, anchor, type,
+                                             units, companion, filter))
+                << "anchor " << anchor.value() << " units " << units
+                << " companion " << static_cast<int>(companion)
+                << " restricted " << filter.restricted();
+            reordered += ranked != bfs_search(cluster, fabric, anchor, type,
+                                              units, NeighborOrder::BoxIdOrder,
+                                              companion, filter);
           }
         }
       }
@@ -274,12 +364,16 @@ struct BandwidthSearchDifferential : ::testing::Test {
     }
   }
 
-  /// Churn the uplinks of the first kHotRacks racks (rack or
-  /// box uplinks, evenly), so those congest, keys tie often and the
-  /// anchor's rack bound binds whenever the anchor is hot.
+  /// Churn the uplinks of racks [kHotFirst, kHotFirst + kHotRacks) (rack
+  /// or box uplinks, evenly), so those congest, keys tie often and the
+  /// anchor's rack bound binds whenever the anchor is hot.  Amounts are
+  /// in 25 Gb/s units whatever the channel rate, so a 1 Mb/s-channel
+  /// fabric congests as much as the default one.
+  static constexpr std::int64_t kHotFirst = 56;
   static constexpr std::int64_t kHotRacks = 16;
   void churn_fabric() {
-    const RackId rack{static_cast<std::uint32_t>(rng.uniform_int(0, kHotRacks - 1))};
+    const RackId rack{static_cast<std::uint32_t>(
+        rng.uniform_int(kHotFirst, kHotFirst + kHotRacks - 1))};
     const std::int64_t per_rack = cluster.config().total_boxes_per_rack();
     const std::span<const LinkId> group =
         rng.uniform_int(0, 1) == 0
@@ -289,17 +383,17 @@ struct BandwidthSearchDifferential : ::testing::Test {
     const LinkId target = group[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(group.size()) - 1))];
     const net::Link& l = fabric.link(target);
-    const MbitsPerSec channel = fabric.config().channel_rate;
+    const MbitsPerSec unit = gbps(25.0);
     const std::int64_t op = rng.uniform_int(0, 19);
     if (op < 12) {
-      // Mostly whole channels (ties); partial ones make raw headrooms of
+      // Mostly whole units (ties); partial ones make raw headrooms of
       // equal channel count differ, which must still tie.
       (void)fabric.allocate(target, rng.uniform_int(0, 3) != 0
-                                        ? channel * rng.uniform_int(1, 4)
-                                        : rng.uniform_int(1, 3 * channel));
+                                        ? unit * rng.uniform_int(1, 4)
+                                        : rng.uniform_int(1, 3 * unit));
     } else if (op < 19) {
       if (l.allocated() > 0) {
-        fabric.release(target, rng.uniform_int(1, std::min(l.allocated(), 2 * channel)));
+        fabric.release(target, rng.uniform_int(1, std::min(l.allocated(), 2 * unit)));
       }
     } else {
       fabric.set_link_failed(target, !l.failed());
@@ -310,49 +404,81 @@ struct BandwidthSearchDifferential : ::testing::Test {
   net::Fabric fabric;
   Rng rng{20231112};
   std::vector<topo::BoxAllocation> live;
+  int reordered = 0;  ///< ranked searches that left box-id order
 };
 
-TEST_F(BandwidthSearchDifferential, AllTiedAtCapacity) {
+TEST_P(BandwidthSearchDifferential, AllTiedAtCapacity) {
   // Idle fabric: every key is the full link, so the scan may stop at the
   // first fit -- which must still be the reference's choice.
-  for (int step = 0; step < 150; ++step) {
+  for (int step = 0; step < steps(150); ++step) {
     churn_cluster();
     expect_matches_reference();
     if (HasFatalFailure()) return;
   }
+  // With every key tied, NALB places exactly as NULB (Figure 5).
+  EXPECT_EQ(reordered, 0);
 }
 
-TEST_F(BandwidthSearchDifferential, AllTiedBelowCapacity) {
-  // Every rack uplink loses the same three channels: inter-rack keys all
-  // tie at the anchor's bound, intra-rack ones at the full link.
+TEST_P(BandwidthSearchDifferential, AllTiedBelowCapacity) {
+  // Every rack uplink loses the same three 25 Gb/s units: inter-rack keys
+  // all tie at the anchor's bound, intra-rack ones at the full link.
   for (std::uint32_t r = 0; r < cluster.num_racks(); ++r) {
     for (LinkId id : fabric.rack_uplinks(RackId{r})) {
       ASSERT_TRUE(fabric.allocate(id, gbps(75.0)).ok());
     }
   }
-  for (int step = 0; step < 150; ++step) {
+  for (int step = 0; step < steps(150); ++step) {
     churn_cluster();
     expect_matches_reference();
     if (HasFatalFailure()) return;
   }
 }
 
-TEST_F(BandwidthSearchDifferential, ClusterAndFabricChurn) {
-  int reordered = 0;
-  for (int step = 0; step < 600; ++step) {
+TEST_P(BandwidthSearchDifferential, StaggeredRackUplinks) {
+  // Each rack's uplinks all lose the same random number of 25 Gb/s units,
+  // so rack bounds differ from rack to rack and a later rack often holds
+  // exactly the channels `need` asks for.
+  for (std::uint32_t r = 0; r < cluster.num_racks(); ++r) {
+    const MbitsPerSec lost = gbps(25.0) * rng.uniform_int(0, 7);
+    if (lost == 0) continue;
+    for (LinkId id : fabric.rack_uplinks(RackId{r})) {
+      ASSERT_TRUE(fabric.allocate(id, lost).ok());
+    }
+  }
+  for (int step = 0; step < steps(150); ++step) {
     churn_cluster();
-    for (int k = 0; k < 8; ++k) churn_fabric();
     expect_matches_reference();
     if (HasFatalFailure()) return;
-    reordered += bfs_search(cluster, fabric, RackId{0}, ResourceType::Ram, 1,
-                            NeighborOrder::BandwidthDescending,
-                            CompanionSearch::GlobalOrder, std::nullopt) !=
-                 first_fit_box(cluster, ResourceType::Ram, 1, std::nullopt);
+  }
+  EXPECT_GT(reordered, 0);
+}
+
+TEST_P(BandwidthSearchDifferential, ClusterAndFabricChurn) {
+  for (int step = 0; step < steps(600); ++step) {
+    churn_cluster();
+    // Shapes that run fewer steps churn as much in total.
+    for (int k = 0; k < 8 * GetParam().step_divisor; ++k) churn_fabric();
+    expect_matches_reference();
+    if (HasFatalFailure()) return;
   }
   // The churn must congest links enough that NALB departs from id order.
   EXPECT_GT(reordered, 0);
   fabric.check_invariants();
 }
+
+// 96 racks: two index shards, the second one partial.  256 racks: four
+// full shards.  100 racks: a partial last shard whose phantom lanes must
+// never surface.  1 Mb/s channels: a link holds 200,000 channels, past
+// the u16 lanes, so the walk takes the fabric's exact fallback.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BandwidthSearchDifferential,
+    ::testing::Values(DifferentialShape{"racks96", 96, gbps(25.0), 1},
+                      DifferentialShape{"racks256", 256, gbps(25.0), 6},
+                      DifferentialShape{"racks100", 100, gbps(25.0), 4},
+                      DifferentialShape{"racks96_channel1mbps", 96, 1, 4}),
+    [](const ::testing::TestParamInfo<DifferentialShape>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace risa::core

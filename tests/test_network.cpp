@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "network/bandwidth.hpp"
@@ -243,11 +244,38 @@ void expect_best_caches_exact(const Fabric& fabric,
               naive_best(fabric, fabric.rack_uplinks(RackId{r})))
         << "rack " << r;
   }
+  // Rack-headroom words against the rescanned best rack uplinks, at every
+  // whole channel count (the search's `need`) and between them.
+  const MbitsPerSec q = fabric.config().channel_rate;
+  const MbitsPerSec capacity = fabric.config().link_capacity;
+  std::vector<MbitsPerSec> free_channels;
+  for (std::uint32_t r = 0; r < cluster.racks; ++r) {
+    free_channels.push_back(
+        fabric.link(naive_best(fabric, fabric.rack_uplinks(RackId{r})))
+            .available() / q);
+  }
+  for (std::uint32_t s = 0; s * Fabric::kShardRacks < cluster.racks; ++s) {
+    for (MbitsPerSec need = 0; need <= capacity + q; need += q) {
+      for (const MbitsPerSec probe : {need, need + q / 2}) {
+        std::uint64_t expected = 0;
+        for (std::uint32_t i = 0; i < Fabric::kShardRacks; ++i) {
+          const std::uint32_t r = s * Fabric::kShardRacks + i;
+          if (r >= cluster.racks) break;
+          if (free_channels[r] >= (probe + q - 1) / q) {
+            expected |= std::uint64_t{1} << i;
+          }
+        }
+        ASSERT_EQ(fabric.rack_headroom_word(s, probe), expected)
+            << "shard " << s << " need " << probe;
+      }
+    }
+  }
 }
 
 /// Randomized allocate / release / fail / repair / reset; after every
-/// operation both caches must equal the rescan, and most-available routing
-/// (which reads them) must pick the links select_link finds by scanning.
+/// operation both caches and the rack-headroom words must equal the
+/// rescan, and most-available routing (which reads the caches) must pick
+/// the links select_link finds by scanning.
 void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
   const topo::ClusterConfig cluster = paper_cluster();
   Fabric fabric(cluster, config);
