@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <istream>
@@ -267,6 +268,28 @@ class BrickLedger {
   std::vector<std::size_t> base_;  ///< first ledger cell of each box
   std::vector<Units> held_;        ///< live slice units per (box, brick)
 };
+
+bool holds_box(const core::Placement& p, BoxId box) noexcept {
+  return std::ranges::any_of(p.compute, [&](const topo::BoxAllocation& held) {
+    return held.box == box;
+  });
+}
+
+/// Necessary for any of `p`'s circuits to cross `l`: a circuit uses only
+/// its endpoint boxes' uplinks, plus, when inter-rack, its endpoint racks'
+/// uplinks and (across pods) pod uplinks.
+bool may_cross(const core::Placement& p, const net::Link& l) noexcept {
+  switch (l.kind()) {
+    case net::LinkKind::BoxUplink:
+      return holds_box(p, l.box());
+    case net::LinkKind::RackUplink:
+      return p.inter_rack &&
+             std::ranges::find(p.racks, l.rack()) != p.racks.end();
+    case net::LinkKind::PodUplink:
+      return p.inter_rack;
+  }
+  return true;
+}
 }  // namespace
 
 /// One run of the merged event loop (DESIGN.md §16).  Every loop-carried
@@ -319,14 +342,23 @@ class Engine::Run {
   void drop();
   void kill_vm(std::uint32_t vm_index, VmState& st);
   bool try_migrate(std::uint32_t vm_index);
+  void note_spread(std::uint32_t vm_index, const VmState& st);
+  template <typename Fn>
+  void walk_spread(Fn&& fn);
+  [[nodiscard]] std::size_t spread_bound() const noexcept {
+    return 2 * std::max<std::size_t>(live_count, 64);
+  }
+  [[nodiscard]] bool outlasts_cost(const VmState& st) const noexcept;
   void migrate_worst_spread();
+#ifndef NDEBUG
+  void check_spread_list(std::size_t spread) const;
+#endif
   template <typename Toggle, typename Hit>
   void fault_scan(std::uint32_t target, std::uint32_t none,
                   std::uint32_t random_draws, std::size_t population, bool fail,
                   Toggle&& toggle, Hit&& hit);
   VmState* departing(const LifecycleEvent& ev);
   void fire_admission_triggers();
-  void collect_live_sorted();
   void refill_ring();
   [[nodiscard]] bool degraded() const noexcept;
   void note_time(SimTime t);
@@ -577,6 +609,7 @@ Engine::Run::Run(Engine& engine, wl::ArrivalSource& src,
   // final event.  clear() keeps the slab, so a reused engine assigns the
   // same slot sequence as a fresh one.
   e.vms_.clear();
+  e.spread_.clear();
 
   // Injected events restart their sequence numbering at the source's size
   // hint so every equal-time tie against a pending arrival (seq = workload
@@ -869,6 +902,9 @@ void Engine::Run::fault_action(const Entry& ev) {
             return true;
           },
           [&](std::uint32_t id, const VmState& st) {
+            if (!may_cross(st.placement, fabric.link_unchecked(LinkId{id}))) {
+              return false;
+            }
             bool hit = false;
             circuits.for_each_circuit_of(st.vm.id, [&](const net::Circuit& c) {
               const auto links = c.path.links();
@@ -886,9 +922,7 @@ void Engine::Run::fault_action(const Entry& ev) {
             return true;
           },
           [&](std::uint32_t id, const VmState& st) {
-            return std::ranges::any_of(
-                st.placement.compute,
-                [&](const auto& held) { return held.box == BoxId{id}; });
+            return holds_box(st.placement, BoxId{id});
           });
     }
     record_state();
@@ -1024,6 +1058,7 @@ bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
     st.place_time = now;
     st.expected_hold = expected;
     epoch = ++st.epoch;
+    if (migrating) note_spread(vm_index, st);
   }
   const LifecycleEvent departure{LifecycleKind::Departure, vm_index, epoch};
   if (defer_push) {
@@ -1089,7 +1124,11 @@ void Engine::Run::kill_vm(std::uint32_t vm_index, VmState& st) {
 // The teardown shared by box and link faults: draw `random_draws` victims
 // from [0, population) (or take the fixed `target` once), toggle each, and
 // when a failure actually took effect kill every live VM `hit` names, in
-// ascending VM-index order, as one settlement window.
+// ascending VM-index order, as one settlement window.  The arena iterates
+// in slot order (reuse-dependent), so the VMs `hit` names are collected
+// and sorted first.  That equals the historical scan over every sorted
+// live index: `hit` reads only the VM's own placement and circuits, and
+// kill_vm releases and erases only the victim's own resources and record.
 template <typename Toggle, typename Hit>
 void Engine::Run::fault_scan(std::uint32_t target, std::uint32_t none,
                              std::uint32_t random_draws, std::size_t population,
@@ -1101,12 +1140,13 @@ void Engine::Run::fault_scan(std::uint32_t target, std::uint32_t none,
                        : static_cast<std::uint32_t>(fault_rng.uniform_int(
                              0, static_cast<std::int64_t>(population) - 1));
     if (!toggle(victim) || !fail) continue;
-    collect_live_sorted();
+    e.scan_scratch_.clear();
+    e.vms_.for_each([&](std::uint32_t i, const VmState& st) {
+      if (st.live && hit(victim, st)) e.scan_scratch_.push_back(i);
+    });
+    std::sort(e.scan_scratch_.begin(), e.scan_scratch_.end());
     cluster.begin_release_batch();
-    for (const std::uint32_t i : e.scan_scratch_) {
-      VmState* st = e.vms_.find(i);
-      if (st != nullptr && st->live && hit(victim, *st)) kill_vm(i, *st);
-    }
+    for (const std::uint32_t i : e.scan_scratch_) kill_vm(i, *e.vms_.find(i));
     cluster.end_release_batch();
   }
 }
@@ -1192,6 +1232,7 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
   st.place_time = now;
   st.expected_hold = remaining;
   const std::uint32_t epoch = ++st.epoch;
+  note_spread(vm_index, st);
   e.events_.push(now + remaining,
                  LifecycleEvent{LifecycleKind::Departure, vm_index, epoch});
 
@@ -1208,35 +1249,67 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
   return true;
 }
 
+// Enter a placement that just opened in the migration candidate list when
+// it is spread (DESIGN.md §9.1).  A push that takes the list past
+// spread_bound() first drops the stale entries, so the list stays O(live)
+// however far apart (or skipped) the sweeps are.
+void Engine::Run::note_spread(std::uint32_t vm_index, const VmState& st) {
+  if (migration_spread_score(st.placement, fabric) <= 0) return;
+  e.spread_.push_back({vm_index, st.epoch});
+  if (e.spread_.size() > spread_bound()) {
+    walk_spread([](std::uint32_t, const VmState&) {});
+  }
+  assert(e.spread_.size() <= spread_bound());
+}
+
+// Compact the candidate list in place, dropping every entry whose record
+// is gone, not live or in another epoch, and hand each current one to
+// `fn` with its record.
+template <typename Fn>
+void Engine::Run::walk_spread(Fn&& fn) {
+  std::size_t kept = 0;
+  for (const SpreadEntry c : e.spread_) {
+    const VmState* st = e.vms_.find(c.vm);
+    if (st == nullptr || !st->live || st->epoch != c.epoch) continue;
+    e.spread_[kept++] = c;
+    fn(c.vm, *st);
+  }
+  e.spread_.resize(kept);
+}
+
+// Whether `st`'s remaining hold outlasts its migration cost.
+bool Engine::Run::outlasts_cost(const VmState& st) const noexcept {
+  const double remaining = st.place_time + st.expected_hold - now;
+  return remaining >
+         migration_cost_tu(
+             mig, st.vm.ram_mb, st.placement.demand.cpu_ram,
+             e.scenario_.photonics.switch_energy.seconds_per_time_unit);
+}
+
 // The defragmentation sweep body: gather the spread live VMs whose
 // remaining hold outlasts their migration cost, rank them worst-first,
-// and attempt up to the per-sweep budget.  Slot-order iteration is safe:
-// the live/spread counters are order-independent sums, candidate keys are
-// unique (the packed key embeds the VM index), and rank_worst_spread
-// totally orders them.
+// and attempt up to the per-sweep budget.  The candidate list holds every
+// current spread placement in some order; the candidate keys are unique
+// (the packed key embeds the VM index) and rank_worst_spread totally
+// orders them, so list order is unobservable.
 void Engine::Run::migrate_worst_spread() {
   if (mig.skip_while_degraded && degraded()) return;
   e.mig_keys_.clear();
-  std::size_t live = 0, spread = 0;
-  e.vms_.for_each([&](std::uint32_t i, const VmState& st) {
-    if (!st.live) return;
-    ++live;
-    const core::Placement& p = st.placement;
-    const int score = migration_spread_score(p, fabric);
-    if (score <= 0) return;
+  std::size_t spread = 0;
+  walk_spread([&](std::uint32_t i, const VmState& st) {
     ++spread;  // counts toward the fraction trigger even when doomed
     // Filter doomed candidates here, not in try_migrate: a near-departure
     // VM ranked first would otherwise burn a per-sweep attempt slot.
-    const double remaining = st.place_time + st.expected_hold - now;
-    const double cost = migration_cost_tu(
-        mig, st.vm.ram_mb, p.demand.cpu_ram,
-        e.scenario_.photonics.switch_energy.seconds_per_time_unit);
-    if (remaining <= cost) return;
-    e.mig_keys_.push_back(pack_candidate(score, i));
+    if (!outlasts_cost(st)) return;
+    e.mig_keys_.push_back(
+        pack_candidate(migration_spread_score(st.placement, fabric), i));
   });
-  if (e.mig_keys_.empty() || live == 0) return;
+#ifndef NDEBUG
+  check_spread_list(spread);
+#endif
+  if (e.mig_keys_.empty() || live_count == 0) return;
   if (static_cast<double>(spread) <
-      mig.min_interrack_fraction * static_cast<double>(live)) {
+      mig.min_interrack_fraction * static_cast<double>(live_count)) {
     return;
   }
   const std::size_t budget = std::min<std::size_t>(
@@ -1247,6 +1320,29 @@ void Engine::Run::migrate_worst_spread() {
     if (try_migrate(candidate_index(e.mig_keys_[k]))) --migration_budget;
   }
 }
+
+#ifndef NDEBUG
+// Debug cross-check of the candidate list against the full arena walk it
+// replaces: the same live census, spread count and candidate keys.
+void Engine::Run::check_spread_list(std::size_t spread) const {
+  std::size_t live = 0, walked_spread = 0;
+  std::vector<std::uint64_t> walked;
+  e.vms_.for_each([&](std::uint32_t i, const VmState& st) {
+    if (!st.live) return;
+    ++live;
+    const int score = migration_spread_score(st.placement, fabric);
+    if (score <= 0) return;
+    ++walked_spread;
+    if (outlasts_cost(st)) walked.push_back(pack_candidate(score, i));
+  });
+  std::vector<std::uint64_t> listed = e.mig_keys_;
+  std::ranges::sort(walked);
+  std::ranges::sort(listed);
+  assert(live == live_count);
+  assert(walked_spread == spread);
+  assert(walked == listed);
+}
+#endif
 
 // The departure liveness test: the record `ev` ends, or nullptr for a
 // tombstone -- the stale departure of a placement a kill or migration
@@ -1273,18 +1369,6 @@ void Engine::Run::fire_admission_triggers() {
     ++next_admission_action;
     e.events_.push(now, LifecycleEvent{action_kind(a), ai, 0});
   }
-}
-
-// Deterministic victim scan: the arena iterates in slot order
-// (reuse-dependent), so live VM indices are collected and sorted ascending
-// before any kill fires.  kill_vm only mutates (or erases) the victim's own
-// record, so collect-then-kill equals the historical interleaved scan.
-void Engine::Run::collect_live_sorted() {
-  e.scan_scratch_.clear();
-  e.vms_.for_each([&](std::uint32_t idx, const VmState& st) {
-    if (st.live) e.scan_scratch_.push_back(idx);
-  });
-  std::sort(e.scan_scratch_.begin(), e.scan_scratch_.end());
 }
 
 void Engine::Run::refill_ring() {
@@ -1657,7 +1741,15 @@ void Engine::Run::transfer_records(Ar& ar) {
   if (Ar::kLoading && restored_live != live_count) {
     throw std::runtime_error("checkpoint: live record count mismatch");
   }
-  if constexpr (Ar::kLoading) ledger->check_conservation();
+  if constexpr (Ar::kLoading) {
+    ledger->check_conservation();
+    // The migration candidate list is derived state: rebuilt, not stored.
+    if (migrating) {
+      e.vms_.for_each([&](std::uint32_t i, const VmState& restored) {
+        if (restored.live) note_spread(i, restored);
+      });
+    }
+  }
 }
 
 std::vector<SimMetrics> run_all_algorithms(const Scenario& scenario,

@@ -304,9 +304,9 @@ class Engine {
   std::vector<wl::ArrivalItem> arrival_ring_;
 
   /// Deterministic-scan scratch: the record arena iterates in slot order
-  /// (reuse-dependent), so victim scans and checkpoint serialization
-  /// collect VM indices here and sort ascending before acting (the
-  /// historical scan order).
+  /// (reuse-dependent), so fault scans (their victims only) and checkpoint
+  /// serialization collect VM indices here and sort ascending before
+  /// acting (the historical scan order).
   std::vector<std::uint32_t> scan_scratch_;
 
   /// Settlement-window scratch: the full equal-time departure run is
@@ -328,6 +328,18 @@ class Engine {
   /// (sim/migration.hpp), reused across events so candidate selection is
   /// allocation-free in steady state.
   std::vector<std::uint64_t> mig_keys_;
+  /// One placement with spread score > 0, named by VM index and placement
+  /// epoch; stale once the record is gone, not live, or in another epoch.
+  struct SpreadEntry {
+    std::uint32_t vm;
+    std::uint32_t epoch;
+  };
+  /// Migration candidate list (DESIGN.md §9.1): every spread placement
+  /// opened while a migration plan runs, so a sweep walks the spread VMs
+  /// instead of every live record.  Derived state: rebuilt on restore,
+  /// never serialized.  Stale entries are compacted away by each sweep and
+  /// by any push that takes the list past 2 * max(live, 64).
+  std::vector<SpreadEntry> spread_;
 };
 
 /// Convenience: run all four paper algorithms over the same workload with

@@ -5,9 +5,15 @@
 // fault+retry sweep matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/registry.hpp"
+#include "network/circuit.hpp"
+#include "network/routing.hpp"
 #include "photonics/power_ledger.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
@@ -447,6 +453,226 @@ TEST(LinkFaultEngine, AdmissionTriggeredLinkFailActuallyFails) {
   // The links stay down for the rest of the run: the degraded integral
   // must accumulate over the remaining events.
   EXPECT_GT(m.degraded_tu, 0.0);
+}
+
+// --- Link-fault kill sets against a brute-force oracle ----------------------
+
+/// The engine's admissions replayed on a test-local stack: the components
+/// Engine builds, the scenario's (time-sorted, box-only) fail/repair
+/// actions applied at their times (an arrival wins an equal-time tie, as
+/// in the merged stream), and every arrival placed in order.  The state
+/// matches the engine's at a later link fault while no VM departs or is
+/// killed before it.
+class AdmissionReplay {
+ public:
+  AdmissionReplay(const Scenario& s, const std::string& algorithm,
+                  const wl::Workload& workload)
+      : cluster_(s.cluster), fabric_(s.cluster, s.fabric), router_(fabric_),
+        circuits_(router_) {
+    core::AllocContext ctx;
+    ctx.cluster = &cluster_;
+    ctx.fabric = &fabric_;
+    ctx.router = &router_;
+    ctx.circuits = &circuits_;
+    ctx.bandwidth = s.bandwidth;
+    alloc_ = core::make_allocator(algorithm, ctx, s.allocator);
+    const std::vector<FaultAction>& actions = s.faults.actions;
+    std::size_t next = 0;
+    for (const wl::VmRequest& vm : workload) {
+      for (; next < actions.size() && actions[next].at_time < vm.arrival;
+           ++next) {
+        cluster_.set_box_offline(BoxId{actions[next].box},
+                                 actions[next].kind == FaultAction::Kind::Fail);
+      }
+      auto placed = alloc_->try_place(vm);
+      if (!placed.ok()) throw std::runtime_error("replay: placement failed");
+      placements_.push_back(std::move(placed.value()));
+    }
+  }
+
+  [[nodiscard]] const std::vector<core::Placement>& placements() const {
+    return placements_;
+  }
+  [[nodiscard]] const net::Fabric& fabric() const { return fabric_; }
+
+  /// Links of every circuit of `vm`, in establishment order.
+  [[nodiscard]] std::vector<LinkId> links_of(VmId vm) const {
+    std::vector<LinkId> out;
+    circuits_.for_each_circuit_of(vm, [&](const net::Circuit& c) {
+      const auto links = c.path.links();
+      out.insert(out.end(), links.begin(), links.end());
+    });
+    return out;
+  }
+  /// Links of `vm`'s first circuit (its CPU-RAM circuit).
+  [[nodiscard]] std::vector<LinkId> first_path(VmId vm) const {
+    std::vector<LinkId> out;
+    circuits_.for_each_circuit_of(vm, [&](const net::Circuit& c) {
+      if (!out.empty()) return;
+      const auto links = c.path.links();
+      out.assign(links.begin(), links.end());
+    });
+    return out;
+  }
+  /// The brute-force kill set of failing `link`: every placed VM with a
+  /// circuit path through it.
+  [[nodiscard]] std::vector<VmId> crossing(LinkId link) const {
+    std::vector<VmId> out;
+    for (const core::Placement& p : placements_) {
+      if (std::ranges::count(links_of(p.vm), link) > 0) out.push_back(p.vm);
+    }
+    return out;
+  }
+
+ private:
+  topo::Cluster cluster_;
+  net::Fabric fabric_;
+  net::Router router_;
+  net::CircuitTable circuits_;
+  std::unique_ptr<core::Allocator> alloc_;
+  std::vector<core::Placement> placements_;
+};
+
+/// `n` identical VMs arriving at first, first + 1, ... that outlive the
+/// t=100 link faults below.
+void add_vms(wl::Workload& workload, std::size_t n, double first) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto id = static_cast<std::uint32_t>(workload.size());
+    wl::VmRequest vm = toy_vm(id, 8, 16.0, 128.0, /*lifetime=*/1000.0);
+    vm.arrival = first + static_cast<double>(k);
+    workload.push_back(vm);
+  }
+}
+
+/// Fail `link` at t=100 in `scenario` and run the workload through the
+/// engine.
+SimMetrics run_link_fault(Scenario scenario, const std::string& algorithm,
+                          const wl::Workload& workload, LinkId link) {
+  FaultAction fail;
+  fail.kind = FaultAction::Kind::LinkFail;
+  fail.at_time = 100.0;
+  fail.link = link.value();
+  scenario.faults.actions.push_back(fail);
+  Engine engine(scenario, algorithm);
+  return engine.run(workload, "t");
+}
+
+bool holds_box(const core::Placement& p, BoxId box) {
+  return std::ranges::any_of(
+      p.compute, [&](const topo::BoxAllocation& a) { return a.box == box; });
+}
+
+bool in_rack(const core::Placement& p, RackId rack) {
+  return std::ranges::count(p.racks, rack) > 0;
+}
+
+TEST(LinkFaultEngine, BoxUplinkKillsOnlyVmsRoutedOverIt) {
+  // NALB routes each circuit on its box's most-available uplink, so VMs
+  // sharing a RAM box spread their circuits over its sibling uplinks.
+  // Failing the uplink VM 0's CPU-RAM circuit lands on at its RAM box must
+  // kill exactly the VMs routed over it; co-resident VMs on siblings live.
+  const Scenario scenario = Scenario::paper_defaults();
+  wl::Workload workload;
+  add_vms(workload, 6, 1.0);
+  const AdmissionReplay replay(scenario, "NALB", workload);
+  const core::Placement& p0 = replay.placements().front();
+  const BoxId ram_box = p0.box(ResourceType::Ram);
+  const LinkId link = replay.first_path(p0.vm).back();
+  ASSERT_EQ(replay.fabric().link(link).box(), ram_box);
+
+  const std::vector<VmId> victims = replay.crossing(link);
+  const auto holders = std::ranges::count_if(
+      replay.placements(),
+      [&](const core::Placement& p) { return holds_box(p, ram_box); });
+  ASSERT_GE(victims.size(), 1u);
+  ASSERT_GT(static_cast<std::size_t>(holders), victims.size());
+
+  const SimMetrics m = run_link_fault(scenario, "NALB", workload, link);
+  EXPECT_EQ(m.placed, workload.size());
+  EXPECT_EQ(m.killed, victims.size());
+}
+
+TEST(LinkFaultEngine, RackUplinkSparesTheRacksIntraRackVms) {
+  // Rack 0's RAM boxes (2, 3) are down for the first arrivals, which must
+  // reach RAM in another rack; after the repair the rest fit inside rack
+  // 0.  Failing the rack-0 uplink VM 0's CPU-RAM circuit climbs must kill
+  // exactly the inter-rack VMs routed over it.
+  Scenario scenario = Scenario::paper_defaults();
+  scenario.cluster.racks = 2;
+  scenario.faults.actions.push_back(fail_box_at(2, 0.0));
+  scenario.faults.actions.push_back(fail_box_at(3, 0.0));
+  scenario.faults.actions.push_back(repair_box_at(2, 10.0));
+  scenario.faults.actions.push_back(repair_box_at(3, 10.0));
+  wl::Workload workload;
+  add_vms(workload, 4, 1.0);
+  add_vms(workload, 4, 20.0);
+  const AdmissionReplay replay(scenario, "NALB", workload);
+  const core::Placement& p0 = replay.placements().front();
+  ASSERT_TRUE(p0.inter_rack);
+  const LinkId link = replay.first_path(p0.vm).at(1);
+  ASSERT_EQ(replay.fabric().link(link).kind(), net::LinkKind::RackUplink);
+  const RackId rack = replay.fabric().link(link).rack();
+
+  const std::vector<VmId> victims = replay.crossing(link);
+  const auto intra_in_rack = std::ranges::count_if(
+      replay.placements(), [&](const core::Placement& p) {
+        return !p.inter_rack && in_rack(p, rack);
+      });
+  ASSERT_GE(victims.size(), 1u);
+  ASSERT_GE(intra_in_rack, 1);
+
+  const SimMetrics m = run_link_fault(scenario, "NALB", workload, link);
+  EXPECT_EQ(m.placed, workload.size());
+  EXPECT_EQ(m.killed, victims.size());
+}
+
+TEST(LinkFaultEngine, PodUplinkKillsOnlyCrossPodVms) {
+  // Three-tier, pods {0, 1} and {2, 3}.  With RAM down in racks 0 and 1 the
+  // first arrivals reach RAM across pods; with rack 1's RAM back the next
+  // ones split inside pod 0; then every rack hosts its own.  Failing the
+  // pod-0 uplink VM 0's CPU-RAM circuit climbs must kill exactly the
+  // cross-pod VMs routed over it.
+  Scenario scenario = Scenario::paper_defaults();
+  scenario.cluster.racks = 4;
+  scenario.fabric.racks_per_pod = 2;
+  for (std::uint32_t box : {2u, 3u, 8u, 9u}) {
+    scenario.faults.actions.push_back(fail_box_at(box, 0.0));
+  }
+  scenario.faults.actions.push_back(repair_box_at(8, 10.0));
+  scenario.faults.actions.push_back(repair_box_at(9, 10.0));
+  scenario.faults.actions.push_back(repair_box_at(2, 30.0));
+  scenario.faults.actions.push_back(repair_box_at(3, 30.0));
+  wl::Workload workload;
+  add_vms(workload, 4, 1.0);
+  add_vms(workload, 4, 20.0);
+  add_vms(workload, 4, 40.0);
+  const AdmissionReplay replay(scenario, "NALB", workload);
+  const net::Fabric& fabric = replay.fabric();
+  const auto cross_pod = [&](const core::Placement& p) {
+    return std::ranges::any_of(p.racks, [&](RackId r) {
+      return !fabric.same_pod(r, p.rack(ResourceType::Ram));
+    });
+  };
+  const core::Placement& p0 = replay.placements().front();
+  ASSERT_TRUE(cross_pod(p0));
+  const LinkId link = replay.first_path(p0.vm).at(2);
+  ASSERT_EQ(fabric.link(link).kind(), net::LinkKind::PodUplink);
+
+  const std::vector<VmId> victims = replay.crossing(link);
+  ASSERT_GE(victims.size(), 1u);
+  std::size_t same_pod_inter = 0;
+  for (const core::Placement& p : replay.placements()) {
+    const bool victim = std::ranges::count(victims, p.vm) > 0;
+    if (victim) {
+      EXPECT_TRUE(cross_pod(p)) << "vm " << p.vm.value();
+    }
+    if (p.inter_rack && !cross_pod(p)) ++same_pod_inter;
+  }
+  ASSERT_GE(same_pod_inter, 1u);
+
+  const SimMetrics m = run_link_fault(scenario, "NALB", workload, link);
+  EXPECT_EQ(m.placed, workload.size());
+  EXPECT_EQ(m.killed, victims.size());
 }
 
 // --- MTBF-style stochastic fault compiler ------------------------------------

@@ -472,6 +472,31 @@ TEST(MigrationEngine, DoomedCandidatesDoNotBurnTheSweepBudget) {
   EXPECT_DOUBLE_EQ(m.migration_tu, 20.0);
 }
 
+TEST(MigrationEngine, SweepMovesARamStorageOnlySplit) {
+  // Rack 0's storage boxes (4, 5) are down when the only VM arrives, so
+  // NULB keeps CPU and RAM in rack 0 and reaches storage in rack 1: spread
+  // score 1, the lowest nonzero score.  After the repair the sweep must
+  // still pick it and bring storage home.
+  Scenario scenario = Scenario::paper_defaults();
+  scenario.cluster.racks = 2;
+  scenario.faults.actions.push_back(fail_box_at(4, 0.0));
+  scenario.faults.actions.push_back(fail_box_at(5, 0.0));
+  scenario.faults.actions.push_back(repair_box_at(4, 10.0));
+  scenario.faults.actions.push_back(repair_box_at(5, 10.0));
+  scenario.migrations = defrag_plan(/*period=*/50.0, 1, /*total=*/1);
+  scenario.migrations.fixed_cost_tu = 5.0;
+  scenario.migrations.charge_transfer = false;
+
+  Engine engine(scenario, "NULB");
+  const SimMetrics m = engine.run(one_vm_workload(), "t");
+  EXPECT_EQ(m.placed, 1u);
+  EXPECT_EQ(m.inter_rack_placements, 0u);  // CPU and RAM share rack 0
+  EXPECT_EQ(m.any_pair_inter_rack, 1u);    // RAM-storage spans racks
+  EXPECT_EQ(m.migrated, 1u);
+  EXPECT_EQ(m.interrack_vms_recovered, 0u);
+  EXPECT_DOUBLE_EQ(m.migration_tu, 5.0);
+}
+
 // --- Budgets and accounting under churn --------------------------------------
 
 TEST(MigrationEngine, BudgetsBoundCommittedMigrations) {
