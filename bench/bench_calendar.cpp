@@ -31,11 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "des/calendar.hpp"
 #include "des/ladder_calendar.hpp"
-#include "sim/report.hpp"
 
 namespace {
 
@@ -218,8 +218,13 @@ std::string rows_json(const std::vector<Row>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path =
-      risa::sim::consume_emit_json_flag(argc, argv, "BENCH_calendar.json");
+  risa::Flags flags;
+  flags.define("emit_json", "", "Write the hold-model grid JSON to this path",
+               "BENCH_calendar.json");
+  if (!flags.parse_benchmark_or_usage(argc, argv)) return 1;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string json_path = flags.str("emit_json");
   if (!json_path.empty()) {
     std::vector<Row> rows;
     for (const Dist d : {Dist::Churny, Dist::TieHeavy, Dist::Bimodal,
@@ -259,7 +264,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote calendar baseline: " << json_path << "\n";
     return 0;
   }
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -48,19 +48,20 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/histogram.hpp"
+#include "common/string_util.hpp"
 #include "core/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
@@ -144,155 +145,34 @@ BENCHMARK(BM_Churn_Nalb)->Apply(scale_args);
 BENCHMARK(BM_Churn_Risa)->Apply(scale_args);
 BENCHMARK(BM_Churn_RisaBf)->Apply(scale_args);
 
-/// Consume `--repeat=N` from argv before benchmark::Initialize sees it
-/// (same contract as consume_emit_json_flag).  Returns max(N, 1).
-int consume_repeat_flag(int& argc, char** argv) {
-  int repeats = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--repeat=", 0) == 0) {
-      repeats = std::atoi(argv[i] + 9);
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  return repeats > 1 ? repeats : 1;
-}
-
-/// Consume `--NAME` or `--NAME=V` (same contract as consume_emit_json_flag).
-/// Returns `absent` when missing, `bare` for the valueless form, else V.
-std::int64_t consume_i64_flag(int& argc, char** argv, std::string_view name,
-                              std::int64_t absent, std::int64_t bare) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind(name, 0) != 0) continue;
-    const std::string_view rest = arg.substr(name.size());
-    if (!rest.empty() && rest[0] != '=') continue;
-    const std::int64_t value =
-        rest.empty() ? bare : std::atoll(arg.data() + name.size() + 1);
-    for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-    --argc;
-    return value;
-  }
-  return absent;
-}
-
-/// Consume `--baseline[=PATH]` (same contract as consume_emit_json_flag):
-/// the committed JSON to diff profiled rows against.  Bare form and absence
-/// both mean the committed default -- the diff is best-effort and prints
-/// nothing when the file is missing.
-std::string consume_baseline_flag(int& argc, char** argv) {
-  std::string path = "BENCH_engine.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--baseline", 0) != 0) continue;
-    const std::string_view rest = arg.substr(10);
-    if (!rest.empty() && rest[0] != '=') continue;
-    if (!rest.empty()) path.assign(rest.substr(1));
-    for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-    --argc;
-    break;
-  }
-  return path;
-}
-
-/// Consume `--trace[=PATH]` (same contract as consume_baseline_flag).
-/// Empty when absent; the bare form names the conventional output.
-std::string consume_trace_flag(int& argc, char** argv) {
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--trace", 0) != 0) continue;
-    const std::string_view rest = arg.substr(7);
-    if (!rest.empty() && rest[0] != '=') continue;
-    path = rest.empty() ? "bench_engine_trace.json"
-                        : std::string(rest.substr(1));
-    for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-    --argc;
-    break;
-  }
-  return path;
-}
-
-/// One committed row's wall-clock figures, hand-extracted from the pretty-
-/// printed baseline JSON (one key per line; see write_scheduler_bench_json).
-struct BaselineRow {
-  bool found = false;
-  double sim_s = 0.0;
-  double events_per_sec = 0.0;
-  std::array<double, risa::sim::kNumPhases> phase_s{};
-  std::array<bool, risa::sim::kNumPhases> phase_present{};
-};
-
-/// First number after `"key":` within `region`, or `fallback`.
-double extract_number(std::string_view region, const std::string& key,
-                      double fallback) {
-  const std::size_t at = region.find("\"" + key + "\":");
-  if (at == std::string_view::npos) return fallback;
-  return std::atof(region.data() + at + key.size() + 3);
-}
-
-/// Find the (workload, algorithm) entry in the committed baseline.  The
-/// emitter writes entries workload-outer/algorithm-inner with one
-/// "workload" key each, so entry regions are delimited by that key.
-BaselineRow find_baseline_row(const std::string& json,
-                              const std::string& workload,
-                              const std::string& algo) {
-  BaselineRow row;
-  const std::string workload_key = "\"workload\": \"" + workload + "\"";
-  const std::string algo_key = "\"algorithm\": \"" + algo + "\"";
-  std::size_t at = 0;
-  while ((at = json.find(workload_key, at)) != std::string::npos) {
-    std::size_t end = json.find("\"workload\"", at + workload_key.size());
-    if (end == std::string::npos) end = json.size();
-    const std::string_view region(json.data() + at, end - at);
-    at = end;
-    if (region.find(algo_key) == std::string_view::npos) continue;
-    row.found = true;
-    row.sim_s = extract_number(region, "sim_s", 0.0);
-    row.events_per_sec = extract_number(region, "events_per_sec", 0.0);
-    const std::size_t prof = region.find("\"profile\"");
-    if (prof != std::string_view::npos) {
-      const std::string_view prof_region = region.substr(prof);
-      for (std::size_t p = 0; p < risa::sim::kNumPhases; ++p) {
-        const std::string name(risa::sim::kPhaseNames[p]);
-        row.phase_present[p] =
-            prof_region.find("\"" + name + "\":") != std::string_view::npos;
-        if (row.phase_present[p]) {
-          row.phase_s[p] = extract_number(prof_region, name, 0.0);
-        }
-      }
-    }
-    return row;
-  }
-  return row;
-}
-
 /// The --profile rider: per-phase wall-time delta of a freshly measured
 /// row against the committed baseline, so a perf PR's attribution shift is
 /// visible in the bench output itself (phases the baseline predates --
 /// e.g. `merge` before §13 -- are marked "new").
-void print_profile_delta(const risa::sim::SchedulerBenchEntry& e,
-                         const std::string& baseline_json,
-                         const std::string& baseline_path) {
-  const BaselineRow base =
-      find_baseline_row(baseline_json, e.workload, e.algorithm);
-  if (!base.found) return;
+void print_profile_delta(
+    const risa::sim::SchedulerBenchEntry& e,
+    const std::vector<risa::sim::SchedulerBenchEntry>& baseline,
+    const std::string& baseline_path) {
+  const auto base = std::find_if(
+      baseline.begin(), baseline.end(), [&](const auto& b) {
+        return b.workload == e.workload && b.algorithm == e.algorithm;
+      });
+  if (base == baseline.end()) return;
   std::cout << "  delta vs " << baseline_path << ":";
   for (std::size_t p = 0; p < risa::sim::kNumPhases; ++p) {
     std::cout << " " << risa::sim::kPhaseNames[p] << "=";
-    if (base.phase_present[p]) {
-      const double d = e.profile.seconds[p] - base.phase_s[p];
+    const double was = base->profile.seconds[p];
+    if (base->profile.recorded && !std::isnan(was)) {
+      const double d = e.profile.seconds[p] - was;
       std::cout << (d >= 0.0 ? "+" : "") << d;
     } else {
       std::cout << "+" << e.profile.seconds[p] << "(new)";
     }
   }
-  std::cout << " | sim_s " << base.sim_s << "->" << e.sim_s;
-  if (base.events_per_sec > 0.0) {
+  std::cout << " | sim_s " << base->sim_s << "->" << e.sim_s;
+  if (base->events_per_sec > 0.0) {
     const double pct =
-        100.0 * (e.events_per_sec / base.events_per_sec - 1.0);
+        100.0 * (e.events_per_sec / base->events_per_sec - 1.0);
     std::cout << " events_per_sec " << (pct >= 0.0 ? "+" : "") << pct << "%";
   }
   std::cout << "\n";
@@ -306,7 +186,9 @@ double read_peak_rss_mb() {
   std::string line;
   while (std::getline(status, line)) {
     if (line.rfind("VmHWM:", 0) == 0) {
-      return std::atof(line.c_str() + 6) / 1024.0;  // value is in kB
+      const std::string_view kb = std::string_view(line).substr(6);
+      return static_cast<double>(risa::parse_i64(kb.substr(0, kb.find("kB")))) /
+             1024.0;  // value is in kB
     }
   }
   return -1.0;
@@ -391,7 +273,8 @@ risa::sim::SchedulerBenchEntry run_streaming_row(const std::string& algo,
 /// headline `big_count` row, per algorithm (workload outer, algorithm
 /// inner, matching the baseline's row order).
 std::vector<risa::sim::SchedulerBenchEntry> run_streaming_rows(
-    std::size_t big_count, bool profile, const std::string& baseline_json,
+    std::size_t big_count, bool profile,
+    const std::vector<risa::sim::SchedulerBenchEntry>& baseline,
     const std::string& baseline_path) {
   std::vector<risa::sim::SchedulerBenchEntry> rows;
   std::vector<std::size_t> counts = {500'000};
@@ -419,9 +302,7 @@ std::vector<risa::sim::SchedulerBenchEntry> run_streaming_rows(
         }
         std::cout << " (sum=" << e.profile.total() << " of sim_s=" << e.sim_s
                   << ")\n";
-        if (!baseline_json.empty()) {
-          print_profile_delta(e, baseline_json, baseline_path);
-        }
+        print_profile_delta(e, baseline, baseline_path);
       }
     }
   }
@@ -431,28 +312,53 @@ std::vector<risa::sim::SchedulerBenchEntry> run_streaming_rows(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path =
-      risa::sim::consume_emit_json_flag(argc, argv, "BENCH_engine.json");
-  const int repeats = consume_repeat_flag(argc, argv);
-  const std::int64_t streaming_count = consume_i64_flag(
-      argc, argv, "--streaming", /*absent=*/-1, /*bare=*/10'000'000);
-  const std::int64_t rss_limit_mb =
-      consume_i64_flag(argc, argv, "--rss_limit_mb", -1, -1);
-  const bool report_rss = consume_i64_flag(argc, argv, "--rss", 0, 1) != 0;
-  const bool profile = consume_i64_flag(argc, argv, "--profile", 0, 1) != 0;
-  const std::int64_t events_floor =
-      consume_i64_flag(argc, argv, "--events_floor", -1, -1);
-  const std::string baseline_path = consume_baseline_flag(argc, argv);
-  const std::string trace_path = consume_trace_flag(argc, argv);
+  risa::Flags flags;
+  flags.define("emit_json", "", "Write the engine-scale baseline JSON here",
+               "BENCH_engine.json");
+  flags.define("repeat", "1",
+               "Recorded baseline sweeps; each cell keeps its best sim_s");
+  flags.define("streaming", "0",
+               "Run the pull-based streaming rows at 500k and this many VMs "
+               "instead of the interactive grid (0 = off)",
+               "10000000");
+  flags.define("rss_limit_mb", "0",
+               "Fail when the streaming peak RSS exceeds this (0 = off)");
+  flags.define("rss", "false", "Print the final peak RSS");
+  flags.define("profile", "false",
+               "Record the phase profile and check and diff it per row");
+  flags.define("events_floor", "0",
+               "Fail when a headline streaming row runs below this many "
+               "events/s (0 = off)");
+  flags.define("baseline", "BENCH_engine.json",
+               "Committed baseline the --profile rows are diffed against",
+               "BENCH_engine.json");
+  flags.define("trace", "",
+               "Run one traced 500k streaming row last and write its trace "
+               "here",
+               "bench_engine_trace.json");
+  if (!flags.parse_benchmark_or_usage(argc, argv)) return 1;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string json_path = flags.str("emit_json");
+  const auto repeats = std::max<std::int64_t>(flags.i64("repeat"), 1);
+  const std::int64_t streaming_count = flags.i64("streaming");
+  const std::int64_t rss_limit_mb = flags.i64("rss_limit_mb");
+  const bool profile = flags.b("profile");
+  const std::int64_t events_floor = flags.i64("events_floor");
+  const std::string baseline_path = flags.str("baseline");
+  const std::string trace_path = flags.str("trace");
 
   // Load the committed baseline once for the --profile delta rider; a
   // missing file just disables the diff (fresh clones, renamed baselines).
-  std::string baseline_json;
+  std::vector<risa::sim::SchedulerBenchEntry> baseline;
   if (profile) {
     std::ifstream in(baseline_path);
-    if (in.good()) {
-      baseline_json.assign(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
+    try {
+      if (in.good()) baseline = risa::sim::read_scheduler_bench_json(in);
+    } catch (const std::runtime_error& err) {
+      std::cerr << "bench_engine_scale: " << baseline_path << ": "
+                << err.what() << "\n";
+      return 1;
     }
   }
 
@@ -461,7 +367,7 @@ int main(int argc, char** argv) {
   std::vector<risa::sim::SchedulerBenchEntry> streaming_rows;
   if (streaming_count > 0) {
     streaming_rows = run_streaming_rows(
-        static_cast<std::size_t>(streaming_count), profile, baseline_json,
+        static_cast<std::size_t>(streaming_count), profile, baseline,
         baseline_path);
     const double peak = read_peak_rss_mb();
     if (rss_limit_mb > 0 && !(peak >= 0.0 && peak <= static_cast<double>(rss_limit_mb))) {
@@ -533,7 +439,6 @@ int main(int argc, char** argv) {
   if (streaming_count <= 0) {
     // Streaming mode is a driver mode: it replaces the interactive grid
     // (whose materialized workload cache would dwarf the streaming RSS).
-    benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
   }
@@ -559,7 +464,7 @@ int main(int argc, char** argv) {
     (void)risa::sim::SweepRunner(1).run(spec);
     auto entries =
         risa::sim::scheduler_bench_entries(risa::sim::SweepRunner(1).run(spec));
-    for (int rep = 1; rep < repeats; ++rep) {
+    for (std::int64_t rep = 1; rep < repeats; ++rep) {
       const auto again = risa::sim::scheduler_bench_entries(
           risa::sim::SweepRunner(1).run(spec));
       for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -603,7 +508,7 @@ int main(int argc, char** argv) {
               << " trace events, " << tel.writer().dropped()
               << " overflow-dropped)\n";
   }
-  if (report_rss) {
+  if (flags.b("rss")) {
     std::cout << "peak_rss_mb: " << read_peak_rss_mb() << "\n";
   }
   return 0;

@@ -68,10 +68,16 @@ risa::sim::SweepSpec fig12_spec() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = risa::sim::consume_emit_json_flag(
-      argc, argv, "BENCH_scheduler_practical.json");
-  const int threads = risa::consume_threads_flag(argc, argv, /*absent=*/1);
+  risa::Flags flags;
+  flags.define("emit_json", "",
+               "Write the scheduler perf baseline JSON to this path",
+               "BENCH_scheduler_practical.json");
+  risa::define_threads_flag(flags, /*default_value=*/1);
+  if (!flags.parse_benchmark_or_usage(argc, argv)) return 1;
   benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string json_path = flags.str("emit_json");
+  const int threads = risa::thread_count(flags);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -23,10 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/rack_set.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "sim/report.hpp"
 #include "topology/cluster.hpp"
 
 namespace {
@@ -260,9 +260,13 @@ bool write_baseline_json(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path =
-      risa::sim::consume_emit_json_flag(argc, argv, "BENCH_index.json");
+  risa::Flags flags;
+  flags.define("emit_json", "", "Write the index baseline JSON to this path",
+               "BENCH_index.json");
+  if (!flags.parse_benchmark_or_usage(argc, argv)) return 1;
   benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string json_path = flags.str("emit_json");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!json_path.empty()) {

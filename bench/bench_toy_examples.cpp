@@ -73,7 +73,7 @@ void run_example2() {
                " on rack-1 boxes (64, 32 free cores) ===\n"
             << "NOTE: the paper's RISA-BF column claims all 8 VMs fit, but "
                "total demand (100 cores)\nexceeds total availability (96); "
-               "VM 6 must drop under any algorithm (see EXPERIMENTS.md).\n";
+               "VM 6 must drop under any algorithm (see DESIGN.md §2.6).\n";
   constexpr std::int64_t kSeq[] = {15, 10, 30, 12, 5, 8, 16, 4};
   const char* paper_risa[] = {"0", "0", "0", "1", "1", "1", "NA", "1"};
   const char* paper_bf[] = {"1", "1", "0", "0", "1", "0", "0*", "0"};

@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
             << sim::figure8_table(azure) << '\n'
             << "=== Figure 9: optical component power (Azure) ===\n"
             << sim::figure9_table(azure) << '\n'
+            << sim::figure9_reduction_table(azure) << '\n'
             << "=== Figure 10: CPU-RAM round-trip latency (Azure) ===\n"
             << sim::figure10_table(azure) << '\n'
             << "=== Figure 11 shape: scheduler execution time (synthetic) "

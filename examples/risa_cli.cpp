@@ -293,8 +293,9 @@ int main(int argc, char** argv) {
     }
     if (m.dropped > 0) {
       std::cout << "drops by reason:";
-      for (const auto& [reason, count] : m.drops_by_reason.items()) {
-        std::cout << "  " << reason << "=" << count;
+      for (const core::DropReason reason : m.drops_by_reason.seen()) {
+        std::cout << "  " << core::name(reason) << "="
+                  << m.drops_by_reason[reason];
       }
       std::cout << '\n';
     }

@@ -7,14 +7,58 @@
 #include <string_view>
 #include <thread>
 
+#include "common/string_util.hpp"
+
 namespace risa {
+
+namespace {
+
+bool is_bool_literal(const std::string& s) {
+  return s == "true" || s == "false";
+}
+
+/// `parse(value)`, its error naming the flag.
+template <typename Parse>
+auto read_as(const std::string& name, const std::string& value, Parse parse) {
+  try {
+    return parse(value);
+  } catch (const std::runtime_error& err) {
+    throw std::runtime_error("Flags: bad value for --" + name + ": " +
+                             err.what());
+  }
+}
+
+/// Throw unless `value` fits the kind that `default_value` gives the flag.
+void check_kind(const std::string& name, const std::string& default_value,
+                const std::string& value) {
+  if (is_bool_literal(default_value)) {
+    (void)read_as(name, value, parse_bool);
+  } else if (to_f64(default_value)) {
+    (void)read_as(name, value, parse_f64);
+  }
+}
+
+}  // namespace
 
 void Flags::define(const std::string& name, const std::string& default_value,
                    const std::string& help) {
+  add(name, default_value, help,
+      is_bool_literal(default_value) ? std::optional<std::string>("true")
+                                     : std::nullopt);
+}
+
+void Flags::define(const std::string& name, const std::string& default_value,
+                   const std::string& help, const std::string& bare_value) {
+  add(name, default_value, help, bare_value);
+}
+
+void Flags::add(const std::string& name, const std::string& default_value,
+                const std::string& help, std::optional<std::string> bare) {
   if (find(name) != nullptr) {
     throw std::logic_error("Flags: duplicate flag --" + name);
   }
-  entries_.push_back({name, default_value, default_value, help});
+  entries_.push_back(
+      {name, default_value, default_value, help, std::move(bare)});
 }
 
 Flags::Entry* Flags::find(const std::string& name) {
@@ -31,35 +75,39 @@ const Flags::Entry* Flags::find(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<std::string> Flags::parse(int argc, const char* const* argv) {
-  std::vector<std::string> positional;
+std::vector<int> Flags::consume(int argc, const char* const* argv,
+                                bool keep_benchmark) {
+  std::vector<int> rest;
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional.push_back(std::move(arg));
+    std::string_view arg = argv[i];
+    if (!arg.starts_with("--") ||
+        (keep_benchmark && arg.starts_with("--benchmark_"))) {
+      rest.push_back(i);
       continue;
     }
-    arg.erase(0, 2);
-    std::string value;
-    bool has_value = false;
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg.erase(eq);
-      has_value = true;
+    arg.remove_prefix(2);
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    Entry* e = find(name);
+    if (e == nullptr) throw std::runtime_error("Flags: unknown flag --" + name);
+    if (eq != std::string_view::npos) {
+      e->value = arg.substr(eq + 1);
+    } else if (e->bare) {
+      e->value = *e->bare;
+    } else if (i + 1 < argc) {
+      e->value = argv[++i];
+    } else {
+      throw std::runtime_error("Flags: missing value for --" + name);
     }
-    Entry* e = find(arg);
-    if (e == nullptr) throw std::runtime_error("Flags: unknown flag --" + arg);
-    if (!has_value) {
-      // Boolean presence form, or take the next argv as value.
-      if (e->default_value == "false" || e->default_value == "true") {
-        value = "true";
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        throw std::runtime_error("Flags: missing value for --" + arg);
-      }
-    }
-    e->value = std::move(value);
+    check_kind(name, e->default_value, e->value);
+  }
+  return rest;
+}
+
+std::vector<std::string> Flags::parse(int argc, const char* const* argv) {
+  std::vector<std::string> positional;
+  for (const int i : consume(argc, argv, /*keep_benchmark=*/false)) {
+    positional.emplace_back(argv[i]);
   }
   return positional;
 }
@@ -71,14 +119,15 @@ std::string Flags::str(const std::string& name) const {
 }
 
 std::int64_t Flags::i64(const std::string& name) const {
-  return std::stoll(str(name));
+  return read_as(name, str(name), parse_i64);
 }
 
-double Flags::f64(const std::string& name) const { return std::stod(str(name)); }
+double Flags::f64(const std::string& name) const {
+  return read_as(name, str(name), parse_f64);
+}
 
 bool Flags::b(const std::string& name) const {
-  const std::string v = str(name);
-  return v == "true" || v == "1" || v == "yes";
+  return read_as(name, str(name), parse_bool);
 }
 
 bool Flags::parse_or_usage(int argc, const char* const* argv,
@@ -91,6 +140,25 @@ bool Flags::parse_or_usage(int argc, const char* const* argv,
       throw std::runtime_error("unexpected positional argument '" +
                                positional.front() + "'");
     }
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n" << usage(argv[0]);
+    return false;
+  }
+  return true;
+}
+
+bool Flags::parse_benchmark_or_usage(int& argc, char** argv) {
+  try {
+    const std::vector<int> rest = consume(argc, argv, /*keep_benchmark=*/true);
+    int out = 1;
+    for (const int i : rest) {
+      if (!std::string_view(argv[i]).starts_with("--benchmark_")) {
+        throw std::runtime_error("unexpected argument '" +
+                                 std::string(argv[i]) + "'");
+      }
+      argv[out++] = argv[i];
+    }
+    argc = out;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n" << usage(argv[0]);
     return false;
@@ -122,48 +190,15 @@ int resolve_thread_count(long long requested) {
   return requested > 0 ? static_cast<int>(requested) : default_thread_count();
 }
 
-namespace {
-
-/// Strict integer parse for --threads values; malformed input must not be
-/// silently coerced (0 would resolve to "auto", overriding the serial
-/// default of the timing-fidelity benches).
-long long parse_threads_value(const char* text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::cerr << "invalid --threads value '" << text << "'\n";
-    std::exit(1);
-  }
-  return v;
-}
-
-}  // namespace
-
-int consume_threads_flag(int& argc, char** argv, int absent_default) {
-  long long requested = absent_default;
-  int out = 1;
-  constexpr std::string_view kPrefix = "--threads=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      requested = parse_threads_value(argv[++i]);
-    } else if (arg.rfind(kPrefix, 0) == 0) {
-      // argv suffixes stay NUL-terminated, so .data() is a valid C string.
-      requested = parse_threads_value(arg.substr(kPrefix.size()).data());
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return resolve_thread_count(requested);
-}
-
 std::string Flags::usage(const std::string& program) const {
   std::ostringstream os;
   os << "Usage: " << program << " [flags]\n";
   for (const auto& e : entries_) {
-    os << "  --" << e.name << " (default: " << e.default_value << ")\n      "
-       << e.help << "\n";
+    os << "  --" << e.name << " (default: " << e.default_value;
+    if (e.bare && !is_bool_literal(e.default_value)) {
+      os << "; bare: " << *e.bare;
+    }
+    os << ")\n      " << e.help << "\n";
   }
   return os.str();
 }

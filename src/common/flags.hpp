@@ -1,9 +1,19 @@
-// Tiny command-line flag parser for the examples and bench binaries.
-// Syntax: --name=value | --name value | --bool-flag.  Unknown flags are an
-// error so typos surface immediately.
+// The one command-line parser of every example, bench and benchmark
+// driver.  Syntax: --name=value | --name value | --name (bare form).
+//
+// A flag's default fixes its kind, and parse() checks every value with
+// string_util's strict readers: a "true"/"false" default makes a boolean
+// (parse_bool spellings; the bare form means true), a numeric default a
+// number (parse_f64 must take the whole value; i64() also refuses
+// fractions), anything else text.  A flag defined with a bare value takes
+// it when it appears without `=`, and never consumes the next argument.
+// Unknown flags and bad values are errors, and so are stray positionals
+// in a driver that takes none, so a typo fails the run instead of
+// dropping a setting.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,12 +24,17 @@ class Flags {
   /// Register flags before parse().  `help` is printed by usage().
   void define(const std::string& name, const std::string& default_value,
               const std::string& help);
+  /// A flag that may also appear bare (`--name`), meaning `bare_value`.
+  void define(const std::string& name, const std::string& default_value,
+              const std::string& help, const std::string& bare_value);
 
-  /// Parse argv; throws std::runtime_error on unknown flag or missing value.
-  /// Returns positional (non-flag) arguments.
+  /// Parse argv; throws std::runtime_error on an unknown flag, a missing
+  /// value or a value its kind rejects.  Returns positional arguments.
   std::vector<std::string> parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string str(const std::string& name) const;
+  /// Typed reads throw std::runtime_error naming the flag when the value
+  /// does not parse whole (e.g. i64() of a numeric flag set to 2.5).
   [[nodiscard]] std::int64_t i64(const std::string& name) const;
   [[nodiscard]] double f64(const std::string& name) const;
   [[nodiscard]] bool b(const std::string& name) const;
@@ -33,14 +48,27 @@ class Flags {
                                     std::vector<std::string>* positional_out =
                                         nullptr);
 
+  /// parse_or_usage() for a google-benchmark main: consumes the defined
+  /// flags and leaves every `--benchmark_*` argument in argv (compacted in
+  /// place) for benchmark::Initialize.  Any other argument is an error.
+  [[nodiscard]] bool parse_benchmark_or_usage(int& argc, char** argv);
+
  private:
   struct Entry {
     std::string name;
     std::string value;
     std::string default_value;
     std::string help;
+    std::optional<std::string> bare;
   };
 
+  void add(const std::string& name, const std::string& default_value,
+           const std::string& help, std::optional<std::string> bare);
+  /// Assign every flag in argv[1..argc); returns the indices of the
+  /// arguments left over (positionals, and `--benchmark_*` ones when
+  /// `keep_benchmark`).
+  std::vector<int> consume(int argc, const char* const* argv,
+                           bool keep_benchmark);
   Entry* find(const std::string& name);
   [[nodiscard]] const Entry* find(const std::string& name) const;
 
@@ -68,12 +96,5 @@ void define_threads_flag(Flags& flags, int default_value = 0);
 /// Resolve a raw requested count with the same rule (for callers without a
 /// Flags instance).
 [[nodiscard]] int resolve_thread_count(long long requested);
-
-/// Consume `--threads[=N]` / `--threads N` from argv before it reaches an
-/// argument parser that rejects foreign flags (the google-benchmark
-/// binaries), compacting argv/argc in place.  Returns the resolved count;
-/// when the flag is absent, resolves `absent_default` instead (0 = auto).
-[[nodiscard]] int consume_threads_flag(int& argc, char** argv,
-                                       int absent_default = 0);
 
 }  // namespace risa

@@ -1,6 +1,8 @@
 // One strict, streaming JSON reader for every JSON input the simulator
-// takes: fault and migration plans (sim/scenario_io) and Chrome-trace
-// files behind `risa_cli --trace-summary` (sim/telemetry).
+// and its drivers take: fault and migration plans (sim/scenario_io),
+// Chrome-trace files behind `risa_cli --trace-summary` (sim/telemetry) and
+// the committed scheduler bench baselines that `bench_engine_scale
+// --profile` diffs against (sim/report).
 //
 // Not a DOM: the caller pulls exactly the values its schema expects and
 // skips the rest, so a multi-hundred-MB trace streams through in O(1)

@@ -1,7 +1,5 @@
 #include "common/stats.hpp"
 
-#include <string>
-
 namespace risa {
 
 void RunningStats::merge(const RunningStats& other) noexcept {
@@ -71,23 +69,6 @@ double Percentiles::percentile(double p) const {
   auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
   if (rank == 0) rank = 1;
   return samples_[rank - 1];
-}
-
-void CounterSet::increment(std::string_view key, std::int64_t by) {
-  for (auto& [k, v] : items_) {
-    if (k == key) {
-      v += by;
-      return;
-    }
-  }
-  items_.emplace_back(std::string(key), by);
-}
-
-std::int64_t CounterSet::get(std::string_view key) const {
-  for (const auto& [k, v] : items_) {
-    if (k == key) return v;
-  }
-  return 0;
 }
 
 }  // namespace risa

@@ -15,9 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace risa {
@@ -138,22 +135,6 @@ class Percentiles {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Simple named counter map with deterministic ordering, for drop reasons
-/// and event tallies.  Keys are taken as string_view so hot callers (the
-/// engine's per-drop accounting) never materialize a std::string: a key is
-/// copied only the first time it appears.
-class CounterSet {
- public:
-  void increment(std::string_view key, std::int64_t by = 1);
-  [[nodiscard]] std::int64_t get(std::string_view key) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, std::int64_t>>& items() const noexcept {
-    return items_;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::int64_t>> items_;
 };
 
 }  // namespace risa

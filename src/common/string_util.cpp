@@ -1,7 +1,9 @@
 #include "common/string_util.hpp"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace risa {
@@ -42,28 +44,44 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+namespace {
+
+/// `convert` (strtoll/strtod) over the whole of trim(s); nullopt when it
+/// reads nothing, stops early or overflows -- the inputs stoll/stod threw on.
+template <typename T, typename Convert>
+std::optional<T> convert_whole(std::string_view s, Convert convert) {
+  const std::string str(trim(s));
+  char* end = nullptr;
+  errno = 0;
+  const T v = convert(str.c_str(), &end);
+  if (str.empty() || end != str.c_str() + str.size() || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace
+
+std::optional<double> to_f64(std::string_view s) {
+  return convert_whole<double>(
+      s, [](const char* p, char** end) { return std::strtod(p, end); });
+}
+
 std::int64_t parse_i64(std::string_view s) {
-  try {
-    std::size_t pos = 0;
-    const std::string str(trim(s));
-    const std::int64_t v = std::stoll(str, &pos);
-    if (pos != str.size()) throw std::invalid_argument("trailing chars");
-    return v;
-  } catch (const std::exception&) {
+  const auto v = convert_whole<std::int64_t>(
+      s, [](const char* p, char** end) { return std::strtoll(p, end, 10); });
+  if (!v) {
     throw std::runtime_error("parse_i64: bad integer '" + std::string(s) + "'");
   }
+  return *v;
 }
 
 double parse_f64(std::string_view s) {
-  try {
-    std::size_t pos = 0;
-    const std::string str(trim(s));
-    const double v = std::stod(str, &pos);
-    if (pos != str.size()) throw std::invalid_argument("trailing chars");
-    return v;
-  } catch (const std::exception&) {
+  const std::optional<double> v = to_f64(s);
+  if (!v) {
     throw std::runtime_error("parse_f64: bad number '" + std::string(s) + "'");
   }
+  return *v;
 }
 
 bool parse_bool(std::string_view s) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,9 +16,12 @@ namespace risa {
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Parse helpers that throw std::runtime_error with the offending text.
+/// Each takes the whole of `s` but surrounding whitespace, or throws.
 [[nodiscard]] std::int64_t parse_i64(std::string_view s);
 [[nodiscard]] double parse_f64(std::string_view s);
 [[nodiscard]] bool parse_bool(std::string_view s);
+/// parse_f64 without the throw: nullopt where parse_f64 would throw.
+[[nodiscard]] std::optional<double> to_f64(std::string_view s);
 
 /// printf-style formatting into std::string.
 [[nodiscard]] std::string strformat(const char* fmt, ...)

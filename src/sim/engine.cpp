@@ -440,11 +440,6 @@ class Engine::Run {
 
   /// Reason of the latest failed try_place.
   core::DropReason drop_reason{};
-  // Per-reason drop tallies, enum-indexed, with first-seen order recorded
-  // so drops_by_reason keeps the insertion order the fingerprint hashes.
-  std::array<std::int64_t, core::kNumDropReasons> drop_counts{};
-  std::array<core::DropReason, core::kNumDropReasons> drop_first_seen{};
-  std::size_t drop_kinds = 0;
   /// Cause reported for kills by the current teardown scan.
   LifecycleKind kill_cause = LifecycleKind::BoxFail;
 };
@@ -685,11 +680,6 @@ SimMetrics Engine::Run::finish() {
   m.horizon_tu = now;
   if (m.horizon_tu <= 0.0) m.horizon_tu = 1.0;  // degenerate empty workload
   m.events_executed = executed;
-  for (std::size_t k = 0; k < drop_kinds; ++k) {
-    m.drops_by_reason.increment(
-        core::name(drop_first_seen[k]),
-        drop_counts[static_cast<std::size_t>(drop_first_seen[k])]);
-  }
 
   for (ResourceType ty : kAllResources) {
     m.avg_utilization[ty] = util[ty].mean(m.horizon_tu);
@@ -1086,9 +1076,7 @@ bool Engine::Run::requeue(std::uint32_t vm_index, VmState& st) {
 
 void Engine::Run::drop() {
   ++m.dropped;
-  if (drop_counts[static_cast<std::size_t>(drop_reason)]++ == 0) {
-    drop_first_seen[drop_kinds++] = drop_reason;
-  }
+  m.drops_by_reason.add(drop_reason);
   if (tel != nullptr) tel->drop(now, drop_reason);
 }
 
@@ -1515,14 +1503,18 @@ void Engine::Run::transfer(Ar& ar) {
   ar.f64(m.degraded_tu);
   ar.f64(m.migration_tu);
   transfer_saved(ar, m.cpu_ram_latency_ns);
-  ar.u64(drop_kinds);
-  if (Ar::kLoading && drop_kinds > core::kNumDropReasons) {
+  DropTally& drops = m.drops_by_reason;
+  ar.u64(drops.kinds);
+  if (Ar::kLoading && drops.kinds > core::kNumDropReasons) {
     throw std::runtime_error("checkpoint: bad drop table");
   }
-  for (std::size_t k = 0; k < drop_kinds; ++k) {
-    ar.u8(drop_first_seen[k], core::kNumDropReasons, "bad drop reason");
+  for (std::size_t k = 0; k < drops.kinds; ++k) {
+    ar.u8(drops.first_seen[k], core::kNumDropReasons, "bad drop reason");
   }
-  for (std::int64_t& c : drop_counts) ar.i64(c);
+  for (std::int64_t& c : drops.counts) ar.i64(c);
+  if (Ar::kLoading && !drops.consistent()) {
+    throw std::runtime_error("checkpoint: bad drop table");
+  }
   for (ResourceType ty : kAllResources) transfer_saved(ar, util[ty]);
   transfer_saved(ar, intra_util);
   transfer_saved(ar, inter_util);

@@ -3,15 +3,55 @@
 // fallback counts, peak utilizations).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "core/placement.hpp"
 #include "photonics/power_ledger.hpp"
 #include "sim/phase_profiler.hpp"
 
 namespace risa::sim {
+
+/// Drops per core::DropReason, plus the order in which each reason first
+/// occurred: metrics_fingerprint hashes `name=count|` in that order.
+struct DropTally {
+  std::array<std::int64_t, core::kNumDropReasons> counts{};
+  std::array<core::DropReason, core::kNumDropReasons> first_seen{};
+  std::size_t kinds = 0;  ///< reasons seen so far: first_seen[0, kinds)
+
+  void add(core::DropReason r) noexcept {
+    if (counts[static_cast<std::size_t>(r)]++ == 0) first_seen[kinds++] = r;
+  }
+  [[nodiscard]] std::int64_t operator[](core::DropReason r) const noexcept {
+    return counts[static_cast<std::size_t>(r)];
+  }
+  /// The reasons seen, in first-seen order.
+  [[nodiscard]] std::span<const core::DropReason> seen() const noexcept {
+    return {first_seen.data(), kinds};
+  }
+  /// Whether seen() lists exactly the reasons with a nonzero count, none
+  /// negative.  A restored tally must be, or add() would write past
+  /// first_seen.  Requires kinds <= kNumDropReasons.
+  [[nodiscard]] bool consistent() const noexcept {
+    std::size_t listed = 0;
+    for (std::size_t r = 0; r < core::kNumDropReasons; ++r) {
+      if (counts[r] < 0) return false;
+      if (counts[r] == 0) continue;
+      ++listed;
+      if (std::find(seen().begin(), seen().end(),
+                    static_cast<core::DropReason>(r)) == seen().end()) {
+        return false;
+      }
+    }
+    return listed == kinds;
+  }
+};
 
 struct SimMetrics {
   std::string algorithm;
@@ -24,14 +64,14 @@ struct SimMetrics {
   /// "Inter-rack VM assignments" as the paper's Figures 5/7/10 count them:
   /// the VM's CPU and RAM land in different racks.  (Figure 10's averages
   /// -- e.g. 226 ns = 110 + 220 * 0.527 -- tie the latency directly to this
-  /// fraction, which pins the definition; see EXPERIMENTS.md.)
+  /// fraction, which pins the definition; see DESIGN.md §2.4.)
   std::uint64_t inter_rack_placements = 0;
   /// Broader diagnostic: any resource pair (CPU-RAM or RAM-storage) spans
   /// racks.  NULB/NALB routinely split RAM from storage even when CPU-RAM
   /// stay together, which is what drives their Figure 9 power gap.
   std::uint64_t any_pair_inter_rack = 0;
   std::uint64_t fallback_placements = 0;  ///< RISA SUPER_RACK path uses
-  CounterSet drops_by_reason;
+  DropTally drops_by_reason;
 
   // Lifecycle outcomes (DESIGN.md §8).  All zero when the scenario's
   // FaultPlan is empty; deliberately EXCLUDED from metrics_fingerprint so

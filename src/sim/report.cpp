@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "common/csv.hpp"
 #include "common/histogram.hpp"
+#include "common/json_cursor.hpp"
 #include "common/string_util.hpp"
 #include "sim/experiments.hpp"
 
@@ -60,6 +63,31 @@ TextTable figure9_table(const std::vector<SimMetrics>& runs) {
                TextTable::num(m.avg_optical_power_w / 1000.0, 2),
                paper_cell("fig9", m.workload, m.algorithm, 2),
                TextTable::num(txr_kw, 2), TextTable::num(trim_kw, 2)});
+  }
+  return t;
+}
+
+TextTable figure9_reduction_table(const std::vector<SimMetrics>& runs) {
+  TextTable t({"Workload", "NULB kW", "RISA kW", "Reduction (measured)",
+               "Reduction (paper)"});
+  for (const SimMetrics& nulb : runs) {
+    if (nulb.algorithm != "NULB") continue;
+    const auto risa =
+        std::find_if(runs.begin(), runs.end(), [&](const auto& m) {
+          return m.workload == nulb.workload && m.algorithm == "RISA";
+        });
+    if (risa == runs.end()) continue;
+    const auto paper_nulb = paper_reference("fig9", nulb.workload, "NULB");
+    const auto paper_risa = paper_reference("fig9", nulb.workload, "RISA");
+    t.add_row({nulb.workload,
+               TextTable::num(nulb.avg_optical_power_w / 1000.0, 2),
+               TextTable::num(risa->avg_optical_power_w / 1000.0, 2),
+               TextTable::pct(
+                   1.0 - risa->avg_optical_power_w / nulb.avg_optical_power_w,
+                   1),
+               paper_nulb && paper_risa
+                   ? TextTable::pct(1.0 - *paper_risa / *paper_nulb, 1)
+                   : "-"});
   }
   return t;
 }
@@ -449,26 +477,6 @@ std::string scheduler_bench_json(const std::string& benchmark,
   return os.str();
 }
 
-std::string consume_emit_json_flag(int& argc, char** argv,
-                                   const char* default_path) {
-  std::string path;
-  int out = 1;
-  constexpr std::string_view kPrefix = "--emit_json=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--emit_json") {
-      path = default_path;
-    } else if (arg.starts_with(kPrefix)) {
-      path = arg.substr(kPrefix.size());
-      if (path.empty()) path = default_path;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return path;
-}
-
 bool write_scheduler_bench_json(const std::string& path,
                                 const std::string& benchmark,
                                 const std::vector<SchedulerBenchEntry>& entries) {
@@ -484,6 +492,76 @@ bool write_scheduler_bench_json(const std::string& path,
     return false;
   }
   return true;
+}
+
+namespace {
+
+/// The field that `key` names in `rows`, or null.
+template <typename T, std::size_t N>
+T* bench_field(const std::pair<const char*, T*> (&rows)[N],
+               const std::string& key) {
+  for (const auto& [name, field] : rows) {
+    if (key == name) return field;
+  }
+  return nullptr;
+}
+
+SchedulerBenchEntry read_bench_entry(JsonCursor& c) {
+  SchedulerBenchEntry e;
+  const std::pair<const char*, std::uint64_t*> counts[] = {
+      {"total_vms", &e.total_vms}, {"placed", &e.placed},
+      {"dropped", &e.dropped}, {"inter_rack", &e.inter_rack}};
+  const std::pair<const char*, double*> reals[] = {
+      {"sched_s", &e.sched_s},
+      {"placements_per_sec", &e.placements_per_sec},
+      {"sim_s", &e.sim_s},
+      {"events_per_sec", &e.events_per_sec},
+      {"p50_ns", &e.p50_ns},
+      {"p99_ns", &e.p99_ns},
+      {"source_s", &e.source_s},
+      {"peak_rss_mb", &e.peak_rss_mb}};
+  c.object([&](const std::string& key) {
+    if (key == "workload") {
+      e.workload = c.string();
+    } else if (key == "algorithm") {
+      e.algorithm = c.string();
+    } else if (key == "profile") {
+      e.profile.seconds.fill(std::numeric_limits<double>::quiet_NaN());
+      e.profile.recorded = true;
+      c.object([&](const std::string& phase) {
+        const auto it =
+            std::find(kPhaseNames.begin(), kPhaseNames.end(), phase);
+        if (it == kPhaseNames.end()) c.fail("unknown phase '" + phase + "'");
+        e.profile.seconds[static_cast<std::size_t>(it - kPhaseNames.begin())] =
+            c.number();
+      });
+    } else if (std::uint64_t* n = bench_field(counts, key)) {
+      *n = c.u64(key.c_str());
+    } else if (double* x = bench_field(reals, key)) {
+      *x = c.number();
+    } else {
+      c.fail("unknown entry key '" + key + "'");
+    }
+  });
+  return e;
+}
+
+}  // namespace
+
+std::vector<SchedulerBenchEntry> read_scheduler_bench_json(std::istream& in) {
+  JsonCursor c(in, "scheduler bench");
+  std::vector<SchedulerBenchEntry> entries;
+  c.object([&](const std::string& key) {
+    if (key == "benchmark") {
+      (void)c.string();
+    } else if (key == "entries") {
+      c.array([&] { entries.push_back(read_bench_entry(c)); });
+    } else {
+      c.fail("unknown key '" + key + "'");
+    }
+  });
+  c.finish();
+  return entries;
 }
 
 }  // namespace risa::sim

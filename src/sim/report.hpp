@@ -2,6 +2,7 @@
 // harness prints ("measured" next to "paper" for every figure).
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,12 @@ namespace risa::sim {
 
 /// Figure 9: optical-component power (kW).
 [[nodiscard]] TextTable figure9_table(const std::vector<SimMetrics>& runs);
+
+/// Figure 9's headline claim: RISA's optical-power reduction against NULB,
+/// one row per workload that has both runs; the paper column derives from
+/// the paper's own Figure 9 values.
+[[nodiscard]] TextTable figure9_reduction_table(
+    const std::vector<SimMetrics>& runs);
 
 /// Figure 10: average CPU-RAM round-trip latency (ns).
 [[nodiscard]] TextTable figure10_table(const std::vector<SimMetrics>& runs);
@@ -122,11 +129,12 @@ bool write_scheduler_bench_json(const std::string& path,
                                 const std::string& benchmark,
                                 const std::vector<SchedulerBenchEntry>& entries);
 
-/// Consume a `--emit_json[=path]` flag from argv before it reaches
-/// benchmark::Initialize (which rejects flags it does not own), compacting
-/// argv/argc in place.  Returns the output path -- `default_path` when the
-/// flag carries no value -- or the empty string when the flag is absent.
-[[nodiscard]] std::string consume_emit_json_flag(int& argc, char** argv,
-                                                 const char* default_path);
+/// Read back a document scheduler_bench_json wrote (the committed
+/// BENCH_scheduler*.json and BENCH_engine.json baselines) through
+/// JsonCursor; any malformed input or unknown key throws
+/// "scheduler bench JSON (byte N): ...".  A `profile` block's missing
+/// phases (a baseline older than the phase) read as NaN.
+[[nodiscard]] std::vector<SchedulerBenchEntry> read_scheduler_bench_json(
+    std::istream& in);
 
 }  // namespace risa::sim

@@ -274,8 +274,8 @@ std::string metrics_fingerprint(const SimMetrics& m) {
   put_u64(os, m.inter_rack_placements);
   put_u64(os, m.any_pair_inter_rack);
   put_u64(os, m.fallback_placements);
-  for (const auto& [reason, count] : m.drops_by_reason.items()) {
-    os << reason << '=' << count << '|';
+  for (const core::DropReason reason : m.drops_by_reason.seen()) {
+    os << core::name(reason) << '=' << m.drops_by_reason[reason] << '|';
   }
   for (ResourceType t : kAllResources) {
     put_f64(os, m.avg_utilization[t]);

@@ -91,17 +91,5 @@ TEST(Percentiles, EmptyThrows) {
   EXPECT_THROW((void)p.percentile(50.0), std::logic_error);
 }
 
-TEST(CounterSet, AccumulatesAndPreservesOrder) {
-  CounterSet c;
-  c.increment("no-network");
-  c.increment("no-compute", 2);
-  c.increment("no-network", 3);
-  EXPECT_EQ(c.get("no-network"), 4);
-  EXPECT_EQ(c.get("no-compute"), 2);
-  EXPECT_EQ(c.get("unknown"), 0);
-  ASSERT_EQ(c.items().size(), 2u);
-  EXPECT_EQ(c.items()[0].first, "no-network");  // insertion order
-}
-
 }  // namespace
 }  // namespace risa

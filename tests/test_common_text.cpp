@@ -125,6 +125,88 @@ TEST(Flags, DuplicateDefineThrows) {
   EXPECT_THROW(f.define("a", "2", ""), std::logic_error);
 }
 
+TEST(Flags, RejectsValuesTheirKindRefuses) {
+  const auto parses = [](const char* arg) {
+    Flags f;
+    f.define("seed", "42", "");
+    f.define("verify", "false", "");
+    f.define("rate", "1.0", "");
+    f.define("label", "x", "");
+    const char* argv[] = {"prog", arg};
+    try {
+      (void)f.parse(2, argv);
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+    return true;
+  };
+  EXPECT_FALSE(parses("--seed=7x"));
+  EXPECT_FALSE(parses("--verify=ture"));
+  EXPECT_FALSE(parses("--rate=2.5junk"));
+  EXPECT_FALSE(parses("--sed=7"));
+  EXPECT_FALSE(parses("--seed"));  // missing value
+  EXPECT_TRUE(parses("--seed=7"));
+  EXPECT_TRUE(parses("--verify=0"));
+  EXPECT_TRUE(parses("--rate=2.5"));
+  EXPECT_TRUE(parses("--label=7x"));  // text flags take anything
+
+  // Typed reads are as strict: a fraction is no integer.
+  Flags f;
+  f.define("count", "5", "");
+  const char* argv[] = {"prog", "--count=2.5"};
+  (void)f.parse(2, argv);
+  EXPECT_THROW((void)f.i64("count"), std::runtime_error);
+  EXPECT_DOUBLE_EQ(f.f64("count"), 2.5);
+}
+
+TEST(Flags, BareFormTakesItsDeclaredValue) {
+  Flags f;
+  f.define("emit_json", "", "", "BENCH_x.json");
+  f.define("streaming", "0", "", "10000000");
+  f.define("threads", "1", "");
+  const char* bare[] = {"prog", "--emit_json", "--streaming", "--threads", "4"};
+  EXPECT_TRUE(f.parse(5, bare).empty());
+  EXPECT_EQ(f.str("emit_json"), "BENCH_x.json");
+  EXPECT_EQ(f.i64("streaming"), 10'000'000);
+  EXPECT_EQ(f.i64("threads"), 4);
+
+  const char* valued[] = {"prog", "--emit_json=out.json", "--streaming=500",
+                          "--threads=2"};
+  EXPECT_TRUE(f.parse(4, valued).empty());
+  EXPECT_EQ(f.str("emit_json"), "out.json");
+  EXPECT_EQ(f.i64("streaming"), 500);
+  EXPECT_EQ(f.i64("threads"), 2);
+  EXPECT_NE(f.usage("prog").find("bare: BENCH_x.json"), std::string::npos);
+}
+
+TEST(Flags, BenchmarkModeLeavesOnlyBenchmarkFlags) {
+  Flags f;
+  f.define("emit_json", "", "", "BENCH_x.json");
+  f.define("verbose", "false", "");
+  const char* raw[] = {"prog", "--emit_json", "--benchmark_min_time=0.01s",
+                       "--verbose", "--benchmark_filter=NONE"};
+  char* argv[5];
+  for (int i = 0; i < 5; ++i) argv[i] = const_cast<char*>(raw[i]);
+  int argc = 5;
+  ASSERT_TRUE(f.parse_benchmark_or_usage(argc, argv));
+  // The bare flag did not swallow the --benchmark_* token after it.
+  EXPECT_EQ(f.str("emit_json"), "BENCH_x.json");
+  EXPECT_TRUE(f.b("verbose"));
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv[0], "prog");
+  EXPECT_STREQ(argv[1], "--benchmark_min_time=0.01s");
+  EXPECT_STREQ(argv[2], "--benchmark_filter=NONE");
+
+  // Neither an unknown flag nor a positional gets through to the harness.
+  for (const char* stray : {"--evnts_floor=1", "positional"}) {
+    Flags g;
+    g.define("events_floor", "0", "");
+    char* args[] = {const_cast<char*>("prog"), const_cast<char*>(stray)};
+    int n = 2;
+    EXPECT_FALSE(g.parse_benchmark_or_usage(n, args)) << stray;
+  }
+}
+
 TEST(Flags, UsageMentionsDefaults) {
   Flags f;
   f.define("seed", "42", "RNG seed");
@@ -148,8 +230,16 @@ TEST(StringUtil, Parsers) {
   EXPECT_DOUBLE_EQ(parse_f64("2.5"), 2.5);
   EXPECT_TRUE(parse_bool("Yes"));
   EXPECT_FALSE(parse_bool("off"));
+  EXPECT_EQ(parse_i64("+7"), 7);
+  EXPECT_EQ(parse_i64("-7"), -7);
+  EXPECT_DOUBLE_EQ(parse_f64("1e3"), 1000.0);
   EXPECT_THROW((void)parse_i64("4x"), std::runtime_error);
+  EXPECT_THROW((void)parse_i64("2.5"), std::runtime_error);
+  EXPECT_THROW((void)parse_i64("9223372036854775808"), std::runtime_error);
+  EXPECT_THROW((void)parse_i64("+-7"), std::runtime_error);
   EXPECT_THROW((void)parse_f64(""), std::runtime_error);
+  EXPECT_THROW((void)parse_f64("2.5junk"), std::runtime_error);
+  EXPECT_THROW((void)parse_f64("1e999"), std::runtime_error);
   EXPECT_THROW((void)parse_bool("maybe"), std::runtime_error);
 }
 

@@ -1,7 +1,8 @@
 // §4.3 toy examples: exact reproduction of the paper's Tables 3-4 walk-
 // throughs, including the documented arithmetic error in Table 4's RISA-BF
-// column (total demand 100 cores cannot fit in 96 available; see DESIGN.md
-// §2.7 / EXPERIMENTS.md).
+// column (total demand 100 cores cannot fit in 96 available, so by DESIGN.md
+// §2.6 one VM drops; §2.7/§2.8 are the cursor readings the walk-throughs
+// pin).
 #include <gtest/gtest.h>
 
 #include <vector>

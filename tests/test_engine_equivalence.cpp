@@ -72,7 +72,7 @@ SimMetrics reference_run(const Scenario& scenario, const std::string& algorithm,
       auto placed = allocator->try_place(vm);
       if (!placed.ok()) {
         ++m.dropped;
-        m.drops_by_reason.increment(core::name(placed.error()));
+        m.drops_by_reason.add(placed.error());
         return;
       }
       core::Placement& p =

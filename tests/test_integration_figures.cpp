@@ -35,7 +35,9 @@ TEST_P(AzureShapeTest, HeadlineShapesHold) {
 
   // §5.2: "no VMs were dropped during the scheduling process" -- holds for
   // the 3000/5000 subsets; the 7500 subset saturates storage in our
-  // provisioning, equally for every algorithm (see EXPERIMENTS.md).
+  // provisioning (Table 1 capacity in DESIGN.md §2.1's ceil-converted
+  // 64 GB units), equally for every algorithm, and §2.6 drops a VM that
+  // does not fit instead of queueing it.
   EXPECT_EQ(risa.dropped, nulb.dropped);
   EXPECT_EQ(risa.dropped, nalb.dropped);
   if (GetParam() < 2) {

@@ -283,7 +283,7 @@ TEST(FaultEngine, RetryBudgetExhaustionDropsUnplacedVms) {
   EXPECT_EQ(m.dropped, m.total_vms);
   EXPECT_EQ(m.requeued, 2u * m.total_vms);  // both attempts consumed
   EXPECT_EQ(m.retry_placed, 0u);
-  EXPECT_EQ(m.drops_by_reason.items().size(), 1u);
+  EXPECT_EQ(m.drops_by_reason.seen().size(), 1u);
 }
 
 TEST(FaultEngine, AdmissionTriggeredFaultFiresOnThreshold) {

@@ -2,6 +2,10 @@
 // table shapes.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <utility>
+
 #include "sim/engine.hpp"
 #include "workload/synthetic.hpp"
 #include "sim/experiments.hpp"
@@ -51,6 +55,7 @@ TEST(Report, TablesRenderOneRowPerRun) {
   EXPECT_EQ(figure7_table(runs).rows(), 4u);
   EXPECT_EQ(figure8_table(runs).rows(), 4u);
   EXPECT_EQ(figure9_table(runs).rows(), 4u);
+  EXPECT_EQ(figure9_reduction_table(runs).rows(), 1u);  // NULB vs RISA
   EXPECT_EQ(figure10_table(runs).rows(), 4u);
   EXPECT_EQ(exec_time_table(runs, "fig11").rows(), 4u);
   EXPECT_EQ(utilization_table(runs).rows(), 4u);
@@ -60,6 +65,79 @@ TEST(Report, TablesRenderOneRowPerRun) {
   const std::string rendered = figure5_table(runs).to_string();
   EXPECT_NE(rendered.find("255"), std::string::npos);
   EXPECT_NE(rendered.find("RISA-BF"), std::string::npos);
+}
+
+TEST(Report, SchedulerBenchJsonReadsBack) {
+  SchedulerBenchEntry plain;
+  plain.workload = "synthetic-10000";
+  plain.algorithm = "RISA";
+  plain.total_vms = 10'000;
+  plain.placed = 6302;
+  plain.dropped = 3698;
+  plain.inter_rack = 934;
+  plain.sched_s = 0.003548;
+  plain.placements_per_sec = 2818720;
+  plain.sim_s = 0.007823;
+  plain.events_per_sec = 2083953;
+  plain.p50_ns = 416;
+  plain.p99_ns = 1024;
+  SchedulerBenchEntry streamed = plain;
+  streamed.workload = "synthetic-500000-stream";
+  streamed.source_s = 0.25;
+  streamed.peak_rss_mb = 11.5;
+  streamed.profile.recorded = true;
+  for (std::size_t p = 0; p < kNumPhases; ++p) {
+    streamed.profile.seconds[p] = 0.125 * static_cast<double>(p);
+  }
+
+  std::istringstream in(scheduler_bench_json("t", {plain, streamed}));
+  const auto back = read_scheduler_bench_json(in);
+  ASSERT_EQ(back.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const SchedulerBenchEntry& want = i == 0 ? plain : streamed;
+    const SchedulerBenchEntry& got = back[i];
+    EXPECT_EQ(got.workload, want.workload);
+    EXPECT_EQ(got.algorithm, want.algorithm);
+    EXPECT_EQ(got.total_vms, want.total_vms);
+    EXPECT_EQ(got.placed, want.placed);
+    EXPECT_EQ(got.dropped, want.dropped);
+    EXPECT_EQ(got.inter_rack, want.inter_rack);
+    // Every written value has no more digits than its format keeps.
+    const std::pair<double, double> reals[] = {
+        {got.sched_s, want.sched_s},
+        {got.sim_s, want.sim_s},
+        {got.events_per_sec, want.events_per_sec},
+        {got.placements_per_sec, want.placements_per_sec},
+        {got.p50_ns, want.p50_ns},
+        {got.p99_ns, want.p99_ns},
+        {got.source_s, want.source_s},
+        {got.peak_rss_mb, want.peak_rss_mb}};
+    for (const auto& [a, b] : reals) EXPECT_DOUBLE_EQ(a, b);
+    EXPECT_EQ(got.profile.recorded, want.profile.recorded);
+    EXPECT_EQ(got.profile.seconds, want.profile.seconds);
+  }
+}
+
+TEST(Report, SchedulerBenchJsonFailsClosed) {
+  const std::string doc = scheduler_bench_json("t", {SchedulerBenchEntry{}});
+  std::istringstream truncated(doc.substr(0, doc.size() / 2));
+  try {
+    (void)read_scheduler_bench_json(truncated);
+    FAIL() << "truncated document accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("scheduler bench JSON (byte "),
+              std::string::npos)
+        << e.what();
+  }
+  std::istringstream unknown(R"({"entries": [{"sim_z": 1}]})");
+  EXPECT_THROW((void)read_scheduler_bench_json(unknown), std::runtime_error);
+  // A baseline older than a phase reads that phase as NaN.
+  std::istringstream old_profile(
+      R"({"entries": [{"profile": {"placement": 0.5}}]})");
+  const auto rows = read_scheduler_bench_json(old_profile);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(rows[0].profile[Phase::Placement], 0.5);
+  EXPECT_TRUE(std::isnan(rows[0].profile[Phase::Merge]));
 }
 
 TEST(Report, ExecTimeTableNormalizesToRisa) {

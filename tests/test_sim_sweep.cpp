@@ -224,19 +224,30 @@ TEST(Threads, EnvOverrideDrivesDefault) {
   EXPECT_GE(default_thread_count(), 1);
 }
 
-TEST(Threads, ConsumeThreadsFlagCompactsArgv) {
+TEST(Threads, BenchmarkParseTakesThreadsAndCompactsArgv) {
   const char* raw[] = {"prog", "--benchmark_min_time=0.01s", "--threads=6",
-                       "positional"};
-  char* argv[4];
-  for (int i = 0; i < 4; ++i) argv[i] = const_cast<char*>(raw[i]);
-  int argc = 4;
-  EXPECT_EQ(consume_threads_flag(argc, argv), 6);
-  ASSERT_EQ(argc, 3);
+                       "--threads", "7"};
+  char* argv[5];
+  for (int i = 0; i < 5; ++i) argv[i] = const_cast<char*>(raw[i]);
+  int argc = 5;
+  Flags flags;
+  define_threads_flag(flags, /*default_value=*/1);
+  ASSERT_TRUE(flags.parse_benchmark_or_usage(argc, argv));
+  EXPECT_EQ(thread_count(flags), 7);  // the last occurrence wins
+  ASSERT_EQ(argc, 2);
   EXPECT_STREQ(argv[1], "--benchmark_min_time=0.01s");
-  EXPECT_STREQ(argv[2], "positional");
-  // Absent flag resolves the fallback.
-  EXPECT_EQ(consume_threads_flag(argc, argv, 1), 1);
-  EXPECT_EQ(argc, 3);
+  // Absent flag resolves the driver's default.
+  Flags serial;
+  define_threads_flag(serial, /*default_value=*/1);
+  ASSERT_TRUE(serial.parse_benchmark_or_usage(argc, argv));
+  EXPECT_EQ(thread_count(serial), 1);
+  EXPECT_EQ(argc, 2);
+  // A malformed count fails the parse instead of resolving to "auto".
+  char* bad[] = {const_cast<char*>("prog"), const_cast<char*>("--threads=abc")};
+  int bad_argc = 2;
+  Flags strict;
+  define_threads_flag(strict, /*default_value=*/1);
+  EXPECT_FALSE(strict.parse_benchmark_or_usage(bad_argc, bad));
 }
 
 }  // namespace

@@ -547,6 +547,9 @@ struct V1Offsets {
               fault_subject = 0, rr_cursor = 0;
   std::size_t alloc_units = 0, slice_count = 0, slice = 0, demand_units = 0,
               link_count = 0, switch_count = 0;
+  /// The first drop reason's count, and whether the tally lists it.
+  std::size_t drop_count = 0;
+  bool drop_listed = false;
   std::vector<std::size_t> owner_ids;
   std::uint32_t other_live_vm = 0xFFFFFFFFu;
 };
@@ -559,7 +562,10 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
   c.skip(c.get(8));                       // algorithm
   c.skip(7 * 8 + 4 + 8 + 4 + 1);          // loop scalars
   c.skip(13 * 8 + 6 * 8);                 // metric counters + RTT stats
-  c.skip(c.get(8));                       // drop reasons, first-seen order
+  const std::uint64_t drop_kinds = c.get(8);  // drop reasons, first seen
+  bool drop_listed = false;
+  for (std::uint64_t k = 0; k < drop_kinds; ++k) drop_listed |= c.get(1) == 0;
+  const std::size_t drop_count = c.pos();
   c.skip(core::kNumDropReasons * 8);      // drop counts
   c.skip((kNumResourceTypes + 2) * 41);   // time-weighted signals
   c.skip(5 * 8 + 6 * 8);                  // power ledger
@@ -621,6 +627,8 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
       break;
     }
   }
+  at.drop_count = drop_count;
+  at.drop_listed = drop_listed;
   c.skip(4 + 8);  // next circuit id, next calendar seq
   at.events = c.pos();
   for (std::uint64_t n = c.get(8); n > 0; --n) {
@@ -696,6 +704,11 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptFields) {
       {at.link, 4, 0xFFFFFFF0u, "link id"},
       {at.events, 8, std::uint64_t{1} << 62, "calendar entry count"},
       {at.rr_cursor, 4, 0xFFFFFFF0u, "RISA rack cursor"},
+      // A count the first-seen list disagrees with: a listed reason at
+      // zero (its next drop would list it again, past the list's end once
+      // every reason is listed) or an unlisted one at one (never listed,
+      // so the fingerprint would miss it).
+      {at.drop_count, 8, at.drop_listed ? 0u : 1u, "drop count"},
   };
   for (const auto& p : patches) {
     EXPECT_THROW(

@@ -276,7 +276,7 @@ TEST(TelemetryEngine, FingerprintsIdenticalTracingOnOffAllAlgorithms) {
       const auto reason = static_cast<core::DropReason>(i);
       EXPECT_EQ(r.counter_value(
                     r.counter("vm.dropped." + std::string(core::name(reason)))),
-                m.drops_by_reason.get(core::name(reason)))
+                m.drops_by_reason[reason])
           << algo << " reason " << core::name(reason);
     }
 
