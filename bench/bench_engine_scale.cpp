@@ -315,20 +315,20 @@ int main(int argc, char** argv) {
   risa::Flags flags;
   flags.define("emit_json", "", "Write the engine-scale baseline JSON here",
                "BENCH_engine.json");
-  flags.define("repeat", "1",
-               "Recorded baseline sweeps; each cell keeps its best sim_s");
-  flags.define("streaming", "0",
-               "Run the pull-based streaming rows at 500k and this many VMs "
-               "instead of the interactive grid (0 = off)",
-               "10000000");
-  flags.define("rss_limit_mb", "0",
-               "Fail when the streaming peak RSS exceeds this (0 = off)");
+  flags.define_i64("repeat", 1,
+                   "Recorded baseline sweeps; each cell keeps its best sim_s");
+  flags.define_i64("streaming", 0,
+                   "Run the pull-based streaming rows at 500k and this many "
+                   "VMs instead of the interactive grid (0 = off)",
+                   10'000'000);
+  flags.define_i64("rss_limit_mb", 0,
+                   "Fail when the streaming peak RSS exceeds this (0 = off)");
   flags.define("rss", "false", "Print the final peak RSS");
   flags.define("profile", "false",
                "Record the phase profile and check and diff it per row");
-  flags.define("events_floor", "0",
-               "Fail when a headline streaming row runs below this many "
-               "events/s (0 = off)");
+  flags.define_i64("events_floor", 0,
+                   "Fail when a headline streaming row runs below this many "
+                   "events/s (0 = off)");
   flags.define("baseline", "BENCH_engine.json",
                "Committed baseline the --profile rows are diffed against",
                "BENCH_engine.json");

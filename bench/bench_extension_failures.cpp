@@ -14,7 +14,7 @@
 // absorbs capacity loss.
 //
 //   $ ./bench_extension_failures --threads=2
-//   $ ./bench_extension_failures --emit_json=BENCH_failures.json
+//   $ ./bench_extension_failures --emit_json   # writes BENCH_failures.json
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define("emit_json", "",
                "Write the unified sweep JSON to this file "
-               "(BENCH_failures.json when given without a value)");
+               "(BENCH_failures.json when given without a value)",
+               "BENCH_failures.json");
   define_threads_flag(flags);
   if (!flags.parse_or_usage(argc, argv)) return 1;
 
@@ -80,8 +81,7 @@ int main(int argc, char** argv) {
                "inter-rack cost.  The retry plan recovers most drops/kills "
                "at the price\nof deferred placements.\n";
 
-  std::string json_path = flags.str("emit_json");
-  if (json_path == "true") json_path = "BENCH_failures.json";  // bare flag
+  const std::string json_path = flags.str("emit_json");
   if (!json_path.empty()) {
     if (!sim::write_sweep_json(json_path, "extension_failures", results)) {
       return 1;

@@ -16,7 +16,7 @@
 // back, and where the double-charge window stops paying for itself.
 //
 //   $ ./bench_extension_migration --threads=2
-//   $ ./bench_extension_migration --emit_json=BENCH_migration.json
+//   $ ./bench_extension_migration --emit_json  # BENCH_migration.json
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define("emit_json", "",
                "Write the unified sweep JSON to this file "
-               "(BENCH_migration.json when given without a value)");
+               "(BENCH_migration.json when given without a value)",
+               "BENCH_migration.json");
   define_threads_flag(flags);
   if (!flags.parse_or_usage(argc, argv)) return 1;
 
@@ -103,8 +104,7 @@ int main(int argc, char** argv) {
                "re-placing through a bandwidth-greedy policy can re-spread "
                "future\nadmissions and give part of the win back.\n";
 
-  std::string json_path = flags.str("emit_json");
-  if (json_path == "true") json_path = "BENCH_migration.json";  // bare flag
+  const std::string json_path = flags.str("emit_json");
   if (!json_path.empty()) {
     if (!sim::write_sweep_json(json_path, "extension_migration", results)) {
       return 1;

@@ -8,8 +8,9 @@
 // Rows:
 //   BM_FindPath/<policy>         Router::find_path over random box pairs
 //                                (half intra-, half inter-rack);
-//   BM_EstablishTeardown/<policy> the same path, reserved through
-//                                CircuitTable::establish, then teardown_vm;
+//   BM_EstablishTeardown/<policy> the same path, routed and reserved
+//                                through CircuitTable::connect, then
+//                                teardown_vm;
 //   BM_CircuitChurn              CircuitTable insert/erase at a fixed live
 //                                census: each iteration establishes two
 //                                pre-routed circuits for the newest VM id
@@ -125,10 +126,12 @@ void BM_FindPath(benchmark::State& state) {
   const auto policy = policy_arg(state);
   const MbitsPerSec bw = gbps(25.0);
   std::size_t i = 0;
+  net::CircuitPath path;
   for (auto _ : state) {
     const PathQuery& q = queries[i];
-    benchmark::DoNotOptimize(
-        router.find_path(q.src, q.src_rack, q.dst, q.dst_rack, bw, policy));
+    benchmark::DoNotOptimize(router.find_path(q.src, q.src_rack, q.dst,
+                                              q.dst_rack, bw, policy, path));
+    benchmark::DoNotOptimize(path);
     i = (i + 1) & (kQueries - 1);
   }
   state.SetLabel(std::string(net::name(policy)));
@@ -145,10 +148,8 @@ void BM_EstablishTeardown(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const PathQuery& q = queries[i];
-    auto path = router.find_path(q.src, q.src_rack, q.dst, q.dst_rack, bw, policy);
-    if (path.ok()) {
-      benchmark::DoNotOptimize(circuits.establish(vm, net::FlowKind::CpuRam, bw,
-                                                  std::move(path.value())));
+    if (circuits.connect(vm, net::FlowKind::CpuRam, bw, q.src, q.src_rack,
+                         q.dst, q.dst_rack, policy)) {
       benchmark::DoNotOptimize(circuits.teardown_vm(vm));
     }
     i = (i + 1) & (kQueries - 1);
@@ -172,9 +173,11 @@ class LiveCircuits {
     // channel, and the window's 26k circuits put about 1 Gb/s on the
     // busiest rack uplink, so no reservation fails.
     for (const PathQuery& q : make_path_queries(stack().cluster)) {
-      auto path = router_.find_path(q.src, q.src_rack, q.dst, q.dst_rack, kBw,
-                                    net::LinkSelectPolicy::FirstFit);
-      if (path.ok()) paths_.push_back(std::move(path.value()));
+      net::CircuitPath path;
+      if (router_.find_path(q.src, q.src_rack, q.dst, q.dst_rack, kBw,
+                            net::LinkSelectPolicy::FirstFit, path)) {
+        paths_.push_back(path);
+      }
     }
     while (full_ && live_.size() < kChurnLiveVms) full_ = admit();
   }
@@ -304,16 +307,12 @@ class LiveRecords {
         {ResourceType::Cpu, ResourceType::Ram},
         {ResourceType::Ram, ResourceType::Storage}};
     for (const auto& [src, dst] : flows) {
-      auto path = router_.find_path(p.box(src), spec.rack, p.box(dst),
-                                    spec.rack, kBw,
-                                    net::LinkSelectPolicy::FirstFit);
-      if (!path.ok() ||
-          !circuits_
-               .establish(vm,
-                          src == ResourceType::Cpu ? net::FlowKind::CpuRam
-                                                   : net::FlowKind::RamStorage,
-                          kBw, std::move(path.value()))
-               .ok()) {
+      if (!circuits_.connect(vm,
+                             src == ResourceType::Cpu
+                                 ? net::FlowKind::CpuRam
+                                 : net::FlowKind::RamStorage,
+                             kBw, p.box(src), spec.rack, p.box(dst), spec.rack,
+                             net::LinkSelectPolicy::FirstFit)) {
         state_.SkipWithError("circuit reservation failed");
         return false;
       }

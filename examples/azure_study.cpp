@@ -14,8 +14,7 @@
 
 int main(int argc, char** argv) {
   risa::Flags flags;
-  flags.define("seed", std::to_string(risa::sim::kDefaultSeed),
-               "Workload RNG seed");
+  flags.define_i64("seed", risa::sim::kDefaultSeed, "Workload RNG seed");
   flags.define("subset", "all", "Which subset to run: all | 3000 | 5000 | 7500");
   risa::define_threads_flag(flags);
   if (!flags.parse_or_usage(argc, argv)) return 1;

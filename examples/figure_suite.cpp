@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace risa;
   Flags flags;
-  flags.define("seed", std::to_string(sim::kDefaultSeed), "Workload RNG seed");
+  flags.define_i64("seed", sim::kDefaultSeed, "Workload RNG seed");
   flags.define("json", "", "Write the unified sweep JSON to this file");
   flags.define("csv", "", "Write the unified sweep CSV to this file");
   flags.define("faults", "",

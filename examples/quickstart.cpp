@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   risa::Flags flags;
   flags.define("algorithm", "RISA", "Scheduler: NULB | NALB | RISA | RISA-BF");
-  flags.define("vms", "20", "Number of synthetic VMs to schedule");
-  flags.define("seed", "1", "Workload RNG seed");
+  flags.define_i64("vms", 20, "Number of synthetic VMs to schedule");
+  flags.define_i64("seed", 1, "Workload RNG seed");
   if (!flags.parse_or_usage(argc, argv)) return 1;
 
   // 1. The paper's evaluation platform: 18 racks x 6 boxes x 8 bricks x 16

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                "NULB | NALB | RISA | RISA-BF | RANDOM | FF | WF");
   flags.define("workload", "synthetic",
                "synthetic | azure-3000 | azure-5000 | azure-7500");
-  flags.define("seed", std::to_string(sim::kDefaultSeed), "Workload RNG seed");
+  flags.define_i64("seed", sim::kDefaultSeed, "Workload RNG seed");
   flags.define("scenario", "", "Scenario config file (see sim/scenario_io.hpp)");
   flags.define("faults", "",
                "FaultPlan JSON file: scripted box/link fail/repair + retry "
@@ -63,13 +63,13 @@ int main(int argc, char** argv) {
   flags.define("streaming", "false",
                "Pull arrivals from a streaming source (bounded memory, "
                "bit-identical metrics)");
-  flags.define("count", "0",
-               "Override the synthetic workload's VM count (0 = default)");
+  flags.define_i64("count", 0,
+                   "Override the synthetic workload's VM count (0 = default)");
   flags.define("checkpoint-out", "",
                "Rewrite this file with the engine state every "
                "--checkpoint-every events (requires --streaming)");
-  flags.define("checkpoint-every", "0",
-               "Checkpoint cadence in executed events (0 = off)");
+  flags.define_i64("checkpoint-every", 0,
+                   "Checkpoint cadence in executed events (0 = off)");
   flags.define("resume", "",
                "Resume a streaming run from this checkpoint file (implies "
                "--streaming; pass the original workload/seed flags)");

@@ -14,9 +14,8 @@
 
 int main(int argc, char** argv) {
   risa::Flags flags;
-  flags.define("seed", std::to_string(risa::sim::kDefaultSeed),
-               "Workload RNG seed");
-  flags.define("vms", "2500", "Number of synthetic VMs");
+  flags.define_i64("seed", risa::sim::kDefaultSeed, "Workload RNG seed");
+  flags.define_i64("vms", 2500, "Number of synthetic VMs");
   risa::define_threads_flag(flags);
   if (!flags.parse_or_usage(argc, argv)) return 1;
 

@@ -78,7 +78,7 @@ class CycleSpanStack {
   /// Attribute `delta` ticks to `slot` out of the currently running span's
   /// open segment -- with zero extra clock reads.  For work the caller
   /// already brackets with its own CycleClock reads (the engine times every
-  /// try_place for scheduler_exec_seconds regardless of profiling), the
+  /// placement for scheduler_exec_seconds regardless of profiling), the
   /// measured delta lies provably inside the open segment, so advancing
   /// `mark_` by the same amount subtracts it from the enclosing span
   /// exactly: attribution stays exclusive and the sum stays <= wall.

@@ -28,37 +28,43 @@ auto read_as(const std::string& name, const std::string& value, Parse parse) {
   }
 }
 
-/// Throw unless `value` fits the kind that `default_value` gives the flag.
-void check_kind(const std::string& name, const std::string& default_value,
-                const std::string& value) {
-  if (is_bool_literal(default_value)) {
-    (void)read_as(name, value, parse_bool);
-  } else if (to_f64(default_value)) {
-    (void)read_as(name, value, parse_f64);
-  }
-}
-
 }  // namespace
+
+Flags::Kind Flags::kind_of(const std::string& default_value) {
+  if (is_bool_literal(default_value)) return Kind::Bool;
+  return to_f64(default_value) ? Kind::Real : Kind::Text;
+}
 
 void Flags::define(const std::string& name, const std::string& default_value,
                    const std::string& help) {
   add(name, default_value, help,
       is_bool_literal(default_value) ? std::optional<std::string>("true")
-                                     : std::nullopt);
+                                     : std::nullopt,
+      kind_of(default_value));
 }
 
 void Flags::define(const std::string& name, const std::string& default_value,
                    const std::string& help, const std::string& bare_value) {
-  add(name, default_value, help, bare_value);
+  add(name, default_value, help, bare_value, kind_of(default_value));
+}
+
+void Flags::define_i64(const std::string& name, std::int64_t default_value,
+                       const std::string& help,
+                       std::optional<std::int64_t> bare_value) {
+  add(name, std::to_string(default_value), help,
+      bare_value ? std::optional<std::string>(std::to_string(*bare_value))
+                 : std::nullopt,
+      Kind::Integer);
 }
 
 void Flags::add(const std::string& name, const std::string& default_value,
-                const std::string& help, std::optional<std::string> bare) {
+                const std::string& help, std::optional<std::string> bare,
+                Kind kind) {
   if (find(name) != nullptr) {
     throw std::logic_error("Flags: duplicate flag --" + name);
   }
   entries_.push_back(
-      {name, default_value, default_value, help, std::move(bare)});
+      {name, default_value, default_value, help, std::move(bare), kind});
 }
 
 Flags::Entry* Flags::find(const std::string& name) {
@@ -99,7 +105,12 @@ std::vector<int> Flags::consume(int argc, const char* const* argv,
     } else {
       throw std::runtime_error("Flags: missing value for --" + name);
     }
-    check_kind(name, e->default_value, e->value);
+    switch (e->kind) {
+      case Kind::Bool: (void)read_as(name, e->value, parse_bool); break;
+      case Kind::Real: (void)read_as(name, e->value, parse_f64); break;
+      case Kind::Integer: (void)read_as(name, e->value, parse_i64); break;
+      case Kind::Text: break;
+    }
   }
   return rest;
 }
@@ -119,7 +130,12 @@ std::string Flags::str(const std::string& name) const {
 }
 
 std::int64_t Flags::i64(const std::string& name) const {
-  return read_as(name, str(name), parse_i64);
+  const Entry* e = find(name);
+  if (e == nullptr || e->kind != Kind::Integer) {
+    throw std::logic_error("Flags: i64() of --" + name +
+                           ", which is not an integer flag");
+  }
+  return read_as(name, e->value, parse_i64);
 }
 
 double Flags::f64(const std::string& name) const {
@@ -130,8 +146,18 @@ bool Flags::b(const std::string& name) const {
   return read_as(name, str(name), parse_bool);
 }
 
+void Flags::exit_on_help(int argc, const char* const* argv) const {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help") {
+      std::cout << usage(argv[0]);
+      std::exit(0);
+    }
+  }
+}
+
 bool Flags::parse_or_usage(int argc, const char* const* argv,
                            std::vector<std::string>* positional_out) {
+  exit_on_help(argc, argv);
   try {
     std::vector<std::string> positional = parse(argc, argv);
     if (positional_out != nullptr) {
@@ -148,6 +174,7 @@ bool Flags::parse_or_usage(int argc, const char* const* argv,
 }
 
 bool Flags::parse_benchmark_or_usage(int& argc, char** argv) {
+  exit_on_help(argc, argv);
   try {
     const std::vector<int> rest = consume(argc, argv, /*keep_benchmark=*/true);
     int out = 1;
@@ -177,9 +204,9 @@ int default_thread_count() {
 }
 
 void define_threads_flag(Flags& flags, int default_value) {
-  flags.define("threads", std::to_string(default_value),
-               "Worker threads for the scenario sweep (0 = RISA_THREADS env "
-               "override, else hardware concurrency)");
+  flags.define_i64("threads", default_value,
+                   "Worker threads for the scenario sweep (0 = RISA_THREADS "
+                   "env override, else hardware concurrency)");
 }
 
 int thread_count(const Flags& flags) {
@@ -195,7 +222,7 @@ std::string Flags::usage(const std::string& program) const {
   os << "Usage: " << program << " [flags]\n";
   for (const auto& e : entries_) {
     os << "  --" << e.name << " (default: " << e.default_value;
-    if (e.bare && !is_bool_literal(e.default_value)) {
+    if (e.bare && e.kind != Kind::Bool) {
       os << "; bare: " << *e.bare;
     }
     os << ")\n      " << e.help << "\n";

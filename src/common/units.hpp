@@ -76,7 +76,7 @@ struct UnitScale {
 };
 
 /// Precomputed demand->units conversion for the placement hot path.  Every
-/// try_place starts with three ceil-divisions; Table 1's granularities
+/// placement starts with three ceil-divisions; Table 1's granularities
 /// (4 cores, 4 GB, 64 GB) are all powers of two, where the ~25-cycle 64-bit
 /// divide collapses to a shift.  Non-power-of-two scales keep the exact
 /// divide, so results are bit-identical to UnitScale::to_units for every

@@ -1,89 +1,73 @@
 #include "core/allocator.hpp"
 
-#include <stdexcept>
-
 namespace risa::core {
 
-Result<Placement, DropReason> Allocator::commit(const wl::VmRequest& vm,
-                                                const UnitVector& units,
-                                                const PerResource<BoxId>& boxes,
-                                                net::LinkSelectPolicy policy,
-                                                bool used_fallback) {
+std::optional<DropReason> Allocator::commit(const wl::VmRequest& vm,
+                                            const UnitVector& units,
+                                            const PerResource<BoxId>& boxes,
+                                            net::LinkSelectPolicy policy,
+                                            bool used_fallback,
+                                            Placement& out) {
   topo::Cluster& cluster = *ctx_.cluster;
 
-  Placement placement;
-  placement.vm = vm.id;
-  placement.units = units;
-  placement.demand = ctx_.bandwidth.demand(units);
-  placement.used_fallback = used_fallback;
-
-  // Circuits the VM already holds before this commit.  Zero at admission;
-  // nonzero on the migration path, where the old placement's circuits stay
-  // live while the new ones are established (make-before-break) -- a
-  // failed commit must roll back only the circuits IT opened.
-  const auto held_before =
-      static_cast<std::uint32_t>(ctx_.circuits->circuit_count_of(vm.id));
+  out.vm = vm.id;
+  out.units = units;
+  out.demand = ctx_.bandwidth.demand(units);
+  out.used_fallback = used_fallback;
 
   // --- Compute phase commit ---------------------------------------------
   std::size_t committed = 0;
   for (ResourceType t : kAllResources) {
-    if (!cluster.allocate_into(boxes[t], units[t], placement.compute[index(t)])) {
+    if (!cluster.allocate_into(boxes[t], units[t], out.compute[index(t)])) {
       // The caller checked availability before committing, so this is only
       // reachable if the caller's search is buggy; unwind and report.
       for (std::size_t j = 0; j < committed; ++j) {
-        cluster.release(placement.compute[j]);
+        cluster.release(out.compute[j]);
       }
-      return Err{DropReason::NoComputeResources};
+      return DropReason::NoComputeResources;
     }
-    placement.racks[index(t)] = cluster.box_unchecked(boxes[t]).rack();
+    out.racks[index(t)] = cluster.box_unchecked(boxes[t]).rack();
     ++committed;
   }
 
-  placement.inter_rack =
-      placement.rack(ResourceType::Cpu) != placement.rack(ResourceType::Ram) ||
-      placement.rack(ResourceType::Ram) != placement.rack(ResourceType::Storage);
+  out.inter_rack =
+      out.rack(ResourceType::Cpu) != out.rack(ResourceType::Ram) ||
+      out.rack(ResourceType::Ram) != out.rack(ResourceType::Storage);
 
   // --- Network phase ------------------------------------------------------
   auto rollback_compute = [&] {
     for (ResourceType t : kAllResources) {
-      cluster.release(placement.compute[index(t)]);
+      cluster.release(out.compute[index(t)]);
     }
   };
 
-  auto establish = [&](net::FlowKind flow, BoxId src, RackId src_rack,
-                       BoxId dst, RackId dst_rack,
-                       MbitsPerSec bw) -> Result<bool, std::string> {
-    if (bw <= 0) return true;  // zero-rate flow holds no circuit
-    auto path = ctx_.router->find_path(src, src_rack, dst, dst_rack, bw, policy);
-    if (!path.ok()) return Err<std::string>{path.error()};
-    auto cid = ctx_.circuits->establish(vm.id, flow, bw, std::move(path.value()));
-    if (!cid.ok()) return Err<std::string>{cid.error()};
-    return true;
+  // A zero-rate flow holds no circuit.
+  auto connect = [&](net::FlowKind flow, ResourceType src, ResourceType dst,
+                     MbitsPerSec bw) {
+    return bw <= 0 ||
+           ctx_.circuits->connect(vm.id, flow, bw, out.box(src), out.rack(src),
+                                  out.box(dst), out.rack(dst), policy);
   };
 
-  auto cpu_ram = establish(net::FlowKind::CpuRam, placement.box(ResourceType::Cpu),
-                           placement.rack(ResourceType::Cpu),
-                           placement.box(ResourceType::Ram),
-                           placement.rack(ResourceType::Ram),
-                           placement.demand.cpu_ram);
-  if (!cpu_ram.ok()) {
+  if (!connect(net::FlowKind::CpuRam, ResourceType::Cpu, ResourceType::Ram,
+               out.demand.cpu_ram)) {
     rollback_compute();
-    return Err{DropReason::NoNetworkResources};
+    return DropReason::NoNetworkResources;
   }
-  auto ram_sto = establish(net::FlowKind::RamStorage,
-                           placement.box(ResourceType::Ram),
-                           placement.rack(ResourceType::Ram),
-                           placement.box(ResourceType::Storage),
-                           placement.rack(ResourceType::Storage),
-                           placement.demand.ram_sto);
-  if (!ram_sto.ok()) {
-    // Undo the CPU-RAM circuit this commit opened, and nothing else.
-    ctx_.circuits->teardown_suffix(vm.id, held_before);
+  if (!connect(net::FlowKind::RamStorage, ResourceType::Ram,
+               ResourceType::Storage, out.demand.ram_sto)) {
+    // Undo the CPU-RAM circuit this commit opened, and nothing else: on the
+    // migration path the VM's earlier circuits (the old placement's, kept
+    // live make-before-break) precede it and stay.
+    if (out.demand.cpu_ram > 0) {
+      const auto held = ctx_.circuits->circuit_count_of(vm.id);
+      ctx_.circuits->teardown_suffix(vm.id,
+                                     static_cast<std::uint32_t>(held - 1));
+    }
     rollback_compute();
-    return Err{DropReason::NoNetworkResources};
+    return DropReason::NoNetworkResources;
   }
-
-  return placement;
+  return std::nullopt;
 }
 
 void Allocator::release(const Placement& placement) {

@@ -9,7 +9,7 @@
 
 #include <iosfwd>
 #include <memory>
-#include <string>
+#include <optional>
 #include <string_view>
 
 #include "common/expected.hpp"
@@ -54,11 +54,21 @@ class Allocator {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Attempt to place `vm`.  On success all compute units and circuit
-  /// bandwidth are reserved; on failure the cluster and fabric are
-  /// untouched and the reason is returned.
-  [[nodiscard]] virtual Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) = 0;
+  /// Attempt to place `vm`, writing the record into `out` in place.  On
+  /// success (nullopt) all compute units and circuit bandwidth are
+  /// reserved and every field of `out` is overwritten, so a reused record
+  /// reads exactly like a fresh one; on failure the cluster and fabric are
+  /// untouched, `out` is unspecified, and the reason is returned.
+  [[nodiscard]] virtual std::optional<DropReason> place(
+      const wl::VmRequest& vm, Placement& out) = 0;
+
+  /// place() into a fresh record, for tests and one-off callers.
+  [[nodiscard]] Result<Placement, DropReason> try_place(
+      const wl::VmRequest& vm) {
+    Placement placement;
+    if (const auto reason = place(vm, placement)) return Err{*reason};
+    return placement;
+  }
 
   /// Release a placement made by this allocator family: tears down the
   /// VM's circuits and returns compute units.  Subclasses extend this to
@@ -85,12 +95,13 @@ class Allocator {
   virtual void restore_state(std::istream&) {}
 
  protected:
-  /// Commits boxes + circuits.  `policy` is the link-selection policy of
-  /// the network phase.  Rolls everything back on failure.
-  [[nodiscard]] Result<Placement, DropReason> commit(
+  /// Commits boxes + circuits into `out` (the place() contract).
+  /// `policy` is the link-selection policy of the network phase.  Rolls
+  /// everything back on failure.
+  [[nodiscard]] std::optional<DropReason> commit(
       const wl::VmRequest& vm, const UnitVector& units,
       const PerResource<BoxId>& boxes, net::LinkSelectPolicy policy,
-      bool used_fallback);
+      bool used_fallback, Placement& out);
 
   [[nodiscard]] AllocContext& ctx() noexcept { return ctx_; }
   [[nodiscard]] const AllocContext& ctx() const noexcept { return ctx_; }

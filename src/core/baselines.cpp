@@ -21,20 +21,20 @@ namespace {
 
 }  // namespace
 
-Result<Placement, DropReason> RandomAllocator::try_place(
-    const wl::VmRequest& vm) {
+std::optional<DropReason> RandomAllocator::place(const wl::VmRequest& vm,
+                                                 Placement& out) {
   const UnitVector units = demand_units(vm);
   PerResource<BoxId> boxes{BoxId::invalid(), BoxId::invalid(), BoxId::invalid()};
   for (ResourceType t : kAllResources) {
     const auto feasible = feasible_boxes(*ctx().cluster, t, units[t]);
     if (feasible.empty()) {
-      return Err{DropReason::NoComputeResources};
+      return DropReason::NoComputeResources;
     }
     boxes[t] = feasible[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(feasible.size()) - 1))];
   }
   return commit(vm, units, boxes, net::LinkSelectPolicy::FirstFit,
-                /*used_fallback=*/false);
+                /*used_fallback=*/false, out);
 }
 
 void RandomAllocator::save_state(std::ostream& os) const {
@@ -47,8 +47,8 @@ void RandomAllocator::restore_state(std::istream& is) {
   rng_.generator().set_state(s);
 }
 
-Result<Placement, DropReason> FirstFitAllocator::try_place(
-    const wl::VmRequest& vm) {
+std::optional<DropReason> FirstFitAllocator::place(const wl::VmRequest& vm,
+                                                   Placement& out) {
   const UnitVector units = demand_units(vm);
   PerResource<BoxId> boxes{BoxId::invalid(), BoxId::invalid(), BoxId::invalid()};
   for (ResourceType t : kAllResources) {
@@ -60,16 +60,16 @@ Result<Placement, DropReason> FirstFitAllocator::try_place(
       }
     }
     if (!found.valid()) {
-      return Err{DropReason::NoComputeResources};
+      return DropReason::NoComputeResources;
     }
     boxes[t] = found;
   }
   return commit(vm, units, boxes, net::LinkSelectPolicy::FirstFit,
-                /*used_fallback=*/false);
+                /*used_fallback=*/false, out);
 }
 
-Result<Placement, DropReason> WorstFitAllocator::try_place(
-    const wl::VmRequest& vm) {
+std::optional<DropReason> WorstFitAllocator::place(const wl::VmRequest& vm,
+                                                   Placement& out) {
   const UnitVector units = demand_units(vm);
   PerResource<BoxId> boxes{BoxId::invalid(), BoxId::invalid(), BoxId::invalid()};
   for (ResourceType t : kAllResources) {
@@ -83,12 +83,12 @@ Result<Placement, DropReason> WorstFitAllocator::try_place(
       }
     }
     if (!best.valid()) {
-      return Err{DropReason::NoComputeResources};
+      return DropReason::NoComputeResources;
     }
     boxes[t] = best;
   }
   return commit(vm, units, boxes, net::LinkSelectPolicy::FirstFit,
-                /*used_fallback=*/false);
+                /*used_fallback=*/false, out);
 }
 
 }  // namespace risa::core

@@ -29,8 +29,8 @@ class RandomAllocator : public Allocator {
     return "RANDOM";
   }
 
-  [[nodiscard]] Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) override;
+  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
+                                                Placement& out) override;
 
   void reset() override { rng_ = Rng(seed_); }
 
@@ -48,8 +48,8 @@ class FirstFitAllocator : public Allocator {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "FF"; }
 
-  [[nodiscard]] Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) override;
+  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
+                                                Placement& out) override;
 };
 
 class WorstFitAllocator : public Allocator {
@@ -58,8 +58,8 @@ class WorstFitAllocator : public Allocator {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "WF"; }
 
-  [[nodiscard]] Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) override;
+  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
+                                                Placement& out) override;
 };
 
 }  // namespace risa::core

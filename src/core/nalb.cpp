@@ -4,16 +4,15 @@
 
 namespace risa::core {
 
-Result<Placement, DropReason> NalbAllocator::try_place(const wl::VmRequest& vm) {
+std::optional<DropReason> NalbAllocator::place(const wl::VmRequest& vm,
+                                              Placement& out) {
   const UnitVector units = demand_units(vm);
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BandwidthDescending, companion_,
                                std::nullopt);
-  if (!boxes.ok()) {
-    return Err{boxes.error()};
-  }
+  if (!boxes.ok()) return boxes.error();
   return commit(vm, units, boxes.value(), net::LinkSelectPolicy::MostAvailable,
-                /*used_fallback=*/false);
+                /*used_fallback=*/false, out);
 }
 
 }  // namespace risa::core

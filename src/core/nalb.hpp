@@ -20,8 +20,8 @@ class NalbAllocator : public Allocator {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "NALB"; }
 
-  [[nodiscard]] Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) override;
+  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
+                                                Placement& out) override;
 
  private:
   CompanionSearch companion_;

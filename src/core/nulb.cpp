@@ -35,16 +35,15 @@ Result<PerResource<BoxId>, DropReason> nulb_find_boxes(
   return boxes;
 }
 
-Result<Placement, DropReason> NulbAllocator::try_place(const wl::VmRequest& vm) {
+std::optional<DropReason> NulbAllocator::place(const wl::VmRequest& vm,
+                                              Placement& out) {
   const UnitVector units = demand_units(vm);
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BoxIdOrder, companion_,
                                std::nullopt);
-  if (!boxes.ok()) {
-    return Err{boxes.error()};
-  }
+  if (!boxes.ok()) return boxes.error();
   return commit(vm, units, boxes.value(), net::LinkSelectPolicy::FirstFit,
-                /*used_fallback=*/false);
+                /*used_fallback=*/false, out);
 }
 
 }  // namespace risa::core

@@ -33,8 +33,8 @@ class NulbAllocator : public Allocator {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "NULB"; }
 
-  [[nodiscard]] Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) override;
+  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
+                                                Placement& out) override;
 
  private:
   CompanionSearch companion_;

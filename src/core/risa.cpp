@@ -87,15 +87,17 @@ BoxId RisaAllocator::pick_box_in_rack(RackId rack, ResourceType type,
   switch (options_.packing) {
     case RackPacking::NextFit: {
       // First-fit with a roving pointer: scan from the cursor, wrapping;
-      // the cursor stays on the chosen box (Table 4 semantics).
+      // the cursor stays on the chosen box (Table 4 semantics).  The
+      // cursor is below `count` unless a checkpoint says otherwise, so the
+      // walk wraps by compare, not by a divide per step.
       auto& cursor = cursors_[rack.value()][type];
-      const std::uint32_t start = cursor % count;
+      std::uint32_t idx = cursor < count ? cursor : cursor % count;
       for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t idx = (start + k) % count;
         if (cluster.box_unchecked(boxes[idx]).available_units() >= units) {
           cursor = idx;
           return boxes[idx];
         }
+        idx = idx + 1 == count ? 0 : idx + 1;
       }
       return BoxId::invalid();
     }
@@ -122,7 +124,8 @@ BoxId RisaAllocator::pick_box_in_rack(RackId rack, ResourceType type,
   return BoxId::invalid();
 }
 
-Result<Placement, DropReason> RisaAllocator::try_place(const wl::VmRequest& vm) {
+std::optional<DropReason> RisaAllocator::place(const wl::VmRequest& vm,
+                                              Placement& out) {
   const UnitVector units = demand_units(vm);
   const topo::RackAvailabilityIndex& index = ctx().cluster->rack_index();
 
@@ -133,7 +136,7 @@ Result<Placement, DropReason> RisaAllocator::try_place(const wl::VmRequest& vm) 
   // saturated cluster this is the common case.
   for (ResourceType t : kAllResources) {
     if (index.cluster_max(t) < units[t]) {
-      return Err{DropReason::NoComputeResources};
+      return DropReason::NoComputeResources;
     }
   }
 
@@ -165,13 +168,13 @@ Result<Placement, DropReason> RisaAllocator::try_place(const wl::VmRequest& vm) 
         }
       }
       if (found) {
-        auto placed = commit(vm, units, boxes, net::LinkSelectPolicy::FirstFit,
-                             /*used_fallback=*/false);
-        if (placed.ok()) {
+        if (!commit(vm, units, boxes, net::LinkSelectPolicy::FirstFit,
+                    /*used_fallback=*/false, out)) {
           if (options_.selection == RackSelection::RoundRobin) {
-            rr_next_rack_ = (rack.value() + 1) % ctx().cluster->num_racks();
+            const std::uint32_t next = rack.value() + 1;
+            rr_next_rack_ = next == ctx().cluster->num_racks() ? 0 : next;
           }
-          return placed;
+          return std::nullopt;
         }
         // Per-link granularity can reject a rack that passed the aggregate
         // check; commit() rolled back, so the next pool rack can be tried.
@@ -190,13 +193,12 @@ Result<Placement, DropReason> RisaAllocator::try_place(const wl::VmRequest& vm) 
                                NeighborOrder::BoxIdOrder,
                                CompanionSearch::GlobalOrder,
                                RackFilter{std::move(lists)});
-  if (!boxes.ok()) {
-    return Err{boxes.error()};
-  }
-  auto placed = commit(vm, units, boxes.value(),
-                       net::LinkSelectPolicy::FirstFit, /*used_fallback=*/true);
-  if (placed.ok()) ++fallbacks_;
-  return placed;
+  if (!boxes.ok()) return boxes.error();
+  const auto reason = commit(vm, units, boxes.value(),
+                             net::LinkSelectPolicy::FirstFit,
+                             /*used_fallback=*/true, out);
+  if (!reason) ++fallbacks_;
+  return reason;
 }
 
 std::unique_ptr<RisaAllocator> make_risa(AllocContext ctx) {

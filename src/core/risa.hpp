@@ -63,8 +63,8 @@ class RisaAllocator : public Allocator {
     return name_;
   }
 
-  [[nodiscard]] Result<Placement, DropReason> try_place(
-      const wl::VmRequest& vm) override;
+  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
+                                                Placement& out) override;
 
   void reset() override;
 

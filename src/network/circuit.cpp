@@ -2,27 +2,41 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace risa::net {
 
-Result<CircuitId, std::string> CircuitTable::establish(VmId vm, FlowKind flow,
-                                                       MbitsPerSec bw,
-                                                       CircuitPath path) {
-  auto reserved = router_->reserve(path, bw);
-  if (!reserved.ok()) {
-    return Err<std::string>{reserved.error()};
+Result<CircuitId, const char*> CircuitTable::establish(
+    VmId vm, FlowKind flow, MbitsPerSec bw, const CircuitPath& path) {
+  if (!router_->reserve(path, bw)) {
+    return Err<const char*>{"a hop of the path lacks the bandwidth"};
   }
   const CircuitId id{next_id_++};
-  append(Circuit{id, vm, flow, bw, std::move(path)});
+  Circuit& c = append(vm);
+  c.id = id;
+  c.vm = vm;
+  c.flow = flow;
+  c.bandwidth = bw;
+  c.path = path;
   return id;
 }
 
+bool CircuitTable::connect(VmId vm, FlowKind flow, MbitsPerSec bw, BoxId src,
+                           RackId src_rack, BoxId dst, RackId dst_rack,
+                           LinkSelectPolicy policy) {
+  CircuitPath path;
+  return router_->find_path(src, src_rack, dst, dst_rack, bw, policy, path) &&
+         establish(vm, flow, bw, path).ok();
+}
+
 void CircuitTable::adopt(Circuit circuit) {
-  auto reserved = router_->reserve(circuit.path, circuit.bandwidth);
-  if (!reserved.ok()) {
-    throw std::runtime_error("CircuitTable::adopt: " + reserved.error());
+  if (!router_->reserve(circuit.path, circuit.bandwidth)) {
+    throw std::runtime_error(
+        "CircuitTable::adopt: circuit " + std::to_string(circuit.id.value()) +
+        " of VM " + std::to_string(circuit.vm.value()) +
+        ": a hop of the recorded path lacks the bandwidth");
   }
-  append(std::move(circuit));
+  append(circuit.vm) = circuit;
 }
 
 std::size_t CircuitTable::teardown_vm(VmId vm) {
@@ -61,15 +75,12 @@ std::size_t CircuitTable::teardown_suffix(VmId vm, std::uint32_t keep) {
   return removed;
 }
 
-void CircuitTable::append(Circuit circuit) {
-  VmCircuits& vc = by_vm_.find_or_insert(circuit.vm.value());
-  if (vc.count < kInlineCircuits) {
-    vc.inline_circuits[vc.count] = std::move(circuit);
-  } else {
-    vc.overflow.push_back(std::move(circuit));
-  }
-  ++vc.count;
+Circuit& CircuitTable::append(VmId vm) {
+  VmCircuits& vc = by_vm_.find_or_insert(vm.value());
   ++active_;
+  const std::uint32_t i = vc.count++;
+  return i < kInlineCircuits ? vc.inline_circuits[i]
+                             : vc.overflow.emplace_back();
 }
 
 void CircuitTable::truncate(VmId vm, VmCircuits& vc, std::uint32_t count) {

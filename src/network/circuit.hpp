@@ -12,14 +12,14 @@
 // dense and unique per VM, which is what the arena's paged directory is
 // built for.  Establish/teardown churn recycles slab slots and directory
 // pages, so once the slab has grown to the run's peak live-VM count the
-// timed scheduler section (try_place -> commit -> establish) allocates
+// timed scheduler section (place -> commit -> establish) allocates
 // only when the key window crosses into a directory page never seen
 // before (one root-vector cell per 4096 keys).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -58,11 +58,20 @@ class CircuitTable {
  public:
   explicit CircuitTable(Router& router) : router_(&router) {}
 
-  /// Reserve bandwidth along `path` and record the circuit.  On failure the
-  /// fabric is unchanged.
-  [[nodiscard]] Result<CircuitId, std::string> establish(VmId vm, FlowKind flow,
-                                                         MbitsPerSec bw,
-                                                         CircuitPath path);
+  /// Reserve bandwidth along `path` and record the circuit under a fresh
+  /// id.  The VM's entry is touched only once every hop is reserved, so on
+  /// failure the fabric, the table and the id counter are unchanged and
+  /// the error is a static description (no text is built).
+  [[nodiscard]] Result<CircuitId, const char*> establish(
+      VmId vm, FlowKind flow, MbitsPerSec bw, const CircuitPath& path);
+
+  /// Route a `bw` circuit from `src` to `dst` under `policy` into a path on
+  /// the stack and establish it: the placement path's one call per flow.
+  /// Returns false, with the fabric and the table unchanged, when a hop
+  /// lacks the bandwidth.
+  [[nodiscard]] bool connect(VmId vm, FlowKind flow, MbitsPerSec bw, BoxId src,
+                             RackId src_rack, BoxId dst, RackId dst_rack,
+                             LinkSelectPolicy policy);
 
   /// Re-establish a checkpointed circuit verbatim: reserve bandwidth along
   /// its recorded path and append it under its recorded id WITHOUT drawing
@@ -143,8 +152,9 @@ class CircuitTable {
                                : vc.overflow[i - kInlineCircuits];
   }
 
-  /// Record `circuit` (already reserved) as its VM's last.
-  void append(Circuit circuit);
+  /// The slot of `vm`'s next circuit (its bandwidth already reserved),
+  /// counted as live; the caller fills it.
+  [[nodiscard]] Circuit& append(VmId vm);
   /// Keep the first `count` of `vm`'s circuits (the rest already
   /// released), dropping the VM's entry when none remain.
   void truncate(VmId vm, VmCircuits& vc, std::uint32_t count);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/simd.hpp"
-#include "common/string_util.hpp"
 
 namespace risa::net {
 
@@ -302,19 +302,17 @@ std::uint64_t Fabric::rack_headroom_word(std::uint32_t shard,
   return word;
 }
 
-Result<bool, std::string> Fabric::allocate(LinkId id, MbitsPerSec bw) {
+bool Fabric::allocate(LinkId id, MbitsPerSec bw) {
   Link& l = mutable_link(id);
-  auto result = l.allocate(bw);
-  if (result.ok()) {
-    if (l.kind() == LinkKind::BoxUplink) {
-      intra_allocated_ += bw;
-      rack_intra_available_[l.rack().value()] -= bw;
-    } else {
-      inter_allocated_ += bw;
-    }
-    on_decrease(l);
+  if (!l.allocate(bw)) return false;
+  if (l.kind() == LinkKind::BoxUplink) {
+    intra_allocated_ += bw;
+    rack_intra_available_[l.rack().value()] -= bw;
+  } else {
+    inter_allocated_ += bw;
   }
-  return result;
+  on_decrease(l);
+  return true;
 }
 
 void Fabric::release(LinkId id, MbitsPerSec bw) {

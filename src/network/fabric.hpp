@@ -23,10 +23,8 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "common/expected.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "network/link.hpp"
@@ -155,8 +153,9 @@ class Fabric {
   /// Parallel uplinks of one pod (pod switch -> core).
   [[nodiscard]] std::span<const LinkId> pod_uplinks(std::uint32_t pod) const;
 
-  /// Reserve / return bandwidth, maintaining aggregates.
-  [[nodiscard]] Result<bool, std::string> allocate(LinkId id, MbitsPerSec bw);
+  /// Reserve / return bandwidth, maintaining aggregates.  allocate returns
+  /// false, changing nothing, when the link cannot carry `bw`.
+  [[nodiscard]] bool allocate(LinkId id, MbitsPerSec bw);
   void release(LinkId id, MbitsPerSec bw);
 
   /// Failure injection: a failed link admits no new circuits and its free

@@ -2,22 +2,7 @@
 
 #include <stdexcept>
 
-#include "common/string_util.hpp"
-
 namespace risa::net {
-
-Result<bool, std::string> Link::allocate(MbitsPerSec bw) {
-  if (bw <= 0) {
-    return Err<std::string>{"Link::allocate: non-positive bandwidth"};
-  }
-  if (bw > available()) {
-    return Err<std::string>{strformat(
-        "link %u: requested %lld Mb/s, %lld available", id_.value(),
-        static_cast<long long>(bw), static_cast<long long>(available()))};
-  }
-  allocated_ += bw;
-  return true;
-}
 
 void Link::release(MbitsPerSec bw) {
   if (bw <= 0 || bw > allocated_) {

@@ -4,9 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
-#include "common/expected.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 
@@ -68,8 +67,13 @@ class Link {
                : 0.0;
   }
 
-  /// Reserve bandwidth; fails without side effects when insufficient.
-  [[nodiscard]] Result<bool, std::string> allocate(MbitsPerSec bw);
+  /// Reserve bandwidth; returns false without side effects when `bw` is
+  /// not positive or exceeds available().
+  [[nodiscard]] bool allocate(MbitsPerSec bw) noexcept {
+    if (bw <= 0 || bw > available()) return false;
+    allocated_ += bw;
+    return true;
+  }
 
   /// Return bandwidth; throws std::logic_error on over-release (caller bug).
   void release(MbitsPerSec bw);

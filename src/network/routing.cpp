@@ -1,21 +1,9 @@
 #include "network/routing.hpp"
 
-#include <stdexcept>
-
 namespace risa::net {
 
-namespace {
-
-constexpr const char* kNoLink = "Router: no link with sufficient bandwidth";
-
-}  // namespace
-
-Result<LinkId, std::string> Router::select_link(std::span<const LinkId> group,
-                                                MbitsPerSec bw,
-                                                LinkSelectPolicy policy) const {
-  if (group.empty()) {
-    return Err<std::string>{"Router: empty link group"};
-  }
+LinkId Router::select_link(std::span<const LinkId> group, MbitsPerSec bw,
+                           LinkSelectPolicy policy) const noexcept {
   switch (policy) {
     case LinkSelectPolicy::FirstFit:
       for (LinkId id : group) {
@@ -36,26 +24,20 @@ Result<LinkId, std::string> Router::select_link(std::span<const LinkId> group,
       break;
     }
   }
-  return Err<std::string>{kNoLink};
+  return LinkId::invalid();
 }
 
-Result<LinkId, std::string> Router::select_cached(LinkId most_available,
-                                                  MbitsPerSec bw) const {
-  if (fabric_->link_unchecked(most_available).available() >= bw) {
-    return most_available;
-  }
-  return Err<std::string>{kNoLink};
+LinkId Router::select_cached(LinkId most_available,
+                             MbitsPerSec bw) const noexcept {
+  return fabric_->link_unchecked(most_available).available() >= bw
+             ? most_available
+             : LinkId::invalid();
 }
 
-Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
-                                                   BoxId dst, RackId dst_rack,
-                                                   MbitsPerSec bw,
-                                                   LinkSelectPolicy policy) const {
-  if (src == dst) {
-    return Err<std::string>{"Router: src and dst boxes are identical"};
-  }
-  CircuitPath path;
-  path.inter_rack = src_rack != dst_rack;
+bool Router::find_path(BoxId src, RackId src_rack, BoxId dst, RackId dst_rack,
+                       MbitsPerSec bw, LinkSelectPolicy policy,
+                       CircuitPath& out) const {
+  if (src == dst) return false;
 
   // MostAvailable reads each box/rack group's maintained best link -- the
   // same link select_link would find by scanning the group.
@@ -69,21 +51,25 @@ Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
                   : select_link(fabric_->rack_uplinks(rack), bw, policy);
   };
 
-  auto src_up = box_hop(src);
-  if (!src_up.ok()) return Err<std::string>{"src uplink: " + src_up.error()};
-  auto dst_up = box_hop(dst);
-  if (!dst_up.ok()) return Err<std::string>{"dst uplink: " + dst_up.error()};
+  // The path is built on the stack and copied out once every hop is
+  // found, so a refusal leaves `out` as it was.
+  const LinkId src_up = box_hop(src);
+  if (!src_up.valid()) return false;
+  const LinkId dst_up = box_hop(dst);
+  if (!dst_up.valid()) return false;
 
+  CircuitPath path;
+  path.inter_rack = src_rack != dst_rack;
   path.push_switch(fabric_->box_switch(src));
   path.push_switch(fabric_->rack_switch(src_rack));
-  path.push_link(src_up.value());
+  path.push_link(src_up);
 
   if (path.inter_rack) {
-    auto up_a = rack_hop(src_rack);
-    if (!up_a.ok()) return Err<std::string>{"rack A uplink: " + up_a.error()};
-    auto up_b = rack_hop(dst_rack);
-    if (!up_b.ok()) return Err<std::string>{"rack B uplink: " + up_b.error()};
-    path.push_link(up_a.value());
+    const LinkId up_a = rack_hop(src_rack);
+    if (!up_a.valid()) return false;
+    const LinkId up_b = rack_hop(dst_rack);
+    if (!up_b.valid()) return false;
+    path.push_link(up_a);
 
     if (fabric_->num_pods() == 0) {
       // Two-tier (the paper's topology): rack -> core -> rack.
@@ -95,42 +81,39 @@ Result<CircuitPath, std::string> Router::find_path(BoxId src, RackId src_rack,
       // Three-tier, cross-pod: rack -> pod -> core -> pod -> rack.
       const std::uint32_t pod_a = fabric_->pod_of_rack(src_rack);
       const std::uint32_t pod_b = fabric_->pod_of_rack(dst_rack);
-      auto pod_up_a = select_link(fabric_->pod_uplinks(pod_a), bw, policy);
-      if (!pod_up_a.ok()) {
-        return Err<std::string>{"pod A uplink: " + pod_up_a.error()};
-      }
-      auto pod_up_b = select_link(fabric_->pod_uplinks(pod_b), bw, policy);
-      if (!pod_up_b.ok()) {
-        return Err<std::string>{"pod B uplink: " + pod_up_b.error()};
-      }
+      const LinkId pod_up_a =
+          select_link(fabric_->pod_uplinks(pod_a), bw, policy);
+      if (!pod_up_a.valid()) return false;
+      const LinkId pod_up_b =
+          select_link(fabric_->pod_uplinks(pod_b), bw, policy);
+      if (!pod_up_b.valid()) return false;
       path.push_switch(fabric_->pod_switch(pod_a));
-      path.push_link(pod_up_a.value());
+      path.push_link(pod_up_a);
       path.push_switch(fabric_->core_switch());
-      path.push_link(pod_up_b.value());
+      path.push_link(pod_up_b);
       path.push_switch(fabric_->pod_switch(pod_b));
     }
 
-    path.push_link(up_b.value());
+    path.push_link(up_b);
     path.push_switch(fabric_->rack_switch(dst_rack));
   }
 
-  path.push_link(dst_up.value());
+  path.push_link(dst_up);
   path.push_switch(fabric_->box_switch(dst));
-  return path;
+  out = path;
+  return true;
 }
 
-Result<bool, std::string> Router::reserve(const CircuitPath& path,
-                                          MbitsPerSec bw) {
+bool Router::reserve(const CircuitPath& path, MbitsPerSec bw) {
   const std::span<const LinkId> links = path.links();
   for (std::size_t i = 0; i < links.size(); ++i) {
-    auto result = fabric_->allocate(links[i], bw);
-    if (!result.ok()) {
+    if (!fabric_->allocate(links[i], bw)) {
       // Roll back the hops reserved so far; the fabric must be unchanged
       // after a failed reservation.
       for (std::size_t j = 0; j < i; ++j) {
         fabric_->release(links[j], bw);
       }
-      return Err<std::string>{result.error()};
+      return false;
     }
   }
   return true;

@@ -4,13 +4,16 @@
 // between each pair of resources"; NALB "chooses links with the most
 // available bandwidth" (§4.1).  Both are expressed as a LinkSelectPolicy
 // over each parallel-link group along the deterministic two-tier route.
+//
+// Refusals are ordinary outcomes on the placement path, so they come back
+// as `false` or an invalid LinkId: no error text is built unless a caller
+// turns one into an exception (CircuitTable::adopt).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
+#include <string_view>
 
-#include "common/expected.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "network/fabric.hpp"
@@ -35,22 +38,24 @@ class Router {
  public:
   explicit Router(Fabric& fabric) : fabric_(&fabric) {}
 
-  /// Choose one link from a parallel group with at least `bw` free.
-  [[nodiscard]] Result<LinkId, std::string> select_link(
-      std::span<const LinkId> group, MbitsPerSec bw,
-      LinkSelectPolicy policy) const;
+  /// Choose one link from a parallel group with at least `bw` free;
+  /// LinkId::invalid() when none has (or the group is empty).
+  [[nodiscard]] LinkId select_link(std::span<const LinkId> group,
+                                   MbitsPerSec bw,
+                                   LinkSelectPolicy policy) const noexcept;
 
   /// Build (but do not reserve) a path from `src` box to `dst` box able to
-  /// carry `bw`.  Boxes must differ: in this architecture every box holds a
-  /// single resource type, so any resource pair crosses the rack switch.
-  [[nodiscard]] Result<CircuitPath, std::string> find_path(
-      BoxId src, RackId src_rack, BoxId dst, RackId dst_rack, MbitsPerSec bw,
-      LinkSelectPolicy policy) const;
+  /// carry `bw`, overwriting `out`.  Returns false, leaving `out`
+  /// untouched, when a hop has no such link or the boxes are identical (in
+  /// this architecture every box holds a single resource type, so any
+  /// resource pair crosses the rack switch).
+  [[nodiscard]] bool find_path(BoxId src, RackId src_rack, BoxId dst,
+                               RackId dst_rack, MbitsPerSec bw,
+                               LinkSelectPolicy policy, CircuitPath& out) const;
 
   /// Reserve bandwidth on every hop of `path`; rolls back on partial
-  /// failure so the fabric is unchanged when the result is an error.
-  [[nodiscard]] Result<bool, std::string> reserve(const CircuitPath& path,
-                                                  MbitsPerSec bw);
+  /// failure, so the fabric is unchanged when it returns false.
+  [[nodiscard]] bool reserve(const CircuitPath& path, MbitsPerSec bw);
 
   /// Return bandwidth on every hop.
   void release(const CircuitPath& path, MbitsPerSec bw);
@@ -64,8 +69,8 @@ class Router {
  private:
   /// MostAvailable over a box or rack group, given the group's best link
   /// as the fabric maintains it (Fabric::best_box_uplink / best_rack_uplink).
-  [[nodiscard]] Result<LinkId, std::string> select_cached(
-      LinkId most_available, MbitsPerSec bw) const;
+  [[nodiscard]] LinkId select_cached(LinkId most_available,
+                                     MbitsPerSec bw) const noexcept;
 
   Fabric* fabric_;
 };

@@ -438,8 +438,11 @@ class Engine::Run {
   std::uint32_t last_arrival_index = 0;
   bool seen_arrival = false;
 
-  /// Reason of the latest failed try_place.
+  /// Reason of the latest failed placement.
   core::DropReason drop_reason{};
+  /// The record every placement attempt (admission, retry, migration) is
+  /// written into; a successful one is moved into its VM record once.
+  core::Placement placing;
   /// Cause reported for kills by the current teardown scan.
   LifecycleKind kill_cause = LifecycleKind::BoxFail;
 };
@@ -990,24 +993,24 @@ void Engine::Run::migration_sweep(const Entry& ev) {
 // the signal sample to the caller.
 bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
                         double expected, bool defer_push, bool defer_sample) {
-  // Placement attribution is free: the run times every try_place for
+  // Placement attribution is free: the run times every placement for
   // scheduler_exec_seconds anyway, so the same two reads are carved out of
   // the admission span instead of paying two more.
   const std::uint64_t t0 = CycleClock::now();
-  auto placed = alloc.try_place(vm);
+  const std::optional<core::DropReason> refused = alloc.place(vm, placing);
   const std::uint64_t t1 = CycleClock::now();
   prof.carve(phase_slot(Phase::Placement), t1 - t0);
   sched_ticks += t1 - t0;
   if (e.latency_hist_ != nullptr) {
     e.latency_hist_->add(static_cast<double>(t1 - t0));
   }
-  if (!placed.ok()) {
-    drop_reason = placed.error();
+  if (refused) {
+    drop_reason = *refused;
     return false;
   }
   VmState& st = e.vms_.find_or_insert(vm_index);
   st.vm = vm;
-  st.placement = std::move(placed.value());
+  st.placement = std::move(placing);
   const core::Placement& p = st.placement;
   st.live = 1;
   ++live_count;
@@ -1173,13 +1176,13 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
   }
   // Not counted into scheduler_exec_seconds or the latency histogram:
   // Figures 11/12 measure admission scheduling only.
-  auto placed = alloc.try_place(vm);
+  const bool placed = !alloc.place(vm, placing);
   for (std::size_t k = 0; k < n_toggled; ++k) {
     cluster.set_box_offline(toggled[k], false);
   }
-  if (!placed.ok()) return false;  // nowhere better; placement untouched
+  if (!placed) return false;  // nowhere better; placement untouched
 
-  core::Placement new_p = std::move(placed.value());
+  const core::Placement& new_p = placing;
   if (mig.only_if_improves &&
       migration_spread_score(new_p, fabric) >= old_score) {
     // No improvement: roll the fresh placement back.  Its circuits are
@@ -1216,7 +1219,7 @@ bool Engine::Run::try_migrate(std::uint32_t vm_index) {
 
   const bool now_inter =
       new_p.rack(ResourceType::Cpu) != new_p.rack(ResourceType::Ram);
-  st.placement = std::move(new_p);  // old_p now reads the new placement
+  st.placement = std::move(placing);  // old_p now reads the new placement
   st.place_time = now;
   st.expected_hold = remaining;
   const std::uint32_t epoch = ++st.epoch;

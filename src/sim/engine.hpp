@@ -1,7 +1,7 @@
 // The DDC simulation engine: owns one cluster + fabric + allocator stack
 // and replays a workload through the discrete-event kernel.
 //
-// Arrival event   -> Allocator::try_place (wall-clock timed: Figures 11-12)
+// Arrival event   -> Allocator::place (wall-clock timed: Figures 11-12)
 //                    success: record placement, open the photonic charging
 //                             interval (Eq.(1)+transceiver energy for the
 //                             expected hold), schedule departure
@@ -168,7 +168,7 @@ class Engine {
   /// so Figures 11/12 are unaffected.
   void set_timeline(Timeline* timeline) noexcept { timeline_ = timeline; }
 
-  /// Optional per-placement latency recording: every Allocator::try_place
+  /// Optional per-placement latency recording: every Allocator::place
   /// (success or drop, arrivals and retries alike) adds its wall-clock
   /// duration to a log-scale histogram, bounded memory at any stream
   /// length.  Samples are added as raw ticks; at the end of the run the

@@ -136,7 +136,7 @@ struct SimMetrics {
   RunningStats cpu_ram_latency_ns;
 
   // Scheduler execution time (Figures 11-12): wall-clock seconds spent
-  // inside Allocator::try_place across the run.
+  // inside Allocator::place across the run.
   double scheduler_exec_seconds = 0.0;
 
   // End-to-end engine wall time: the whole Engine::run body (reset, event

@@ -32,8 +32,8 @@ namespace risa::sim {
 /// The engine's instrumented event-loop phases.
 enum class Phase : std::size_t {
   SourcePull = 0,  ///< arrival intake: ArrivalSource::next_batch + validation
-  Admission,       ///< admission windows: try_place, state updates, ledger
-  Placement,       ///< Allocator::try_place (carved; == scheduler_exec span)
+  Admission,       ///< admission windows: place, state updates, ledger
+  Placement,       ///< Allocator::place (carved; == scheduler_exec span)
   Calendar,        ///< LadderCalendar dequeue: merge query + tier surfacing
   Settlement,      ///< departure windows, fault kills, migration sweeps
   Ledger,          ///< PowerLedger lifecycle settlements (refunds, migrations)

@@ -93,7 +93,7 @@ struct SchedulerBenchEntry {
   std::uint64_t placed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t inter_rack = 0;
-  double sched_s = 0.0;             ///< total seconds inside try_place
+  double sched_s = 0.0;             ///< total seconds inside place
   double placements_per_sec = 0.0;  ///< attempts / sched_s
   double sim_s = 0.0;               ///< end-to-end Engine::run wall seconds
   double events_per_sec = 0.0;      ///< DES events / sim_s

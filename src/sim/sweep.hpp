@@ -11,7 +11,7 @@
 // scheduler_exec_seconds, is wall-clock and excluded from that contract;
 // see metrics_fingerprint).  Per-cell scheduler timing itself stays valid
 // under the pool because each cell's discrete-event loop -- including the
-// timed Allocator::try_place section -- executes on exactly one thread;
+// timed Allocator::place section -- executes on exactly one thread;
 // drivers reproducing Figures 11/12 run the sweep serially so concurrent
 // cells cannot inflate each other's wall-clock either (DESIGN.md §6).
 //
@@ -183,7 +183,7 @@ struct SweepResult {
   std::uint64_t seed = 0; ///< the cell's seed (workload RNG stream root)
   SimMetrics metrics;     ///< carries the workload label and algorithm name
   Timeline timeline;                ///< populated when record_timeline
-  /// Per-placement try_place latency in ns (arrivals and retries), filled
+  /// Per-placement place() latency in ns (arrivals and retries), filled
   /// when record_latency.
   Log2Histogram latency;
 };

@@ -61,14 +61,24 @@ bool Box::allocate_into(Units units, BoxAllocation& out) {
   out.type = type_;
   out.units = units;
   out.slices.clear();
+  const Units* capacity = brick_capacity_.data();
+  Units* allocated = brick_allocated_.data();
+  const auto bricks = static_cast<std::uint32_t>(brick_capacity_.size());
   Units remaining = units;
-  for (std::uint32_t b = 0; b < brick_capacity_.size() && remaining > 0; ++b) {
-    const Units free = brick_capacity_[b] - brick_allocated_[b];
+  // The bricks below first_free_ are full, so a walk from brick 0 would
+  // skip them: the slices come out the same.
+  for (std::uint32_t b = first_free_; b < bricks; ++b) {
+    const Units free = capacity[b] - allocated[b];
     if (free <= 0) continue;
     const Units take = free < remaining ? free : remaining;
-    brick_allocated_[b] += take;
+    allocated[b] += take;
     out.slices.push_back(BrickSlice{b, static_cast<std::uint32_t>(take)});
     remaining -= take;
+    if (remaining == 0) {
+      // Every brick before b is now full; b is too when the take drained it.
+      first_free_ = take == free ? b + 1 : b;
+      break;
+    }
   }
   // available_units() was checked above, so the loop must have satisfied
   // the request; anything else is a bookkeeping bug.
@@ -98,6 +108,7 @@ void Box::release(const BoxAllocation& allocation) {
   }
   for (const BrickSlice& s : allocation.slices) {
     brick_allocated_[s.brick] -= s.units;
+    if (s.brick < first_free_) first_free_ = s.brick;
   }
   allocated_ -= total;
 }
@@ -112,6 +123,7 @@ void Box::restore_bricks(const std::vector<Units>& available) {
     }
   }
   allocated_ = 0;
+  first_free_ = 0;
   for (std::size_t b = 0; b < available.size(); ++b) {
     brick_allocated_[b] = brick_capacity_[b] - available[b];
     allocated_ += brick_allocated_[b];

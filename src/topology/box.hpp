@@ -94,8 +94,18 @@ class Box {
 
   /// Allocation-free variant for the placement hot path: writes the record
   /// into `out` (clearing it first) and returns false -- without touching
-  /// `out` or the box -- when the box cannot host `units`.
+  /// `out` or the box -- when the box cannot host `units`.  The first-fit
+  /// walk starts at first_free_brick(), below which no brick has room.
   [[nodiscard]] bool allocate_into(Units units, BoxAllocation& out);
+
+  /// Lower bound of the first brick with free units: every brick below it
+  /// is full.  Derived state -- allocate_into raises it past the bricks it
+  /// fills, release lowers it to the lowest brick it frees, restore_bricks
+  /// and reset zero it -- so checkpoints do not carry it, and
+  /// Cluster::check_invariants verifies it.
+  [[nodiscard]] std::uint32_t first_free_brick() const noexcept {
+    return first_free_;
+  }
 
   /// Returns the previously allocated slices.  Throws std::logic_error on a
   /// foreign or double release (these are always caller bugs).
@@ -118,6 +128,7 @@ class Box {
   void reset() noexcept {
     for (Units& a : brick_allocated_) a = 0;
     allocated_ = 0;
+    first_free_ = 0;
     offline_ = false;
   }
 
@@ -133,6 +144,7 @@ class Box {
   SmallVec<Units, 8> brick_allocated_;
   Units capacity_ = 0;
   Units allocated_ = 0;
+  std::uint32_t first_free_ = 0;
   bool offline_ = false;
 };
 

@@ -388,7 +388,13 @@ void Cluster::check_invariants() const {
       if (a < 0 || a > b.brick_capacity(br)) {
         throw std::logic_error("Cluster invariant: brick availability out of range");
       }
+      if (br < b.first_free_brick() && a != 0) {
+        throw std::logic_error("Cluster invariant: free brick below the walk hint");
+      }
       brick_sum += a;
+    }
+    if (b.first_free_brick() > b.brick_count()) {
+      throw std::logic_error("Cluster invariant: walk hint past the last brick");
     }
     // Brick accounting tracks raw occupancy; the offline flag only masks
     // the box from placement.

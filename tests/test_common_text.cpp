@@ -2,6 +2,7 @@
 // flags, string utilities and table rendering.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 #include "common/csv.hpp"
@@ -99,7 +100,7 @@ TEST(Csv, ToleratesCrlf) {
 
 TEST(Flags, ParsesAllForms) {
   Flags f;
-  f.define("count", "5", "a count");
+  f.define_i64("count", 5, "a count");
   f.define("label", "x", "a label");
   f.define("verbose", "false", "a bool");
   const char* argv[] = {"prog", "--count=9", "--label", "hello", "--verbose",
@@ -150,20 +151,52 @@ TEST(Flags, RejectsValuesTheirKindRefuses) {
   EXPECT_TRUE(parses("--rate=2.5"));
   EXPECT_TRUE(parses("--label=7x"));  // text flags take anything
 
-  // Typed reads are as strict: a fraction is no integer.
+  // An integer flag refuses a fraction at parse time, and only an integer
+  // flag reads through i64().
   Flags f;
-  f.define("count", "5", "");
-  const char* argv[] = {"prog", "--count=2.5"};
-  (void)f.parse(2, argv);
-  EXPECT_THROW((void)f.i64("count"), std::runtime_error);
-  EXPECT_DOUBLE_EQ(f.f64("count"), 2.5);
+  f.define_i64("count", 5, "");
+  f.define("rate", "1", "");
+  const char* fraction[] = {"prog", "--count=2.5"};
+  EXPECT_THROW((void)f.parse(2, fraction), std::runtime_error);
+  const char* argv[] = {"prog", "--count=7", "--rate=2.5"};
+  (void)f.parse(3, argv);
+  EXPECT_EQ(f.i64("count"), 7);
+  EXPECT_DOUBLE_EQ(f.f64("rate"), 2.5);
+  EXPECT_THROW((void)f.i64("rate"), std::logic_error);
+  EXPECT_THROW((void)f.i64("nope"), std::logic_error);
+}
+
+TEST(Flags, IntegerFlagFailsTheDriverParse) {
+  Flags f;
+  define_threads_flag(f, /*default_value=*/1);
+  const char* argv[] = {"prog", "--threads=2.5"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(f.parse_or_usage(2, argv));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("bad value for --threads"), std::string::npos) << err;
+}
+
+TEST(FlagsDeathTest, HelpPrintsUsageAndExitsZero) {
+  const auto help = [](bool benchmark_mode) {
+    Flags f;
+    f.define("label", "x", "");
+    const char* raw[] = {"prog", "--label=y", "--help"};
+    char* argv[3];
+    for (int i = 0; i < 3; ++i) argv[i] = const_cast<char*>(raw[i]);
+    int argc = 3;
+    (void)(benchmark_mode ? f.parse_benchmark_or_usage(argc, argv)
+                          : f.parse_or_usage(argc, argv));
+    std::exit(7);  // not reached: --help exits first
+  };
+  EXPECT_EXIT(help(false), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(help(true), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Flags, BareFormTakesItsDeclaredValue) {
   Flags f;
   f.define("emit_json", "", "", "BENCH_x.json");
-  f.define("streaming", "0", "", "10000000");
-  f.define("threads", "1", "");
+  f.define_i64("streaming", 0, "", 10'000'000);
+  define_threads_flag(f, /*default_value=*/1);
   const char* bare[] = {"prog", "--emit_json", "--streaming", "--threads", "4"};
   EXPECT_TRUE(f.parse(5, bare).empty());
   EXPECT_EQ(f.str("emit_json"), "BENCH_x.json");

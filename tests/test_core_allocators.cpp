@@ -3,6 +3,10 @@
 // accounting, registry.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/nalb.hpp"
 #include "core/nulb.hpp"
 #include "core/registry.hpp"
@@ -17,11 +21,9 @@ using sim::toy_vm;
 
 /// A full paper-scale stack for allocator tests.
 struct PaperStack {
-  PaperStack()
-      : cluster(topo::ClusterConfig{}),
-        fabric(topo::ClusterConfig{}, net::FabricConfig{}),
-        router(fabric),
-        circuits(router) {}
+  explicit PaperStack(const topo::ClusterConfig& shape = {},
+                      const net::FabricConfig& links = {})
+      : cluster(shape), fabric(shape, links), router(fabric), circuits(router) {}
 
   AllocContext context() {
     AllocContext ctx;
@@ -86,7 +88,7 @@ TEST(Allocator, NetworkDropRollsBackCompute) {
   for (std::uint32_t b = 0; b < stack.cluster.num_boxes(); ++b) {
     for (LinkId id : stack.fabric.box_uplinks(BoxId{b})) {
       ASSERT_TRUE(
-          stack.fabric.allocate(id, stack.fabric.link(id).available()).ok());
+          stack.fabric.allocate(id, stack.fabric.link(id).available()));
     }
   }
   NulbAllocator nulb(stack.context());
@@ -191,6 +193,123 @@ TEST(Risa, DropsWhenNoRackCanHostAnyResource) {
   auto placed = risa.try_place(typical_vm());
   ASSERT_FALSE(placed.ok());
   EXPECT_EQ(placed.error(), DropReason::NoComputeResources);
+}
+
+/// Every field of two placement records, brick slices included.
+void expect_same_record(const Placement& a, const Placement& b) {
+  EXPECT_EQ(a.vm, b.vm);
+  EXPECT_EQ(a.units, b.units);
+  for (ResourceType t : kAllResources) {
+    const topo::BoxAllocation& x = a.compute[index(t)];
+    const topo::BoxAllocation& y = b.compute[index(t)];
+    EXPECT_EQ(x.box, y.box);
+    EXPECT_EQ(x.type, y.type);
+    EXPECT_EQ(x.units, y.units);
+    EXPECT_TRUE(x.slices == y.slices);
+    EXPECT_EQ(a.rack(t), b.rack(t));
+  }
+  EXPECT_EQ(a.demand.cpu_ram, b.demand.cpu_ram);
+  EXPECT_EQ(a.demand.ram_sto, b.demand.ram_sto);
+  EXPECT_EQ(a.inter_rack, b.inter_rack);
+  EXPECT_EQ(a.used_fallback, b.used_fallback);
+}
+
+/// The circuits `vm` holds, as (id, flow, bandwidth, links) rows.
+std::vector<std::tuple<std::uint32_t, net::FlowKind, MbitsPerSec,
+                       std::vector<LinkId>>>
+circuits_of(const net::CircuitTable& table, VmId vm) {
+  std::vector<std::tuple<std::uint32_t, net::FlowKind, MbitsPerSec,
+                         std::vector<LinkId>>>
+      rows;
+  table.for_each_circuit_of(vm, [&](const net::Circuit& c) {
+    rows.emplace_back(c.id.value(), c.flow, c.bandwidth,
+                      std::vector<LinkId>(c.path.links().begin(),
+                                          c.path.links().end()));
+  });
+  return rows;
+}
+
+// place() overwrites every field of its record: placing into one reused
+// record -- seeded with spilled slices and stale ids, and left dirty by
+// failed attempts and by earlier placements -- must give, attempt for
+// attempt, the record and circuits a fresh record gets on a twin stack.
+TEST(Allocator, PlaceIntoReusedRecordMatchesFresh) {
+  // Two-unit bricks make most allocations span three or more bricks (so
+  // slices spill to the heap); one thin uplink per box makes the network
+  // phase refuse placements the compute phase already committed.
+  topo::ClusterConfig shape;
+  shape.bricks_per_box = 64;
+  shape.units_per_brick = 2;
+  net::FabricConfig links;
+  links.links_per_box = 1;
+  links.links_per_rack = 2;
+  links.link_capacity = gbps(50.0);
+  std::size_t network_refusals = 0;
+  for (const char* algo : {"NULB", "NALB", "RISA", "RISA-BF", "RANDOM", "FF",
+                           "WF"}) {
+    SCOPED_TRACE(algo);
+    PaperStack fresh_stack(shape, links);
+    PaperStack reused_stack(shape, links);
+    auto fresh_alloc = make_allocator(algo, fresh_stack.context());
+    auto reused_alloc = make_allocator(algo, reused_stack.context());
+
+    Placement reused;
+    reused.vm = VmId{999'999};
+    reused.inter_rack = true;
+    reused.used_fallback = true;
+    for (topo::BoxAllocation& c : reused.compute) {
+      c.box = BoxId{7};
+      c.units = 99;
+      for (std::uint32_t k = 0; k < 5; ++k) c.slices.push_back({k, 1});
+    }
+    ASSERT_TRUE(reused.compute[0].slices.spilled());
+
+    Rng rng(20231112);
+    std::vector<Placement> live_fresh;
+    std::vector<Placement> live_reused;
+    std::size_t spilled = 0;
+    std::size_t refused = 0;
+    for (std::uint32_t i = 0; i < 2000; ++i) {
+      if (!live_fresh.empty() && rng.uniform01() < 0.45) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live_fresh.size()) - 1));
+        fresh_alloc->release(live_fresh[k]);
+        reused_alloc->release(live_reused[k]);
+        live_fresh[k] = std::move(live_fresh.back());
+        live_fresh.pop_back();
+        live_reused[k] = std::move(live_reused.back());
+        live_reused.pop_back();
+      }
+      // One VM in 16 cannot fit any box; the rest span 1-8 units per type.
+      const bool huge = rng.uniform_int(0, 15) == 0;
+      const wl::VmRequest vm =
+          toy_vm(i, huge ? 100'000 : rng.uniform_int(1, 32),
+                 static_cast<double>(rng.uniform_int(1, 32)),
+                 static_cast<double>(64 * rng.uniform_int(2, 8)));
+      Placement fresh;
+      const auto fresh_reason = fresh_alloc->place(vm, fresh);
+      const auto reused_reason = reused_alloc->place(vm, reused);
+      ASSERT_EQ(fresh_reason, reused_reason) << "VM " << i;
+      if (fresh_reason) {
+        ++refused;
+        if (*fresh_reason == DropReason::NoNetworkResources) ++network_refusals;
+        continue;
+      }
+      expect_same_record(fresh, reused);
+      ASSERT_EQ(circuits_of(fresh_stack.circuits, vm.id),
+                circuits_of(reused_stack.circuits, vm.id));
+      for (const topo::BoxAllocation& c : reused.compute) {
+        if (c.slices.spilled()) ++spilled;
+      }
+      live_fresh.push_back(std::move(fresh));
+      live_reused.push_back(reused);  // a copy: `reused` stays dirty
+    }
+    EXPECT_GT(spilled, 0u);
+    EXPECT_GT(refused, 0u);
+    fresh_stack.cluster.check_invariants();
+    reused_stack.cluster.check_invariants();
+  }
+  EXPECT_GT(network_refusals, 0u);
 }
 
 TEST(Registry, BuildsAllFourAlgorithms) {

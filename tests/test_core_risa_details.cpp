@@ -94,7 +94,7 @@ TEST(RisaNetworkCheck, PoolRackWithoutBandwidthIsSkipped) {
        ++b) {
     for (LinkId id : stack.fabric.box_uplinks(BoxId{b})) {
       ASSERT_TRUE(
-          stack.fabric.allocate(id, stack.fabric.link(id).available()).ok());
+          stack.fabric.allocate(id, stack.fabric.link(id).available()));
     }
   }
   RisaAllocator risa(stack.context());
@@ -111,7 +111,7 @@ TEST(RisaNetworkCheck, AllRacksBandwidthStarvedFallsBackThenDrops) {
   for (std::uint32_t b = 0; b < stack.cluster.num_boxes(); ++b) {
     for (LinkId id : stack.fabric.box_uplinks(BoxId{b})) {
       ASSERT_TRUE(
-          stack.fabric.allocate(id, stack.fabric.link(id).available()).ok());
+          stack.fabric.allocate(id, stack.fabric.link(id).available()));
     }
   }
   RisaAllocator risa(stack.context());

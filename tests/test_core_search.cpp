@@ -137,7 +137,7 @@ TEST_F(SearchFixture, BandwidthOrderingDeprioritizesLoadedBoxes) {
   // still picks it.
   const auto& ram = cluster.boxes_of_type(ResourceType::Ram);
   for (LinkId id : fabric.box_uplinks(ram[0])) {
-    ASSERT_TRUE(fabric.allocate(id, gbps(150.0)).ok());
+    ASSERT_TRUE(fabric.allocate(id, gbps(150.0)));
   }
   const BoxId nulb_choice =
       bfs_search(cluster, fabric, RackId{0}, ResourceType::Ram, 8,
@@ -424,7 +424,7 @@ TEST_P(BandwidthSearchDifferential, AllTiedBelowCapacity) {
   // all tie at the anchor's bound, intra-rack ones at the full link.
   for (std::uint32_t r = 0; r < cluster.num_racks(); ++r) {
     for (LinkId id : fabric.rack_uplinks(RackId{r})) {
-      ASSERT_TRUE(fabric.allocate(id, gbps(75.0)).ok());
+      ASSERT_TRUE(fabric.allocate(id, gbps(75.0)));
     }
   }
   for (int step = 0; step < steps(150); ++step) {
@@ -442,7 +442,7 @@ TEST_P(BandwidthSearchDifferential, StaggeredRackUplinks) {
     const MbitsPerSec lost = gbps(25.0) * rng.uniform_int(0, 7);
     if (lost == 0) continue;
     for (LinkId id : fabric.rack_uplinks(RackId{r})) {
-      ASSERT_TRUE(fabric.allocate(id, lost).ok());
+      ASSERT_TRUE(fabric.allocate(id, lost));
     }
   }
   for (int step = 0; step < steps(150); ++step) {

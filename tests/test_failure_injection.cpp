@@ -209,12 +209,12 @@ TEST(LinkFailure, FailedLinkLeavesRackAggregate) {
   const LinkId victim = fabric.box_uplinks(BoxId{0})[0];
   const MbitsPerSec before = fabric.rack_intra_available(RackId{0});
 
-  ASSERT_TRUE(fabric.allocate(victim, gbps(50.0)).ok());
+  ASSERT_TRUE(fabric.allocate(victim, gbps(50.0)));
   fabric.set_link_failed(victim, true);
   EXPECT_EQ(fabric.link(victim).available(), 0);
   EXPECT_EQ(fabric.link(victim).raw_available(), gbps(150.0));
   EXPECT_EQ(fabric.rack_intra_available(RackId{0}), before - gbps(200.0));
-  EXPECT_FALSE(fabric.allocate(victim, 1).ok());
+  EXPECT_FALSE(fabric.allocate(victim, 1));
   fabric.check_invariants();
 
   // Release while failed: bandwidth returns to the link's books but stays
@@ -234,16 +234,16 @@ TEST(LinkFailure, RoutingAvoidsFailedLinks) {
   net::Router router(fabric);
   const auto group = fabric.box_uplinks(BoxId{0});
   fabric.set_link_failed(group[0], true);
-  auto pick = router.select_link(group, gbps(10.0),
-                                 net::LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(pick.ok());
-  EXPECT_EQ(pick.value(), group[1]);
+  EXPECT_EQ(router.select_link(group, gbps(10.0),
+                               net::LinkSelectPolicy::FirstFit),
+            group[1]);
 
   // Fail every uplink of the source box: no path can exist.
   for (LinkId id : group) fabric.set_link_failed(id, true);
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
-                               gbps(10.0), net::LinkSelectPolicy::FirstFit);
-  EXPECT_FALSE(path.ok());
+  net::CircuitPath path;
+  EXPECT_FALSE(router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
+                                gbps(10.0), net::LinkSelectPolicy::FirstFit,
+                                path));
 }
 
 TEST(LinkFailure, AllocatorDropsOnIsolatedBoxThenRecovers) {

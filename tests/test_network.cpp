@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -60,8 +61,8 @@ TEST(Fabric, AllocateUpdatesAggregatesAndRackAvailability) {
   const LinkId inter_link = fabric.rack_uplinks(RackId{0})[0];
   const MbitsPerSec before_rack0 = fabric.rack_intra_available(RackId{0});
 
-  ASSERT_TRUE(fabric.allocate(intra_link, gbps(40.0)).ok());
-  ASSERT_TRUE(fabric.allocate(inter_link, gbps(10.0)).ok());
+  ASSERT_TRUE(fabric.allocate(intra_link, gbps(40.0)));
+  ASSERT_TRUE(fabric.allocate(inter_link, gbps(10.0)));
   EXPECT_EQ(fabric.intra_allocated(), gbps(40.0));
   EXPECT_EQ(fabric.inter_allocated(), gbps(10.0));
   EXPECT_EQ(fabric.rack_intra_available(RackId{0}),
@@ -79,8 +80,8 @@ TEST(Fabric, AllocateUpdatesAggregatesAndRackAvailability) {
 TEST(Fabric, LinkNeverOversubscribes) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   const LinkId link = fabric.box_uplinks(BoxId{0})[0];
-  ASSERT_TRUE(fabric.allocate(link, gbps(200.0)).ok());
-  EXPECT_FALSE(fabric.allocate(link, 1).ok());
+  ASSERT_TRUE(fabric.allocate(link, gbps(200.0)));
+  EXPECT_FALSE(fabric.allocate(link, 1));
   EXPECT_EQ(fabric.link(link).available(), 0);
   EXPECT_THROW(fabric.release(link, gbps(201.0)), std::logic_error);
   fabric.release(link, gbps(200.0));
@@ -91,70 +92,71 @@ TEST(Router, FirstFitPicksFirstFeasibleLink) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);
   const auto group = fabric.box_uplinks(BoxId{0});
-  ASSERT_TRUE(fabric.allocate(group[0], gbps(190.0)).ok());  // 10 free
-  auto pick = router.select_link(group, gbps(50.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(pick.ok());
-  EXPECT_EQ(pick.value(), group[1]);
+  ASSERT_TRUE(fabric.allocate(group[0], gbps(190.0)));  // 10 free
+  const LinkId pick =
+      router.select_link(group, gbps(50.0), LinkSelectPolicy::FirstFit);
+  EXPECT_EQ(pick, group[1]);
+  EXPECT_FALSE(router.select_link(group, gbps(201.0), LinkSelectPolicy::FirstFit)
+                   .valid());
 }
 
 TEST(Router, MostAvailablePicksLargestHeadroom) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);
   const auto group = fabric.box_uplinks(BoxId{0});
-  ASSERT_TRUE(fabric.allocate(group[0], gbps(50.0)).ok());   // 150 free
-  ASSERT_TRUE(fabric.allocate(group[1], gbps(120.0)).ok());  // 80 free
-  auto pick =
+  ASSERT_TRUE(fabric.allocate(group[0], gbps(50.0)));   // 150 free
+  ASSERT_TRUE(fabric.allocate(group[1], gbps(120.0)));  // 80 free
+  const LinkId pick =
       router.select_link(group, gbps(10.0), LinkSelectPolicy::MostAvailable);
-  ASSERT_TRUE(pick.ok());
+  ASSERT_TRUE(pick.valid());
   // Remaining links are untouched (200 free) -> one of them wins.
-  EXPECT_EQ(fabric.link(pick.value()).available(), gbps(200.0));
+  EXPECT_EQ(fabric.link(pick).available(), gbps(200.0));
 }
 
 TEST(Router, IntraRackPathHasTwoHopsThreeSwitches) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);
   // Boxes 0 (CPU) and 2 (RAM) are both in rack 0.
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
-                               gbps(5.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
-  EXPECT_FALSE(path->inter_rack);
-  EXPECT_EQ(path->hop_count(), 2u);
-  ASSERT_EQ(path->switches().size(), 3u);  // box -> rack -> box
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
+                               gbps(5.0), LinkSelectPolicy::FirstFit, path));
+  EXPECT_FALSE(path.inter_rack);
+  EXPECT_EQ(path.hop_count(), 2u);
+  ASSERT_EQ(path.switches().size(), 3u);  // box -> rack -> box
 }
 
 TEST(Router, InterRackPathHasFourHopsFiveSwitches) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);
   // Box 0 in rack 0; box 8 lives in rack 1 (6 boxes per rack).
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{8}, RackId{1},
-                               gbps(5.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
-  EXPECT_TRUE(path->inter_rack);
-  EXPECT_EQ(path->hop_count(), 4u);
-  ASSERT_EQ(path->switches().size(), 5u);  // box, rack, core, rack, box
-  EXPECT_EQ(path->switches()[2], fabric.core_switch());
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{8}, RackId{1},
+                               gbps(5.0), LinkSelectPolicy::FirstFit, path));
+  EXPECT_TRUE(path.inter_rack);
+  EXPECT_EQ(path.hop_count(), 4u);
+  ASSERT_EQ(path.switches().size(), 5u);  // box, rack, core, rack, box
+  EXPECT_EQ(path.switches()[2], fabric.core_switch());
 }
 
 TEST(Router, SameBoxPathRejected) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{0}, RackId{0},
-                               gbps(1.0), LinkSelectPolicy::FirstFit);
-  EXPECT_FALSE(path.ok());
+  CircuitPath path;
+  EXPECT_FALSE(router.find_path(BoxId{0}, RackId{0}, BoxId{0}, RackId{0},
+                                gbps(1.0), LinkSelectPolicy::FirstFit, path));
 }
 
 TEST(Router, ReserveRollsBackOnPartialFailure) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
-                               gbps(5.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
+                               gbps(5.0), LinkSelectPolicy::FirstFit, path));
   // Exhaust the second hop after the path was found.
-  const LinkId second = path->links()[1];
-  ASSERT_TRUE(fabric.allocate(second, fabric.link(second).available()).ok());
+  const LinkId second = path.links()[1];
+  ASSERT_TRUE(fabric.allocate(second, fabric.link(second).available()));
   const MbitsPerSec intra_before = fabric.intra_allocated();
-  auto reserved = router.reserve(path.value(), gbps(5.0));
-  EXPECT_FALSE(reserved.ok());
+  EXPECT_FALSE(router.reserve(path, gbps(5.0)));
   EXPECT_EQ(fabric.intra_allocated(), intra_before);  // rollback complete
   fabric.check_invariants();
 }
@@ -166,7 +168,7 @@ TEST(Router, GroupAvailabilityHelpers) {
   const auto n = static_cast<MbitsPerSec>(group.size());
   EXPECT_EQ(router.group_available(group), n * gbps(200.0));
   EXPECT_EQ(router.group_max_available(group), gbps(200.0));
-  ASSERT_TRUE(fabric.allocate(group[0], gbps(150.0)).ok());
+  ASSERT_TRUE(fabric.allocate(group[0], gbps(150.0)));
   EXPECT_EQ(router.group_available(group), n * gbps(200.0) - gbps(150.0));
   EXPECT_EQ(router.group_max_available(group), gbps(200.0));
 }
@@ -176,11 +178,10 @@ TEST(CircuitTable, EstablishAndTeardownRestoresFabric) {
   Router router(fabric);
   CircuitTable table(router);
 
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
-                               gbps(20.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
-  auto cid = table.establish(VmId{1}, FlowKind::CpuRam, gbps(20.0),
-                             std::move(path.value()));
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
+                               gbps(20.0), LinkSelectPolicy::FirstFit, path));
+  auto cid = table.establish(VmId{1}, FlowKind::CpuRam, gbps(20.0), path);
   ASSERT_TRUE(cid.ok());
   EXPECT_EQ(table.active_count(), 1u);
   EXPECT_EQ(fabric.intra_allocated(), 2 * gbps(20.0));
@@ -192,6 +193,97 @@ TEST(CircuitTable, EstablishAndTeardownRestoresFabric) {
   EXPECT_EQ(fabric.intra_allocated(), 0);
   EXPECT_EQ(table.teardown_vm(VmId{1}), 0u);  // idempotent
   fabric.check_invariants();
+}
+
+/// Everything a refused establish must leave as it was: every link's
+/// reservation, the table's live count and id counter, and the circuits
+/// (in order) of the VM that already holds one and of one that holds none.
+struct TableSnapshot {
+  std::vector<MbitsPerSec> links;
+  std::size_t active = 0;
+  std::uint32_t next_id = 0;
+  std::vector<std::pair<std::uint32_t, std::vector<LinkId>>> holder;
+  std::size_t empty_vm_count = 0;
+
+  TableSnapshot(const Fabric& fabric, const CircuitTable& table, VmId holder_vm,
+                VmId empty_vm)
+      : active(table.active_count()),
+        next_id(table.next_id()),
+        empty_vm_count(table.circuit_count_of(empty_vm)) {
+    for (std::uint32_t i = 0; i < fabric.num_links(); ++i) {
+      links.push_back(fabric.link(LinkId{i}).allocated());
+    }
+    table.for_each_circuit_of(holder_vm, [&](const Circuit& c) {
+      const auto hops = c.path.links();
+      holder.emplace_back(c.id.value(),
+                          std::vector<LinkId>(hops.begin(), hops.end()));
+    });
+  }
+  friend bool operator==(const TableSnapshot&, const TableSnapshot&) = default;
+};
+
+TEST(CircuitTable, RefusedEstablishTouchesNothing) {
+  Fabric fabric(paper_cluster(), FabricConfig{});
+  Router router(fabric);
+  CircuitTable table(router);
+  const VmId holder{1};
+  const VmId fresh{2};
+  const MbitsPerSec bw = gbps(20.0);
+  // Boxes 0, 2, 4 sit in rack 0, box 8 in rack 1, box 14 in rack 2.
+  ASSERT_TRUE(table.connect(holder, FlowKind::CpuRam, bw, BoxId{0}, RackId{0},
+                            BoxId{2}, RackId{0}, LinkSelectPolicy::FirstFit));
+  const auto saturate = [&](std::span<const LinkId> group) {
+    for (LinkId id : group) {
+      ASSERT_TRUE(fabric.allocate(id, fabric.link(id).available()));
+    }
+  };
+
+  // First hop: box 4 has no free uplink.
+  saturate(fabric.box_uplinks(BoxId{4}));
+  const TableSnapshot before(fabric, table, holder, fresh);
+  for (const VmId vm : {holder, fresh}) {
+    EXPECT_FALSE(table.connect(vm, FlowKind::RamStorage, bw, BoxId{4}, RackId{0},
+                               BoxId{2}, RackId{0}, LinkSelectPolicy::FirstFit));
+    // Last hop: the same box as the destination.
+    EXPECT_FALSE(table.connect(vm, FlowKind::RamStorage, bw, BoxId{2}, RackId{0},
+                               BoxId{4}, RackId{0},
+                               LinkSelectPolicy::MostAvailable));
+    EXPECT_EQ(TableSnapshot(fabric, table, holder, fresh), before);
+  }
+
+  // An inter-rack route whose far rack has no free uplink.
+  saturate(fabric.rack_uplinks(RackId{1}));
+  const TableSnapshot inter_before(fabric, table, holder, fresh);
+  EXPECT_FALSE(table.connect(holder, FlowKind::RamStorage, bw, BoxId{2},
+                             RackId{0}, BoxId{8}, RackId{1},
+                             LinkSelectPolicy::FirstFit));
+  EXPECT_EQ(TableSnapshot(fabric, table, holder, fresh), inter_before);
+
+  // A recorded path whose second hop filled up after routing: the first
+  // hop is reserved, then rolled back.
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{2}, RackId{0}, BoxId{14}, RackId{2}, bw,
+                               LinkSelectPolicy::FirstFit, path));
+  ASSERT_EQ(path.hop_count(), 4u);
+  ASSERT_TRUE(fabric.allocate(path.links()[1],
+                              fabric.link(path.links()[1]).available()));
+  const TableSnapshot path_before(fabric, table, holder, fresh);
+  for (const VmId vm : {holder, fresh}) {
+    const auto refused = table.establish(vm, FlowKind::RamStorage, bw, path);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error(), nullptr);
+    EXPECT_EQ(TableSnapshot(fabric, table, holder, fresh), path_before);
+  }
+  fabric.check_invariants();
+
+  // The id counter did not move: the next circuit takes the next id.
+  CircuitPath intra;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0}, bw,
+                               LinkSelectPolicy::FirstFit, intra));
+  const auto next = table.establish(fresh, FlowKind::CpuRam, bw, intra);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value().value(), path_before.next_id);
+  EXPECT_EQ(table.circuit_count_of(fresh), 1u);
 }
 
 TEST(Bandwidth, Table2Demands) {
@@ -324,31 +416,33 @@ void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
     const RackId src_rack{src.value() / boxes_per_rack};
     const RackId dst_rack{dst.value() / boxes_per_rack};
     const MbitsPerSec bw = channel * rng.uniform_int(0, 8);
-    const auto path = router.find_path(src, src_rack, dst, dst_rack, bw,
-                                       LinkSelectPolicy::MostAvailable);
+    CircuitPath path;
+    const bool found = router.find_path(src, src_rack, dst, dst_rack, bw,
+                                        LinkSelectPolicy::MostAvailable, path);
     auto scan = [&](std::span<const LinkId> group) {
       return router.select_link(group, bw, LinkSelectPolicy::MostAvailable);
     };
     const auto src_up = scan(fabric.box_uplinks(src));
     const auto dst_up = scan(fabric.box_uplinks(dst));
-    bool feasible = src_up.ok() && dst_up.ok();
+    bool feasible = src_up.valid() && dst_up.valid();
     if (feasible && src_rack != dst_rack) {
-      feasible = scan(fabric.rack_uplinks(src_rack)).ok() &&
-                 scan(fabric.rack_uplinks(dst_rack)).ok();
+      feasible = scan(fabric.rack_uplinks(src_rack)).valid() &&
+                 scan(fabric.rack_uplinks(dst_rack)).valid();
       if (fabric.num_pods() > 0 && !fabric.same_pod(src_rack, dst_rack)) {
-        feasible = feasible &&
-                   scan(fabric.pod_uplinks(fabric.pod_of_rack(src_rack))).ok() &&
-                   scan(fabric.pod_uplinks(fabric.pod_of_rack(dst_rack))).ok();
+        feasible =
+            feasible &&
+            scan(fabric.pod_uplinks(fabric.pod_of_rack(src_rack))).valid() &&
+            scan(fabric.pod_uplinks(fabric.pod_of_rack(dst_rack))).valid();
       }
     }
-    ASSERT_EQ(path.ok(), feasible) << "step " << step;
-    if (!path.ok()) continue;
-    ASSERT_EQ(path->links().front(), src_up.value());
-    ASSERT_EQ(path->links().back(), dst_up.value());
+    ASSERT_EQ(found, feasible) << "step " << step;
+    if (!found) continue;
+    ASSERT_EQ(path.links().front(), src_up);
+    ASSERT_EQ(path.links().back(), dst_up);
     if (src_rack != dst_rack) {
-      ASSERT_EQ(path->links()[1], scan(fabric.rack_uplinks(src_rack)).value());
-      ASSERT_EQ(path->links()[path->links().size() - 2],
-                scan(fabric.rack_uplinks(dst_rack)).value());
+      ASSERT_EQ(path.links()[1], scan(fabric.rack_uplinks(src_rack)));
+      ASSERT_EQ(path.links()[path.links().size() - 2],
+                scan(fabric.rack_uplinks(dst_rack)));
     }
   }
 }
@@ -367,9 +461,9 @@ TEST(Fabric, BestUplinkTiesGoToTheEarliestLink) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   const auto group = fabric.box_uplinks(BoxId{3});
   EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[0]);
-  ASSERT_TRUE(fabric.allocate(group[0], gbps(25.0)).ok());
+  ASSERT_TRUE(fabric.allocate(group[0], gbps(25.0)));
   EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[1]);
-  ASSERT_TRUE(fabric.allocate(group[1], gbps(25.0)).ok());
+  ASSERT_TRUE(fabric.allocate(group[1], gbps(25.0)));
   EXPECT_EQ(fabric.best_box_uplink(BoxId{3}), group[2]);
   // Released back to a tie with group[2]: the earlier link wins again.
   fabric.release(group[1], gbps(25.0));

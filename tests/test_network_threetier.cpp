@@ -49,31 +49,31 @@ TEST(ThreeTier, IntraPodPathUsesPodSwitch) {
   Fabric fabric(topo::ClusterConfig{}, three_tier());
   Router router(fabric);
   // Racks 0 and 1 share pod 0: box -> rack -> pod -> rack -> box.
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{8}, RackId{1},
-                               gbps(5.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
-  EXPECT_TRUE(path->inter_rack);
-  EXPECT_EQ(path->hop_count(), 4u);
-  ASSERT_EQ(path->switches().size(), 5u);
-  EXPECT_EQ(fabric.switch_node(path->switches()[2]).kind, SwitchKind::PodSwitch);
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{8}, RackId{1},
+                               gbps(5.0), LinkSelectPolicy::FirstFit, path));
+  EXPECT_TRUE(path.inter_rack);
+  EXPECT_EQ(path.hop_count(), 4u);
+  ASSERT_EQ(path.switches().size(), 5u);
+  EXPECT_EQ(fabric.switch_node(path.switches()[2]).kind, SwitchKind::PodSwitch);
 }
 
 TEST(ThreeTier, CrossPodPathTraversesSixHops) {
   Fabric fabric(topo::ClusterConfig{}, three_tier());
   Router router(fabric);
   // Rack 0 (pod 0) to rack 6 (pod 1): box, rack, pod, core, pod, rack, box.
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{38}, RackId{6},
-                               gbps(5.0), LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
-  EXPECT_EQ(path->hop_count(), 6u);
-  ASSERT_EQ(path->switches().size(), 7u);
-  EXPECT_EQ(fabric.switch_node(path->switches()[2]).kind, SwitchKind::PodSwitch);
-  EXPECT_EQ(path->switches()[3], fabric.core_switch());
-  EXPECT_EQ(fabric.switch_node(path->switches()[4]).kind, SwitchKind::PodSwitch);
+  CircuitPath path;
+  ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{38}, RackId{6},
+                               gbps(5.0), LinkSelectPolicy::FirstFit, path));
+  EXPECT_EQ(path.hop_count(), 6u);
+  ASSERT_EQ(path.switches().size(), 7u);
+  EXPECT_EQ(fabric.switch_node(path.switches()[2]).kind, SwitchKind::PodSwitch);
+  EXPECT_EQ(path.switches()[3], fabric.core_switch());
+  EXPECT_EQ(fabric.switch_node(path.switches()[4]).kind, SwitchKind::PodSwitch);
   // Reserving and releasing keeps aggregates clean across all three tiers.
-  ASSERT_TRUE(router.reserve(path.value(), gbps(5.0)).ok());
+  ASSERT_TRUE(router.reserve(path, gbps(5.0)));
   fabric.check_invariants();
-  router.release(path.value(), gbps(5.0));
+  router.release(path, gbps(5.0));
   EXPECT_EQ(fabric.inter_allocated(), 0);
   fabric.check_invariants();
 }

@@ -112,12 +112,9 @@ TEST(PowerLedger, ChargesSwitchesAndTransceiversAlongPath) {
   PowerLedger ledger(photonics, fabric);
 
   // Intra-rack circuit: box(64) + rack(256) + box(64) switches, 2 hops.
-  auto path = router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
-                               gbps(10.0), net::LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(path.ok());
-  auto cid = table.establish(VmId{1}, net::FlowKind::CpuRam, gbps(10.0),
-                             std::move(path.value()));
-  ASSERT_TRUE(cid.ok());
+  ASSERT_TRUE(table.connect(VmId{1}, net::FlowKind::CpuRam, gbps(10.0),
+                            BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
+                            net::LinkSelectPolicy::FirstFit));
 
   const double lifetime_tu = 50.0;
   const VmEnergy e = ledger.charge_vm(table, VmId{1}, lifetime_tu);
@@ -142,18 +139,12 @@ TEST(PowerLedger, InterRackCircuitCostsMore) {
   PowerLedger intra_ledger(photonics, fabric);
   PowerLedger inter_ledger(photonics, fabric);
 
-  auto intra = router.find_path(BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
-                                gbps(10.0), net::LinkSelectPolicy::FirstFit);
-  auto inter = router.find_path(BoxId{0}, RackId{0}, BoxId{8}, RackId{1},
-                                gbps(10.0), net::LinkSelectPolicy::FirstFit);
-  ASSERT_TRUE(intra.ok());
-  ASSERT_TRUE(inter.ok());
-  auto c1 = table.establish(VmId{1}, net::FlowKind::CpuRam, gbps(10.0),
-                            std::move(intra.value()));
-  auto c2 = table.establish(VmId{2}, net::FlowKind::CpuRam, gbps(10.0),
-                            std::move(inter.value()));
-  ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c2.ok());
+  ASSERT_TRUE(table.connect(VmId{1}, net::FlowKind::CpuRam, gbps(10.0),
+                            BoxId{0}, RackId{0}, BoxId{2}, RackId{0},
+                            net::LinkSelectPolicy::FirstFit));
+  ASSERT_TRUE(table.connect(VmId{2}, net::FlowKind::CpuRam, gbps(10.0),
+                            BoxId{0}, RackId{0}, BoxId{8}, RackId{1},
+                            net::LinkSelectPolicy::FirstFit));
   const VmEnergy ei = intra_ledger.charge_vm(table, VmId{1}, 10.0);
   const VmEnergy ex = inter_ledger.charge_vm(table, VmId{2}, 10.0);
   // Inter-rack crosses 2 extra switches (incl. the 512-port core) and 2
@@ -257,15 +248,15 @@ std::set<net::SwitchKind> check_ledger_bits(const net::FabricConfig& fabric_cfg,
       const BoxId a = random_box();
       const BoxId b = random_box();
       const MbitsPerSec bw = gbps(static_cast<double>(rng.uniform_int(1, 4)));
-      auto path = router.find_path(a, cluster.box(a).rack(), b,
-                                   cluster.box(b).rack(), bw,
-                                   net::LinkSelectPolicy::FirstFit);
-      if (!path.ok()) continue;
-      for (SwitchId sw : path->switches()) {
+      net::CircuitPath path;
+      if (!router.find_path(a, cluster.box(a).rack(), b, cluster.box(b).rack(),
+                            bw, net::LinkSelectPolicy::FirstFit, path)) {
+        continue;
+      }
+      for (SwitchId sw : path.switches()) {
         kinds.insert(fabric.switch_node(sw).kind);
       }
-      EXPECT_TRUE(
-          table.establish(VmId{v}, flow, bw, std::move(path.value())).ok());
+      EXPECT_TRUE(table.establish(VmId{v}, flow, bw, path).ok());
     }
 
     // Interval open: charge_vm and holding power.

@@ -2,7 +2,9 @@
 // accounting, incremental rack/cluster aggregates, snapshot/restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "topology/cluster.hpp"
@@ -263,6 +265,75 @@ TEST_P(ClusterPropertyTest, RandomChurnPreservesInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+/// Box::allocate_into starts its brick walk at first_free_brick(); a naive
+/// first-fit walk from brick 0 over a plain free-units ledger must produce
+/// the same slices and occupancy through allocations, releases below the
+/// hint, restore_bricks, reset and offline toggles.
+TEST(Box, HintedBrickWalkMatchesNaiveFirstFit) {
+  // Uneven bricks, including an empty one, so walks skip and span bricks.
+  const std::vector<Units> capacity = {5, 3, 0, 8, 2, 7, 4, 1, 6, 9, 3, 2};
+  Box box(BoxId{0}, RackId{0}, ResourceType::Ram, 0, capacity);
+  std::vector<Units> free = capacity;  // the reference ledger
+  std::vector<BoxAllocation> live;
+  Rng rng(20231112);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 999);
+    if (op < 550) {
+      const Units want = rng.uniform_int(1, 12);
+      Units total_free = 0;
+      for (Units f : free) total_free += f;
+      BoxAllocation got;
+      const bool ok = box.allocate_into(want, got);
+      ASSERT_EQ(ok, !box.offline() && want <= total_free) << "step " << step;
+      if (!ok) continue;
+      std::vector<BrickSlice> expect;
+      Units remaining = want;
+      for (std::uint32_t b = 0; b < free.size() && remaining > 0; ++b) {
+        const Units take = std::min(free[b], remaining);
+        if (take <= 0) continue;
+        free[b] -= take;
+        remaining -= take;
+        expect.push_back(BrickSlice{b, static_cast<std::uint32_t>(take)});
+      }
+      ASSERT_EQ(std::vector<BrickSlice>(got.slices.begin(), got.slices.end()),
+                expect)
+          << "step " << step;
+      live.push_back(std::move(got));
+    } else if (op < 950) {
+      if (live.empty()) continue;
+      const std::size_t i = pick(live.size());
+      box.release(live[i]);
+      for (const BrickSlice& s : live[i].slices) free[s.brick] += s.units;
+      live[i] = std::move(live.back());
+      live.pop_back();
+    } else if (op < 975) {
+      box.set_offline(!box.offline());
+    } else if (op < 990) {
+      // Overwrite the occupancy with a random hole pattern; the records
+      // taken so far no longer describe the box, so drop them.
+      for (std::size_t b = 0; b < free.size(); ++b) {
+        free[b] = rng.uniform_int(0, capacity[b]);
+      }
+      box.restore_bricks(free);
+      live.clear();
+    } else {
+      box.reset();
+      free = capacity;
+      live.clear();
+    }
+    ASSERT_EQ(box.available_by_brick(), free) << "step " << step;
+    ASSERT_LE(box.first_free_brick(), capacity.size());
+    for (std::uint32_t b = 0; b < box.first_free_brick(); ++b) {
+      ASSERT_EQ(free[b], 0) << "brick " << b << " below the hint has room";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace risa::topo
