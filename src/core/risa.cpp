@@ -10,16 +10,7 @@
 namespace risa::core {
 
 RisaAllocator::RisaAllocator(AllocContext ctx, RisaOptions options)
-    : Allocator(ctx), options_(std::move(options)) {
-  if (options_.display_name.empty()) {
-    switch (options_.packing) {
-      case RackPacking::NextFit: name_ = "RISA"; break;
-      case RackPacking::BestFit: name_ = "RISA-BF"; break;
-      case RackPacking::FirstFit: name_ = "RISA-FF"; break;
-    }
-  } else {
-    name_ = options_.display_name;
-  }
+    : Allocator(ctx), options_(options) {
   cursors_.assign(this->ctx().cluster->num_racks(),
                   PerResource<std::uint32_t>{0, 0, 0});
 }
@@ -114,12 +105,6 @@ BoxId RisaAllocator::pick_box_in_rack(RackId rack, ResourceType type,
       }
       return best;
     }
-    case RackPacking::FirstFit: {
-      for (BoxId id : boxes) {
-        if (cluster.box_unchecked(id).available_units() >= units) return id;
-      }
-      return BoxId::invalid();
-    }
   }
   return BoxId::invalid();
 }
@@ -208,7 +193,7 @@ std::unique_ptr<RisaAllocator> make_risa(AllocContext ctx) {
 std::unique_ptr<RisaAllocator> make_risa_bf(AllocContext ctx) {
   RisaOptions options;
   options.packing = RackPacking::BestFit;
-  return std::make_unique<RisaAllocator>(ctx, std::move(options));
+  return std::make_unique<RisaAllocator>(ctx, options);
 }
 
 }  // namespace risa::core

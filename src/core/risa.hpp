@@ -28,17 +28,7 @@ namespace risa::core {
 enum class RackPacking : std::uint8_t {
   NextFit = 0,  ///< RISA: roving cursor per (rack, type)
   BestFit = 1,  ///< RISA-BF: smallest availability that fits
-  FirstFit = 2, ///< ablation only: always scan from box 0
 };
-
-[[nodiscard]] constexpr std::string_view name(RackPacking p) noexcept {
-  switch (p) {
-    case RackPacking::NextFit: return "next-fit";
-    case RackPacking::BestFit: return "best-fit";
-    case RackPacking::FirstFit: return "first-fit";
-  }
-  return "?";
-}
 
 /// Rack selection rule for the intra-rack pool (round-robin is the paper's;
 /// first-eligible is the ablation baseline that shows why round-robin
@@ -51,8 +41,6 @@ enum class RackSelection : std::uint8_t {
 struct RisaOptions {
   RackPacking packing = RackPacking::NextFit;
   RackSelection selection = RackSelection::RoundRobin;
-  /// Display name; empty derives "RISA"/"RISA-BF" from packing.
-  std::string display_name;
 };
 
 class RisaAllocator : public Allocator {
@@ -60,7 +48,7 @@ class RisaAllocator : public Allocator {
   RisaAllocator(AllocContext ctx, RisaOptions options = {});
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
+    return options_.packing == RackPacking::BestFit ? "RISA-BF" : "RISA";
   }
 
   [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
@@ -93,7 +81,6 @@ class RisaAllocator : public Allocator {
                                        Units units);
 
   RisaOptions options_;
-  std::string name_;
   std::uint32_t rr_next_rack_ = 0;  ///< round-robin cursor over rack ids
   /// Next-fit cursors: per (rack, type) local box index of the last
   /// allocation, the roving pointer Table 4 exhibits.

@@ -62,7 +62,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -106,21 +105,6 @@ class LadderCalendar {
         bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_pos_),
         bottom_.end(), e, before);
     bottom_.insert(pos, std::move(e));
-  }
-
-  /// Bulk append for an admission window (DESIGN.md §13): pushes every
-  /// (time, payload) pair in order, assigning consecutive seqs -- entry
-  /// for entry identical to the same sequence of push() calls, so the pop
-  /// order is provably unchanged; one call per window replaces one call
-  /// per admitted VM.  Times route independently (a window's departures
-  /// spread across the tiers like any other pushes).
-  void push_bulk(std::span<const std::pair<SimTime, Payload>> entries) {
-    if (entries.size() > 1 && top_.capacity() < top_.size() + entries.size()) {
-      // Steady-state windows land mostly in top (departures are far
-      // future); one reserve keeps the loop below reallocation-free.
-      top_.reserve(top_.size() + entries.size());
-    }
-    for (const auto& [time, payload] : entries) push(time, payload);
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }

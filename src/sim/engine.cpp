@@ -336,8 +336,7 @@ class Engine::Run {
 
  private:
   // Shared helpers.
-  bool admit(std::uint32_t vm_index, const wl::VmRequest& vm, double expected,
-             bool defer_push, bool defer_sample);
+  bool admit(std::uint32_t vm_index, const wl::VmRequest& vm, double expected);
   bool requeue(std::uint32_t vm_index, VmState& st);
   void drop();
   void kill_vm(std::uint32_t vm_index, VmState& st);
@@ -399,8 +398,7 @@ class Engine::Run {
   const bool migrating;
   /// Faults, retries or migrations are active.  Gates only what a
   /// plan-free run must not touch: state the checkpoint carries (placement
-  /// epochs, ever_placed, last_event_t), and the deferred departure batch,
-  /// which is sound only while no other push can interleave seqs.
+  /// epochs, ever_placed, last_event_t).
   const bool lifecycle;
   /// Maintain the instantaneous holding power for the timeline and the
   /// telemetry power track (observation only, never a metric).
@@ -749,80 +747,40 @@ void Engine::Run::checkpoint_safe_point() {
 
 // Admission window (DESIGN.md §13).  The maximal run of ring arrivals that
 // sorts before the calendar head is admitted under one bracket: one
-// Admission span, batched executed/total_vms counters, and the per-event
-// branches hoisted to per-window checks.  `limit` makes the loop exact: it
-// starts at the calendar head and is lowered by every push the window
-// performs, so "arrival <= limit" is precisely the merge comparison the
-// per-event loop would have made, ties included.  No injected event can
-// execute inside a window, which licenses the hoists:
-//   - degraded: fault state only changes via events, so when healthy the
-//     per-event note_time() collapses to one last_event_t update at close
-//     (when degraded, per-event note_time keeps the FP-exact per-gap sum);
-//   - defer_sample (no timeline attached): an equal-time admission run
-//     samples once, at its last success -- equal-time TWM samples add zero
-//     area and utilization only rises across the run, so value, area and
-//     peak are exact;
-//   - defer_push (no lifecycle machinery, so no other push can interleave
-//     seqs): departures stage in arrival_push_scratch_ and bulk-flush at
-//     close with identical seq assignment.
-// With admission batching off the window is exactly one arrival: the
-// per-event reference path the differential tests compare against.
+// Admission span, one telemetry window and batched executed/total_vms
+// counters.  Every admission pushes straight to the calendar (its
+// departure, a retry, a triggered fault), and the head is re-read after
+// each push, so "arrival <= limit" is exactly the merge loop's own test,
+// ties included: a window reorders no event.
 void Engine::Run::admit_window(SimTime limit) {
-  const bool defer_push = e.admission_batching_ && !lifecycle;
-  const bool defer_sample = e.admission_batching_ && e.timeline_ == nullptr;
-  const bool was_degraded = degraded();
-  bool sample_pending = false;
-  SimTime sample_t = 0.0;
   std::uint64_t window_events = 0;
   const SimTime window_t0 = tel != nullptr ? next_arrival_time() : SimTime{0};
   const std::uint64_t placed_before = m.placed;
-  if (defer_push) e.arrival_push_scratch_.clear();
   prof.begin(phase_slot(Phase::Admission));
   do {
     const wl::ArrivalItem& item = e.arrival_ring_[ring_pos++];
     now = item.vm.arrival;
-    if (was_degraded) note_time(now);
+    if (lifecycle) note_time(now);
     ++window_events;
-    if (sample_pending && now != sample_t) {
-      // Time advanced past a deferred equal-time sample: utilization has
-      // not moved since (only drops in between), so sampling now is exact.
-      sample_signals(sample_t);
-      sample_pending = false;
-    }
-    if (admit(item.index, item.vm, item.vm.lifetime, defer_push,
-              defer_sample)) {
-      if (defer_sample) {
-        sample_pending = true;
-        sample_t = now;
-      }
-      if (defer_push) {
-        limit = std::min(limit, e.arrival_push_scratch_.back().first);
-      }
+    bool pushed = admit(item.index, item.vm, item.vm.lifetime);
+    if (pushed) {
       fire_admission_triggers();
-    } else {
-      bool queued = false;
-      if (plan.retry.max_attempts > 0) {
-        // First requeue of a never-admitted VM creates its record (the
-        // retry path needs the request after the ring moves on).
-        VmState& st = e.vms_.find_or_insert(item.index);
-        st.vm = item.vm;
-        queued = requeue(item.index, st);
-        if (!queued) e.vms_.erase(item.index);
-      }
-      if (!queued) drop();
+    } else if (plan.retry.max_attempts > 0) {
+      // First requeue of a never-admitted VM creates its record (the
+      // retry path needs the request after the ring moves on).
+      VmState& st = e.vms_.find_or_insert(item.index);
+      st.vm = item.vm;
+      pushed = requeue(item.index, st);
+      if (!pushed) e.vms_.erase(item.index);
     }
-    // Undeferred pushes (retries, triggers, epoch-stamped departures) went
-    // straight to the calendar, so the head is re-read.
-    if (!defer_push) limit = head_time(e.events_);
-    if (!e.admission_batching_) break;
+    if (pushed) {
+      limit = head_time(e.events_);
+    } else {
+      drop();
+    }
   } while (arrivals_pending() && next_arrival_time() <= limit);
-  if (sample_pending) sample_signals(sample_t);
-  if (defer_push && !e.arrival_push_scratch_.empty()) {
-    e.events_.push_bulk(e.arrival_push_scratch_);
-  }
   executed += window_events;
   m.total_vms += window_events;
-  if (lifecycle && !was_degraded) last_event_t = now;
   prof.end();
   observe([&](Telemetry& t) {
     t.admission_window(window_t0, now, window_events, m.placed - placed_before);
@@ -939,8 +897,7 @@ void Engine::Run::retry(const Entry& ev) {
   const bool was_placed = st->ever_placed != 0;
   const double expected = was_placed ? st->expected_hold : st->vm.lifetime;
   prof.begin(phase_slot(Phase::Admission));
-  const bool readmitted = admit(vm_index, st->vm, expected,
-                                /*defer_push=*/false, /*defer_sample=*/false);
+  const bool readmitted = admit(vm_index, st->vm, expected);
   prof.end();
   if (readmitted) {
     ++m.retry_placed;
@@ -988,11 +945,9 @@ void Engine::Run::migration_sweep(const Entry& ev) {
 // caller applies its retry/drop policy.  `vm` is passed in because
 // arrivals have no record yet; record references stay valid throughout
 // (the arena's references are slab-stable).  The caller holds the
-// Admission span open.  `defer_push` stages the departure in
-// arrival_push_scratch_ for the caller's bulk flush; `defer_sample` leaves
-// the signal sample to the caller.
+// Admission span open.
 bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
-                        double expected, bool defer_push, bool defer_sample) {
+                        double expected) {
   // Placement attribution is free: the run times every placement for
   // scheduler_exec_seconds anyway, so the same two reads are carved out of
   // the admission span instead of paying two more.
@@ -1045,7 +1000,7 @@ bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
     st.holding_power = circuit_power(vm.id);
     holding_power_w += st.holding_power;
   }
-  if (!defer_sample) record_state();
+  record_state();
   std::uint32_t epoch = 0;
   if (lifecycle) {
     st.place_time = now;
@@ -1053,12 +1008,8 @@ bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
     epoch = ++st.epoch;
     if (migrating) note_spread(vm_index, st);
   }
-  const LifecycleEvent departure{LifecycleKind::Departure, vm_index, epoch};
-  if (defer_push) {
-    e.arrival_push_scratch_.emplace_back(now + expected, departure);
-  } else {
-    e.events_.push(now + expected, departure);
-  }
+  e.events_.push(now + expected,
+                 LifecycleEvent{LifecycleKind::Departure, vm_index, epoch});
   return true;
 }
 

@@ -49,7 +49,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -202,19 +201,6 @@ class Engine {
   void set_telemetry(Telemetry* telemetry) noexcept { telemetry_ = telemetry; }
   [[nodiscard]] Telemetry* telemetry() const noexcept { return telemetry_; }
 
-  /// Admission windows (DESIGN.md §13): when enabled (the default), the
-  /// merge loop admits each maximal run of arrivals that sorts before the
-  /// calendar head under one bracket -- one profiler span, batched event
-  /// counters, same-timestamp signal samples coalesced, and (plan-free
-  /// runs) one bulk departure push per window.  Provably invisible: every
-  /// metric, fingerprint and checkpoint is bit-identical with windows on
-  /// or off.  The off switch exists for the differential tests that pin
-  /// that equivalence; sticky across runs until changed.
-  void set_admission_batching(bool on) noexcept { admission_batching_ = on; }
-  [[nodiscard]] bool admission_batching() const noexcept {
-    return admission_batching_;
-  }
-
   // Component access for tests and examples.
   [[nodiscard]] topo::Cluster& cluster() noexcept { return *cluster_; }
   [[nodiscard]] net::Fabric& fabric() noexcept { return *fabric_; }
@@ -248,7 +234,6 @@ class Engine {
   Telemetry* telemetry_ = nullptr;  ///< run telemetry hub (DESIGN.md §14)
   Log2Histogram* latency_hist_ = nullptr;
   bool profiling_ = false;  ///< fill SimMetrics::profile on each run
-  bool admission_batching_ = true;  ///< admission windows (DESIGN.md §13)
   const FaultPlan* fault_plan_ = nullptr;  ///< non-owning per-run override
   const MigrationPlan* migration_plan_ = nullptr;  ///< same, migration axis
 
@@ -313,13 +298,6 @@ class Engine {
   /// drained out of the calendar here first, then settled as one batch
   /// inside a single begin/end_release_batch bracket (DESIGN.md §12).
   std::vector<des::LadderCalendar<des::LifecycleEvent>::Entry> batch_scratch_;
-
-  /// Admission-window scratch (DESIGN.md §13): on plan-free runs the
-  /// window's departure pushes are staged here and flushed as one
-  /// LadderCalendar::push_bulk when the window closes -- seq assignment is
-  /// identical because no other push can interleave (retries and triggers
-  /// need a nonempty plan).
-  std::vector<std::pair<SimTime, des::LifecycleEvent>> arrival_push_scratch_;
 
   // --- Lifecycle state, sized only when the run's FaultPlan is nonempty --
   /// Admission-count-triggered action indices, sorted by threshold.

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "common/rng.hpp"
 #include "common/units.hpp"
 
 namespace risa::wl {
@@ -42,18 +41,5 @@ struct ArrivalModel {
                static_cast<double>(index / increment_every);
   }
 };
-
-/// Stamp arrivals (cumulative exponential gaps) and lifetimes onto an
-/// ordered list of size `n`; returns the arrival times.
-template <typename StampFn>
-void stamp_arrivals(const ArrivalModel& model, std::size_t n, Rng& rng,
-                    StampFn&& stamp) {
-  model.validate();
-  SimTime t = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += rng.exponential(model.mean_interarrival_tu);
-    stamp(i, t, model.lifetime(i));
-  }
-}
 
 }  // namespace risa::wl

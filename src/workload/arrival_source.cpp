@@ -1,6 +1,7 @@
 #include "workload/arrival_source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -78,8 +79,8 @@ SyntheticStreamSource::SyntheticStreamSource(SyntheticConfig config,
 void SyntheticStreamSource::rewind() {
   attr_rng_ = Rng(seed_);
   arr_rng_ = Rng(seed_);
-  // Advance the arrival generator past the 2N attribute draws
-  // generate_synthetic performs first.  Lemire rejection consumes a
+  // Advance the arrival generator past the 2N attribute draws that precede
+  // the arrivals in the seed's stream.  Lemire rejection consumes a
   // data-dependent number of raw words per draw, so the only way to land
   // on the identical stream position is to replay the calls.
   for (std::size_t i = 0; i < config_.count; ++i) {
@@ -137,7 +138,8 @@ AzureStreamSource::AzureStreamSource(AzureSpec spec, std::uint64_t seed)
   spec_.validate();
   const auto n = static_cast<std::size_t>(spec_.total_vms());
 
-  // Same expansion + rank coupling as generate_azure.
+  // Expand the marginals into ascending multisets and rank-couple them;
+  // the seed's generator shuffles the pair order, then draws the arrivals.
   std::vector<std::int64_t> cores;
   cores.reserve(n);
   for (const auto& [c, count] : spec_.cpu_marginal) {
@@ -164,9 +166,6 @@ AzureStreamSource::AzureStreamSource(AzureSpec spec, std::uint64_t seed)
   }
   post_shuffle_ = rng.generator().state();
   rng_ = rng;
-  // stamp_arrivals validates the model before drawing; match that here so
-  // a bad ArrivalModel fails at construction, not mid-stream.
-  spec_.arrivals.validate();
 }
 
 void AzureStreamSource::rewind() {
@@ -207,6 +206,33 @@ void AzureStreamSource::restore_position(std::istream& is) {
   Xoshiro256::State s;
   for (auto& w : s) w = bin::get_u64(is);
   rng_.generator().set_state(s);
+}
+
+// ---- Materialized workloads ------------------------------------------------
+
+namespace {
+
+/// Every item of a generator source, which emits index i at position i.
+Workload drain(ArrivalSource& source) {
+  Workload vms;
+  vms.reserve(static_cast<std::size_t>(source.size_hint()));
+  std::array<ArrivalItem, 256> chunk;
+  while (const std::size_t n = source.next_batch(chunk)) {
+    for (std::size_t i = 0; i < n; ++i) vms.push_back(chunk[i].vm);
+  }
+  return vms;
+}
+
+}  // namespace
+
+Workload generate_synthetic(const SyntheticConfig& config, std::uint64_t seed) {
+  SyntheticStreamSource source(config, seed);
+  return drain(source);
+}
+
+Workload generate_azure(const AzureSpec& spec, std::uint64_t seed) {
+  AzureStreamSource source(spec, seed);
+  return drain(source);
 }
 
 // ---- TraceStreamSource -----------------------------------------------------
@@ -268,11 +294,19 @@ void TraceStreamSource::save_position(std::ostream& os) const {
 void TraceStreamSource::restore_position(std::istream& is) {
   const auto pos = static_cast<std::streamoff>(bin::get_i64(is));
   const auto line = static_cast<std::size_t>(bin::get_u64(is));
-  const auto index = static_cast<std::uint32_t>(bin::get_u64(is));
+  const std::uint64_t index = bin::get_u64(is);
   const SimTime last_arrival = bin::get_f64(is);
+  if (index > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("trace: checkpoint index beyond 32 bits");
+  }
+  // A NaN would switch off the ordering check in next_batch: x < NaN is
+  // always false.
+  if (std::isnan(last_arrival)) {
+    throw std::runtime_error("trace: checkpoint last arrival is NaN");
+  }
   impl_ = std::make_unique<Impl>(impl_->path);
   impl_->reader.seek(pos, line);
-  impl_->index = index;
+  impl_->index = static_cast<std::uint32_t>(index);
   impl_->last_arrival = last_arrival;
 }
 

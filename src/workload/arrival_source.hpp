@@ -104,16 +104,17 @@ class WorkloadSource final : public ArrivalSource {
   std::size_t cursor_ = 0;
 };
 
-/// Streams the §5.1 synthetic workload without materializing it.
+/// Streams the §5.1 synthetic workload without materializing it
+/// (generate_synthetic is a drain of this source).
 ///
-/// generate_synthetic draws every VM's attributes (2 uniform_int per VM)
-/// BEFORE stamping arrivals from the same generator, so the arrival draws
-/// sit 2N calls deep in the RNG stream.  Lemire's uniform_int consumes a
-/// variable number of raw draws (rejection), so that offset cannot be
-/// computed arithmetically: construction replays the 2N attribute calls
-/// once into a second generator (O(N) time, O(1) memory), after which both
-/// attribute and arrival streams advance lazily per batch, bit-identical
-/// to the materialized doubles.
+/// The seed's generator gives every VM's attributes (2 uniform_int per VM)
+/// first and the arrival gaps after them, so the arrival draws sit 2N
+/// calls deep in the RNG stream.  That order is fixed because every golden
+/// fingerprint pins it.  Lemire's uniform_int consumes a variable number
+/// of raw draws (rejection), so the offset cannot be computed
+/// arithmetically: construction replays the 2N attribute calls once into a
+/// second generator (O(N) time, O(1) memory), after which both attribute
+/// and arrival streams advance lazily per batch.
 class SyntheticStreamSource final : public ArrivalSource {
  public:
   SyntheticStreamSource(SyntheticConfig config, std::uint64_t seed);
@@ -135,10 +136,11 @@ class SyntheticStreamSource final : public ArrivalSource {
   std::size_t index_ = 0;
 };
 
-/// Streams an Azure-like subset.  The rank-coupled attribute permutation
-/// needs the full shuffle (O(N) precompute, but the Figure 6 marginals cap
-/// N at 7500 so the table is a few hundred KB); arrivals stream from the
-/// post-shuffle generator state exactly as generate_azure continues it.
+/// Streams an Azure-like subset (generate_azure is a drain of this
+/// source).  The rank-coupled attribute permutation needs the full shuffle
+/// (O(N) precompute, but the Figure 6 marginals cap N at 7500 so the table
+/// is a few hundred KB); arrivals stream from the post-shuffle generator
+/// state.
 class AzureStreamSource final : public ArrivalSource {
  public:
   AzureStreamSource(AzureSpec spec, std::uint64_t seed);

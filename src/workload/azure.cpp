@@ -1,9 +1,6 @@
 #include "workload/azure.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "common/rng.hpp"
 
 namespace risa::wl {
 
@@ -89,46 +86,6 @@ AzureSpec azure_7500() {
 
 std::vector<AzureSpec> azure_all_subsets() {
   return {azure_3000(), azure_5000(), azure_7500()};
-}
-
-Workload generate_azure(const AzureSpec& spec, std::uint64_t seed) {
-  spec.validate();
-  const auto n = static_cast<std::size_t>(spec.total_vms());
-
-  // Expand marginals into ascending multisets.
-  std::vector<std::int64_t> cores;
-  cores.reserve(n);
-  for (const auto& [c, count] : spec.cpu_marginal) {
-    cores.insert(cores.end(), static_cast<std::size_t>(count), c);
-  }
-  std::vector<double> ram_gb;
-  ram_gb.reserve(n);
-  for (const auto& [r, count] : spec.ram_marginal) {
-    ram_gb.insert(ram_gb.end(), static_cast<std::size_t>(count), r);
-  }
-  std::sort(cores.begin(), cores.end());
-  std::sort(ram_gb.begin(), ram_gb.end());
-
-  // Rank-couple, then shuffle the pair order deterministically.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  Rng rng(seed);
-  rng.shuffle(order);
-
-  Workload vms(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    VmRequest& vm = vms[i];
-    vm.id = VmId{static_cast<std::uint32_t>(i)};
-    vm.cores = cores[order[i]];
-    vm.ram_mb = gb(ram_gb[order[i]]);
-    vm.storage_mb = gb(spec.storage_gb);
-  }
-  stamp_arrivals(spec.arrivals, n, rng,
-                 [&](std::size_t i, SimTime arrival, SimTime lifetime) {
-                   vms[i].arrival = arrival;
-                   vms[i].lifetime = lifetime;
-                 });
-  return vms;
 }
 
 }  // namespace risa::wl

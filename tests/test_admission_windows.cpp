@@ -1,75 +1,28 @@
-// Admission windows (DESIGN.md §13): same-run arrivals admitted under one
-// profiler bracket with deferred signal samples and batched departure
-// pushes must be *invisible* -- bit-identical metrics fingerprints against
-// per-event admission (set_admission_batching(false)), including under
-// tie-storm arrivals with zero-lifetime VMs, faults, retries, and
-// migrations in flight, with a timeline attached, and across sweep thread
-// counts.
+// Admission windows (DESIGN.md §13): the merge loop admits each maximal run
+// of arrivals that sorts before the calendar head under one bracket, and a
+// window differs from a single arrival only in how many profiler and
+// telemetry spans it opens.  The plan-free tie case is checked against the
+// closure reference loop (EngineEquivalence.EqualTimestampTies), and the
+// lifecycle tie storm resumes from every checkpoint it emits
+// (test_streaming).  Here: a timeline leaves the tie storm's fingerprint
+// unchanged, and a sweep over it is byte-identical at 1 and 8 threads.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
 #include "sim/sweep.hpp"
 #include "sim/timeline.hpp"
-#include "workload/synthetic.hpp"
+#include "tie_storm.hpp"
 
 namespace risa::sim {
 namespace {
 
-// Synthetic arrivals are cumulative-exponential doubles -- no two are ever
-// equal, which is exactly the case admission windows must NOT depend on.
-// Quantize arrivals into coarse buckets so dozens of VMs share each
-// timestamp (floor keeps the sequence nondecreasing), and plant
-// zero-lifetime VMs whose departures tie with later arrivals at the same
-// instant -- the arrival-wins-every-tie merge rule under maximum stress.
-wl::Workload tie_storm_workload(std::size_t n, std::uint64_t seed) {
-  wl::SyntheticConfig cfg;
-  cfg.count = n;
-  wl::Workload w = wl::generate_synthetic(cfg, seed);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i].arrival = std::floor(w[i].arrival / 40.0) * 40.0;
-    if (i % 7 == 0) w[i].lifetime = 0.0;
-    if (i % 5 == 0) w[i].lifetime = 40.0;  // departure ties a later bucket
-  }
-  return w;
-}
-
-FaultPlan storm_faults() {
-  FaultPlan plan;
-  plan.seed = 99;
-  plan.retry.max_attempts = 2;
-  plan.retry.delay_tu = 7.0;
-  // Every algorithm places into the first boxes early on, so failing them
-  // mid-storm guarantees kills + retries; the repair ends the degraded
-  // window inside the run.
-  for (std::uint32_t b : {0u, 1u, 2u, 3u}) {
-    FaultAction fail;
-    fail.kind = FaultAction::Kind::Fail;
-    fail.at_time = 90.5;  // between tie buckets (multiples of 40)
-    fail.box = b;
-    plan.actions.push_back(fail);
-    FaultAction repair;
-    repair.kind = FaultAction::Kind::Repair;
-    repair.at_time = 2500.0;
-    repair.box = b;
-    plan.actions.push_back(repair);
-  }
-  return plan;
-}
-
-MigrationPlan storm_migrations() {
-  MigrationPlan plan;
-  plan.period_tu = 120.0;
-  plan.per_sweep_budget = 3;
-  plan.total_budget = 100;
-  return plan;
-}
-
-TEST(AdmissionWindows, TieStormMatchesPerEventAdmission) {
+TEST(AdmissionWindows, TimelineLeavesFingerprintUnchanged) {
+  // A timeline switches settlement to one signal sample per departure
+  // instead of one per window; equal-time samples add no area and
+  // releases set no peak, so the fingerprint must not move.
   const wl::Workload storm = tie_storm_workload(500, 31);
   Scenario scenario = Scenario::paper_defaults();
   scenario.faults = storm_faults();
@@ -79,82 +32,29 @@ TEST(AdmissionWindows, TieStormMatchesPerEventAdmission) {
   std::uint64_t total_migrated = 0;
   for (const char* algo : {"NULB", "NALB", "RISA", "RISA-BF"}) {
     Engine engine(scenario, algo);
-    ASSERT_TRUE(engine.admission_batching());  // the default
-    const SimMetrics windowed = engine.run(storm, "t");
-    engine.set_admission_batching(false);
-    const SimMetrics per_event = engine.run(storm, "t");
-    EXPECT_EQ(metrics_fingerprint(windowed), metrics_fingerprint(per_event))
+    const SimMetrics plain = engine.run(storm, "t");
+    Timeline timeline;
+    engine.set_timeline(&timeline);
+    const SimMetrics observed = engine.run(storm, "t");
+    EXPECT_EQ(metrics_fingerprint(plain), metrics_fingerprint(observed))
         << algo;
-    EXPECT_EQ(windowed.events_executed, per_event.events_executed) << algo;
+    EXPECT_EQ(plain.events_executed, observed.events_executed) << algo;
+    EXPECT_FALSE(timeline.points().empty()) << algo;
     // The failures opened a degraded window inside every run (which boxes
     // host victims, and whether defrag finds gain, is algorithm-specific:
     // those are summed below).
-    EXPECT_GT(windowed.degraded_tu, 0.0) << algo;
-    total_killed_requeued += windowed.killed + windowed.requeued;
-    total_migrated += windowed.migrated;
+    EXPECT_GT(plain.degraded_tu, 0.0) << algo;
+    total_killed_requeued += plain.killed + plain.requeued;
+    total_migrated += plain.migrated;
   }
   // The storm exercised the kill/retry and migration machinery somewhere.
   EXPECT_GT(total_killed_requeued, 0u);
   EXPECT_GT(total_migrated, 0u);
 }
 
-TEST(AdmissionWindows, CleanRunMatchesPerEventAdmission) {
-  // No lifecycle events at all: windows run at their longest (the
-  // deferred-push/deferred-sample fast path), and the profiler must be the
-  // only observable difference.
-  const wl::Workload storm = tie_storm_workload(600, 17);
-  for (const char* algo : {"NULB", "RISA"}) {
-    Engine engine(Scenario::paper_defaults(), algo);
-    engine.set_profiling(true);
-    const SimMetrics windowed = engine.run(storm, "t");
-    engine.set_admission_batching(false);
-    const SimMetrics per_event = engine.run(storm, "t");
-    EXPECT_EQ(metrics_fingerprint(windowed), metrics_fingerprint(per_event))
-        << algo;
-    ASSERT_TRUE(windowed.profile.recorded);
-    EXPECT_GT(windowed.profile[Phase::Merge], 0.0) << algo;
-  }
-}
-
-TEST(AdmissionWindows, TimelineSamplesAreIdentical) {
-  // With a timeline attached the engine keeps per-event sampling (the
-  // deferred-sample path is gated off), so every recorded point -- not
-  // just the fingerprint -- must match per-event admission exactly.
-  const wl::Workload storm = tie_storm_workload(400, 23);
-  Scenario scenario = Scenario::paper_defaults();
-  scenario.faults = storm_faults();
-
-  Engine engine(scenario, "RISA");
-  Timeline windowed_tl;
-  engine.set_timeline(&windowed_tl);
-  const SimMetrics windowed = engine.run(storm, "t");
-
-  engine.set_admission_batching(false);
-  Timeline per_event_tl;
-  engine.set_timeline(&per_event_tl);
-  const SimMetrics per_event = engine.run(storm, "t");
-
-  EXPECT_EQ(metrics_fingerprint(windowed), metrics_fingerprint(per_event));
-  const auto& wp = windowed_tl.points();
-  const auto& pp = per_event_tl.points();
-  ASSERT_EQ(wp.size(), pp.size());
-  for (std::size_t i = 0; i < wp.size(); ++i) {
-    EXPECT_EQ(wp[i].time, pp[i].time) << "point " << i;
-    EXPECT_EQ(wp[i].active_vms, pp[i].active_vms) << "point " << i;
-    EXPECT_EQ(wp[i].placed_total, pp[i].placed_total) << "point " << i;
-    EXPECT_EQ(wp[i].dropped_total, pp[i].dropped_total) << "point " << i;
-    EXPECT_EQ(wp[i].killed_total, pp[i].killed_total) << "point " << i;
-    EXPECT_EQ(wp[i].offline_boxes, pp[i].offline_boxes) << "point " << i;
-    for (ResourceType r :
-         {ResourceType::Cpu, ResourceType::Ram, ResourceType::Storage}) {
-      EXPECT_EQ(wp[i].utilization[r], pp[i].utilization[r]) << "point " << i;
-    }
-  }
-}
-
 TEST(AdmissionWindows, SweepIsThreadCountDeterministic) {
-  // The ISSUE's 1-vs-8-thread contract on the tie-storm spec with faults
-  // and migrations on the axis: every cell fingerprint byte-identical.
+  // The 1-vs-8-thread contract on the tie-storm spec with faults and
+  // migrations on the axis: every cell fingerprint byte-identical.
   SweepSpec spec;
   spec.scenarios.emplace_back("default", Scenario::paper_defaults());
   spec.workloads.push_back(

@@ -144,16 +144,5 @@ TEST(RisaPool, PoolAndSuperRackAgreeOnEligibility) {
   }
 }
 
-TEST(RisaOptionsTest, DisplayNameOverride) {
-  Stack stack;
-  RisaOptions options;
-  options.display_name = "RISA-CUSTOM";
-  RisaAllocator risa(stack.context(), options);
-  EXPECT_EQ(risa.name(), "RISA-CUSTOM");
-  EXPECT_EQ(name(RackPacking::NextFit), "next-fit");
-  EXPECT_EQ(name(RackPacking::BestFit), "best-fit");
-  EXPECT_EQ(name(RackPacking::FirstFit), "first-fit");
-}
-
 }  // namespace
 }  // namespace risa::core

@@ -291,9 +291,11 @@ TEST(PhaseProfiler, RecordedPhasesAreNonNegativeAndBoundedByWall) {
   // the wall clock that brackets them (small epsilon for the calibration's
   // two distinct clock reads).
   EXPECT_LE(m.profile.total(), m.sim_wall_seconds * 1.001);
-  // A 4000-VM run spends real time placing and pulling arrivals.
+  // A 4000-VM run spends real time placing and pulling arrivals, and in
+  // the merge loop's own scaffolding.
   EXPECT_GT(m.profile[sim::Phase::Placement], 0.0);
   EXPECT_GT(m.profile[sim::Phase::SourcePull], 0.0);
+  EXPECT_GT(m.profile[sim::Phase::Merge], 0.0);
 }
 
 TEST(PhaseProfiler, DisabledRunRecordsNothingAndMetricsMatch) {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
@@ -29,6 +32,7 @@
 #include "workload/azure.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
+#include "tie_storm.hpp"
 
 namespace risa::sim {
 namespace {
@@ -206,6 +210,36 @@ TEST(ArrivalSources, TraceSourceReportsFileLineOnBadRows) {
   }
 }
 
+TEST(ArrivalSources, TraceSourceRestoreFailsClosed) {
+  // A checkpoint is untrusted input: an index past 32 bits must not wrap,
+  // and a NaN last arrival must not switch off the ordering check
+  // (x < NaN is always false).
+  const std::string path = testing::TempDir() + "risa_trace_restore.csv";
+  {
+    std::ofstream os(path);
+    os << "vm_id,cores,ram_mb,storage_mb,arrival,lifetime\n"
+       << "0,2,2048,4096,5.0,10.0\n";
+  }
+  wl::TraceStreamSource source(path);
+  std::ostringstream saved;
+  source.save_position(saved);
+  // The saved position is (byte offset, line, index, last arrival); keep
+  // the first two and write the last two by hand.
+  const std::string offset_and_line = saved.str().substr(0, 16);
+  const auto restore = [&](std::uint64_t index, double last_arrival) {
+    std::ostringstream os;
+    os << offset_and_line;
+    bin::put_u64(os, index);
+    bin::put_f64(os, last_arrival);
+    std::istringstream in(os.str());
+    source.restore_position(in);
+  };
+  EXPECT_NO_THROW(restore(0, -std::numeric_limits<double>::infinity()));
+  EXPECT_THROW(restore(std::uint64_t{1} << 32, 0.0), std::runtime_error);
+  EXPECT_THROW(restore(0, std::numeric_limits<double>::quiet_NaN()),
+               std::runtime_error);
+}
+
 TEST(ArrivalSources, MergeSourceOrdersByTimeAndRenumbers) {
   // Two tenants with deliberately colliding ids/indices and interleaved,
   // tying arrival times.
@@ -379,15 +413,26 @@ TEST(StreamingEngine, RejectsOutOfOrderSource) {
 
 // --- Checkpoint / resume ----------------------------------------------------
 
-/// A streaming RISA run over 4000 synthetic VMs with a checkpoint every
-/// 1500 executed events; returns the run's metrics and fills `checkpoints`
-/// with every checkpoint it emitted, in order.
-SimMetrics run_with_checkpoints(const FaultPlan* faults,
-                                const MigrationPlan* migrations,
-                                std::vector<std::string>& checkpoints) {
+/// A fresh source over one fixed stream, for each run that replays it.
+using SourceFactory = std::function<std::unique_ptr<wl::ArrivalSource>()>;
+
+/// 4000 synthetic VMs, streamed from the generator.
+std::unique_ptr<wl::ArrivalSource> synthetic_4000() {
   wl::SyntheticConfig cfg;
   cfg.count = 4000;
-  Engine engine(Scenario::paper_defaults(), "RISA");
+  return std::make_unique<wl::SyntheticStreamSource>(cfg, kDefaultSeed);
+}
+
+/// A streaming run with a checkpoint every 1500 executed events; returns
+/// the run's metrics and fills `checkpoints` with every checkpoint it
+/// emitted, in order.
+SimMetrics run_with_checkpoints(const FaultPlan* faults,
+                                const MigrationPlan* migrations,
+                                std::vector<std::string>& checkpoints,
+                                const SourceFactory& make_source =
+                                    synthetic_4000,
+                                const char* algorithm = "RISA") {
+  Engine engine(Scenario::paper_defaults(), algorithm);
   engine.set_fault_plan(faults);
   engine.set_migration_plan(migrations);
   CheckpointPolicy policy;
@@ -395,8 +440,8 @@ SimMetrics run_with_checkpoints(const FaultPlan* faults,
   policy.emit = [&checkpoints](const std::string& bytes) {
     checkpoints.push_back(bytes);
   };
-  wl::SyntheticStreamSource source(cfg, kDefaultSeed);
-  return engine.run_stream(source, "ckpt", &policy);
+  const std::unique_ptr<wl::ArrivalSource> source = make_source();
+  return engine.run_stream(*source, "ckpt", &policy);
 }
 
 /// Box + link faults with retries in flight, for the checkpoint tests.
@@ -431,25 +476,30 @@ MigrationPlan checkpoint_migrations() {
   return migrations;
 }
 
-/// Run `count` synthetic VMs streaming with a checkpoint every
-/// `every_events` events, then resume each captured checkpoint in a fresh
-/// engine and demand the uninterrupted run's exact fingerprint.
+/// Run the stream with a checkpoint every 1500 events, then resume each
+/// captured checkpoint in a fresh engine over a fresh source and demand
+/// the uninterrupted run's exact fingerprint.  `full_out` receives the
+/// uninterrupted run's metrics.
 void expect_resume_bit_identical(const FaultPlan* faults,
-                                 const MigrationPlan* migrations) {
-  wl::SyntheticConfig cfg;
-  cfg.count = 4000;
+                                 const MigrationPlan* migrations,
+                                 const SourceFactory& make_source =
+                                     synthetic_4000,
+                                 const char* algorithm = "RISA",
+                                 SimMetrics* full_out = nullptr) {
   std::vector<std::string> checkpoints;
-  const SimMetrics full = run_with_checkpoints(faults, migrations, checkpoints);
+  const SimMetrics full = run_with_checkpoints(faults, migrations, checkpoints,
+                                               make_source, algorithm);
+  if (full_out != nullptr) *full_out = full;
   const std::string want = metrics_fingerprint(full);
   ASSERT_GE(checkpoints.size(), 2u) << "cadence produced too few checkpoints";
 
   for (std::size_t c = 0; c < checkpoints.size(); ++c) {
-    Engine fresh(Scenario::paper_defaults(), "RISA");
+    Engine fresh(Scenario::paper_defaults(), algorithm);
     fresh.set_fault_plan(faults);
     fresh.set_migration_plan(migrations);
-    wl::SyntheticStreamSource restored(cfg, kDefaultSeed);
+    const std::unique_ptr<wl::ArrivalSource> restored = make_source();
     std::istringstream in(checkpoints[c]);
-    const SimMetrics resumed = fresh.resume_stream(in, restored);
+    const SimMetrics resumed = fresh.resume_stream(in, *restored);
     EXPECT_EQ(metrics_fingerprint(resumed), want) << "checkpoint " << c;
     EXPECT_EQ(resumed.events_executed, full.events_executed)
         << "checkpoint " << c;
@@ -466,6 +516,24 @@ TEST(StreamingCheckpoint, ResumeWithFaultsAndMigrations) {
   const FaultPlan faults = checkpoint_faults();
   const MigrationPlan migrations = checkpoint_migrations();
   expect_resume_bit_identical(&faults, &migrations);
+}
+
+TEST(StreamingCheckpoint, ResumeLifecycleTieStorm) {
+  // Dozens of arrivals per timestamp with box faults, retries and
+  // migration sweeps in flight: every admission window re-reads the
+  // calendar head after its pushes.  2500 VMs span three arrival chunks;
+  // NULB, because RISA's intra-rack placements leave no spread VM to
+  // migrate.
+  const wl::Workload storm = tie_storm_workload(2500, 31);
+  const FaultPlan faults = storm_faults();
+  const MigrationPlan migrations = storm_migrations();
+  SimMetrics full;
+  expect_resume_bit_identical(
+      &faults, &migrations,
+      [&storm] { return std::make_unique<wl::WorkloadSource>(storm); }, "NULB",
+      &full);
+  EXPECT_GT(full.killed + full.requeued, 0u);
+  EXPECT_GT(full.migrated, 0u);
 }
 
 /// 64-bit FNV-1a over a byte string, as 16 hex digits.
