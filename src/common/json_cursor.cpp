@@ -31,6 +31,25 @@ std::string json_number(double v) {
   return strformat("%.17g", v);
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strformat("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
 void JsonCursor::fail(const std::string& msg) const {
   throw std::runtime_error(std::string(what_) + " JSON (byte " +
                            std::to_string(pos_) + "): " + msg);

@@ -2,7 +2,8 @@
 // and its drivers take: fault and migration plans (sim/scenario_io),
 // Chrome-trace files behind `risa_cli --trace-summary` (sim/telemetry) and
 // the committed scheduler bench baselines that `bench_engine_scale
-// --profile` diffs against (sim/report).
+// --profile` diffs against (sim/report).  Beside it, the number and string
+// writers that every JSON output shares.
 //
 // Not a DOM: the caller pulls exactly the values its schema expects and
 // skips the rest, so a multi-hundred-MB trace streams through in O(1)
@@ -22,12 +23,19 @@
 #include <iosfwd>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace risa {
 
 /// Shortest of "%.15g" / "%.17g" that parses back to exactly `v` (17
 /// significant digits are exact for binary64), so round values stay short.
 [[nodiscard]] std::string json_number(double v);
+
+/// Append `s` to `out` as a quoted JSON string: `"` and `\` are escaped,
+/// \n and \t by name, and every other byte below 0x20 as \u00XX; all other
+/// bytes (UTF-8 included) pass through.  The one string writer behind
+/// every JSON document the simulator writes.
+void append_json_string(std::string& out, std::string_view s);
 
 class JsonCursor {
  public:

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/json_cursor.hpp"
+
 namespace risa {
 namespace {
 
@@ -16,15 +18,6 @@ void append_json_number(std::string& out, double v) {
     n = std::snprintf(buf, sizeof buf, "%.17g", v);
   }
   out.append(buf, static_cast<std::size_t>(n));
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 }  // namespace

@@ -53,22 +53,4 @@ double TimeWeightedMean::mean(double t_end) const {
   return integral(t_end) / span;
 }
 
-double Percentiles::percentile(double p) const {
-  if (samples_.empty()) {
-    throw std::logic_error("Percentiles: no samples");
-  }
-  if (p < 0.0 || p > 100.0) {
-    throw std::invalid_argument("Percentiles: p out of [0,100]");
-  }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  if (p == 0.0) return samples_.front();
-  const auto n = static_cast<double>(samples_.size());
-  auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-  if (rank == 0) rank = 1;
-  return samples_[rank - 1];
-}
-
 }  // namespace risa

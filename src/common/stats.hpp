@@ -1,8 +1,8 @@
 // Statistical accumulators used by the simulation metrics layer.
 //
 // Two families:
-//   * sample statistics (RunningStats, Percentiles) over discrete
-//     observations such as per-VM latency;
+//   * sample statistics (RunningStats) over discrete observations such
+//     as per-VM latency;
 //   * time-weighted statistics (TimeWeightedMean) that integrate a
 //     piecewise-constant signal such as utilization or power over the
 //     simulated horizon, which is how the paper reports "average CPU
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <vector>
 
 namespace risa {
 
@@ -119,22 +118,6 @@ class TimeWeightedMean {
   double value_ = 0.0;
   double area_ = 0.0;
   double peak_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Exact percentiles over a stored sample (nearest-rank method).
-class Percentiles {
- public:
-  void add(double x) { samples_.push_back(x); }
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-
-  /// p in [0, 100].  Nearest-rank: ceil(p/100 * N)-th smallest.
-  [[nodiscard]] double percentile(double p) const;
-
-  [[nodiscard]] double median() const { return percentile(50.0); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace risa

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/json_cursor.hpp"
+
 namespace risa {
 namespace {
 
@@ -20,25 +22,6 @@ void append_num(std::string& out, double v) {
     n = std::snprintf(buf, sizeof buf, "%.17g", v);
   }
   out.append(buf, static_cast<std::size_t>(n));
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -92,9 +75,9 @@ void TraceWriter::process_name(std::string_view name) {
   if (!ok() || closed_) return;
   if (!body_empty_ || !meta_.empty()) meta_ += ',';
   meta_ += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-           "\"args\":{\"name\":\"";
-  append_escaped(meta_, name);
-  meta_ += "\"}}";
+           "\"args\":{\"name\":";
+  append_json_string(meta_, name);
+  meta_ += "}}";
 }
 
 void TraceWriter::thread_name(std::uint32_t tid, std::string_view name) {
@@ -102,9 +85,9 @@ void TraceWriter::thread_name(std::uint32_t tid, std::string_view name) {
   if (!body_empty_ || !meta_.empty()) meta_ += ',';
   meta_ += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
   append_num(meta_, static_cast<double>(tid));
-  meta_ += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-  append_escaped(meta_, name);
-  meta_ += "\"}}";
+  meta_ += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+  append_json_string(meta_, name);
+  meta_ += "}}";
 }
 
 void TraceWriter::push(const Event& e) {
@@ -141,11 +124,10 @@ void TraceWriter::serialize(const Event& e, std::string& out) const {
   } else if (e.ph == 'i') {
     out += ",\"s\":\"t\"";
   }
-  out += ",\"name\":\"";
-  append_escaped(out, e.name);
-  out += "\",\"cat\":\"";
-  append_escaped(out, e.cat);
-  out += '"';
+  out += ",\"name\":";
+  append_json_string(out, e.name);
+  out += ",\"cat\":";
+  append_json_string(out, e.cat);
   if (e.ph == 'C') {
     out += ",\"args\":{\"value\":";
     append_num(out, e.a);

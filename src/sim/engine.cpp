@@ -314,6 +314,7 @@ class Engine::Run {
   void checkpoint_safe_point();
   void admit_window(SimTime limit);
   void settle_departures(const Entry& first);
+  void settle(std::uint32_t index, VmState& st);
   void fault_action(const Entry& ev);
   void retry(const Entry& ev);
   void migration_sweep(const Entry& ev);
@@ -788,44 +789,45 @@ void Engine::Run::admit_window(SimTime limit) {
 }
 
 // Settlement window (DESIGN.md §12): the whole same-timestamp departure
-// run is drained out of the calendar into a scratch batch first (ties are
-// contiguous at the ladder's sorted bottom tier), then settled under one
-// begin/end_release_batch bracket, and the time-weighted signals are
-// sampled once per window (equal-time samples add zero area
-// and releases never set a peak; timeline runs keep per-event samples
-// because the exported series is observable).  No placement can
-// interleave: equal-time arrivals were all consumed first, and any other
-// injected kind pops after the run since the calendar is (time, seq)
-// ordered.  One span covers drain + settle.
+// run (ties are contiguous at the ladder's sorted bottom tier) is popped
+// and settled in one pass under one begin/end_release_batch bracket, and
+// the time-weighted signals are sampled once per window (equal-time
+// samples add zero area and releases never set a peak; timeline runs
+// keep per-event samples because the exported series is observable).
+// Settling pushes nothing onto the calendar, so the run popped here is
+// exactly the equal-time departures queued when the window opened.  No
+// placement can interleave: equal-time arrivals were all consumed first,
+// and any other injected kind pops after the run since the calendar is
+// (time, seq) ordered.  One span covers the window.
 void Engine::Run::settle_departures(const Entry& first) {
-  if (departing(first.payload) == nullptr) return;
+  VmState* st = departing(first.payload);
+  if (st == nullptr) return;
   now = first.time;
   if (lifecycle) note_time(now);
   prof.begin(phase_slot(Phase::Settlement));
-  e.batch_scratch_.clear();
-  e.batch_scratch_.push_back(first);
+  cluster.begin_release_batch();
+  settle(first.payload.subject, *st);
   while (!e.events_.empty() && e.events_.next_time() == now &&
          e.events_.top().payload.kind == LifecycleKind::Departure) {
-    e.batch_scratch_.push_back(e.events_.pop());
-  }
-  cluster.begin_release_batch();
-  for (const Entry& d : e.batch_scratch_) {
-    VmState* st = departing(d.payload);
-    if (st == nullptr) continue;
-    ++executed;
-    alloc.release_batched(st->placement);
-    --live_count;
-    if (track_power) holding_power_w -= st->holding_power;
-    if (e.timeline_ != nullptr) record_state();
-    // The departure is the VM's final event (`st` dies here).
-    e.vms_.erase(d.payload.subject);
+    const Entry d = e.events_.pop();
+    st = departing(d.payload);
+    if (st != nullptr) settle(d.payload.subject, *st);
   }
   cluster.end_release_batch();
   if (e.timeline_ == nullptr) sample_signals(now);
   prof.end();
-  observe([&](Telemetry& t) {
-    t.settlement_window(now, e.batch_scratch_.size());
-  });
+  observe([&](Telemetry& t) { t.settlement_window(now); });
+}
+
+// One live departure of a settlement window: release, then drop the record
+// (the departure is the VM's final event, so `st` dies here).
+void Engine::Run::settle(std::uint32_t index, VmState& st) {
+  ++executed;
+  alloc.release_batched(st.placement);
+  --live_count;
+  if (track_power) holding_power_w -= st.holding_power;
+  if (e.timeline_ != nullptr) record_state();
+  e.vms_.erase(index);
 }
 
 // One scripted fail/repair action.  Random victims are drawn here, in

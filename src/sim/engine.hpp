@@ -294,11 +294,6 @@ class Engine {
   /// acting (the historical scan order).
   std::vector<std::uint32_t> scan_scratch_;
 
-  /// Settlement-window scratch: the full equal-time departure run is
-  /// drained out of the calendar here first, then settled as one batch
-  /// inside a single begin/end_release_batch bracket (DESIGN.md §12).
-  std::vector<des::LadderCalendar<des::LifecycleEvent>::Entry> batch_scratch_;
-
   // --- Lifecycle state, sized only when the run's FaultPlan is nonempty --
   /// Admission-count-triggered action indices, sorted by threshold.
   std::vector<std::uint32_t> admission_actions_;

@@ -323,6 +323,13 @@ const CellField kCellFields[] = {
          k == "fault_plan" || k == "migration_plan";
 }
 
+/// `s` as a quoted, escaped JSON string.
+std::string quoted(std::string_view s) {
+  std::string out;
+  append_json_string(out, s);
+  return out;
+}
+
 /// Render a recorded PhaseProfile as a JSON object keyed by phase name
 /// (sim/phase_profiler.hpp); the shared shape for sweep_json and
 /// scheduler_bench_json `profile` blocks.
@@ -340,7 +347,7 @@ void append_profile_json(std::ostringstream& os, const PhaseProfile& p) {
 std::string sweep_json(const std::string& benchmark,
                        const std::vector<SweepResult>& results) {
   std::ostringstream os;
-  os << "{\n  \"benchmark\": \"" << benchmark << "\",\n  \"cells\": [\n";
+  os << "{\n  \"benchmark\": " << quoted(benchmark) << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     os << "    {";
     bool first = true;
@@ -349,7 +356,7 @@ std::string sweep_json(const std::string& benchmark,
       first = false;
       os << '"' << f.key << "\": ";
       if (is_string_field(f.key)) {
-        os << '"' << f.render(results[i]) << '"';
+        os << quoted(f.render(results[i]));
       } else {
         os << f.render(results[i]);
       }
@@ -448,11 +455,13 @@ std::vector<SchedulerBenchEntry> scheduler_bench_entries(
 std::string scheduler_bench_json(const std::string& benchmark,
                                  const std::vector<SchedulerBenchEntry>& entries) {
   std::ostringstream os;
-  os << "{\n  \"benchmark\": \"" << benchmark << "\",\n  \"entries\": [\n";
+  os << "{\n  \"benchmark\": " << quoted(benchmark)
+     << ",\n  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const SchedulerBenchEntry& e = entries[i];
-    os << "    {\"workload\": \"" << e.workload << "\", \"algorithm\": \""
-       << e.algorithm << "\", \"total_vms\": " << e.total_vms
+    os << "    {\"workload\": " << quoted(e.workload)
+       << ", \"algorithm\": " << quoted(e.algorithm)
+       << ", \"total_vms\": " << e.total_vms
        << ", \"placed\": " << e.placed << ", \"dropped\": " << e.dropped
        << ", \"inter_rack\": " << e.inter_rack << ", \"sched_s\": "
        << strformat("%.6f", e.sched_s) << ", \"placements_per_sec\": "

@@ -39,11 +39,6 @@ WorkloadSpec WorkloadSpec::synthetic(std::size_t count) {
     if (count > 0) config.count = count;
     return wl::generate_synthetic(config, seed);
   };
-  spec.make_source = [count](std::uint64_t seed) {
-    wl::SyntheticConfig config;
-    if (count > 0) config.count = count;
-    return std::make_unique<wl::SyntheticStreamSource>(config, seed);
-  };
   return spec;
 }
 
@@ -55,9 +50,6 @@ WorkloadSpec WorkloadSpec::azure(const std::string& subset) {
     spec.label = azure.label;
     spec.generate = [azure](std::uint64_t seed) {
       return wl::generate_azure(azure, seed);
-    };
-    spec.make_source = [azure](std::uint64_t seed) {
-      return std::make_unique<wl::AzureStreamSource>(azure, seed);
     };
     return spec;
   }
@@ -72,9 +64,6 @@ std::vector<WorkloadSpec> WorkloadSpec::azure_all() {
     spec.label = azure.label;
     spec.generate = [azure](std::uint64_t seed) {
       return wl::generate_azure(azure, seed);
-    };
-    spec.make_source = [azure](std::uint64_t seed) {
-      return std::make_unique<wl::AzureStreamSource>(azure, seed);
     };
     out.push_back(std::move(spec));
   }
@@ -151,9 +140,6 @@ std::vector<SweepResult> SweepRunner::run(const SweepSpec& spec) const {
   pool.run_indexed(pairs, [&](std::size_t, std::size_t i) {
     const std::size_t w = i / spec.seeds.size();
     const std::size_t s = i % spec.seeds.size();
-    // Streaming cells pull arrivals on demand; skipping materialization
-    // here is what actually bounds the sweep's RSS.
-    if (spec.streaming && spec.workloads[w].make_source) return;
     workloads[i] = spec.workloads[w].generate(spec.seeds[s]);
   });
 
@@ -210,9 +196,7 @@ std::vector<SweepResult> SweepRunner::run(const SweepSpec& spec) const {
     engine->set_migration_plan(spec.migration_plans.empty()
                                    ? nullptr
                                    : &spec.migration_plans[g].second);
-    engine->set_timeline(spec.record_timeline ? &r.timeline : nullptr);
     engine->set_profiling(spec.record_profile);
-    const bool stream_cell = spec.streaming && spec.workloads[w].make_source;
     engine->set_latency_histogram(spec.record_latency ? &r.latency : nullptr);
     // Per-cell trace (DESIGN.md §14): a private Telemetry per cell keeps
     // the lanes share-nothing, so traced sweeps stay deterministic at any
@@ -226,16 +210,9 @@ std::vector<SweepResult> SweepRunner::run(const SweepSpec& spec) const {
       cell_tel = std::make_unique<Telemetry>(std::move(cfg));
       engine->set_telemetry(cell_tel.get());
     }
-    if (stream_cell) {
-      const std::unique_ptr<wl::ArrivalSource> source =
-          spec.workloads[w].make_source(spec.seeds[s]);
-      r.metrics = engine->run_stream(*source, spec.workloads[w].label);
-    } else {
-      r.metrics = engine->run(workloads[w * spec.seeds.size() + s],
-                              spec.workloads[w].label);
-    }
+    r.metrics = engine->run(workloads[w * spec.seeds.size() + s],
+                            spec.workloads[w].label);
     engine->set_telemetry(nullptr);
-    engine->set_timeline(nullptr);
     engine->set_latency_histogram(nullptr);
     engine->set_fault_plan(nullptr);
     engine->set_migration_plan(nullptr);

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,8 +33,6 @@
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/timeline.hpp"
-#include "workload/arrival_source.hpp"
 #include "workload/vm.hpp"
 
 namespace risa::sim {
@@ -46,13 +43,6 @@ namespace risa::sim {
 struct WorkloadSpec {
   std::string label;
   std::function<wl::Workload(std::uint64_t seed)> generate;
-  /// Optional streaming twin of `generate`: builds a pull-based
-  /// ArrivalSource that yields the identical request sequence without
-  /// materializing the workload.  Honored when SweepSpec::streaming is
-  /// set; cells fall back to `generate` when absent (e.g. fixed()).  Must
-  /// be a pure function of the seed, like `generate`.
-  std::function<std::unique_ptr<wl::ArrivalSource>(std::uint64_t seed)>
-      make_source;
 
   /// The paper's 2500-VM synthetic random workload (§5.1); `count`
   /// overrides the VM count when positive.
@@ -90,7 +80,6 @@ struct SweepSpec {
   /// defragmentation study is {"none", MigrationPlan{}} next to budgeted
   /// variants: the empty plan reproduces the fault-only run bit-for-bit.
   std::vector<std::pair<std::string, MigrationPlan>> migration_plans;
-  bool record_timeline = false;  ///< fill SweepResult::timeline per cell
   bool record_latency = false;   ///< fill SweepResult::latency per cell
   /// Enable the phase-attributed profiler (sim/phase_profiler.hpp) for
   /// every cell: SimMetrics::profile reports where each run's wall time
@@ -98,12 +87,6 @@ struct SweepSpec {
   /// with it on or off (the profile is excluded from metrics_fingerprint
   /// like scheduler_exec_seconds).
   bool record_profile = false;
-  /// Run cells through Engine::run_stream using each workload's
-  /// make_source factory (bounded RSS: no (workload, seed) pair is
-  /// materialized).  Streaming runs are bit-identical to materialized ones
-  /// (DESIGN.md §11), so this only changes memory behavior.  Workloads
-  /// without a make_source factory still materialize.
-  bool streaming = false;
   /// Per-cell run traces (DESIGN.md §14).  When nonempty, every cell runs
   /// with a private Telemetry writing
   ///   <trace_dir>/cell<i>.<workload>.<algorithm>.trace.json
@@ -182,7 +165,6 @@ struct SweepResult {
   std::string migration_plan;  ///< migration-plan label ("none" when unused)
   std::uint64_t seed = 0; ///< the cell's seed (workload RNG stream root)
   SimMetrics metrics;     ///< carries the workload label and algorithm name
-  Timeline timeline;                ///< populated when record_timeline
   /// Per-placement place() latency in ns (arrivals and retries), filled
   /// when record_latency.
   Log2Histogram latency;

@@ -83,20 +83,14 @@ std::uint32_t parse_trace_categories(std::string_view csv) {
 }
 
 Telemetry::Telemetry(TelemetryConfig config) : config_(std::move(config)) {
-  TraceWriter::Options opts;
-  opts.ring_capacity = config_.ring_capacity;
-  opts.flush_on_full = config_.flush_on_full;
   // An empty path yields a failed writer (no file, events counted as
   // dropped) -- registry-only telemetry without a second code path.
-  writer_ = std::make_unique<TraceWriter>(config_.trace_path, opts);
+  writer_ = std::make_unique<TraceWriter>(config_.trace_path);
 }
 
 Telemetry::Telemetry(TelemetryConfig config, std::ostream& sink)
     : config_(std::move(config)) {
-  TraceWriter::Options opts;
-  opts.ring_capacity = config_.ring_capacity;
-  opts.flush_on_full = config_.flush_on_full;
-  writer_ = std::make_unique<TraceWriter>(sink, opts);
+  writer_ = std::make_unique<TraceWriter>(sink);
 }
 
 Telemetry::~Telemetry() { close(); }
@@ -176,10 +170,9 @@ void Telemetry::admission_window(double t0, double t1, std::uint64_t arrivals,
   }
 }
 
-void Telemetry::settlement_window(double t, std::uint64_t departures) {
+void Telemetry::settlement_window(double t) {
   if (category(kTracePlacement)) {
     writer_->span("settlement", kCatPlacement, t, 0.0, kTidWindows);
-    (void)departures;
   }
 }
 

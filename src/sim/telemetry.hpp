@@ -64,10 +64,6 @@ struct TelemetryConfig {
   /// Minimum sim-time between counter-track samples; 0 samples at every
   /// eligible window/event boundary.
   double sample_cadence_tu = 0.0;
-  std::size_t ring_capacity = std::size_t{1} << 16;
-  /// See TraceWriter::Options; tests pin exact overflow counts with
-  /// this off.
-  bool flush_on_full = true;
 };
 
 class Telemetry {
@@ -117,7 +113,7 @@ class Telemetry {
 
   void admission_window(double t0, double t1, std::uint64_t arrivals,
                         std::uint64_t placed);
-  void settlement_window(double t, std::uint64_t departures);
+  void settlement_window(double t);
   void migration_sweep(double t, std::uint64_t migrated);
   void drop(double t, core::DropReason reason);
   void kill(double t, des::LifecycleKind cause);

@@ -1,5 +1,6 @@
 #include "sim/timeline.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -11,7 +12,6 @@ namespace risa::sim {
 
 void Timeline::record(const TimelinePoint& point) {
   peak_active_ = std::max(peak_active_, point.active_vms);
-  if (seen_++ % sample_every_ != 0) return;
   points_.push_back(point);
 }
 

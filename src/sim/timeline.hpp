@@ -1,7 +1,7 @@
 // Time-series recording: samples the cluster/fabric state at every
 // placement and departure so runs can be plotted (utilization ramps, power
-// draw over time, active-VM census).  Exported as CSV for external tooling;
-// bench binaries optionally dump these next to their tables.
+// draw over time, active-VM census).  Exported as CSV for external tooling
+// (`risa_cli --timeline-csv`).
 #pragma once
 
 #include <iosfwd>
@@ -31,10 +31,6 @@ struct TimelinePoint {
 
 class Timeline {
  public:
-  /// Record every k-th event to bound memory on long runs (1 = everything).
-  explicit Timeline(std::uint32_t sample_every = 1)
-      : sample_every_(sample_every == 0 ? 1 : sample_every) {}
-
   void record(const TimelinePoint& point);
 
   [[nodiscard]] const std::vector<TimelinePoint>& points() const noexcept {
@@ -53,8 +49,6 @@ class Timeline {
   void save_csv(const std::string& path) const;
 
  private:
-  std::uint32_t sample_every_;
-  std::uint64_t seen_ = 0;
   std::uint64_t peak_active_ = 0;
   std::vector<TimelinePoint> points_;
 };

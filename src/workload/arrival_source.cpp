@@ -310,115 +310,4 @@ void TraceStreamSource::restore_position(std::istream& is) {
   impl_->last_arrival = last_arrival;
 }
 
-// ---- MergeSource -----------------------------------------------------------
-
-MergeSource::MergeSource(std::vector<std::unique_ptr<ArrivalSource>> children) {
-  if (children.empty()) {
-    throw std::invalid_argument("MergeSource: no children");
-  }
-  children_.reserve(children.size());
-  for (auto& c : children) {
-    if (c == nullptr) throw std::invalid_argument("MergeSource: null child");
-    children_.push_back(Child{std::move(c)});
-    prime(children_.back());
-  }
-}
-
-void MergeSource::prime(Child& c) {
-  if (c.exhausted) return;
-  ArrivalItem item;
-  if (c.source->next_batch(std::span<ArrivalItem>(&item, 1)) == 1) {
-    c.pending = item;
-    c.has_pending = true;
-  } else {
-    c.has_pending = false;
-    c.exhausted = true;
-  }
-}
-
-std::size_t MergeSource::next_batch(std::span<ArrivalItem> out) {
-  std::size_t n = 0;
-  while (n < out.size()) {
-    std::size_t best = children_.size();
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (!children_[i].has_pending) continue;
-      if (best == children_.size() ||
-          children_[i].pending.vm.arrival < children_[best].pending.vm.arrival) {
-        best = i;  // ties keep the earliest child (constructor order)
-      }
-    }
-    if (best == children_.size()) break;
-    out[n] = children_[best].pending;
-    // Renumber: children's original indices collide across tenants, and
-    // the engine's determinism contract keys off a single global index
-    // space (DESIGN.md §11).  Merge order IS the new generation order.
-    out[n].index = next_index_;
-    out[n].vm.id = VmId{next_index_};
-    ++next_index_;
-    ++n;
-    prime(children_[best]);
-  }
-  return n;
-}
-
-void MergeSource::rewind() {
-  for (Child& c : children_) {
-    c.source->rewind();
-    c.has_pending = false;
-    c.exhausted = false;
-    prime(c);
-  }
-  next_index_ = 0;
-}
-
-std::uint64_t MergeSource::size_hint() const noexcept {
-  std::uint64_t total = 0;
-  for (const Child& c : children_) {
-    const std::uint64_t hint = c.source->size_hint();
-    if (hint == 0) return 0;  // any unknown child makes the total unknown
-    total += hint;
-  }
-  return total;
-}
-
-void MergeSource::save_position(std::ostream& os) const {
-  bin::put_u32(os, next_index_);
-  bin::put_u64(os, children_.size());
-  for (const Child& c : children_) {
-    bin::put_u8(os, c.exhausted ? 1 : 0);
-    bin::put_u8(os, c.has_pending ? 1 : 0);
-    if (c.has_pending) {
-      bin::put_u32(os, c.pending.vm.id.value());
-      bin::put_i64(os, c.pending.vm.cores);
-      bin::put_i64(os, c.pending.vm.ram_mb);
-      bin::put_i64(os, c.pending.vm.storage_mb);
-      bin::put_f64(os, c.pending.vm.arrival);
-      bin::put_f64(os, c.pending.vm.lifetime);
-      bin::put_u32(os, c.pending.index);
-    }
-    c.source->save_position(os);
-  }
-}
-
-void MergeSource::restore_position(std::istream& is) {
-  next_index_ = bin::get_u32(is);
-  if (bin::get_u64(is) != children_.size()) {
-    throw std::runtime_error("MergeSource: checkpoint child count mismatch");
-  }
-  for (Child& c : children_) {
-    c.exhausted = bin::get_u8(is) != 0;
-    c.has_pending = bin::get_u8(is) != 0;
-    if (c.has_pending) {
-      c.pending.vm.id = VmId{bin::get_u32(is)};
-      c.pending.vm.cores = bin::get_i64(is);
-      c.pending.vm.ram_mb = bin::get_i64(is);
-      c.pending.vm.storage_mb = bin::get_i64(is);
-      c.pending.vm.arrival = bin::get_f64(is);
-      c.pending.vm.lifetime = bin::get_f64(is);
-      c.pending.index = bin::get_u32(is);
-    }
-    c.source->restore_position(is);
-  }
-}
-
 }  // namespace risa::wl

@@ -28,9 +28,7 @@
 //                              tables are precomputed (the marginals cap N
 //                              at 7500) but arrivals stream;
 //   * TraceStreamSource     -- chunked CSV trace reader (line-numbered
-//                              errors, never materializes the file);
-//   * MergeSource           -- k-way (time, child-order) merge of several
-//                              tenant streams into one renumbered stream.
+//                              errors, never materializes the file).
 //
 // Every source supports save_position/restore_position so an engine
 // checkpoint can freeze mid-stream and resume bit-identically.
@@ -182,36 +180,6 @@ class TraceStreamSource final : public ArrivalSource {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// K-way merge of several tenant streams into one (time, child-order)
-/// ordered stream.  Children must individually satisfy the ArrivalSource
-/// ordering contract; ties between children break by child position in the
-/// constructor list.  Emitted items are renumbered: the merged stream
-/// assigns fresh consecutive indices (and VmIds) in merge order, since the
-/// children's original indices collide (DESIGN.md §11).
-class MergeSource final : public ArrivalSource {
- public:
-  explicit MergeSource(std::vector<std::unique_ptr<ArrivalSource>> children);
-
-  std::size_t next_batch(std::span<ArrivalItem> out) override;
-  void rewind() override;
-  [[nodiscard]] std::uint64_t size_hint() const noexcept override;
-  void save_position(std::ostream& os) const override;
-  void restore_position(std::istream& is) override;
-
- private:
-  struct Child {
-    std::unique_ptr<ArrivalSource> source;
-    ArrivalItem pending{};
-    bool has_pending = false;
-    bool exhausted = false;
-  };
-  void prime(Child& c);
-
-  std::vector<Child> children_;
-  std::uint32_t next_index_ = 0;
-  bool primed_ = false;
 };
 
 }  // namespace risa::wl

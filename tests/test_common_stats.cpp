@@ -75,21 +75,5 @@ TEST(TimeWeightedMean, EmptyMeansZero) {
   EXPECT_DOUBLE_EQ(twm.integral(100.0), 0.0);
 }
 
-TEST(Percentiles, NearestRank) {
-  Percentiles p;
-  for (int i = 1; i <= 10; ++i) p.add(i);
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(50.0), 5.0);
-  EXPECT_DOUBLE_EQ(p.percentile(91.0), 10.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100.0), 10.0);
-  EXPECT_THROW((void)p.percentile(101.0), std::invalid_argument);
-}
-
-TEST(Percentiles, EmptyThrows) {
-  const Percentiles p;
-  EXPECT_THROW((void)p.percentile(50.0), std::logic_error);
-}
-
 }  // namespace
 }  // namespace risa

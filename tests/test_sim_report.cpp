@@ -4,12 +4,16 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "common/json_cursor.hpp"
 #include "sim/engine.hpp"
 #include "workload/synthetic.hpp"
 #include "sim/experiments.hpp"
 #include "sim/report.hpp"
+#include "sim/sweep.hpp"
 
 namespace risa::sim {
 namespace {
@@ -138,6 +142,51 @@ TEST(Report, SchedulerBenchJsonFailsClosed) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_DOUBLE_EQ(rows[0].profile[Phase::Placement], 0.5);
   EXPECT_TRUE(std::isnan(rows[0].profile[Phase::Merge]));
+}
+
+TEST(Report, JsonWritersEscapeLabels) {
+  // A label with a quote, a backslash and a control byte (a fault-plan
+  // path can carry any of them) must come back intact from both writers.
+  const std::string label = "pl\"an\\x\x01\ty";
+  SweepResult r;
+  r.scenario = "paper";
+  r.fault_plan = label;
+  r.migration_plan = "none";
+  r.metrics.workload = label;
+  r.metrics.algorithm = "RISA";
+  std::istringstream sweep_doc(sweep_json(label, {r}));
+  JsonCursor json(sweep_doc, "sweep");
+  std::string benchmark;
+  std::vector<std::string> strings;
+  json.object([&](const std::string& key) {
+    if (key == "benchmark") {
+      benchmark = json.string();
+      return;
+    }
+    json.array([&] {
+      json.object([&](const std::string& field) {
+        if (field == "fault_plan" || field == "workload") {
+          strings.push_back(json.string());
+        } else {
+          json.skip_value();
+        }
+      });
+    });
+  });
+  json.finish();
+  EXPECT_EQ(benchmark, label);
+  ASSERT_EQ(strings.size(), 2u);
+  EXPECT_EQ(strings[0], label);
+  EXPECT_EQ(strings[1], label);
+
+  SchedulerBenchEntry entry;
+  entry.workload = label;
+  entry.algorithm = label;
+  std::istringstream bench_doc(scheduler_bench_json(label, {entry}));
+  const auto back = read_scheduler_bench_json(bench_doc);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].workload, label);
+  EXPECT_EQ(back[0].algorithm, label);
 }
 
 TEST(Report, ExecTimeTableNormalizesToRisa) {

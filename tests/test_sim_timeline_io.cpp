@@ -66,22 +66,6 @@ TEST(Timeline, HoldingPowerIntegralMatchesLedgerEnergy) {
   EXPECT_NEAR(integral / ledger_energy, 1.0, 1e-6);
 }
 
-TEST(Timeline, SamplingReducesPointCount) {
-  Timeline everything(1);
-  Timeline sampled(10);
-  for (int i = 0; i < 100; ++i) {
-    TimelinePoint p;
-    p.time = i;
-    p.active_vms = static_cast<std::uint64_t>(i);
-    everything.record(p);
-    sampled.record(p);
-  }
-  EXPECT_EQ(everything.size(), 100u);
-  EXPECT_EQ(sampled.size(), 10u);
-  // Peak tracking sees every record even when downsampled.
-  EXPECT_EQ(sampled.peak_active_vms(), 99u);
-}
-
 TEST(Timeline, CsvRoundTripShape) {
   Timeline timeline;
   Engine engine(Scenario::paper_defaults(), "NULB");

@@ -240,71 +240,34 @@ TEST(ArrivalSources, TraceSourceRestoreFailsClosed) {
                std::runtime_error);
 }
 
-TEST(ArrivalSources, MergeSourceOrdersByTimeAndRenumbers) {
-  // Two tenants with deliberately colliding ids/indices and interleaved,
-  // tying arrival times.
-  wl::Workload a, b;
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    wl::VmRequest vm;
-    vm.id = VmId{i};
-    vm.cores = 2;
-    vm.ram_mb = 2048;
-    vm.storage_mb = 4096;
-    vm.lifetime = 10.0;
-    vm.arrival = static_cast<double>(i * 2);      // 0 2 4 6 8 10
-    a.push_back(vm);
-    vm.arrival = static_cast<double>(i * 2 + (i % 2));  // 0 3 4 7 8 11
-    b.push_back(vm);
-  }
-  std::vector<std::unique_ptr<wl::ArrivalSource>> children;
-  children.push_back(std::make_unique<wl::WorkloadSource>(a));
-  children.push_back(std::make_unique<wl::WorkloadSource>(b));
-  wl::MergeSource merged(std::move(children));
-  EXPECT_EQ(merged.size_hint(), a.size() + b.size());
-
-  const auto got = drain(merged, 5);
-  ASSERT_EQ(got.size(), a.size() + b.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    // Renumbered: fresh consecutive indices and ids in merge order.
-    EXPECT_EQ(got[i].index, static_cast<std::uint32_t>(i));
-    EXPECT_EQ(got[i].vm.id.value(), static_cast<std::uint32_t>(i));
-    if (i > 0) {
-      EXPECT_GE(got[i].vm.arrival, got[i - 1].vm.arrival);
-    }
-  }
-  // Equal timestamps break toward the earlier child: both tenants emit at
-  // t=0, 4 and 8; child a must come first each time.
-  EXPECT_EQ(got[0].vm.arrival, 0.0);
-  EXPECT_EQ(got[1].vm.arrival, 0.0);
-  EXPECT_EQ(got[0].vm.cores, a[0].cores);
-
-  merged.rewind();
-  const auto again = drain(merged, 3);
-  ASSERT_EQ(again.size(), got.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(again[i].vm.arrival, got[i].vm.arrival) << i;
-    EXPECT_EQ(again[i].index, got[i].index) << i;
-  }
-}
-
 // --- Engine equivalence through the pull-based loop -------------------------
 
-TEST(StreamingEngine, FigureMatrixSweepBitIdentical) {
-  // The whole figure matrix through the streaming sweep path (synthetic +
-  // Azure backends via WorkloadSpec::make_source) against the materialized
-  // sweep: every cell fingerprint must match bit-for-bit.
-  SweepSpec spec = SweepSpec::figure_matrix(kDefaultSeed);
-  const auto materialized = SweepRunner(1).run(spec);
-  spec.streaming = true;
-  const auto streamed = SweepRunner(1).run(spec);
-  ASSERT_EQ(streamed.size(), materialized.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(metrics_fingerprint(streamed[i].metrics),
-              metrics_fingerprint(materialized[i].metrics))
-        << "cell " << i;
-    EXPECT_EQ(streamed[i].metrics.events_executed,
-              materialized[i].metrics.events_executed)
-        << "cell " << i;
+TEST(StreamingEngine, FigureMatrixCellsMatchStreamBackends) {
+  // Every figure-matrix sweep cell (materialized workload) against
+  // Engine::run_stream over the cell's own stream backend -- the
+  // SyntheticStreamSource for workload 0, an AzureStreamSource per Azure
+  // subset after it: every fingerprint must match bit-for-bit.
+  const SweepSpec spec = SweepSpec::figure_matrix(kDefaultSeed);
+  const std::vector<wl::AzureSpec> azure = wl::azure_all_subsets();
+  ASSERT_EQ(spec.workloads.size(), 1 + azure.size());
+  const auto cells = SweepRunner(1).run(spec);
+  for (const SweepResult& r : cells) {
+    std::unique_ptr<wl::ArrivalSource> source;
+    if (r.workload_index == 0) {
+      source = std::make_unique<wl::SyntheticStreamSource>(
+          wl::SyntheticConfig{}, r.seed);
+    } else {
+      source = std::make_unique<wl::AzureStreamSource>(
+          azure[r.workload_index - 1], r.seed);
+    }
+    Engine engine(spec.scenarios[r.scenario_index].second,
+                  spec.algorithms[r.algorithm_index]);
+    const SimMetrics streamed =
+        engine.run_stream(*source, spec.workloads[r.workload_index].label);
+    EXPECT_EQ(metrics_fingerprint(streamed), metrics_fingerprint(r.metrics))
+        << "cell " << r.cell;
+    EXPECT_EQ(streamed.events_executed, r.metrics.events_executed)
+        << "cell " << r.cell;
   }
 }
 
@@ -429,7 +392,7 @@ std::unique_ptr<wl::ArrivalSource> synthetic_4000() {
 SimMetrics run_with_checkpoints(const FaultPlan* faults,
                                 const MigrationPlan* migrations,
                                 std::vector<std::string>& checkpoints,
-                                const SourceFactory& make_source =
+                                const SourceFactory& open_source =
                                     synthetic_4000,
                                 const char* algorithm = "RISA") {
   Engine engine(Scenario::paper_defaults(), algorithm);
@@ -440,7 +403,7 @@ SimMetrics run_with_checkpoints(const FaultPlan* faults,
   policy.emit = [&checkpoints](const std::string& bytes) {
     checkpoints.push_back(bytes);
   };
-  const std::unique_ptr<wl::ArrivalSource> source = make_source();
+  const std::unique_ptr<wl::ArrivalSource> source = open_source();
   return engine.run_stream(*source, "ckpt", &policy);
 }
 
@@ -482,13 +445,13 @@ MigrationPlan checkpoint_migrations() {
 /// uninterrupted run's metrics.
 void expect_resume_bit_identical(const FaultPlan* faults,
                                  const MigrationPlan* migrations,
-                                 const SourceFactory& make_source =
+                                 const SourceFactory& open_source =
                                      synthetic_4000,
                                  const char* algorithm = "RISA",
                                  SimMetrics* full_out = nullptr) {
   std::vector<std::string> checkpoints;
   const SimMetrics full = run_with_checkpoints(faults, migrations, checkpoints,
-                                               make_source, algorithm);
+                                               open_source, algorithm);
   if (full_out != nullptr) *full_out = full;
   const std::string want = metrics_fingerprint(full);
   ASSERT_GE(checkpoints.size(), 2u) << "cadence produced too few checkpoints";
@@ -497,7 +460,7 @@ void expect_resume_bit_identical(const FaultPlan* faults,
     Engine fresh(Scenario::paper_defaults(), algorithm);
     fresh.set_fault_plan(faults);
     fresh.set_migration_plan(migrations);
-    const std::unique_ptr<wl::ArrivalSource> restored = make_source();
+    const std::unique_ptr<wl::ArrivalSource> restored = open_source();
     std::istringstream in(checkpoints[c]);
     const SimMetrics resumed = fresh.resume_stream(in, *restored);
     EXPECT_EQ(metrics_fingerprint(resumed), want) << "checkpoint " << c;
@@ -1039,7 +1002,7 @@ TEST(StreamingCheckpoint, ResumeRejectsAlgorithmMismatch) {
 
 // --- Satellite regressions --------------------------------------------------
 
-TEST(Log2HistogramTest, PercentilesStayResolvedAtScale) {
+TEST(Log2HistogramTest, QuantilesStayResolvedAtScale) {
   Log2Histogram h;
   EXPECT_THROW((void)h.percentile(50.0), std::logic_error);
 
