@@ -67,9 +67,10 @@ struct ChurnedStack {
   ChurnedStack()
       : cluster(cluster_shape()), fabric(cluster_shape(), net::FabricConfig{}) {
     Rng rng(kSeed);
+    topo::BoxAllocation taken;
     for (std::size_t i = 0; i < cluster.num_boxes(); ++i) {
       const BoxId box{static_cast<std::uint32_t>(i)};
-      (void)cluster.allocate(box, rng.uniform_int(0, 96));
+      (void)cluster.allocate_into(box, rng.uniform_int(0, 96), taken);
     }
     const MbitsPerSec channel = fabric.config().channel_rate;
     for (std::size_t i = 0; i < fabric.num_links(); ++i) {
@@ -394,7 +395,7 @@ void BM_CompanionSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(core::bfs_search(cluster, fabric, q.anchor, q.type,
                                               q.units, order,
                                               core::CompanionSearch::GlobalOrder,
-                                              std::nullopt));
+                                              core::RackFilter{}));
     i = (i + 1) & (kQueries - 1);
   }
   state.SetLabel(order == core::NeighborOrder::BoxIdOrder ? "box-id"

@@ -155,7 +155,7 @@ void BM_Update(benchmark::State& state) {
   for (auto _ : state) {
     const UpdateOp& op = ops[i];
     index.update(op.rack, op.type, op.value);
-    benchmark::DoNotOptimize(index.epoch());
+    benchmark::DoNotOptimize(index.cluster_max(op.type));
     i = (i + 1) & 4095;
   }
 }
@@ -231,7 +231,7 @@ std::vector<BaselineRow> measure_baseline() {
     rows.push_back({"update", racks, measure_ns(kIters, [&](std::size_t i) {
       const UpdateOp& op = ops[i & 4095];
       mut.update(op.rack, op.type, op.value);
-      benchmark::DoNotOptimize(mut.epoch());
+      benchmark::DoNotOptimize(mut.cluster_max(op.type));
     })});
   }
   return rows;

@@ -1,6 +1,5 @@
 #include "common/csv.hpp"
 
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
@@ -58,16 +57,6 @@ std::vector<std::string> CsvReader::parse_line(const std::string& line) {
   if (in_quotes) throw std::runtime_error("CSV: unbalanced quotes");
   cells.push_back(std::move(cur));
   return cells;
-}
-
-std::vector<std::vector<std::string>> CsvReader::read_all(std::istream& is) {
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    rows.push_back(parse_line(line));
-  }
-  return rows;
 }
 
 }  // namespace risa

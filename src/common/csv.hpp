@@ -24,11 +24,8 @@ class CsvWriter {
 
 class CsvReader {
  public:
-  /// Parse a whole stream; returns rows of cells.  Throws on unbalanced
-  /// quotes.  Empty trailing line is ignored.
-  [[nodiscard]] static std::vector<std::vector<std::string>> read_all(std::istream& is);
-
-  /// Parse one CSV line (no embedded newlines).
+  /// Parse one CSV line (no embedded newlines).  Throws on unbalanced
+  /// quotes.
   [[nodiscard]] static std::vector<std::string> parse_line(const std::string& line);
 };
 

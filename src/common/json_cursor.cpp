@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <stdexcept>
@@ -25,10 +26,19 @@ void append_utf8(std::string& out, unsigned cp) {
 
 }  // namespace
 
+void append_json_number(std::string& out, double v) {
+  char buf[32];
+  int n = std::snprintf(buf, sizeof buf, "%.15g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  out.append(buf, static_cast<std::size_t>(n));
+}
+
 std::string json_number(double v) {
-  const std::string shorter = strformat("%.15g", v);
-  if (std::strtod(shorter.c_str(), nullptr) == v) return shorter;
-  return strformat("%.17g", v);
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 void append_json_string(std::string& out, std::string_view s) {

@@ -27,8 +27,13 @@
 
 namespace risa {
 
-/// Shortest of "%.15g" / "%.17g" that parses back to exactly `v` (17
-/// significant digits are exact for binary64), so round values stay short.
+/// Append the shorter of "%.15g" / "%.17g" that parses back to exactly
+/// `v` (17 significant digits are exact for binary64), so round values
+/// stay short.  The one number writer behind every JSON document the
+/// simulator writes; callers map non-finite values (not JSON) first.
+void append_json_number(std::string& out, double v);
+
+/// append_json_number into a fresh string.
 [[nodiscard]] std::string json_number(double v);
 
 /// Append `s` to `out` as a quoted JSON string: `"` and `\` are escaped,

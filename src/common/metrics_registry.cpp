@@ -1,26 +1,11 @@
 #include "common/metrics_registry.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/json_cursor.hpp"
 
 namespace risa {
-namespace {
-
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  int n = std::snprintf(buf, sizeof buf, "%g", v);
-  double back = 0.0;
-  if (std::sscanf(buf, "%lf", &back) != 1 || back != v) {
-    n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out.append(buf, static_cast<std::size_t>(n));
-}
-
-}  // namespace
 
 MetricsRegistry::Id MetricsRegistry::find_or_register(std::string_view name,
                                                       Kind kind) {
@@ -97,7 +82,10 @@ std::string MetricsRegistry::snapshot_json() const {
     first = false;
     append_json_string(out, s.name);
     out += ':';
-    append_json_number(out, gauges_[s.slot]);
+    // NaN/inf are not JSON: a non-finite gauge is written as 0.  Counters
+    // and the (unscaled) histogram percentiles are always finite.
+    const double g = gauges_[s.slot];
+    append_json_number(out, std::isfinite(g) ? g : 0.0);
   }
   out += "},\"histograms\":{";
   first = true;

@@ -1,30 +1,11 @@
 #include "common/trace_writer.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "common/json_cursor.hpp"
 
 namespace risa {
-namespace {
-
-// Shortest round-trip-safe formatting for a trace number.  Chrome's
-// reader takes any JSON number; %.17g is exact for doubles but noisy,
-// so try %g first and fall back when it loses information.  NaN/inf are
-// not JSON -- clamp to 0 so one bad sample cannot poison the file.
-void append_num(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  int n = std::snprintf(buf, sizeof buf, "%g", v);
-  double back = 0.0;
-  if (std::sscanf(buf, "%lf", &back) != 1 || back != v) {
-    n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out.append(buf, static_cast<std::size_t>(n));
-}
-
-}  // namespace
 
 TraceWriter::TraceWriter(const std::string& path, Options options)
     : opts_(options) {
@@ -84,7 +65,7 @@ void TraceWriter::thread_name(std::uint32_t tid, std::string_view name) {
   if (!ok() || closed_) return;
   if (!body_empty_ || !meta_.empty()) meta_ += ',';
   meta_ += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-  append_num(meta_, static_cast<double>(tid));
+  append_json_number(meta_, static_cast<double>(tid));
   meta_ += ",\"name\":\"thread_name\",\"args\":{\"name\":";
   append_json_string(meta_, name);
   meta_ += "}}";
@@ -115,12 +96,14 @@ void TraceWriter::serialize(const Event& e, std::string& out) const {
   out += "{\"ph\":\"";
   out += e.ph;
   out += "\",\"pid\":1,\"tid\":";
-  append_num(out, static_cast<double>(e.tid));
+  append_json_number(out, static_cast<double>(e.tid));
+  // NaN/inf are not JSON: a non-finite sample is written as 0 so one bad
+  // sample cannot poison the file.
   out += ",\"ts\":";
-  append_num(out, e.ts);
+  append_json_number(out, std::isfinite(e.ts) ? e.ts : 0.0);
   if (e.ph == 'X') {
     out += ",\"dur\":";
-    append_num(out, e.a);
+    append_json_number(out, std::isfinite(e.a) ? e.a : 0.0);
   } else if (e.ph == 'i') {
     out += ",\"s\":\"t\"";
   }
@@ -130,7 +113,7 @@ void TraceWriter::serialize(const Event& e, std::string& out) const {
   append_json_string(out, e.cat);
   if (e.ph == 'C') {
     out += ",\"args\":{\"value\":";
-    append_num(out, e.a);
+    append_json_number(out, std::isfinite(e.a) ? e.a : 0.0);
     out += '}';
   }
   out += '}';
@@ -164,7 +147,7 @@ void TraceWriter::write_footer() {
   // monotone), so a rewrite never leaves stale bytes past the end.
   chunk_.clear();
   chunk_ += "],\"overflowDropped\":";
-  append_num(chunk_, static_cast<double>(dropped_));
+  append_json_number(chunk_, static_cast<double>(dropped_));
   chunk_ += '}';
   sink_->write(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));
 }

@@ -125,29 +125,6 @@ using UnitVector = PerResource<Units>;
   return a;
 }
 
-/// True when every component of `a` is <= the matching component of `b`
-/// (i.e. demand `a` fits within availability `b`).
-[[nodiscard]] constexpr bool fits_within(const UnitVector& a, const UnitVector& b) noexcept {
-  for (ResourceType t : kAllResources) {
-    if (a[t] > b[t]) return false;
-  }
-  return true;
-}
-
-[[nodiscard]] constexpr bool all_zero(const UnitVector& v) noexcept {
-  for (ResourceType t : kAllResources) {
-    if (v[t] != 0) return false;
-  }
-  return true;
-}
-
-[[nodiscard]] constexpr bool any_negative(const UnitVector& v) noexcept {
-  for (ResourceType t : kAllResources) {
-    if (v[t] < 0) return true;
-  }
-  return false;
-}
-
 /// Pretty "cpu=4,ram=2,sto=2" rendering used in logs and error messages.
 [[nodiscard]] std::string to_string(const UnitVector& v);
 

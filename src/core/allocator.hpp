@@ -71,9 +71,10 @@ class Allocator {
   }
 
   /// Release a placement made by this allocator family: tears down the
-  /// VM's circuits and returns compute units.  Subclasses extend this to
-  /// refresh their internal bookkeeping.
-  virtual void release(const Placement& placement);
+  /// VM's circuits and returns compute units.  No allocator keeps
+  /// per-placement state, so one teardown serves them all; the engine
+  /// releases through release_batched instead.
+  void release(const Placement& placement);
 
   /// The base teardown inside a Cluster::begin/end_release_batch bracket
   /// (Cluster::release_batched): the engine brackets same-timestamp

@@ -9,7 +9,7 @@ std::optional<DropReason> NalbAllocator::place(const wl::VmRequest& vm,
   const UnitVector units = demand_units(vm);
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BandwidthDescending, companion_,
-                               std::nullopt);
+                               RackFilter{});
   if (!boxes.ok()) return boxes.error();
   return commit(vm, units, boxes.value(), net::LinkSelectPolicy::MostAvailable,
                 /*used_fallback=*/false, out);

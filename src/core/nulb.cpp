@@ -40,7 +40,7 @@ std::optional<DropReason> NulbAllocator::place(const wl::VmRequest& vm,
   const UnitVector units = demand_units(vm);
   auto boxes = nulb_find_boxes(*ctx().cluster, *ctx().fabric, units,
                                NeighborOrder::BoxIdOrder, companion_,
-                               std::nullopt);
+                               RackFilter{});
   if (!boxes.ok()) return boxes.error();
   return commit(vm, units, boxes.value(), net::LinkSelectPolicy::FirstFit,
                 /*used_fallback=*/false, out);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -35,9 +34,6 @@ class RackFilter {
  public:
   /// No restriction.
   constexpr RackFilter() = default;
-  /// Compat spelling for "no restriction" (the filter used to be a
-  /// std::optional; call sites and tests pass std::nullopt).
-  constexpr RackFilter(std::nullopt_t) {}  // NOLINT(google-explicit-constructor)
 
   /// Engaged filter from per-type rack lists (tests / cold paths).
   explicit RackFilter(const PerResource<std::vector<RackId>>& racks)
@@ -66,12 +62,6 @@ class RackFilter {
   bool engaged_ = false;
   PerResource<RackSet> masks_;
 };
-
-/// True when `rack` is eligible for `type` under `filter`.
-[[nodiscard]] inline bool rack_allowed(const RackFilter& filter,
-                                       ResourceType type, RackId rack) noexcept {
-  return filter.allows(type, rack);
-}
 
 /// First box of `type` with at least `units` available, scanning cluster-
 /// wide in per-type (rack-major) id order -- NULB's anchor search.

@@ -125,19 +125,4 @@ void Router::release(const CircuitPath& path, MbitsPerSec bw) {
   }
 }
 
-MbitsPerSec Router::group_available(std::span<const LinkId> group) const {
-  MbitsPerSec total = 0;
-  for (LinkId id : group) total += fabric_->link_unchecked(id).available();
-  return total;
-}
-
-MbitsPerSec Router::group_max_available(std::span<const LinkId> group) const {
-  MbitsPerSec best = 0;
-  for (LinkId id : group) {
-    const MbitsPerSec avail = fabric_->link_unchecked(id).available();
-    if (avail > best) best = avail;
-  }
-  return best;
-}
-
 }  // namespace risa::net

@@ -60,12 +60,6 @@ class Router {
   /// Return bandwidth on every hop.
   void release(const CircuitPath& path, MbitsPerSec bw);
 
-  /// Total free bandwidth across a parallel-link group.
-  [[nodiscard]] MbitsPerSec group_available(std::span<const LinkId> group) const;
-
-  /// Largest single-link free bandwidth in a group.
-  [[nodiscard]] MbitsPerSec group_max_available(std::span<const LinkId> group) const;
-
  private:
   /// MostAvailable over a box or rack group, given the group's best link
   /// as the fabric maintains it (Fabric::best_box_uplink / best_rack_uplink).

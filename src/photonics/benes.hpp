@@ -29,11 +29,6 @@ namespace risa::phot {
   return 2 * ceil_log2(ports) - 1;
 }
 
-/// Total 2x2 cells in an N-port Beneš network: (N/2) * stages.
-[[nodiscard]] constexpr std::uint64_t benes_total_cells(std::uint32_t ports) {
-  return static_cast<std::uint64_t>(ports / 2) * benes_stages(ports);
-}
-
 /// Cells occupied by one circuit through an N-port Beneš switch (one per
 /// stage) -- the `n` of Eq. (1).
 [[nodiscard]] constexpr std::uint32_t benes_path_cells(std::uint32_t ports) {

@@ -1700,20 +1700,4 @@ void Engine::Run::transfer_records(Ar& ar) {
   }
 }
 
-std::vector<SimMetrics> run_all_algorithms(const Scenario& scenario,
-                                           const wl::Workload& workload,
-                                           const std::string& workload_label) {
-  std::vector<SimMetrics> out;
-  std::unique_ptr<Engine> engine;  // one stack, rebound per algorithm
-  for (const std::string& algo : core::algorithm_names()) {
-    if (engine == nullptr) {
-      engine = std::make_unique<Engine>(scenario, algo);
-    } else {
-      engine->set_algorithm(algo);
-    }
-    out.push_back(engine->run(workload, workload_label));
-  }
-  return out;
-}
-
 }  // namespace risa::sim

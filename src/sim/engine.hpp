@@ -315,13 +315,4 @@ class Engine {
   std::vector<SpreadEntry> spread_;
 };
 
-/// Convenience: run all four paper algorithms over the same workload with
-/// identical scenario parameters; returns metrics in paper order
-/// (NULB, NALB, RISA, RISA-BF).  One engine stack is built and reused
-/// across the four runs (set_algorithm + in-place reset) -- no per-
-/// algorithm topology rebuild.  For parallel matrices use sim/sweep.
-[[nodiscard]] std::vector<SimMetrics> run_all_algorithms(
-    const Scenario& scenario, const wl::Workload& workload,
-    const std::string& workload_label);
-
 }  // namespace risa::sim

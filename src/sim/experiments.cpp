@@ -128,8 +128,9 @@ void ToyStack::set_availability(ResourceType type, std::uint32_t index_in_type,
   if (burn < 0) {
     throw std::invalid_argument("ToyStack: cannot raise availability");
   }
-  if (burn > 0) {
-    (void)cluster_.allocate(box, burn).value();
+  topo::BoxAllocation taken;
+  if (burn > 0 && !cluster_.allocate_into(box, burn, taken)) {
+    throw std::logic_error("ToyStack: box refused its own free units");
   }
 }
 

@@ -130,15 +130,7 @@ struct SweepSpec {
            algorithm;
   }
 
-  /// Five-axis form (migration axis unused or index 0).
-  [[nodiscard]] std::size_t cell_index(std::size_t scenario,
-                                       std::size_t workload, std::size_t seed,
-                                       std::size_t fault,
-                                       std::size_t algorithm) const noexcept {
-    return cell_index(scenario, workload, seed, fault, 0, algorithm);
-  }
-
-  /// Legacy four-axis form (fault + migration axes unused or index 0).
+  /// Four-axis form (fault + migration axes unused or index 0).
   [[nodiscard]] std::size_t cell_index(std::size_t scenario,
                                        std::size_t workload, std::size_t seed,
                                        std::size_t algorithm) const noexcept {

@@ -2,9 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
-#include "common/string_util.hpp"
 #include "topology/config.hpp"
 
 namespace risa::topo {
@@ -38,23 +36,6 @@ Units Box::brick_available(std::uint32_t brick) const {
   return brick_capacity_[brick] - brick_allocated_[brick];
 }
 
-Result<BoxAllocation, std::string> Box::allocate(Units units) {
-  if (units <= 0) {
-    return Err<std::string>{"Box::allocate: non-positive unit count"};
-  }
-  if (units > available_units()) {
-    return Err<std::string>{strformat(
-        "box %u: requested %lld units, %lld available",
-        id_.value(), static_cast<long long>(units),
-        static_cast<long long>(available_units()))};
-  }
-  BoxAllocation alloc;
-  if (!allocate_into(units, alloc)) {
-    throw std::logic_error("Box::allocate: availability check out of sync");
-  }
-  return alloc;
-}
-
 bool Box::allocate_into(Units units, BoxAllocation& out) {
   if (units <= 0 || units > available_units()) return false;
   out.box = id_;
@@ -83,7 +64,7 @@ bool Box::allocate_into(Units units, BoxAllocation& out) {
   // available_units() was checked above, so the loop must have satisfied
   // the request; anything else is a bookkeeping bug.
   if (remaining != 0) {
-    throw std::logic_error("Box::allocate: brick accounting out of sync");
+    throw std::logic_error("Box::allocate_into: brick accounting out of sync");
   }
   allocated_ += units;
   return true;

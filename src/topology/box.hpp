@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/expected.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
@@ -88,14 +87,11 @@ class Box {
   [[nodiscard]] Units brick_capacity(std::uint32_t brick) const;
   [[nodiscard]] Units brick_available(std::uint32_t brick) const;
 
-  /// First-fit allocation of `units` across bricks.  Fails (without side
-  /// effects) when the box lacks availability.
-  [[nodiscard]] Result<BoxAllocation, std::string> allocate(Units units);
-
-  /// Allocation-free variant for the placement hot path: writes the record
+  /// First-fit allocation of `units` across bricks: writes the record
   /// into `out` (clearing it first) and returns false -- without touching
-  /// `out` or the box -- when the box cannot host `units`.  The first-fit
-  /// walk starts at first_free_brick(), below which no brick has room.
+  /// `out` or the box -- when the box cannot host `units` (a non-positive
+  /// count, more than available_units(), or an offline box).  The walk
+  /// starts at first_free_brick(), below which no brick has room.
   [[nodiscard]] bool allocate_into(Units units, BoxAllocation& out);
 
   /// Lower bound of the first brick with free units: every brick below it
@@ -116,7 +112,7 @@ class Box {
 
   /// Overwrite the per-brick occupancy in place from a snapshot of
   /// AVAILABLE units per brick (Cluster::restore, engine checkpoints).
-  /// Unlike replaying first-fit allocate() calls, this reproduces hole
+  /// Unlike replaying first-fit allocate_into() calls, this reproduces hole
   /// patterns exactly: a brick sequence like [4 free, 0 free] restores as
   /// recorded instead of first-fit compacting the occupancy into brick 0.
   /// The offline flag is untouched.  Throws std::invalid_argument on a

@@ -50,7 +50,6 @@ void RackAvailabilityIndex::update(RackId rack, ResourceType type,
   if (previous == maximum) return;  // index already current
   exact_[r][type] = maximum;
   lanes_[type][r] = saturate_lane(maximum);
-  ++epoch_;
 
   const std::uint32_t shard = r / kShardRacks;
   Units& smax = shard_max_[shard][type];
@@ -246,21 +245,6 @@ const std::vector<BoxId>& Cluster::boxes_of_type_in_rack(RackId rack_id,
 // exact integer sums either way.  Offline boxes report zero availability
 // throughout, so releasing onto one leaves every aggregate untouched.
 
-Result<BoxAllocation, std::string> Cluster::allocate(BoxId box_id, Units units) {
-  Box& b = box(box_id);
-  auto result = b.allocate(units);
-  if (result.ok()) {
-    const ResourceType t = b.type();
-    total_available_[t] -= units;
-    Rack& rk = racks_[b.rack().value()];
-    rk.total_available_[t] -= units;
-    if (b.available_units() + units == rk.max_available_[t]) {
-      recompute_rack_max(rk, b.rack(), t);
-    }
-  }
-  return result;
-}
-
 bool Cluster::allocate_into(BoxId box_id, Units units, BoxAllocation& out) {
   Box& b = box(box_id);
   if (!b.allocate_into(units, out)) return false;
@@ -357,7 +341,7 @@ void Cluster::restore(const ClusterSnapshot& snap) {
   offline_boxes_ = 0;  // snapshots carry occupancy only; rebuilt boxes are online
   for (std::size_t i = 0; i < boxes_.size(); ++i) {
     Box& b = boxes_[i];
-    // Direct per-brick restore: replaying first-fit allocate() calls here
+    // Direct per-brick restore: replaying first-fit allocate_into() calls here
     // would compact hole patterns (a later brick's occupancy can land in an
     // earlier brick's free space), silently corrupting snapshots taken
     // after releases.  restore_bricks writes the recorded occupancy.

@@ -10,10 +10,8 @@
 
 #include <cassert>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/expected.hpp"
 #include "common/rack_set.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
@@ -134,10 +132,6 @@ class RackAvailabilityIndex {
     return shard_max_[shard][type];
   }
 
-  /// Monotonic mutation counter: bumped on every update().  Callers that
-  /// cache derived pools can compare epochs instead of re-querying.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
   /// Exact (unsaturated) leaf values for one rack (verification hook).
   [[nodiscard]] const PerResource<Units>& leaf(RackId rack) const {
     return exact_[rack.value()];
@@ -169,7 +163,6 @@ class RackAvailabilityIndex {
   std::vector<PerResource<Units>> exact_;      ///< exact leaf values, size racks_
   std::vector<PerResource<Units>> shard_max_;  ///< per-shard maxima, size shards_
   PerResource<Units> cluster_max_{0, 0, 0};
-  std::uint64_t epoch_ = 0;
 };
 
 class Cluster {
@@ -228,12 +221,9 @@ class Cluster {
                    : 0.0;
   }
 
-  /// Allocate `units` of the box's type from `box`.  Updates all aggregates.
-  [[nodiscard]] Result<BoxAllocation, std::string> allocate(BoxId box, Units units);
-
-  /// Allocation-free variant for the placement hot path: writes the record
-  /// into `out` and returns false (leaving all state untouched) when the
-  /// box cannot host `units`.
+  /// Allocate `units` of the box's type from `box` (Box::allocate_into)
+  /// and update every aggregate.  Returns false, leaving `out` and all
+  /// state untouched, when the box cannot host `units`.
   [[nodiscard]] bool allocate_into(BoxId box, Units units, BoxAllocation& out);
 
   /// Return a previous allocation.  Updates all aggregates.
@@ -296,7 +286,7 @@ class Cluster {
  private:
   void refresh_rack_aggregates(RackId rack, ResourceType t);
   /// Rescans only the rack's per-type maximum (the total is maintained
-  /// incrementally by allocate/release) and pushes it into the index.
+  /// incrementally by allocate_into/release) and pushes it into the index.
   void recompute_rack_max(Rack& rk, RackId rack, ResourceType t);
 
   ClusterConfig config_;

@@ -97,9 +97,6 @@ struct ClusterConfig {
   /// Largest box (in units) a config may declare: UINT32_MAX.
   static constexpr Units kMaxBoxUnits = 0xFFFFFFFF;
 
-  /// The paper's Table 1 configuration (also the default constructor).
-  [[nodiscard]] static ClusterConfig paper_table1() { return ClusterConfig{}; }
-
   /// The §4.3 toy-example configuration: 2 racks, 2 boxes of each type per
   /// rack, CPU boxes of 64 cores, RAM boxes of 64 GB, storage boxes of
   /// 512 GB.  Tables 3-4 do their arithmetic at single-core / single-GB

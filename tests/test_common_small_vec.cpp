@@ -146,16 +146,11 @@ TEST(SmallVecRecords, FragmentedBoxSpillsSlicesAndReleasesExactly) {
   // takes three slices, past the allocation's inline two.
   topo::Box box(BoxId{0}, RackId{0}, ResourceType::Ram, 0,
                 std::vector<Units>(8, 4));
-  std::vector<topo::BoxAllocation> held;
-  for (int b = 0; b < 8; ++b) {
-    auto a = box.allocate(4);
-    ASSERT_TRUE(a.ok());
-    held.push_back(std::move(a.value()));
-  }
+  std::vector<topo::BoxAllocation> held(8);
+  for (topo::BoxAllocation& h : held) ASSERT_TRUE(box.allocate_into(4, h));
   for (const int b : {1, 4, 6}) box.release(held[b]);
-  auto big = box.allocate(12);
-  ASSERT_TRUE(big.ok());
-  const topo::BoxAllocation& a = big.value();
+  topo::BoxAllocation a;
+  ASSERT_TRUE(box.allocate_into(12, a));
   ASSERT_GT(a.slices.size(), topo::BoxAllocation::kInlineSlices);
   EXPECT_TRUE(a.slices.spilled());
   EXPECT_EQ(a.slices[0], (topo::BrickSlice{1, 4}));

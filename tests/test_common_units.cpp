@@ -52,12 +52,6 @@ TEST(Units, UnitVectorAlgebra) {
   const UnitVector b{1, 1, 1};
   EXPECT_EQ((a + b), (UnitVector{5, 3, 2}));
   EXPECT_EQ((a - b), (UnitVector{3, 1, 0}));
-  EXPECT_TRUE(fits_within(b, a));
-  EXPECT_FALSE(fits_within(a, b));
-  EXPECT_TRUE(fits_within(a, a));
-  EXPECT_FALSE(all_zero(a));
-  EXPECT_TRUE(all_zero(UnitVector{0, 0, 0}));
-  EXPECT_TRUE(any_negative(a - UnitVector{5, 0, 0}));
   EXPECT_EQ(to_string(a), "cpu=4,ram=2,sto=1");
 }
 

@@ -69,9 +69,10 @@ TEST(Allocator, PlacementReservesComputeAndCircuits) {
 
 TEST(Allocator, ComputeDropLeavesNoResidue) {
   PaperStack stack;
+  topo::BoxAllocation taken;
   // Exhaust all storage: any VM must drop with NoComputeResources.
   for (BoxId id : stack.cluster.boxes_of_type(ResourceType::Storage)) {
-    ASSERT_TRUE(stack.cluster.allocate(id, 128).ok());
+    ASSERT_TRUE(stack.cluster.allocate_into(id, 128, taken));
   }
   NulbAllocator nulb(stack.context());
   auto placed = nulb.try_place(typical_vm());
@@ -130,13 +131,14 @@ TEST(Risa, FirstEligibleSelectionKeepsHammeringRackZero) {
 
 TEST(Risa, PoolShrinksAsRacksFill) {
   PaperStack stack;
+  topo::BoxAllocation taken;
   RisaAllocator risa(stack.context());
   const UnitVector demand{8, 8, 8};
   EXPECT_EQ(risa.intra_rack_pool(demand).size(), 18u);
   // Burn rack 0's CPU boxes below the demand.
   for (BoxId id :
        stack.cluster.boxes_of_type_in_rack(RackId{0}, ResourceType::Cpu)) {
-    ASSERT_TRUE(stack.cluster.allocate(id, 122).ok());  // 6 left
+    ASSERT_TRUE(stack.cluster.allocate_into(id, 122, taken));  // 6 left
   }
   const auto pool = risa.intra_rack_pool(demand);
   EXPECT_EQ(pool.size(), 17u);
@@ -145,10 +147,11 @@ TEST(Risa, PoolShrinksAsRacksFill) {
 
 TEST(Risa, SuperRackListsPerType) {
   PaperStack stack;
+  topo::BoxAllocation taken;
   RisaAllocator risa(stack.context());
   for (BoxId id :
        stack.cluster.boxes_of_type_in_rack(RackId{3}, ResourceType::Ram)) {
-    ASSERT_TRUE(stack.cluster.allocate(id, 128).ok());
+    ASSERT_TRUE(stack.cluster.allocate_into(id, 128, taken));
   }
   const auto lists = risa.super_rack(UnitVector{1, 1, 1});
   EXPECT_EQ(lists[ResourceType::Cpu].size(), 18u);
@@ -158,19 +161,20 @@ TEST(Risa, SuperRackListsPerType) {
 
 TEST(Risa, FallbackPlacesInterRackAndCounts) {
   PaperStack stack;
+  topo::BoxAllocation taken;
   // Leave CPU only in rack 0 and RAM only in rack 17: no single rack can
   // host a whole VM, so RISA must fall back to SUPER_RACK/NULB.
   for (std::uint32_t r = 0; r < 18; ++r) {
     if (r != 0) {
       for (BoxId id :
            stack.cluster.boxes_of_type_in_rack(RackId{r}, ResourceType::Cpu)) {
-        ASSERT_TRUE(stack.cluster.allocate(id, 128).ok());
+        ASSERT_TRUE(stack.cluster.allocate_into(id, 128, taken));
       }
     }
     if (r != 17) {
       for (BoxId id :
            stack.cluster.boxes_of_type_in_rack(RackId{r}, ResourceType::Ram)) {
-        ASSERT_TRUE(stack.cluster.allocate(id, 128).ok());
+        ASSERT_TRUE(stack.cluster.allocate_into(id, 128, taken));
       }
     }
   }
@@ -186,8 +190,9 @@ TEST(Risa, FallbackPlacesInterRackAndCounts) {
 
 TEST(Risa, DropsWhenNoRackCanHostAnyResource) {
   PaperStack stack;
+  topo::BoxAllocation taken;
   for (BoxId id : stack.cluster.boxes_of_type(ResourceType::Ram)) {
-    ASSERT_TRUE(stack.cluster.allocate(id, 128).ok());
+    ASSERT_TRUE(stack.cluster.allocate_into(id, 128, taken));
   }
   RisaAllocator risa(stack.context());
   auto placed = risa.try_place(typical_vm());
@@ -317,6 +322,8 @@ TEST(Registry, BuildsAllFourAlgorithms) {
   const auto names = algorithm_names();
   ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "NULB");
+  EXPECT_EQ(names[1], "NALB");
+  EXPECT_EQ(names[2], "RISA");
   EXPECT_EQ(names[3], "RISA-BF");
   for (const std::string& algo : names) {
     auto allocator = make_allocator(algo, stack.context());

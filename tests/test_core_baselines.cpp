@@ -84,8 +84,9 @@ TEST(Baselines, RandomIsSeedDeterministicAndFeasible) {
 TEST(Baselines, AllDropCleanlyWhenATypeIsExhausted) {
   for (const char* algo : {"RANDOM", "FF", "WF"}) {
     Stack stack;
+    topo::BoxAllocation taken;
     for (BoxId id : stack.cluster.boxes_of_type(ResourceType::Storage)) {
-      ASSERT_TRUE(stack.cluster.allocate(id, 128).ok());
+      ASSERT_TRUE(stack.cluster.allocate_into(id, 128, taken));
     }
     auto allocator = make_allocator(algo, stack.context());
     auto placed = allocator->try_place(sim::toy_vm(0, 8, 16.0, 128.0));

@@ -94,8 +94,8 @@ void run_churn(topo::ClusterConfig config, std::uint64_t seed,
       const BoxId box{static_cast<std::uint32_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(cluster.num_boxes()) - 1))};
       const Units want = rng.uniform_int(1, config.box_units(cluster.box(box).type()));
-      auto alloc = cluster.allocate(box, want);
-      if (alloc.ok()) live.push_back(std::move(alloc.value()));
+      topo::BoxAllocation alloc;
+      if (cluster.allocate_into(box, want, alloc)) live.push_back(alloc);
     } else if (op < 8) {
       if (!live.empty()) {
         const auto i = static_cast<std::size_t>(

@@ -217,8 +217,8 @@ void run_word_churn(const topo::ClusterConfig& config, std::uint64_t seed,
           0, static_cast<std::int64_t>(cluster.num_boxes()) - 1))};
       const Units want =
           rng.uniform_int(1, config.box_units(cluster.box(box).type()));
-      auto alloc = cluster.allocate(box, want);
-      if (alloc.ok()) live.push_back(std::move(alloc.value()));
+      topo::BoxAllocation alloc;
+      if (cluster.allocate_into(box, want, alloc)) live.push_back(alloc);
     } else if (op < 8) {
       if (!live.empty()) {
         const auto i = static_cast<std::size_t>(rng.uniform_int(
@@ -306,8 +306,8 @@ TEST(IndexSimdWords, WalkFromEveryStartOnPartialPool) {
         0, static_cast<std::int64_t>(cluster.num_boxes()) - 1))};
     const Units want =
         rng.uniform_int(1, cfg.box_units(cluster.box(box).type()));
-    auto alloc = cluster.allocate(box, want);
-    if (alloc.ok()) live.push_back(std::move(alloc.value()));
+    topo::BoxAllocation alloc;
+    if (cluster.allocate_into(box, want, alloc)) live.push_back(alloc);
   }
   const UnitVector demands[] = {{0, 0, 0},
                                 {1, 1, 1},

@@ -36,10 +36,11 @@ struct Stack {
 TEST(RisaRoundRobin, CursorSkipsIneligibleRacks) {
   Stack stack;
   // Make racks 1-3 ineligible for an 8-unit CPU demand.
+  topo::BoxAllocation taken;
   for (std::uint32_t r = 1; r <= 3; ++r) {
     for (BoxId id :
          stack.cluster.boxes_of_type_in_rack(RackId{r}, ResourceType::Cpu)) {
-      ASSERT_TRUE(stack.cluster.allocate(id, 122).ok());  // 6 < 8 left
+      ASSERT_TRUE(stack.cluster.allocate_into(id, 122, taken));  // 6 < 8 left
     }
   }
   RisaAllocator risa(stack.context());

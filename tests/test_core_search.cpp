@@ -25,6 +25,7 @@ struct SearchFixture : ::testing::Test {
 
   topo::Cluster cluster;
   net::Fabric fabric;
+  topo::BoxAllocation taken;  ///< scratch record for burning boxes
 };
 
 TEST_F(SearchFixture, ContentionRatioEdgeCases) {
@@ -58,12 +59,12 @@ TEST_F(SearchFixture, FirstFitScansInIdOrder) {
   // Burn the first three CPU boxes below the demand.
   const auto& cpu = cluster.boxes_of_type(ResourceType::Cpu);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(cluster.allocate(cpu[static_cast<std::size_t>(i)], 120).ok());
+    ASSERT_TRUE(cluster.allocate_into(cpu[static_cast<std::size_t>(i)], 120, taken));
   }
-  const BoxId hit = first_fit_box(cluster, ResourceType::Cpu, 16, std::nullopt);
+  const BoxId hit = first_fit_box(cluster, ResourceType::Cpu, 16, RackFilter{});
   EXPECT_EQ(hit, cpu[3]);
   // A demand small enough for the burned boxes prefers the earliest box.
-  const BoxId small = first_fit_box(cluster, ResourceType::Cpu, 8, std::nullopt);
+  const BoxId small = first_fit_box(cluster, ResourceType::Cpu, 8, RackFilter{});
   EXPECT_EQ(small, cpu[0]);
 }
 
@@ -84,7 +85,7 @@ TEST_F(SearchFixture, GlobalOrderIgnoresAnchorRack) {
   const BoxId hit =
       bfs_search(cluster, fabric, RackId{9}, ResourceType::Ram, 8,
                  NeighborOrder::BoxIdOrder, CompanionSearch::GlobalOrder,
-                 std::nullopt);
+                 RackFilter{});
   EXPECT_EQ(cluster.box(hit).rack(), RackId{0});
 }
 
@@ -92,29 +93,29 @@ TEST_F(SearchFixture, AnchorRackFirstPrefersLocalBoxes) {
   const BoxId hit =
       bfs_search(cluster, fabric, RackId{9}, ResourceType::Ram, 8,
                  NeighborOrder::BoxIdOrder, CompanionSearch::AnchorRackFirst,
-                 std::nullopt);
+                 RackFilter{});
   EXPECT_EQ(cluster.box(hit).rack(), RackId{9});
 }
 
 TEST_F(SearchFixture, AnchorRackFirstFallsBackToOtherRacks) {
   // Exhaust rack 9's RAM; the search must continue in id order elsewhere.
   for (BoxId id : cluster.boxes_of_type_in_rack(RackId{9}, ResourceType::Ram)) {
-    ASSERT_TRUE(cluster.allocate(id, 128).ok());
+    ASSERT_TRUE(cluster.allocate_into(id, 128, taken));
   }
   const BoxId hit =
       bfs_search(cluster, fabric, RackId{9}, ResourceType::Ram, 8,
                  NeighborOrder::BoxIdOrder, CompanionSearch::AnchorRackFirst,
-                 std::nullopt);
+                 RackFilter{});
   EXPECT_EQ(cluster.box(hit).rack(), RackId{0});
 }
 
 TEST_F(SearchFixture, NoCandidateReturnsInvalid) {
   for (BoxId id : cluster.boxes_of_type(ResourceType::Storage)) {
-    ASSERT_TRUE(cluster.allocate(id, 128).ok());
+    ASSERT_TRUE(cluster.allocate_into(id, 128, taken));
   }
   EXPECT_FALSE(bfs_search(cluster, fabric, RackId{0}, ResourceType::Storage, 1,
                           NeighborOrder::BoxIdOrder,
-                          CompanionSearch::GlobalOrder, std::nullopt)
+                          CompanionSearch::GlobalOrder, RackFilter{})
                    .valid());
 }
 
@@ -124,11 +125,11 @@ TEST_F(SearchFixture, BandwidthOrderingIsNoopOnIdleFabric) {
   const BoxId nulb_choice =
       bfs_search(cluster, fabric, RackId{0}, ResourceType::Ram, 8,
                  NeighborOrder::BoxIdOrder, CompanionSearch::GlobalOrder,
-                 std::nullopt);
+                 RackFilter{});
   const BoxId nalb_choice =
       bfs_search(cluster, fabric, RackId{0}, ResourceType::Ram, 8,
                  NeighborOrder::BandwidthDescending,
-                 CompanionSearch::GlobalOrder, std::nullopt);
+                 CompanionSearch::GlobalOrder, RackFilter{});
   EXPECT_EQ(nulb_choice, nalb_choice);
 }
 
@@ -142,23 +143,23 @@ TEST_F(SearchFixture, BandwidthOrderingDeprioritizesLoadedBoxes) {
   const BoxId nulb_choice =
       bfs_search(cluster, fabric, RackId{0}, ResourceType::Ram, 8,
                  NeighborOrder::BoxIdOrder, CompanionSearch::GlobalOrder,
-                 std::nullopt);
+                 RackFilter{});
   const BoxId nalb_choice =
       bfs_search(cluster, fabric, RackId{0}, ResourceType::Ram, 8,
                  NeighborOrder::BandwidthDescending,
-                 CompanionSearch::GlobalOrder, std::nullopt);
+                 CompanionSearch::GlobalOrder, RackFilter{});
   EXPECT_EQ(nulb_choice, ram[0]);
   EXPECT_NE(nalb_choice, ram[0]);
 }
 
-TEST_F(SearchFixture, RackAllowedSemantics) {
-  EXPECT_TRUE(rack_allowed(std::nullopt, ResourceType::Cpu, RackId{3}));
+TEST_F(SearchFixture, RackFilterAllowsSemantics) {
+  EXPECT_TRUE(RackFilter{}.allows(ResourceType::Cpu, RackId{3}));
   PerResource<std::vector<RackId>> racks;
   racks[ResourceType::Cpu] = {RackId{1}, RackId{3}};
   const RackFilter filter{racks};
-  EXPECT_TRUE(rack_allowed(filter, ResourceType::Cpu, RackId{3}));
-  EXPECT_FALSE(rack_allowed(filter, ResourceType::Cpu, RackId{2}));
-  EXPECT_FALSE(rack_allowed(filter, ResourceType::Ram, RackId{3}));
+  EXPECT_TRUE(filter.allows(ResourceType::Cpu, RackId{3}));
+  EXPECT_FALSE(filter.allows(ResourceType::Cpu, RackId{2}));
+  EXPECT_FALSE(filter.allows(ResourceType::Ram, RackId{3}));
 }
 
 // ---- Differential test: bandwidth-ordered search vs a full-scan reference.
@@ -349,8 +350,10 @@ struct BandwidthSearchDifferential
     if (op < 5) {
       const BoxId box{static_cast<std::uint32_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(cluster.num_boxes()) - 1))};
-      auto placed = cluster.allocate(box, rng.uniform_int(1, 64));
-      if (placed.ok()) live.push_back(std::move(placed.value()));
+      topo::BoxAllocation placed;
+      if (cluster.allocate_into(box, rng.uniform_int(1, 64), placed)) {
+        live.push_back(placed);
+      }
     } else if (op < 9 && !live.empty()) {
       const auto i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));

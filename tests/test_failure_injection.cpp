@@ -15,8 +15,8 @@ namespace {
 TEST(BoxFailure, OfflineBoxLeavesAggregates) {
   topo::Cluster cluster((topo::ClusterConfig()));
   const BoxId victim = cluster.boxes_of_type(ResourceType::Cpu)[0];
-  auto alloc = cluster.allocate(victim, 28);
-  ASSERT_TRUE(alloc.ok());
+  topo::BoxAllocation alloc;
+  ASSERT_TRUE(cluster.allocate_into(victim, 28, alloc));
   ASSERT_EQ(cluster.total_available(ResourceType::Cpu), 4608 - 28);
 
   cluster.set_box_offline(victim, true);
@@ -28,8 +28,9 @@ TEST(BoxFailure, OfflineBoxLeavesAggregates) {
 
   // New allocations on the offline box fail; the resident allocation can
   // still be released but its units stay unavailable.
-  EXPECT_FALSE(cluster.allocate(victim, 1).ok());
-  cluster.release(alloc.value());
+  topo::BoxAllocation refused;
+  EXPECT_FALSE(cluster.allocate_into(victim, 1, refused));
+  cluster.release(alloc);
   EXPECT_EQ(cluster.total_available(ResourceType::Cpu), 4608 - 128);
   cluster.check_invariants();
 
@@ -67,9 +68,7 @@ TEST(BoxFailure, BatchedSameRackReleasesIncludingAnOfflineBox) {
   for (const auto& [box, units] : {std::pair{down, 40}, std::pair{up, 50},
                                    std::pair{down, 30}, std::pair{up, 20},
                                    std::pair{ram, 64}}) {
-    auto a = cluster.allocate(box, units);
-    ASSERT_TRUE(a.ok());
-    held.push_back(std::move(a.value()));
+    ASSERT_TRUE(cluster.allocate_into(box, units, held.emplace_back()));
   }
   cluster.set_box_offline(down, true);
   cluster.check_invariants();

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "paper_algorithms.hpp"
 #include "sim/experiments.hpp"
 #include "workload/azure.hpp"
 
@@ -19,8 +19,7 @@ TEST_P(AzureShapeTest, HeadlineShapesHold) {
   const auto specs = wl::azure_all_subsets();
   const wl::AzureSpec& spec = specs[static_cast<std::size_t>(GetParam())];
   const wl::Workload workload = wl::generate_azure(spec, kDefaultSeed);
-  const auto runs =
-      run_all_algorithms(Scenario::paper_defaults(), workload, spec.label);
+  const auto runs = run_paper_algorithms(workload, spec.label);
   const SimMetrics& nulb = runs[0];
   const SimMetrics& nalb = runs[1];
   const SimMetrics& risa = runs[2];
@@ -71,8 +70,7 @@ INSTANTIATE_TEST_SUITE_P(AllSubsets, AzureShapeTest, ::testing::Values(0, 1, 2))
 
 TEST(SyntheticShape, Figure5OrderOfMagnitudeSeparation) {
   const wl::Workload workload = synthetic_workload();
-  const auto runs =
-      run_all_algorithms(Scenario::paper_defaults(), workload, "Synthetic");
+  const auto runs = run_paper_algorithms(workload, "Synthetic");
   const SimMetrics& nulb = runs[0];
   const SimMetrics& nalb = runs[1];
   const SimMetrics& risa = runs[2];
@@ -99,8 +97,7 @@ TEST(SyntheticShape, Figure5OrderOfMagnitudeSeparation) {
   std::vector<double> best;
   for (const SimMetrics& m : runs) best.push_back(m.scheduler_exec_seconds);
   for (int rep = 1; rep < 5; ++rep) {
-    const auto again =
-        run_all_algorithms(Scenario::paper_defaults(), workload, "Synthetic");
+    const auto again = run_paper_algorithms(workload, "Synthetic");
     for (std::size_t a = 0; a < best.size(); ++a)
       best[a] = std::min(best[a], again[a].scheduler_exec_seconds);
   }
@@ -115,8 +112,7 @@ TEST(SyntheticShape, Figure5OrderOfMagnitudeSeparation) {
 }
 
 TEST(SyntheticShape, DropRatesStayMarginal) {
-  const auto runs = run_all_algorithms(Scenario::paper_defaults(),
-                                       synthetic_workload(), "Synthetic");
+  const auto runs = run_paper_algorithms(synthetic_workload(), "Synthetic");
   for (const SimMetrics& m : runs) {
     EXPECT_LT(m.drop_fraction(), 0.05) << m.algorithm;
   }

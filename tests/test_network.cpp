@@ -161,18 +161,6 @@ TEST(Router, ReserveRollsBackOnPartialFailure) {
   fabric.check_invariants();
 }
 
-TEST(Router, GroupAvailabilityHelpers) {
-  Fabric fabric(paper_cluster(), FabricConfig{});
-  Router router(fabric);
-  const auto group = fabric.box_uplinks(BoxId{4});
-  const auto n = static_cast<MbitsPerSec>(group.size());
-  EXPECT_EQ(router.group_available(group), n * gbps(200.0));
-  EXPECT_EQ(router.group_max_available(group), gbps(200.0));
-  ASSERT_TRUE(fabric.allocate(group[0], gbps(150.0)));
-  EXPECT_EQ(router.group_available(group), n * gbps(200.0) - gbps(150.0));
-  EXPECT_EQ(router.group_max_available(group), gbps(200.0));
-}
-
 TEST(CircuitTable, EstablishAndTeardownRestoresFabric) {
   Fabric fabric(paper_cluster(), FabricConfig{});
   Router router(fabric);

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "paper_algorithms.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
 #include "sim/sweep.hpp"
@@ -103,17 +104,6 @@ TEST(Engine, EnergyDecompositionSumsToTotal) {
   EXPECT_NEAR(m.avg_optical_power_w, sum / m.horizon_tu, 1e-9);
   // Trimming dominates switching (see photonics tests).
   EXPECT_GT(m.energy.switch_trimming_j, m.energy.switch_switching_j * 1e5);
-}
-
-TEST(Engine, RunAllAlgorithmsCoversPaperOrder) {
-  const auto runs = run_all_algorithms(Scenario::paper_defaults(),
-                                       small_workload(100), "t");
-  ASSERT_EQ(runs.size(), 4u);
-  EXPECT_EQ(runs[0].algorithm, "NULB");
-  EXPECT_EQ(runs[1].algorithm, "NALB");
-  EXPECT_EQ(runs[2].algorithm, "RISA");
-  EXPECT_EQ(runs[3].algorithm, "RISA-BF");
-  for (const auto& m : runs) EXPECT_EQ(m.workload, "t");
 }
 
 TEST(Engine, EmptyWorkloadIsHarmless) {
@@ -238,8 +228,7 @@ TEST_P(DominanceTest, RisaSplitsAndPowerNeverExceedBaselines) {
   wl::SyntheticConfig cfg;
   cfg.count = 400;
   const wl::Workload workload = wl::generate_synthetic(cfg, GetParam());
-  const auto runs =
-      run_all_algorithms(Scenario::paper_defaults(), workload, "sweep");
+  const auto runs = run_paper_algorithms(workload, "sweep");
   const SimMetrics& nulb = runs[0];
   const SimMetrics& nalb = runs[1];
   const SimMetrics& risa = runs[2];

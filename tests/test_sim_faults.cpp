@@ -838,7 +838,7 @@ SweepSpec fault_matrix_spec() {
 TEST(FaultSweep, FaultAxisExpandsCellsAndLabelsResults) {
   const SweepSpec spec = fault_matrix_spec();
   ASSERT_EQ(spec.cell_count(), 2u * 4u);
-  EXPECT_EQ(spec.cell_index(0, 0, 0, 1, 2), 4u + 2u);
+  EXPECT_EQ(spec.cell_index(0, 0, 0, 1, 0, 2), 4u + 2u);
   const auto results = SweepRunner(2).run(spec);
   ASSERT_EQ(results.size(), 8u);
   for (const SweepResult& r : results) {

@@ -569,8 +569,6 @@ TEST(MigrationSweep, MigrationAxisExpandsCellsAndLabelsResults) {
   const SweepSpec spec = migration_matrix_spec();
   ASSERT_EQ(spec.cell_count(), 1u * 1u * 1u * 1u * 2u * 4u);
   EXPECT_EQ(spec.cell_index(0, 0, 0, 0, 1, 2), 4u + 2u);
-  // The five-axis (fault) form still addresses migration index 0.
-  EXPECT_EQ(spec.cell_index(0, 0, 0, 0, 3), 3u);
   const auto results = SweepRunner(2).run(spec);
   ASSERT_EQ(results.size(), 8u);
   std::uint64_t migrated = 0;

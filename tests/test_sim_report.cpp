@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/json_cursor.hpp"
+#include "paper_algorithms.hpp"
 #include "sim/engine.hpp"
 #include "workload/synthetic.hpp"
 #include "sim/experiments.hpp"
@@ -52,8 +53,8 @@ TEST(Experiments, WorkloadBuildersProducePaperSizes) {
 TEST(Report, TablesRenderOneRowPerRun) {
   wl::SyntheticConfig cfg;
   cfg.count = 60;
-  const auto runs = run_all_algorithms(
-      Scenario::paper_defaults(), wl::generate_synthetic(cfg, 1), "Synthetic");
+  const auto runs =
+      run_paper_algorithms(wl::generate_synthetic(cfg, 1), "Synthetic");
 
   EXPECT_EQ(figure5_table(runs).rows(), 4u);
   EXPECT_EQ(figure7_table(runs).rows(), 4u);
@@ -192,8 +193,8 @@ TEST(Report, JsonWritersEscapeLabels) {
 TEST(Report, ExecTimeTableNormalizesToRisa) {
   wl::SyntheticConfig cfg;
   cfg.count = 60;
-  const auto runs = run_all_algorithms(
-      Scenario::paper_defaults(), wl::generate_synthetic(cfg, 2), "Synthetic");
+  const auto runs =
+      run_paper_algorithms(wl::generate_synthetic(cfg, 2), "Synthetic");
   const std::string rendered = exec_time_table(runs, "fig11").to_string();
   EXPECT_NE(rendered.find("1.00x"), std::string::npos);
 }

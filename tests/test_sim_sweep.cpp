@@ -145,19 +145,6 @@ TEST(EngineReuse, SetAlgorithmRebindsWithoutTopologyRebuild) {
             metrics_fingerprint(risa));
 }
 
-TEST(EngineReuse, RunAllAlgorithmsMatchesFreshEngines) {
-  const wl::Workload workload = small_workload();
-  const auto pooled =
-      run_all_algorithms(Scenario::paper_defaults(), workload, "t");
-  ASSERT_EQ(pooled.size(), 4u);
-  const char* algos[] = {"NULB", "NALB", "RISA", "RISA-BF"};
-  for (std::size_t i = 0; i < 4; ++i) {
-    Engine fresh(Scenario::paper_defaults(), algos[i]);
-    EXPECT_EQ(metrics_fingerprint(fresh.run(workload, "t")),
-              metrics_fingerprint(pooled[i]));
-  }
-}
-
 TEST(Sweep, RecordsLatencyPerCell) {
   SweepSpec spec = small_spec();
   spec.record_latency = true;

@@ -8,14 +8,19 @@
 // mask bit.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/json_cursor.hpp"
 #include "common/metrics_registry.hpp"
 #include "common/trace_writer.hpp"
 #include "core/registry.hpp"
@@ -179,6 +184,77 @@ TEST(MetricsRegistry, SnapshotJsonCarriesEverySeries) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+// --- JSON numbers -----------------------------------------------------------
+
+TEST(JsonNumber, RoundTripsEdgeValues) {
+  const double two53 = std::ldexp(1.0, 53);
+  const double values[] = {
+      0.0,
+      -0.0,
+      0.1,
+      1.0 / 3.0,
+      5e-324,  // the smallest subnormal
+      // 2^53 + 1 is not a double: it rounds to 2^53.  Its neighbour above
+      // needs 16 digits, past "%.15g".
+      static_cast<double>((std::uint64_t{1} << 53) + 1),
+      std::nextafter(two53, std::numeric_limits<double>::infinity()),
+      1e300,
+      DBL_MAX,
+  };
+  std::string doc = "[";
+  for (const double v : values) {
+    if (doc.size() > 1) doc += ',';
+    const std::size_t at = doc.size();
+    append_json_number(doc, v);
+    EXPECT_EQ(doc.substr(at), json_number(v));
+  }
+  doc += ']';
+  std::istringstream in(doc);
+  JsonCursor cur(in, "numbers");
+  std::vector<double> back;
+  cur.array([&] { back.push_back(cur.number()); });
+  cur.finish();
+  ASSERT_EQ(back.size(), std::size(values)) << doc;
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    std::uint64_t want = 0;
+    std::uint64_t got = 0;
+    std::memcpy(&want, &values[i], sizeof want);
+    std::memcpy(&got, &back[i], sizeof got);
+    EXPECT_EQ(got, want) << "value " << i << " in " << doc;
+  }
+}
+
+TEST(JsonNumber, NaNSamplesStillParse) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::ostringstream sink;
+  {
+    TraceWriter w(sink);
+    w.span("nan-start", "test", nan, 5.0, 1);
+    w.span("nan-dur", "test", 1.0, nan, 1);
+    w.counter("nan-value", "test", 2.0, nan);
+  }
+  std::istringstream trace(sink.str());
+  const TraceSummary s = summarize_trace(trace);
+  EXPECT_EQ(s.events, 3u);
+  EXPECT_TRUE(s.well_formed());
+
+  MetricsRegistry r;
+  r.set(r.gauge("nan.gauge"), nan);
+  r.observe(r.histogram("nan.hist"), nan);
+  std::istringstream snap(r.snapshot_json());
+  JsonCursor cur(snap, "registry");
+  double gauge = -1.0;
+  cur.object([&](const std::string& section) {
+    if (section == "gauges") {
+      cur.object([&](const std::string&) { gauge = cur.number(); });
+    } else {
+      cur.skip_value();
+    }
+  });
+  cur.finish();
+  EXPECT_EQ(gauge, 0.0);  // non-finite values are written as 0
 }
 
 // --- Category parsing -------------------------------------------------------

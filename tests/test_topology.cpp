@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,7 +15,7 @@ namespace risa::topo {
 namespace {
 
 TEST(ClusterConfig, Table1Defaults) {
-  const ClusterConfig cfg = ClusterConfig::paper_table1();
+  const ClusterConfig cfg{};
   EXPECT_EQ(cfg.racks, 18u);
   EXPECT_EQ(cfg.total_boxes_per_rack(), 6u);
   EXPECT_EQ(cfg.bricks_per_box, 8u);
@@ -106,14 +107,14 @@ TEST(Cluster, PerTypeOrderingIsRackMajor) {
 TEST(Cluster, AllocateReleasesRoundTripExactly) {
   Cluster cluster((ClusterConfig()));
   const BoxId target = cluster.boxes_of_type(ResourceType::Ram)[3];
-  auto alloc = cluster.allocate(target, 100);
-  ASSERT_TRUE(alloc.ok());
-  EXPECT_EQ(alloc->units, 100);
+  BoxAllocation alloc;
+  ASSERT_TRUE(cluster.allocate_into(target, 100, alloc));
+  EXPECT_EQ(alloc.units, 100);
   EXPECT_EQ(cluster.box(target).available_units(), 28);
   EXPECT_EQ(cluster.total_available(ResourceType::Ram), 4508);
   cluster.check_invariants();
 
-  cluster.release(alloc.value());
+  cluster.release(alloc);
   EXPECT_EQ(cluster.box(target).available_units(), 128);
   EXPECT_EQ(cluster.total_available(ResourceType::Ram), 4608);
   cluster.check_invariants();
@@ -122,53 +123,107 @@ TEST(Cluster, AllocateReleasesRoundTripExactly) {
 TEST(Cluster, AllocationSpansBricksFirstFit) {
   Cluster cluster((ClusterConfig()));  // bricks of 16 units
   const BoxId target = cluster.boxes_of_type(ResourceType::Cpu)[0];
-  auto alloc = cluster.allocate(target, 40);  // 16 + 16 + 8
-  ASSERT_TRUE(alloc.ok());
-  ASSERT_EQ(alloc->slices.size(), 3u);
-  EXPECT_EQ(alloc->slices[0].units, 16);
-  EXPECT_EQ(alloc->slices[1].units, 16);
-  EXPECT_EQ(alloc->slices[2].units, 8);
+  BoxAllocation alloc;
+  ASSERT_TRUE(cluster.allocate_into(target, 40, alloc));  // 16 + 16 + 8
+  ASSERT_EQ(alloc.slices.size(), 3u);
+  EXPECT_EQ(alloc.slices[0].units, 16);
+  EXPECT_EQ(alloc.slices[1].units, 16);
+  EXPECT_EQ(alloc.slices[2].units, 8);
   EXPECT_EQ(cluster.box(target).brick_available(2), 8);
-  cluster.release(alloc.value());
+  cluster.release(alloc);
   EXPECT_EQ(cluster.box(target).brick_available(2), 16);
 }
 
-TEST(Cluster, OverAllocationFailsWithoutSideEffects) {
-  Cluster cluster((ClusterConfig()));
-  const BoxId target = cluster.boxes_of_type(ResourceType::Cpu)[0];
-  ASSERT_TRUE(cluster.allocate(target, 128).ok());
-  auto more = cluster.allocate(target, 1);
-  EXPECT_FALSE(more.ok());
-  EXPECT_EQ(cluster.box(target).available_units(), 0);
-  cluster.check_invariants();
+/// Everything a refused allocate_into must leave as it was, seen from one
+/// CPU box: its bricks and hint, its rack's aggregates, the cluster total,
+/// and the index (the rack's leaf, the cluster maximum and the SUPER_RACK
+/// masks for every CPU demand up to one past a box's capacity).
+struct CpuBoxView {
+  std::vector<Units> bricks;
+  Units allocated = 0;
+  std::uint32_t first_free = 0;
+  Units rack_max = 0;
+  Units rack_total = 0;
+  Units cluster_total = 0;
+  PerResource<Units> leaf;
+  Units cluster_max = 0;
+  std::vector<RackSet> masks;
+
+  friend bool operator==(const CpuBoxView&, const CpuBoxView&) = default;
+};
+
+CpuBoxView view(const Cluster& cluster, BoxId id) {
+  constexpr ResourceType kCpu = ResourceType::Cpu;
+  const Box& box = cluster.box(id);
+  const Rack& rack = cluster.rack(box.rack());
+  CpuBoxView v;
+  v.bricks = box.available_by_brick();
+  v.allocated = box.allocated_units();
+  v.first_free = box.first_free_brick();
+  v.rack_max = rack.max_available(kCpu);
+  v.rack_total = rack.total_available(kCpu);
+  v.cluster_total = cluster.total_available(kCpu);
+  v.leaf = cluster.rack_index().leaf(box.rack());
+  v.cluster_max = cluster.rack_index().cluster_max(kCpu);
+  for (Units d = 1; d <= box.capacity_units() + 1; ++d) {
+    cluster.eligible_racks(kCpu, d, v.masks.emplace_back());
+  }
+  return v;
 }
 
-TEST(Cluster, ZeroAndNegativeAllocationsRejected) {
+TEST(Cluster, RefusedAllocateIntoTouchesNothing) {
   Cluster cluster((ClusterConfig()));
-  const BoxId target = cluster.boxes_of_type(ResourceType::Cpu)[0];
-  EXPECT_FALSE(cluster.allocate(target, 0).ok());
-  EXPECT_FALSE(cluster.allocate(target, -5).ok());
+  const auto& cpu = cluster.boxes_of_type_in_rack(RackId{2}, ResourceType::Cpu);
+  const BoxId partial = cpu[0];
+  const BoxId offline = cpu[1];
+  BoxAllocation held;
+  ASSERT_TRUE(cluster.allocate_into(partial, 40, held));  // 88 units left
+  cluster.set_box_offline(offline, true);
+
+  BoxAllocation sentinel;
+  sentinel.box = BoxId{77};
+  sentinel.type = ResourceType::Storage;
+  sentinel.units = 9;
+  sentinel.slices.push_back(BrickSlice{3, 9});
+
+  const std::pair<BoxId, Units> refused[] = {
+      {partial, 0},   {partial, -5},  {partial, 89},  // > available
+      {partial, 129},                                 // > capacity
+      {offline, 1},   {offline, 128},
+  };
+  for (const auto& [box, units] : refused) {
+    const CpuBoxView before = view(cluster, box);
+    BoxAllocation out = sentinel;
+    EXPECT_FALSE(cluster.allocate_into(box, units, out)) << units;
+    EXPECT_EQ(out.box, sentinel.box) << units;
+    EXPECT_EQ(out.type, sentinel.type) << units;
+    EXPECT_EQ(out.units, sentinel.units) << units;
+    EXPECT_EQ(out.slices, sentinel.slices) << units;
+    EXPECT_TRUE(view(cluster, box) == before)
+        << "box " << box.value() << " units " << units;
+  }
+  cluster.check_invariants();
 }
 
 TEST(Cluster, DoubleReleaseIsALogicError) {
   Cluster cluster((ClusterConfig()));
   const BoxId target = cluster.boxes_of_type(ResourceType::Cpu)[0];
-  auto alloc = cluster.allocate(target, 128);
-  ASSERT_TRUE(alloc.ok());
-  cluster.release(alloc.value());
-  EXPECT_THROW(cluster.release(alloc.value()), std::logic_error);
+  BoxAllocation alloc;
+  ASSERT_TRUE(cluster.allocate_into(target, 128, alloc));
+  cluster.release(alloc);
+  EXPECT_THROW(cluster.release(alloc), std::logic_error);
 }
 
 TEST(Cluster, ForeignReleaseIsALogicError) {
   Cluster cluster((ClusterConfig()));
   const BoxId a = cluster.boxes_of_type(ResourceType::Cpu)[0];
   const BoxId b = cluster.boxes_of_type(ResourceType::Cpu)[1];
-  auto alloc = cluster.allocate(a, 4);
-  ASSERT_TRUE(alloc.ok());
-  BoxAllocation forged = alloc.value();
+  BoxAllocation alloc;
+  ASSERT_TRUE(cluster.allocate_into(a, 4, alloc));
+  BoxAllocation forged = alloc;
   forged.box = b;
   EXPECT_THROW(cluster.release(forged), std::logic_error);
-  cluster.release(alloc.value());
+  cluster.release(alloc);
 }
 
 TEST(Cluster, RackMaxAvailableTracksLargestBox) {
@@ -177,14 +232,14 @@ TEST(Cluster, RackMaxAvailableTracksLargestBox) {
   EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Cpu), 128);
   const auto& cpu_boxes = cluster.boxes_of_type_in_rack(rack, ResourceType::Cpu);
   ASSERT_EQ(cpu_boxes.size(), 2u);
-  auto a0 = cluster.allocate(cpu_boxes[0], 100);  // avail 28
-  ASSERT_TRUE(a0.ok());
+  BoxAllocation a0;
+  BoxAllocation a1;
+  ASSERT_TRUE(cluster.allocate_into(cpu_boxes[0], 100, a0));  // avail 28
   EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Cpu), 128);
-  auto a1 = cluster.allocate(cpu_boxes[1], 120);  // avail 8
-  ASSERT_TRUE(a1.ok());
+  ASSERT_TRUE(cluster.allocate_into(cpu_boxes[1], 120, a1));  // avail 8
   EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Cpu), 28);
   EXPECT_EQ(cluster.rack(rack).total_available(ResourceType::Cpu), 36);
-  cluster.release(a0.value());
+  cluster.release(a0);
   EXPECT_EQ(cluster.rack(rack).max_available(ResourceType::Cpu), 128);
   cluster.check_invariants();
 }
@@ -193,11 +248,12 @@ TEST(Cluster, SnapshotRestoreRoundTrips) {
   Cluster cluster((ClusterConfig()));
   const BoxId t1 = cluster.boxes_of_type(ResourceType::Cpu)[5];
   const BoxId t2 = cluster.boxes_of_type(ResourceType::Storage)[7];
-  ASSERT_TRUE(cluster.allocate(t1, 37).ok());
-  ASSERT_TRUE(cluster.allocate(t2, 11).ok());
+  BoxAllocation taken;
+  ASSERT_TRUE(cluster.allocate_into(t1, 37, taken));
+  ASSERT_TRUE(cluster.allocate_into(t2, 11, taken));
   const ClusterSnapshot snap = cluster.snapshot();
 
-  ASSERT_TRUE(cluster.allocate(t1, 20).ok());
+  ASSERT_TRUE(cluster.allocate_into(t1, 20, taken));
   cluster.restore(snap);
   EXPECT_EQ(cluster.box(t1).available_units(), 128 - 37);
   EXPECT_EQ(cluster.box(t2).available_units(), 128 - 11);
@@ -225,7 +281,9 @@ TEST(Cluster, BadIdsThrow) {
   EXPECT_THROW((void)cluster.box(BoxId{9999}), std::out_of_range);
   EXPECT_THROW((void)cluster.box(BoxId::invalid()), std::out_of_range);
   EXPECT_THROW((void)cluster.rack(RackId{99}), std::out_of_range);
-  EXPECT_THROW((void)cluster.allocate(BoxId{9999}, 1), std::out_of_range);
+  BoxAllocation out;
+  EXPECT_THROW((void)cluster.allocate_into(BoxId{9999}, 1, out),
+               std::out_of_range);
 }
 
 // Property sweep: random allocate/release sequences keep every invariant.
@@ -245,8 +303,8 @@ TEST_P(ClusterPropertyTest, RandomChurnPreservesInvariants) {
           boxes[static_cast<std::size_t>(rng.uniform_int(
               0, static_cast<std::int64_t>(boxes.size()) - 1))];
       const Units want = rng.uniform_int(1, 16);
-      auto alloc = cluster.allocate(box, want);
-      if (alloc.ok()) live.push_back(std::move(alloc.value()));
+      BoxAllocation alloc;
+      if (cluster.allocate_into(box, want, alloc)) live.push_back(alloc);
     } else {
       const auto idx = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(live.size()) - 1));
