@@ -1,11 +1,16 @@
-// Network-layer microbenchmark: path selection, circuit set-up/teardown,
-// per-VM power-ledger settlement and NALB's bandwidth-ordered companion
-// search, isolated from the engine loop on a churned 256-rack cluster
-// (DESIGN.md §15).
+// Network-layer microbenchmark: best-uplink upkeep, path selection,
+// circuit set-up/teardown, per-VM power-ledger settlement and NALB's
+// bandwidth-ordered companion search, isolated from the engine loop on a
+// churned 256-rack cluster (DESIGN.md §15).
 //
 //   ./bench_fabric [--benchmark_filter=...] [--benchmark_min_time=...]
 //
 // Rows:
+//   BM_UplinkUpkeep/<group>      Fabric::allocate then release of one
+//                                channel on the cached best uplink of a
+//                                random box (0: 6-link group) or rack (1:
+//                                18-link group): the allocation rescans
+//                                the group, the release re-ranks one link;
 //   BM_FindPath/<policy>         Router::find_path over random box pairs
 //                                (half intra-, half inter-rack);
 //   BM_EstablishTeardown/<policy> the same path, routed and reserved
@@ -115,6 +120,32 @@ std::vector<PathQuery> make_path_queries(const topo::Cluster& cluster) {
   }
   return queries;
 }
+
+void BM_UplinkUpkeep(benchmark::State& state) {
+  net::Fabric& fabric = stack().fabric;
+  const bool rack = state.range(0) == 1;
+  const auto groups = static_cast<std::int64_t>(
+      rack ? stack().cluster.num_racks() : stack().cluster.num_boxes());
+  Rng rng(kSeed + 4);
+  std::vector<std::uint32_t> owners(kQueries);
+  for (std::uint32_t& owner : owners) {
+    owner = static_cast<std::uint32_t>(rng.uniform_int(0, groups - 1));
+  }
+  const MbitsPerSec bw = fabric.config().channel_rate;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const LinkId best = rack ? fabric.best_rack_uplink(RackId{owners[i]})
+                             : fabric.best_box_uplink(BoxId{owners[i]});
+    const bool taken = fabric.allocate(best, bw);
+    benchmark::DoNotOptimize(taken);
+    if (taken) fabric.release(best, bw);
+    i = (i + 1) & (kQueries - 1);
+  }
+  const std::uint32_t links =
+      rack ? fabric.config().links_per_rack : fabric.config().links_per_box;
+  state.SetLabel(std::to_string(links) + (rack ? "-link rack" : "-link box"));
+}
+BENCHMARK(BM_UplinkUpkeep)->Arg(0)->Arg(1);
 
 net::LinkSelectPolicy policy_arg(const benchmark::State& state) {
   return state.range(0) == 0 ? net::LinkSelectPolicy::FirstFit

@@ -96,7 +96,7 @@ class PathHeadroom {
 
  private:
   [[nodiscard]] MbitsPerSec available(LinkId id) const noexcept {
-    return fabric_->link_unchecked(id).available();
+    return fabric_->available_unchecked(id);
   }
 
   const net::Fabric* fabric_;

@@ -21,8 +21,8 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
 
   box_switches_.resize(total_boxes);
   rack_switches_.resize(racks);
-  box_uplinks_.resize(total_boxes);
-  rack_uplinks_.resize(racks);
+  box_first_.resize(total_boxes);
+  rack_first_.resize(racks);
   rack_intra_available_.assign(racks, 0);
 
   auto add_switch = [&](SwitchKind kind, std::uint32_t ports, RackId rack,
@@ -55,24 +55,24 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
                                          config_.pod_switch_ports,
                                          RackId::invalid(), BoxId::invalid()));
     }
-    pod_uplinks_.resize(pods);
   }
   core_switch_ = add_switch(SwitchKind::InterRackSwitch,
                             config_.inter_rack_switch_ports, RackId::invalid(),
                             BoxId::invalid());
 
   // Links: box uplinks (intra tier), rack uplinks (to the pod switch in
-  // three-tier mode, to the core otherwise), then pod uplinks.
+  // three-tier mode, to the core otherwise), then pod uplinks.  Each group
+  // takes the next run of consecutive ids.
+  auto next_id = [&] { return static_cast<std::uint32_t>(links_.size()); };
   for (std::uint32_t r = 0; r < racks; ++r) {
     const RackId rack_id{r};
     for (std::uint32_t b = 0; b < boxes_per_rack; ++b) {
       const BoxId box_id{r * boxes_per_rack + b};
+      box_first_[box_id.value()] = next_id();
       for (std::uint32_t l = 0; l < config_.links_per_box; ++l) {
-        const LinkId id{static_cast<std::uint32_t>(links_.size())};
-        links_.emplace_back(id, LinkKind::BoxUplink,
+        links_.emplace_back(LinkId{next_id()}, LinkKind::BoxUplink,
                             box_switches_[box_id.value()], rack_switches_[r],
                             rack_id, box_id, config_.link_capacity);
-        box_uplinks_[box_id.value()].push_back(id);
         intra_capacity_ += config_.link_capacity;
         rack_intra_available_[r] += config_.link_capacity;
       }
@@ -80,24 +80,28 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
     const SwitchId rack_parent = pod_switches_.empty()
                                      ? core_switch_
                                      : pod_switches_[r / config_.racks_per_pod];
+    rack_first_[r] = next_id();
     for (std::uint32_t l = 0; l < config_.links_per_rack; ++l) {
-      const LinkId id{static_cast<std::uint32_t>(links_.size())};
-      links_.emplace_back(id, LinkKind::RackUplink, rack_switches_[r],
-                          rack_parent, rack_id, BoxId::invalid(),
-                          config_.link_capacity);
-      rack_uplinks_[r].push_back(id);
+      links_.emplace_back(LinkId{next_id()}, LinkKind::RackUplink,
+                          rack_switches_[r], rack_parent, rack_id,
+                          BoxId::invalid(), config_.link_capacity);
       inter_capacity_ += config_.link_capacity;
     }
   }
   for (std::uint32_t p = 0; p < pod_switches_.size(); ++p) {
+    pod_first_.push_back(next_id());
     for (std::uint32_t l = 0; l < config_.links_per_pod; ++l) {
-      const LinkId id{static_cast<std::uint32_t>(links_.size())};
-      links_.emplace_back(id, LinkKind::PodUplink, pod_switches_[p],
-                          core_switch_, RackId::invalid(), BoxId::invalid(),
-                          config_.link_capacity);
-      pod_uplinks_[p].push_back(id);
+      links_.emplace_back(LinkId{next_id()}, LinkKind::PodUplink,
+                          pod_switches_[p], core_switch_, RackId::invalid(),
+                          BoxId::invalid(), config_.link_capacity);
       inter_capacity_ += config_.link_capacity;
     }
+  }
+  free_.reserve(links_.size());
+  link_ids_.reserve(links_.size());
+  for (const Link& l : links_) {
+    free_.push_back(l.available());
+    link_ids_.push_back(l.id());
   }
   box_best_.resize(total_boxes);
   rack_best_.resize(racks);
@@ -135,10 +139,10 @@ SwitchId Fabric::pod_switch(std::uint32_t pod) const {
 }
 
 std::span<const LinkId> Fabric::pod_uplinks(std::uint32_t pod) const {
-  if (pod >= pod_uplinks_.size()) {
+  if (pod >= pod_first_.size()) {
     throw std::out_of_range("Fabric: bad pod index");
   }
-  return pod_uplinks_[pod];
+  return id_run(pod_first_[pod], config_.links_per_pod);
 }
 
 const SwitchNode& Fabric::switch_node(SwitchId id) const {
@@ -174,37 +178,18 @@ Link& Fabric::mutable_link(LinkId id) {
 }
 
 std::span<const LinkId> Fabric::box_uplinks(BoxId box) const {
-  if (!box.valid() || box.value() >= box_uplinks_.size()) {
+  if (!box.valid() || box.value() >= box_first_.size()) {
     throw std::out_of_range("Fabric: bad box id");
   }
-  return box_uplinks_[box.value()];
+  return box_group(box.value());
 }
 
 std::span<const LinkId> Fabric::rack_uplinks(RackId rack) const {
-  if (!rack.valid() || rack.value() >= rack_uplinks_.size()) {
+  if (!rack.valid() || rack.value() >= rack_first_.size()) {
     throw std::out_of_range("Fabric: bad rack id");
   }
-  return rack_uplinks_[rack.value()];
+  return rack_group(rack.value());
 }
-
-namespace {
-
-/// First link of `group` with the most available() bandwidth.
-LinkId first_most_available(const std::vector<Link>& links,
-                            std::span<const LinkId> group) noexcept {
-  LinkId best = group.front();
-  MbitsPerSec best_avail = links[best.value()].available();
-  for (LinkId id : group.subspan(1)) {
-    const MbitsPerSec avail = links[id.value()].available();
-    if (avail > best_avail) {
-      best_avail = avail;
-      best = id;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 LinkId* Fabric::best_slot(const Link& l) noexcept {
   switch (l.kind()) {
@@ -217,8 +202,8 @@ LinkId* Fabric::best_slot(const Link& l) noexcept {
 
 std::span<const LinkId> Fabric::group_of(const Link& l) const noexcept {
   switch (l.kind()) {
-    case LinkKind::BoxUplink: return box_uplinks_[l.box().value()];
-    case LinkKind::RackUplink: return rack_uplinks_[l.rack().value()];
+    case LinkKind::BoxUplink: return box_group(l.box().value());
+    case LinkKind::RackUplink: return rack_group(l.rack().value());
     case LinkKind::PodUplink: break;
   }
   return {};
@@ -227,20 +212,21 @@ std::span<const LinkId> Fabric::group_of(const Link& l) const noexcept {
 std::uint16_t Fabric::headroom_lane(std::size_t rack) const noexcept {
   constexpr MbitsPerSec kLaneMax = std::numeric_limits<std::uint16_t>::max();
   return static_cast<std::uint16_t>(std::min(
-      links_[rack_best_[rack].value()].available() / config_.channel_rate,
-      kLaneMax));
+      free_[rack_best_[rack].value()] / config_.channel_rate, kLaneMax));
 }
 
-// The cached link is the group's first argmax of available().  Links
-// before it hold strictly less, links after it at most as much.  A link
-// other than the cached one losing bandwidth keeps both facts true; the
-// cached one losing bandwidth may not, so its group is rescanned.  A rack's
-// headroom lane reads only its cached link, so it is refreshed after that
-// rescan here and in on_increase when the rising link is the cached one.
+// Both run after the caller has written `l`'s new availability into the
+// free lane.  The cached link is the group's first argmax of the lane.
+// Links before it hold strictly less, links after it at most as much.  A
+// link other than the cached one losing bandwidth keeps both facts true;
+// the cached one losing bandwidth may not, so its group is rescanned.  A
+// rack's headroom lane reads only its cached link, so it is refreshed after
+// that rescan here and in on_increase when the rising link is the cached
+// one.
 void Fabric::on_decrease(const Link& l) noexcept {
   LinkId* best = best_slot(l);
   if (best != nullptr && *best == l.id()) {
-    *best = first_most_available(links_, group_of(l));
+    *best = most_available(group_of(l));
     if (l.kind() == LinkKind::RackUplink) {
       rack_headroom_[l.rack().value()] = headroom_lane(l.rack().value());
     }
@@ -249,13 +235,15 @@ void Fabric::on_decrease(const Link& l) noexcept {
 
 // A link gaining bandwidth can only displace the cached link by beating
 // it, or by tying it from an earlier position in the group (lower id).
-// Either way the cached link is then `l`, whose lane is refreshed.
+// Either way the cached link is then `l`, whose rack headroom lane (for a
+// rack uplink) is refreshed.
 void Fabric::on_increase(const Link& l) noexcept {
   LinkId* best = best_slot(l);
   if (best == nullptr) return;
-  const MbitsPerSec best_avail = links_[best->value()].available();
-  if (l.available() > best_avail ||
-      (l.available() == best_avail && l.id().value() < best->value())) {
+  const MbitsPerSec avail = free_[l.id().value()];
+  const MbitsPerSec best_avail = free_[best->value()];
+  if (avail > best_avail ||
+      (avail == best_avail && l.id().value() < best->value())) {
     *best = l.id();
   }
   if (*best == l.id() && l.kind() == LinkKind::RackUplink) {
@@ -265,10 +253,10 @@ void Fabric::on_increase(const Link& l) noexcept {
 
 void Fabric::reset_best_caches() noexcept {
   for (std::size_t b = 0; b < box_best_.size(); ++b) {
-    box_best_[b] = box_uplinks_[b].front();
+    box_best_[b] = LinkId{box_first_[b]};
   }
   for (std::size_t r = 0; r < rack_best_.size(); ++r) {
-    rack_best_[r] = rack_uplinks_[r].front();
+    rack_best_[r] = LinkId{rack_first_[r]};
     rack_headroom_[r] = headroom_lane(r);
   }
 }
@@ -295,8 +283,7 @@ std::uint64_t Fabric::rack_headroom_word(std::uint32_t shard,
   // exact scan, the RackAvailabilityIndex saturation rule (DESIGN.md §10.1).
   std::uint64_t word = 0;
   for (std::size_t i = 0; i < racks; ++i) {
-    const MbitsPerSec free =
-        links_[rack_best_[begin + i].value()].available() / q;
+    const MbitsPerSec free = free_[rack_best_[begin + i].value()] / q;
     word |= std::uint64_t{free >= channels} << i;
   }
   return word;
@@ -305,6 +292,7 @@ std::uint64_t Fabric::rack_headroom_word(std::uint32_t shard,
 bool Fabric::allocate(LinkId id, MbitsPerSec bw) {
   Link& l = mutable_link(id);
   if (!l.allocate(bw)) return false;
+  free_[id.value()] = l.available();
   if (l.kind() == LinkKind::BoxUplink) {
     intra_allocated_ += bw;
     rack_intra_available_[l.rack().value()] -= bw;
@@ -318,6 +306,7 @@ bool Fabric::allocate(LinkId id, MbitsPerSec bw) {
 void Fabric::release(LinkId id, MbitsPerSec bw) {
   Link& l = mutable_link(id);
   l.release(bw);
+  free_[id.value()] = l.available();
   if (l.kind() == LinkKind::BoxUplink) {
     intra_allocated_ -= bw;
     // Bandwidth released on a failed link is not available until repair.
@@ -349,6 +338,7 @@ void Fabric::set_link_failed(LinkId id, bool failed) {
   } else {
     l.set_failed(failed);
   }
+  free_[id.value()] = l.available();
   if (failed) {
     on_decrease(l);
   } else {
@@ -370,6 +360,7 @@ void Fabric::reset() {
   std::fill(rack_intra_available_.begin(), rack_intra_available_.end(), 0);
   for (Link& l : links_) {
     l.reset();
+    free_[l.id().value()] = l.capacity();
     if (l.kind() == LinkKind::BoxUplink) {
       rack_intra_available_[l.rack().value()] += l.capacity();
     }
@@ -386,6 +377,9 @@ void Fabric::check_invariants() const {
       throw std::logic_error("Fabric invariant: link allocation out of range");
     }
     if (l.failed()) ++failed;
+    if (free_[l.id().value()] != l.available()) {
+      throw std::logic_error("Fabric invariant: free lane mismatch");
+    }
     if (l.kind() == LinkKind::BoxUplink) {
       intra_cap += l.capacity();
       intra_alloc += l.allocated();
@@ -408,12 +402,12 @@ void Fabric::check_invariants() const {
     }
   }
   for (std::size_t b = 0; b < box_best_.size(); ++b) {
-    if (box_best_[b] != first_most_available(links_, box_uplinks_[b])) {
+    if (box_best_[b] != most_available(box_group(b))) {
       throw std::logic_error("Fabric invariant: box best-uplink cache mismatch");
     }
   }
   for (std::size_t r = 0; r < rack_best_.size(); ++r) {
-    if (rack_best_[r] != first_most_available(links_, rack_uplinks_[r])) {
+    if (rack_best_[r] != most_available(rack_group(r))) {
       throw std::logic_error("Fabric invariant: rack best-uplink cache mismatch");
     }
   }

@@ -15,10 +15,15 @@
 // against the paper's 30.4 / 35.4 / 42.6% -- an open deviation (see
 // DESIGN.md §2.3 and the ROADMAP).  All aggregates (cluster-wide and
 // per-rack intra free bandwidth) are maintained incrementally; RISA's
-// AVAIL_INTRA_RACK_NET test reads them in O(1).  So is each box's and
-// rack's most-available uplink, which NALB's search keys and most-available
-// routing read in O(1), and a u16 lane of each rack's free uplink channels,
-// which NALB's companion walk compares 64 racks at a time (DESIGN.md §15).
+// AVAIL_INTRA_RACK_NET test reads them in O(1).  Every parallel-link group
+// (a box's, a rack's or a pod's uplinks) is a run of consecutive link ids,
+// and each link's free bandwidth sits in one contiguous lane indexed by
+// link id, so a group scan -- first fit, or the first most-available link
+// -- reads `lane[first .. first + n)` and nothing else.  Each box's and
+// rack's most-available uplink is cached (NALB's search keys and
+// most-available routing read it in O(1)), and so is a u16 lane of each
+// rack's free uplink channels, which NALB's companion walk compares 64
+// racks at a time (DESIGN.md §15).
 #pragma once
 
 #include <cassert>
@@ -94,30 +99,67 @@ class Fabric {
 
   // --- Links --------------------------------------------------------------
   /// Links are read-only from outside: every mutation goes through
-  /// allocate / release / set_link_failed so the aggregates and the
-  /// best-uplink caches stay exact.
+  /// allocate / release / set_link_failed so the aggregates, the free lane
+  /// and the best-uplink caches stay exact.
   [[nodiscard]] const Link& link(LinkId id) const;
 
-  /// Bounds-unchecked link access for the routing/search hot loops (link
-  /// ids come from the fabric's own uplink tables).  API boundaries keep
-  /// the throwing accessor.
+  /// Bounds-unchecked link access for hot loops over ids the fabric handed
+  /// out (the engine's per-VM link-fault filter).  API boundaries keep the
+  /// throwing accessor.
   [[nodiscard]] const Link& link_unchecked(LinkId id) const noexcept {
     assert(id.value() < links_.size());
     return links_[id.value()];
   }
   [[nodiscard]] std::size_t num_links() const noexcept { return links_.size(); }
 
-  /// Parallel uplinks of one box (box switch -> rack switch).
+  /// link(id).available() read from the free lane -- 0 while the link is
+  /// failed.  Bounds-unchecked, like link_unchecked.
+  [[nodiscard]] MbitsPerSec available_unchecked(LinkId id) const noexcept {
+    assert(id.value() < free_.size());
+    return free_[id.value()];
+  }
+
+  /// Parallel uplinks of one box (box switch -> rack switch).  Every
+  /// uplink group is a run of consecutive link ids.
   [[nodiscard]] std::span<const LinkId> box_uplinks(BoxId box) const;
 
   /// Parallel uplinks of one rack (rack switch -> pod switch in three-tier
   /// mode, rack switch -> core otherwise).
   [[nodiscard]] std::span<const LinkId> rack_uplinks(RackId rack) const;
 
+  /// The two group scans over the free lane.  `group` is a nonempty uplink
+  /// group of this fabric or a subspan of one (consecutive link ids).
+  ///
+  /// The first link with the most available() bandwidth: one compare and
+  /// two selects per link, ties kept on the earlier link.
+  [[nodiscard]] LinkId most_available(std::span<const LinkId> group) const noexcept {
+    const std::uint32_t first = group_first(group);
+    const MbitsPerSec* lane = free_.data() + first;
+    std::uint32_t best = 0;
+    MbitsPerSec best_free = lane[0];
+    for (std::uint32_t i = 1; i < group.size(); ++i) {
+      const bool more = lane[i] > best_free;
+      best = more ? i : best;
+      best_free = more ? lane[i] : best_free;
+    }
+    return LinkId{first + best};
+  }
+  /// The first link with at least `bw` available; invalid when none has.
+  [[nodiscard]] LinkId first_fit(std::span<const LinkId> group,
+                                 MbitsPerSec bw) const noexcept {
+    const std::uint32_t first = group_first(group);
+    const MbitsPerSec* lane = free_.data() + first;
+    for (std::uint32_t i = 0; i < group.size(); ++i) {
+      if (lane[i] >= bw) return LinkId{first + i};
+    }
+    return LinkId::invalid();
+  }
+
   /// The first uplink, in group order, with the most available() bandwidth
-  /// -- the link Router::select_link(MostAvailable) would pick from the
-  /// group.  Maintained per mutation (O(1) unless the best link itself
-  /// loses bandwidth, which rescans its group), so a read is O(1).
+  /// -- most_available() of the group, and the link
+  /// Router::select_link(MostAvailable) picks from it.  Maintained per
+  /// mutation (O(1) unless the best link itself loses bandwidth, which
+  /// rescans its group), so a read is O(1).
   [[nodiscard]] LinkId best_box_uplink(BoxId box) const {
     if (box.value() >= box_best_.size()) [[unlikely]] throw_bad_id("box");
     return box_best_[box.value()];
@@ -195,13 +237,34 @@ class Fabric {
   /// engine-reuse path.  O(links) with zero heap allocation.
   void reset();
 
-  /// Verifies aggregates and best-uplink caches against recomputation;
-  /// throws on divergence.
+  /// Verifies aggregates, the free lane and the best-uplink caches against
+  /// recomputation; throws on divergence.
   void check_invariants() const;
 
  private:
   [[noreturn]] static void throw_bad_id(const char* what);
   [[nodiscard]] Link& mutable_link(LinkId id);
+
+  /// First link id of a scan's group, after checking (Debug builds) that
+  /// the group is a nonempty run of consecutive ids.
+  [[nodiscard]] static std::uint32_t group_first(
+      std::span<const LinkId> group) noexcept {
+    assert(!group.empty() &&
+           group.back().value() - group.front().value() + 1 == group.size());
+    return group.front().value();
+  }
+
+  /// `n` consecutive link ids from `first`, as a slice of link_ids_.
+  [[nodiscard]] std::span<const LinkId> id_run(std::uint32_t first,
+                                               std::uint32_t n) const noexcept {
+    return {link_ids_.data() + first, n};
+  }
+  [[nodiscard]] std::span<const LinkId> box_group(std::size_t box) const noexcept {
+    return id_run(box_first_[box], config_.links_per_box);
+  }
+  [[nodiscard]] std::span<const LinkId> rack_group(std::size_t rack) const noexcept {
+    return id_run(rack_first_[rack], config_.links_per_rack);
+  }
 
   /// Best-uplink cache slot of the group `l` belongs to and the group
   /// itself; null / empty for pod uplinks, which are not cached.
@@ -225,9 +288,13 @@ class Fabric {
   std::vector<SwitchId> rack_switches_;            // by rack id
   std::vector<SwitchId> pod_switches_;             // by pod index (3-tier)
   SwitchId core_switch_;
-  std::vector<std::vector<LinkId>> box_uplinks_;   // by box id
-  std::vector<std::vector<LinkId>> rack_uplinks_;  // by rack id
-  std::vector<std::vector<LinkId>> pod_uplinks_;   // by pod index (3-tier)
+  /// link(id).available() by link id: the lane every group scan reads.
+  std::vector<MbitsPerSec> free_;
+  /// LinkId{i} at index i: groups are returned as slices of it.
+  std::vector<LinkId> link_ids_;
+  std::vector<std::uint32_t> box_first_;           // first uplink, by box id
+  std::vector<std::uint32_t> rack_first_;          // first uplink, by rack id
+  std::vector<std::uint32_t> pod_first_;           // first uplink, by pod
   std::vector<MbitsPerSec> rack_intra_available_;  // by rack id
   std::vector<LinkId> box_best_;                   // by box id
   std::vector<LinkId> rack_best_;                  // by rack id

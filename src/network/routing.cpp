@@ -4,32 +4,18 @@ namespace risa::net {
 
 LinkId Router::select_link(std::span<const LinkId> group, MbitsPerSec bw,
                            LinkSelectPolicy policy) const noexcept {
+  if (group.empty()) return LinkId::invalid();
   switch (policy) {
-    case LinkSelectPolicy::FirstFit:
-      for (LinkId id : group) {
-        if (fabric_->link_unchecked(id).available() >= bw) return id;
-      }
-      break;
-    case LinkSelectPolicy::MostAvailable: {
-      LinkId best = LinkId::invalid();
-      MbitsPerSec best_avail = -1;
-      for (LinkId id : group) {
-        const MbitsPerSec avail = fabric_->link_unchecked(id).available();
-        if (avail > best_avail) {
-          best_avail = avail;
-          best = id;
-        }
-      }
-      if (best.valid() && best_avail >= bw) return best;
-      break;
-    }
+    case LinkSelectPolicy::FirstFit: return fabric_->first_fit(group, bw);
+    case LinkSelectPolicy::MostAvailable:
+      return select_cached(fabric_->most_available(group), bw);
   }
   return LinkId::invalid();
 }
 
 LinkId Router::select_cached(LinkId most_available,
                              MbitsPerSec bw) const noexcept {
-  return fabric_->link_unchecked(most_available).available() >= bw
+  return fabric_->available_unchecked(most_available) >= bw
              ? most_available
              : LinkId::invalid();
 }

@@ -38,7 +38,8 @@ class Router {
  public:
   explicit Router(Fabric& fabric) : fabric_(&fabric) {}
 
-  /// Choose one link from a parallel group with at least `bw` free;
+  /// Choose one link from a parallel group -- one of the fabric's uplink
+  /// groups or a subspan of it -- with at least `bw` free;
   /// LinkId::invalid() when none has (or the group is empty).
   [[nodiscard]] LinkId select_link(std::span<const LinkId> group,
                                    MbitsPerSec bw,
@@ -61,8 +62,9 @@ class Router {
   void release(const CircuitPath& path, MbitsPerSec bw);
 
  private:
-  /// MostAvailable over a box or rack group, given the group's best link
-  /// as the fabric maintains it (Fabric::best_box_uplink / best_rack_uplink).
+  /// MostAvailable over a group, given the group's first most-available
+  /// link (Fabric::most_available, or the fabric's cached best_box_uplink /
+  /// best_rack_uplink).
   [[nodiscard]] LinkId select_cached(LinkId most_available,
                                      MbitsPerSec bw) const noexcept;
 

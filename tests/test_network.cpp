@@ -53,6 +53,53 @@ TEST(Fabric, BoxUplinksBelongToBoxAndRack) {
     EXPECT_EQ(l.rack().value(), 2u);
     EXPECT_EQ(l.capacity(), gbps(200.0));
   }
+
+  // Every box, rack and pod group, on a two-tier and a three-tier fabric
+  // (with a partial last pod), is a run of consecutive ids holding exactly
+  // the links whose kind and owner place them there: the groups partition
+  // the links.
+  FabricConfig three_tier;
+  three_tier.racks_per_pod = 7;
+  for (const FabricConfig& config : {FabricConfig{}, three_tier}) {
+    const topo::ClusterConfig cluster = paper_cluster();
+    const Fabric f(cluster, config);
+    std::vector<int> seen(f.num_links(), 0);
+    auto expect_run = [&](std::span<const LinkId> group, std::size_t size,
+                          auto&& belongs) {
+      ASSERT_EQ(group.size(), size);
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        EXPECT_EQ(group[i].value(), group[0].value() + i);
+        EXPECT_TRUE(belongs(f.link(group[i]))) << "link " << group[i].value();
+        ++seen[group[i].value()];
+      }
+    };
+    const std::uint32_t per_rack = cluster.total_boxes_per_rack();
+    for (std::uint32_t b = 0; b < cluster.total_boxes(); ++b) {
+      expect_run(f.box_uplinks(BoxId{b}), config.links_per_box,
+                 [&](const Link& l) {
+                   return l.kind() == LinkKind::BoxUplink &&
+                          l.box() == BoxId{b} &&
+                          l.rack() == RackId{b / per_rack};
+                 });
+    }
+    for (std::uint32_t r = 0; r < cluster.racks; ++r) {
+      expect_run(f.rack_uplinks(RackId{r}), config.links_per_rack,
+                 [&](const Link& l) {
+                   return l.kind() == LinkKind::RackUplink &&
+                          l.rack() == RackId{r} && !l.box().valid();
+                 });
+    }
+    for (std::uint32_t p = 0; p < f.num_pods(); ++p) {
+      expect_run(f.pod_uplinks(p), config.links_per_pod, [&](const Link& l) {
+        return l.kind() == LinkKind::PodUplink && !l.rack().valid() &&
+               l.endpoint_a() == f.pod_switch(p);
+      });
+    }
+    EXPECT_EQ(f.num_pods(), config.racks_per_pod > 0 ? 3u : 0u);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], 1) << "link " << i;
+    }
+  }
 }
 
 TEST(Fabric, AllocateUpdatesAggregatesAndRackAvailability) {
@@ -352,48 +399,66 @@ void expect_best_caches_exact(const Fabric& fabric,
   }
 }
 
+/// One random allocate / release / fail / repair / reset.  Half the
+/// operations hit box 0's, rack 0's or (three-tier) pod 0's group, so a
+/// cached link is displaced, restored and tied over and over.
+void mutate_at_random(Fabric& fabric, Rng& rng) {
+  const MbitsPerSec channel = fabric.config().channel_rate;
+  const MbitsPerSec capacity = fabric.config().link_capacity;
+  LinkId id;
+  if (rng.uniform_int(0, 1) == 0) {
+    const std::int64_t pick =
+        rng.uniform_int(0, fabric.num_pods() > 0 ? 2 : 1);
+    const auto group = pick == 0   ? fabric.box_uplinks(BoxId{0})
+                       : pick == 1 ? fabric.rack_uplinks(RackId{0})
+                                   : fabric.pod_uplinks(0);
+    id = group[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(group.size()) - 1))];
+  } else {
+    id = LinkId{static_cast<std::uint32_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(fabric.num_links()) - 1))};
+  }
+  const Link& l = fabric.link(id);
+  const std::int64_t op = rng.uniform_int(0, 999);
+  if (op < 450) {
+    // Whole channels tie often; arbitrary amounts break ties.
+    const MbitsPerSec bw = rng.uniform_int(0, 1) == 0
+                               ? channel * rng.uniform_int(1, 8)
+                               : rng.uniform_int(1, capacity / 2);
+    (void)fabric.allocate(id, bw);  // may be refused; nothing changes then
+  } else if (op < 850) {
+    if (l.allocated() > 0) fabric.release(id, rng.uniform_int(1, l.allocated()));
+  } else if (op < 998) {
+    fabric.set_link_failed(id, !l.failed());
+  } else {
+    fabric.reset();
+  }
+}
+
 /// Randomized allocate / release / fail / repair / reset; after every
-/// operation both caches and the rack-headroom words must equal the
-/// rescan, and most-available routing (which reads the caches) must pick
-/// the links select_link finds by scanning.
+/// operation the free lane must equal every link's available(), both
+/// caches and the rack-headroom words must equal the rescan, and
+/// most-available routing (which reads the caches) must pick the links
+/// select_link finds by scanning.
 void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
   const topo::ClusterConfig cluster = paper_cluster();
   Fabric fabric(cluster, config);
   Router router(fabric);
   Rng rng(seed);
-  const auto links = static_cast<std::int64_t>(fabric.num_links());
   const std::uint32_t boxes = cluster.total_boxes();
   const std::uint32_t boxes_per_rack = cluster.total_boxes_per_rack();
   const MbitsPerSec channel = config.channel_rate;
-  const MbitsPerSec capacity = config.link_capacity;
+  int failed_and_reserved = 0;  // steps where some failed link holds bandwidth
   for (int step = 0; step < 20000; ++step) {
-    // Half the operations hit box 0's or rack 0's group, so the cached link
-    // is displaced, restored and tied over and over.
-    LinkId id;
-    if (rng.uniform_int(0, 1) == 0) {
-      const auto group = rng.uniform_int(0, 1) == 0
-                             ? fabric.box_uplinks(BoxId{0})
-                             : fabric.rack_uplinks(RackId{0});
-      id = group[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(group.size()) - 1))];
-    } else {
-      id = LinkId{static_cast<std::uint32_t>(rng.uniform_int(0, links - 1))};
+    mutate_at_random(fabric, rng);
+    bool seen_failed_reserved = false;
+    for (std::uint32_t i = 0; i < fabric.num_links(); ++i) {
+      const Link& l = fabric.link(LinkId{i});
+      ASSERT_EQ(fabric.available_unchecked(LinkId{i}), l.available())
+          << "link " << i << " step " << step;
+      seen_failed_reserved |= l.failed() && l.allocated() > 0;
     }
-    const Link& l = fabric.link(id);
-    const std::int64_t op = rng.uniform_int(0, 999);
-    if (op < 450) {
-      // Whole channels tie often; arbitrary amounts break ties.
-      const MbitsPerSec bw = rng.uniform_int(0, 1) == 0
-                                 ? channel * rng.uniform_int(1, 8)
-                                 : rng.uniform_int(1, capacity / 2);
-      (void)fabric.allocate(id, bw);  // may be refused; nothing changes then
-    } else if (op < 850) {
-      if (l.allocated() > 0) fabric.release(id, rng.uniform_int(1, l.allocated()));
-    } else if (op < 998) {
-      fabric.set_link_failed(id, !l.failed());
-    } else {
-      fabric.reset();
-    }
+    failed_and_reserved += seen_failed_reserved ? 1 : 0;
     expect_best_caches_exact(fabric, cluster);
     if (::testing::Test::HasFatalFailure()) return;
     if (step % 64 == 0) fabric.check_invariants();
@@ -433,6 +498,8 @@ void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
                 scan(fabric.rack_uplinks(dst_rack)));
     }
   }
+  // The lane check above covered failed links that still hold bandwidth.
+  EXPECT_GT(failed_and_reserved, 1000);
 }
 
 TEST(Fabric, BestUplinkCachesMatchRescanUnderChurn) {
@@ -443,6 +510,75 @@ TEST(Fabric, BestUplinkCachesMatchRescanUnderChurnThreeTier) {
   FabricConfig config;
   config.racks_per_pod = 6;
   churn_best_uplinks(config, 7);
+}
+
+/// The reference scans select_link must match: a walk over
+/// link(id).available(), the free bandwidth the Link itself reports.
+LinkId reference_select(const Fabric& fabric, std::span<const LinkId> group,
+                        MbitsPerSec bw, LinkSelectPolicy policy) {
+  LinkId best = LinkId::invalid();
+  for (LinkId id : group) {
+    const MbitsPerSec avail = fabric.link(id).available();
+    if (policy == LinkSelectPolicy::FirstFit) {
+      if (avail >= bw) return id;
+    } else if (!best.valid() || avail > fabric.link(best).available()) {
+      best = id;
+    }
+  }
+  return best.valid() && fabric.link(best).available() >= bw
+             ? best
+             : LinkId::invalid();
+}
+
+/// Under random churn, select_link over every box, rack and pod group --
+/// pod groups are never cached -- returns the reference's link under both
+/// policies, at demands from 0 to above a link's capacity.
+void churn_link_selection(const FabricConfig& config, std::uint64_t seed) {
+  const topo::ClusterConfig cluster = paper_cluster();
+  Fabric fabric(cluster, config);
+  const Router router(fabric);
+  Rng rng(seed);
+  const MbitsPerSec channel = config.channel_rate;
+  const MbitsPerSec capacity = config.link_capacity;
+  std::vector<std::span<const LinkId>> groups;
+  for (std::uint32_t b = 0; b < cluster.total_boxes(); ++b) {
+    groups.push_back(fabric.box_uplinks(BoxId{b}));
+  }
+  for (std::uint32_t r = 0; r < cluster.racks; ++r) {
+    groups.push_back(fabric.rack_uplinks(RackId{r}));
+  }
+  for (std::uint32_t p = 0; p < fabric.num_pods(); ++p) {
+    groups.push_back(fabric.pod_uplinks(p));
+  }
+  int found = 0, refused = 0;
+  for (int step = 0; step < 4000; ++step) {
+    mutate_at_random(fabric, rng);
+    const MbitsPerSec bw = rng.uniform_int(0, 1) == 0
+                               ? channel * rng.uniform_int(0, 9)
+                               : rng.uniform_int(0, capacity + 1);
+    for (const auto& group : groups) {
+      for (const LinkSelectPolicy policy :
+           {LinkSelectPolicy::FirstFit, LinkSelectPolicy::MostAvailable}) {
+        const LinkId pick = router.select_link(group, bw, policy);
+        ASSERT_EQ(pick, reference_select(fabric, group, bw, policy))
+            << "group at link " << group.front().value() << " bw " << bw
+            << " policy " << name(policy) << " step " << step;
+        ++(pick.valid() ? found : refused);
+      }
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(Router, SelectLinkMatchesLinkScanUnderChurn) {
+  churn_link_selection(FabricConfig{}, 11);
+}
+
+TEST(Router, SelectLinkMatchesLinkScanUnderChurnThreeTier) {
+  FabricConfig config;
+  config.racks_per_pod = 4;  // 5 pods, the last one partial
+  churn_link_selection(config, 12);
 }
 
 TEST(Fabric, BestUplinkTiesGoToTheEarliestLink) {
