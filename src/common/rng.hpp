@@ -62,6 +62,19 @@ class Xoshiro256 {
   /// Advance 2^128 steps; yields an independent stream for parallel use.
   void jump() noexcept;
 
+  /// Advance `steps` steps, exactly as `steps` calls of operator() would,
+  /// in O(log steps): x^steps mod kCharPoly by square-and-multiply, then
+  /// the same Horner walk as jump() (DESIGN.md §11.1).
+  void discard(std::uint64_t steps) noexcept;
+
+  /// Characteristic polynomial P(x) of the state transition, a linear map
+  /// on the 256 state bits over GF(2): P(x) = x^256 + sum of the bits i
+  /// set here (word i / 64, bit i % 64) as x^i.  By Cayley-Hamilton a
+  /// power T^k of the transition equals (x^k mod P)(T).
+  static constexpr std::array<std::uint64_t, 4> kCharPoly = {
+      0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+      0x0003c03c3f3ecb19ULL};
+
   /// Raw 256-bit state, for checkpoint/restore of in-flight streams.  A
   /// generator restored from state() continues the identical sequence.
   using State = std::array<std::uint64_t, 4>;
@@ -72,6 +85,10 @@ class Xoshiro256 {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
+
+  /// Replace the state by q(T) applied to it, q a polynomial of degree
+  /// < 256 in kCharPoly's layout.
+  void apply(const std::array<std::uint64_t, 4>& q) noexcept;
 
   std::array<std::uint64_t, 4> state_{};
 };
@@ -84,6 +101,15 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive (Lemire's unbiased method).
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+
+  /// True when uniform_int(lo, hi) takes exactly one generator word per
+  /// call: a power-of-two range leaves Lemire's rejection threshold
+  /// (2^64 - range) mod range at zero.  Requires lo <= hi.
+  [[nodiscard]] static constexpr bool uniform_int_is_one_draw(
+      std::int64_t lo, std::int64_t hi) noexcept {
+    const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+    return (range & (range - 1)) == 0;
+  }
 
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01();

@@ -67,27 +67,65 @@ void WorkloadSource::restore_position(std::istream& is) {
   cursor_ = static_cast<std::size_t>(cursor);
 }
 
+// ---- Generator checkpoints -------------------------------------------------
+
+namespace {
+
+/// A generator state read from a checkpoint.  All zeros is the one state
+/// no seed reaches, and from it xoshiro returns zeros forever.
+Xoshiro256::State get_state(std::istream& is) {
+  Xoshiro256::State s;
+  for (auto& w : s) w = bin::get_u64(is);
+  if (s == Xoshiro256::State{}) {
+    throw std::runtime_error("checkpoint: all-zero generator state");
+  }
+  return s;
+}
+
+/// A generator source's saved (index, clock) pair: the index within the
+/// stream, the clock a finite sum of nonnegative gaps.
+void check_position(std::uint64_t index, std::size_t count, SimTime t,
+                    const std::string& source) {
+  if (index > count) {
+    throw std::runtime_error(source + ": position beyond count");
+  }
+  if (!std::isfinite(t) || t < 0) {
+    throw std::runtime_error(source +
+                             ": checkpoint clock is negative or not finite");
+  }
+}
+
+}  // namespace
+
 // ---- SyntheticStreamSource -------------------------------------------------
 
 SyntheticStreamSource::SyntheticStreamSource(SyntheticConfig config,
                                              std::uint64_t seed)
-    : config_(std::move(config)), seed_(seed), attr_rng_(seed), arr_rng_(seed) {
+    : config_(std::move(config)), seed_(seed) {
   config_.validate();
+  // Move the seed's generator past the 2N attribute calls that precede the
+  // arrivals in its stream.
+  const std::int64_t ram_lo = static_cast<std::int64_t>(config_.min_ram_gb);
+  const std::int64_t ram_hi = static_cast<std::int64_t>(config_.max_ram_gb);
+  Rng rng(seed_);
+  if (Rng::uniform_int_is_one_draw(config_.min_cores, config_.max_cores) &&
+      Rng::uniform_int_is_one_draw(ram_lo, ram_hi)) {
+    rng.generator().discard(2 * static_cast<std::uint64_t>(config_.count));
+  } else {
+    // Lemire rejection takes a data-dependent number of words per call:
+    // replay the calls.
+    for (std::size_t i = 0; i < config_.count; ++i) {
+      (void)rng.uniform_int(config_.min_cores, config_.max_cores);
+      (void)rng.uniform_int(ram_lo, ram_hi);
+    }
+  }
+  arrivals_start_ = rng.generator().state();
   rewind();
 }
 
 void SyntheticStreamSource::rewind() {
   attr_rng_ = Rng(seed_);
-  arr_rng_ = Rng(seed_);
-  // Advance the arrival generator past the 2N attribute draws that precede
-  // the arrivals in the seed's stream.  Lemire rejection consumes a
-  // data-dependent number of raw words per draw, so the only way to land
-  // on the identical stream position is to replay the calls.
-  for (std::size_t i = 0; i < config_.count; ++i) {
-    (void)arr_rng_.uniform_int(config_.min_cores, config_.max_cores);
-    (void)arr_rng_.uniform_int(static_cast<std::int64_t>(config_.min_ram_gb),
-                               static_cast<std::int64_t>(config_.max_ram_gb));
-  }
+  arr_rng_.generator().set_state(arrivals_start_);
   t_ = 0.0;
   index_ = 0;
 }
@@ -119,16 +157,15 @@ void SyntheticStreamSource::save_position(std::ostream& os) const {
 }
 
 void SyntheticStreamSource::restore_position(std::istream& is) {
-  index_ = static_cast<std::size_t>(bin::get_u64(is));
-  if (index_ > config_.count) {
-    throw std::runtime_error("SyntheticStreamSource: position beyond count");
-  }
-  t_ = bin::get_f64(is);
-  Xoshiro256::State s;
-  for (auto& w : s) w = bin::get_u64(is);
-  attr_rng_.generator().set_state(s);
-  for (auto& w : s) w = bin::get_u64(is);
-  arr_rng_.generator().set_state(s);
+  const std::uint64_t index = bin::get_u64(is);
+  const SimTime t = bin::get_f64(is);
+  const Xoshiro256::State attr = get_state(is);
+  const Xoshiro256::State arr = get_state(is);
+  check_position(index, config_.count, t, "SyntheticStreamSource");
+  index_ = static_cast<std::size_t>(index);
+  t_ = t;
+  attr_rng_.generator().set_state(attr);
+  arr_rng_.generator().set_state(arr);
 }
 
 // ---- AzureStreamSource -----------------------------------------------------
@@ -198,13 +235,12 @@ void AzureStreamSource::save_position(std::ostream& os) const {
 }
 
 void AzureStreamSource::restore_position(std::istream& is) {
-  index_ = static_cast<std::size_t>(bin::get_u64(is));
-  if (index_ > cores_.size()) {
-    throw std::runtime_error("AzureStreamSource: position beyond count");
-  }
-  t_ = bin::get_f64(is);
-  Xoshiro256::State s;
-  for (auto& w : s) w = bin::get_u64(is);
+  const std::uint64_t index = bin::get_u64(is);
+  const SimTime t = bin::get_f64(is);
+  const Xoshiro256::State s = get_state(is);
+  check_position(index, cores_.size(), t, "AzureStreamSource");
+  index_ = static_cast<std::size_t>(index);
+  t_ = t;
   rng_.generator().set_state(s);
 }
 

@@ -108,11 +108,13 @@ class WorkloadSource final : public ArrivalSource {
 /// The seed's generator gives every VM's attributes (2 uniform_int per VM)
 /// first and the arrival gaps after them, so the arrival draws sit 2N
 /// calls deep in the RNG stream.  That order is fixed because every golden
-/// fingerprint pins it.  Lemire's uniform_int consumes a variable number
-/// of raw draws (rejection), so the offset cannot be computed
-/// arithmetically: construction replays the 2N attribute calls once into a
-/// second generator (O(N) time, O(1) memory), after which both attribute
-/// and arrival streams advance lazily per batch.
+/// fingerprint pins it.  When both attribute ranges are powers of two
+/// (the paper's 1..32), each call takes exactly one raw word, and
+/// construction jumps a second generator 2N words ahead in O(log N)
+/// (Xoshiro256::discard).  Any other range may reject and redraw, so the
+/// offset is data-dependent and construction replays the 2N calls (O(N)
+/// time, O(1) memory).  Either way the landing state is kept for rewind,
+/// and both streams then advance lazily per batch.
 class SyntheticStreamSource final : public ArrivalSource {
  public:
   SyntheticStreamSource(SyntheticConfig config, std::uint64_t seed);
@@ -128,8 +130,9 @@ class SyntheticStreamSource final : public ArrivalSource {
  private:
   SyntheticConfig config_;
   std::uint64_t seed_;
+  Xoshiro256::State arrivals_start_;  // seed's state 2N attribute calls in
   Rng attr_rng_;   // attribute stream, 2 draws consumed per VM emitted
-  Rng arr_rng_;    // arrival stream, pre-advanced past all attribute draws
+  Rng arr_rng_;    // arrival stream, from arrivals_start_
   SimTime t_ = 0.0;
   std::size_t index_ = 0;
 };

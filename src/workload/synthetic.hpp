@@ -23,6 +23,10 @@ struct SyntheticConfig {
 
   void validate() const {
     if (count == 0) throw std::invalid_argument("SyntheticConfig: zero VMs");
+    // VM indices travel as 32 bits, and the engine reserves 0xFFFFFFFF.
+    if (count > 0xFFFFFFFFULL) {
+      throw std::invalid_argument("SyntheticConfig: more than 2^32 - 1 VMs");
+    }
     if (min_cores < 1 || max_cores < min_cores) {
       throw std::invalid_argument("SyntheticConfig: bad core range");
     }

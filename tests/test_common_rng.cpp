@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -125,6 +129,103 @@ TEST(Rng, JumpProducesDecorrelatedStream) {
     if (a() == b()) ++same;
   }
   EXPECT_LT(same, 3);
+}
+
+TEST(Xoshiro, DiscardMatchesSingleSteps) {
+  // Edge counts around the polynomial's word and degree boundaries, plus
+  // random counts up to ~10^6; one reference generator walks past them
+  // all in order.
+  std::vector<std::uint64_t> ks{0,   1,   2,   63,  64,  65,   127,
+                                128, 255, 256, 257, 511, 512, 1000};
+  Rng pick(31);
+  for (int i = 0; i < 16; ++i) {
+    ks.push_back(static_cast<std::uint64_t>(pick.uniform_int(0, 1'050'000)));
+  }
+  std::sort(ks.begin(), ks.end());
+  for (std::uint64_t seed : {std::uint64_t{5}, std::uint64_t{20231112}}) {
+    Xoshiro256 stepped(seed);
+    std::uint64_t at = 0;
+    for (std::uint64_t k : ks) {
+      for (; at < k; ++at) (void)stepped();
+      Xoshiro256 jumped(seed);
+      jumped.discard(k);
+      ASSERT_EQ(jumped.state(), stepped.state())
+          << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+TEST(Xoshiro, DiscardComposes) {
+  const std::uint64_t big = std::uint64_t{1} << 62;
+  const std::array<std::pair<std::uint64_t, std::uint64_t>, 5> splits{{
+      {0, 0}, {1, 255}, {300'000, 300'001}, {big + 12345, big - 1},
+      {std::numeric_limits<std::uint64_t>::max() - 7, 7}}};
+  for (const auto& [a, b] : splits) {
+    Xoshiro256 twice(9);
+    twice.discard(a);
+    twice.discard(b);
+    Xoshiro256 once(9);
+    once.discard(a + b);
+    EXPECT_EQ(twice.state(), once.state()) << a << " + " << b;
+  }
+}
+
+TEST(Xoshiro, CharPolyIsBerlekampMasseyOfTheStateBits) {
+  // Berlekamp-Massey over GF(2) on 512 bits of one state bit's sequence
+  // finds that sequence's minimal polynomial; the transition's
+  // characteristic polynomial is primitive (period 2^256 - 1), so it is
+  // the minimal polynomial of every nonzero bit sequence.
+  Xoshiro256 gen(77);
+  std::vector<int> seq(512);
+  for (int& bit : seq) {
+    bit = static_cast<int>(gen.state()[0] & 1);
+    (void)gen();
+  }
+  std::vector<int> c(seq.size() + 1, 0), b(seq.size() + 1, 0);
+  c[0] = b[0] = 1;
+  std::size_t len = 0, m = 1;
+  for (std::size_t n = 0; n < seq.size(); ++n) {
+    int d = seq[n];
+    for (std::size_t i = 1; i <= len; ++i) d ^= c[i] & seq[n - i];
+    if (d == 0) {
+      ++m;
+      continue;
+    }
+    const std::vector<int> prev = c;
+    for (std::size_t i = 0; i + m < c.size(); ++i) c[i + m] ^= b[i];
+    if (2 * len <= n) {
+      len = n + 1 - len;
+      b = prev;
+      m = 1;
+    } else {
+      ++m;
+    }
+  }
+  ASSERT_EQ(len, 256u);
+  // C(x) = 1 + c1 x + ... + c256 x^256 is the reciprocal of P(x): the
+  // coefficient of x^(256 - i) in P is c_i.
+  std::array<std::uint64_t, 4> poly{};
+  for (std::size_t i = 1; i <= 256; ++i) {
+    const std::size_t power = 256 - i;
+    if (c[i]) poly[power / 64] |= std::uint64_t{1} << (power % 64);
+  }
+  EXPECT_EQ(poly, Xoshiro256::kCharPoly);
+}
+
+TEST(Rng, OneDrawRangesAreThePowersOfTwo) {
+  // The ranges on which uniform_int never rejects: each call takes one
+  // word, which is what lets a stream jump over N calls with discard.
+  for (std::int64_t hi : {1, 2, 4, 32, 1024}) {
+    EXPECT_TRUE(Rng::uniform_int_is_one_draw(1, hi)) << hi;
+    Rng counted(41);
+    Xoshiro256 raw(41);
+    for (int i = 0; i < 1000; ++i) (void)counted.uniform_int(1, hi);
+    raw.discard(1000);
+    EXPECT_EQ(counted.generator().state(), raw.state()) << hi;
+  }
+  for (std::int64_t hi : {3, 24, 33, 1000}) {
+    EXPECT_FALSE(Rng::uniform_int_is_one_draw(1, hi)) << hi;
+  }
 }
 
 }  // namespace

@@ -240,6 +240,160 @@ TEST(ArrivalSources, TraceSourceRestoreFailsClosed) {
                std::runtime_error);
 }
 
+/// The §5.1 stream written out independently of SyntheticStreamSource:
+/// one sequential Rng(seed) gives N (cores, RAM) pairs first, then N gaps.
+std::vector<wl::ArrivalItem> synthetic_oracle(const wl::SyntheticConfig& cfg,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<wl::ArrivalItem> items(cfg.count);
+  for (std::size_t i = 0; i < cfg.count; ++i) {
+    wl::VmRequest& vm = items[i].vm;
+    items[i].index = static_cast<std::uint32_t>(i);
+    vm.id = VmId{static_cast<std::uint32_t>(i)};
+    vm.cores = rng.uniform_int(cfg.min_cores, cfg.max_cores);
+    vm.ram_mb = gb(static_cast<double>(
+        rng.uniform_int(static_cast<std::int64_t>(cfg.min_ram_gb),
+                        static_cast<std::int64_t>(cfg.max_ram_gb))));
+    vm.storage_mb = gb(cfg.storage_gb);
+    vm.lifetime = cfg.arrivals.lifetime(i);
+  }
+  SimTime t = 0.0;
+  for (wl::ArrivalItem& item : items) {
+    t += rng.exponential(cfg.arrivals.mean_interarrival_tu);
+    item.vm.arrival = t;
+  }
+  return items;
+}
+
+TEST(ArrivalSources, SyntheticMatchesSequentialOracle) {
+  // Power-of-two attribute ranges position the arrival generator with a
+  // jump; any other range replays the attribute calls.  Both must land
+  // on the oracle's stream, from construction and after a mid-stream
+  // rewind.
+  wl::SyntheticConfig jump;
+  jump.count = 2000;
+  wl::SyntheticConfig replay_cores = jump;
+  replay_cores.max_cores = 24;
+  wl::SyntheticConfig replay_ram = jump;
+  replay_ram.min_ram_gb = 2.0;
+  replay_ram.max_ram_gb = 48.0;
+  for (const auto& [cfg, what] :
+       {std::pair{jump, "cores 1..32, RAM 1..32"},
+        std::pair{replay_cores, "cores 1..24"},
+        std::pair{replay_ram, "RAM 2..48"}}) {
+    const auto want = synthetic_oracle(cfg, 11);
+    wl::SyntheticStreamSource source(cfg, 11);
+    expect_items_equal(drain(source, 128), want, what);
+    source.rewind();
+    std::vector<wl::ArrivalItem> head(700);
+    ASSERT_EQ(source.next_batch(std::span(head.data(), head.size())),
+              head.size());
+    source.rewind();
+    expect_items_equal(drain(source, 333), want,
+                       std::string(what) + " after a mid-stream rewind");
+  }
+}
+
+TEST(ArrivalSources, GeneratorSourceRestoreFailsClosed) {
+  // A checkpoint is untrusted input.  A rejected one must leave the
+  // source where it was: every field is checked before any is applied.
+  // An all-zero xoshiro state is rejected too -- no seed reaches it, and
+  // the generator would return zeros forever.
+  const Xoshiro256::State good{1, 2, 3, 4};
+  const Xoshiro256::State zero{};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto position = [](std::uint64_t index, double t,
+                           std::initializer_list<Xoshiro256::State> states) {
+    std::ostringstream os;
+    bin::put_u64(os, index);
+    bin::put_f64(os, t);
+    for (const auto& s : states) {
+      for (std::uint64_t w : s) bin::put_u64(os, w);
+    }
+    return os.str();
+  };
+  const auto expect_rejected = [](wl::ArrivalSource& source,
+                                  const std::string& bad,
+                                  const std::string& what) {
+    std::ostringstream before;
+    source.save_position(before);
+    std::istringstream in(bad);
+    EXPECT_THROW(source.restore_position(in), std::runtime_error) << what;
+    std::ostringstream after;
+    source.save_position(after);
+    EXPECT_EQ(after.str(), before.str()) << what << " moved the source";
+  };
+  const auto expect_accepted = [](wl::ArrivalSource& source,
+                                  const std::string& ok) {
+    std::istringstream in(ok);
+    source.restore_position(in);
+    std::ostringstream saved;
+    source.save_position(saved);
+    EXPECT_EQ(saved.str(), ok);
+  };
+
+  wl::SyntheticConfig cfg;
+  cfg.count = 100;
+  wl::SyntheticStreamSource synthetic(cfg, 7);
+  std::vector<wl::ArrivalItem> head(40);
+  ASSERT_EQ(synthetic.next_batch(std::span(head.data(), head.size())), 40u);
+  expect_accepted(synthetic, position(100, 0.0, {good, good}));
+  expect_accepted(synthetic, position(40, 5.0, {good, good}));
+  const auto reject = [&](std::uint64_t index, double t,
+                          std::initializer_list<Xoshiro256::State> states,
+                          const std::string& what) {
+    expect_rejected(synthetic, position(index, t, states), what);
+  };
+  reject(101, 5.0, {good, good}, "index > count");
+  reject(10, nan, {good, good}, "NaN clock");
+  reject(10, inf, {good, good}, "infinite clock");
+  reject(10, -1.0, {good, good}, "negative clock");
+  reject(10, 5.0, {zero, good}, "zero attribute state");
+  reject(10, 5.0, {good, zero}, "zero arrival state");
+  reject(10, 5.0, {good}, "truncated");
+
+  const wl::AzureSpec spec = wl::azure_all_subsets().front();
+  wl::AzureStreamSource azure(spec, 7);
+  ASSERT_EQ(azure.next_batch(std::span(head.data(), head.size())), 40u);
+  const std::uint64_t n = azure.size_hint();
+  expect_accepted(azure, position(n, 0.0, {good}));
+  expect_accepted(azure, position(40, 5.0, {good}));
+  expect_rejected(azure, position(n + 1, 5.0, {good}), "index > count");
+  expect_rejected(azure, position(10, nan, {good}), "NaN clock");
+  expect_rejected(azure, position(10, -inf, {good}), "infinite clock");
+  expect_rejected(azure, position(10, -1.0, {good}), "negative clock");
+  expect_rejected(azure, position(10, 5.0, {zero}), "zero state");
+}
+
+TEST(ArrivalSources, SyntheticCountFitsThirtyTwoBitIndices) {
+  // next_batch emits 32-bit indices and the engine reserves 0xFFFFFFFF,
+  // so a longer stream would wrap VM ids.
+  wl::SyntheticConfig cfg;
+  cfg.count = std::size_t{0xFFFFFFFF} + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(wl::SyntheticStreamSource(cfg, 7), std::invalid_argument);
+
+  // The longest stream starts at once: its arrivals sit 2^33 - 2 draws
+  // into the seed's stream, reached by a jump rather than a replay.
+  cfg.count = 0xFFFFFFFF;
+  wl::SyntheticStreamSource source(cfg, 7);
+  EXPECT_EQ(source.size_hint(), cfg.count);
+  std::vector<wl::ArrivalItem> head(64);
+  ASSERT_EQ(source.next_batch(std::span(head.data(), head.size())),
+            head.size());
+  Rng attrs(7);
+  SimTime last = 0.0;
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    EXPECT_EQ(head[i].index, i);
+    EXPECT_EQ(head[i].vm.cores, attrs.uniform_int(1, 32)) << i;
+    const auto ram_gb = static_cast<double>(attrs.uniform_int(1, 32));
+    EXPECT_EQ(head[i].vm.ram_mb, gb(ram_gb)) << i;
+    EXPECT_GT(head[i].vm.arrival, last) << i;
+    last = head[i].vm.arrival;
+  }
+}
+
 // --- Engine equivalence through the pull-based loop -------------------------
 
 TEST(StreamingEngine, FigureMatrixCellsMatchStreamBackends) {
