@@ -1,7 +1,8 @@
 // Network-layer microbenchmark: best-uplink upkeep, path selection,
 // circuit set-up/teardown, per-VM power-ledger settlement and NALB's
 // bandwidth-ordered companion search, isolated from the engine loop on a
-// churned 256-rack cluster (DESIGN.md §15).
+// churned 256-rack cluster (DESIGN.md §15), and the topology build itself
+// (DESIGN.md §17).
 //
 //   ./bench_fabric [--benchmark_filter=...] [--benchmark_min_time=...]
 //
@@ -32,7 +33,14 @@
 //                                erased); the record_bytes counter is
 //                                sizeof(Placement) + 2 * sizeof(Circuit);
 //   BM_CompanionSearch/<order>   bfs_search(GlobalOrder) from random anchor
-//                                racks for random (type, units) demands.
+//                                racks for random (type, units) demands;
+//   BM_FabricBuild/<racks>       net::Fabric construction for a Table 1
+//                                rack shape (18 to 4,096 racks);
+//   BM_ClusterBuild/<racks>      topo::Cluster construction;
+//   BM_EngineBuild/<racks>       sim::Engine construction (cluster, fabric,
+//                                router, circuit table, RISA allocator).
+// The build rows report items_per_second in racks: 1e9 / items_per_second
+// is the build cost per rack, flat when the build is linear in the racks.
 // <policy> is 0 = FirstFit (NULB, RISA), 1 = MostAvailable (NALB); <order>
 // is 0 = BoxIdOrder (NULB), 1 = BandwidthDescending (NALB).
 #include <benchmark/benchmark.h>
@@ -50,6 +58,8 @@
 #include "network/fabric.hpp"
 #include "network/routing.hpp"
 #include "photonics/power_ledger.hpp"
+#include "sim/engine.hpp"
+#include "sim/scenario.hpp"
 #include "topology/cluster.hpp"
 
 namespace {
@@ -306,7 +316,7 @@ class LiveRecords {
       VmSpec& spec = specs_[i];
       spec.rack = RackId{static_cast<std::uint32_t>(i % racks)};
       for (const ResourceType t : kAllResources) {
-        const auto& boxes = cluster_.rack(spec.rack).boxes(t);
+        const std::span<const BoxId> boxes = cluster_.rack(spec.rack).boxes(t);
         spec.boxes[t] = boxes[(i / racks) % boxes.size()];
         spec.units[t] = rng.uniform_int(1, 4);
       }
@@ -433,6 +443,46 @@ void BM_CompanionSearch(benchmark::State& state) {
                                                          : "bandwidth");
 }
 BENCHMARK(BM_CompanionSearch)->Arg(0)->Arg(1);
+
+void set_build_counters(benchmark::State& state) {
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel(std::to_string(state.range(0)) + " racks");
+}
+
+void BM_FabricBuild(benchmark::State& state) {
+  topo::ClusterConfig shape;
+  shape.racks = static_cast<std::uint32_t>(state.range(0));
+  const net::FabricConfig config;
+  for (auto _ : state) {
+    const net::Fabric fabric(shape, config);
+    benchmark::DoNotOptimize(fabric.num_links());
+  }
+  set_build_counters(state);
+}
+BENCHMARK(BM_FabricBuild)->Arg(18)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_ClusterBuild(benchmark::State& state) {
+  topo::ClusterConfig shape;
+  shape.racks = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    const topo::Cluster cluster(shape);
+    benchmark::DoNotOptimize(cluster.num_boxes());
+  }
+  set_build_counters(state);
+}
+BENCHMARK(BM_ClusterBuild)->Arg(18)->Arg(256);
+
+void BM_EngineBuild(benchmark::State& state) {
+  sim::Scenario scenario = sim::Scenario::paper_defaults();
+  scenario.cluster.racks = static_cast<std::uint32_t>(state.range(0));
+  const std::string algorithm = "RISA";
+  for (auto _ : state) {
+    sim::Engine engine(scenario, algorithm);
+    benchmark::DoNotOptimize(engine.fabric().num_links());
+  }
+  set_build_counters(state);
+}
+BENCHMARK(BM_EngineBuild)->Arg(18)->Arg(256);
 
 }  // namespace
 

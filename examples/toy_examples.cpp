@@ -65,7 +65,7 @@ int main() {
     auto risa = core::make_allocator("RISA", stack->context());
     constexpr std::int64_t kSeq[] = {15, 10, 30, 12, 5, 8, 16, 4};
     const auto& cluster = stack->cluster();
-    const auto& rack1_cpu =
+    const std::span<const BoxId> rack1_cpu =
         cluster.boxes_of_type_in_rack(RackId{1}, ResourceType::Cpu);
     for (std::size_t i = 0; i < std::size(kSeq); ++i) {
       auto placed = risa->try_place(

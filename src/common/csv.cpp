@@ -26,37 +26,51 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   os_ << '\n';
 }
 
-std::vector<std::string> CsvReader::parse_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cur;
+void CsvReader::parse_line(std::string_view line,
+                           std::vector<std::string>& cells) {
+  std::size_t n = 0;
+  const auto next_cell = [&]() -> std::string& {
+    if (n == cells.size()) cells.emplace_back();
+    std::string& cell = cells[n++];
+    cell.clear();
+    return cell;
+  };
+  std::string* cur = &next_cell();
   bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
+  // Plain runs between special characters are appended whole.
+  for (std::size_t i = 0; i < line.size();) {
     if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += ch;
+      const std::size_t q = line.find('"', i);
+      if (q == std::string_view::npos) {
+        cur->append(line.substr(i));
+        break;
       }
-    } else if (ch == '"') {
-      in_quotes = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(cur));
-      cur.clear();
-    } else if (ch == '\r') {
-      // tolerate CRLF
-    } else {
-      cur += ch;
+      cur->append(line.substr(i, q - i));
+      if (q + 1 < line.size() && line[q + 1] == '"') {
+        *cur += '"';
+        i = q + 2;
+      } else {
+        in_quotes = false;
+        i = q + 1;
+      }
+      continue;
     }
+    std::size_t special = i;
+    while (special < line.size() && line[special] != ',' &&
+           line[special] != '"' && line[special] != '\r') {
+      ++special;
+    }
+    cur->append(line.substr(i, special - i));
+    if (special == line.size()) break;
+    if (line[special] == '"') {
+      in_quotes = true;
+    } else if (line[special] == ',') {
+      cur = &next_cell();
+    }  // '\r': dropped, which tolerates CRLF
+    i = special + 1;
   }
   if (in_quotes) throw std::runtime_error("CSV: unbalanced quotes");
-  cells.push_back(std::move(cur));
-  return cells;
+  cells.resize(n);
 }
 
 }  // namespace risa

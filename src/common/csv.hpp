@@ -5,6 +5,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace risa {
@@ -24,9 +25,12 @@ class CsvWriter {
 
 class CsvReader {
  public:
-  /// Parse one CSV line (no embedded newlines).  Throws on unbalanced
-  /// quotes.
-  [[nodiscard]] static std::vector<std::string> parse_line(const std::string& line);
+  /// Parse one CSV line (no embedded newlines) into `cells`, one string per
+  /// field; a '\r' outside quotes is dropped (CRLF input).  The strings
+  /// already in `cells` are reused, so a reader that passes one vector for
+  /// every row allocates only for a row wider, or a field longer, than any
+  /// before it.  Throws on unbalanced quotes.
+  static void parse_line(std::string_view line, std::vector<std::string>& cells);
 };
 
 }  // namespace risa

@@ -48,13 +48,25 @@ namespace {
 
 /// `convert` (strtoll/strtod) over the whole of trim(s); nullopt when it
 /// reads nothing, stops early or overflows -- the inputs stoll/stod threw on.
+/// The NUL-terminated copy the C converters need sits on the stack unless
+/// the text is longer than any number.
 template <typename T, typename Convert>
 std::optional<T> convert_whole(std::string_view s, Convert convert) {
-  const std::string str(trim(s));
+  const std::string_view text = trim(s);
+  char small[64];
+  std::string large;
+  const char* str = small;
+  if (text.size() < sizeof small) {
+    text.copy(small, text.size());
+    small[text.size()] = '\0';
+  } else {
+    large.assign(text);
+    str = large.c_str();
+  }
   char* end = nullptr;
   errno = 0;
-  const T v = convert(str.c_str(), &end);
-  if (str.empty() || end != str.c_str() + str.size() || errno == ERANGE) {
+  const T v = convert(str, &end);
+  if (text.empty() || end != str + text.size() || errno == ERANGE) {
     return std::nullopt;
   }
   return v;

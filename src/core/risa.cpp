@@ -71,7 +71,7 @@ PerResource<std::vector<RackId>> RisaAllocator::super_rack(
 BoxId RisaAllocator::pick_box_in_rack(RackId rack, ResourceType type,
                                       Units units) {
   const topo::Cluster& cluster = *ctx().cluster;
-  const auto& boxes = cluster.rack_unchecked(rack).boxes(type);
+  const std::span<const BoxId> boxes = cluster.rack_unchecked(rack).boxes(type);
   const auto count = static_cast<std::uint32_t>(boxes.size());
   if (count == 0) return BoxId::invalid();
 

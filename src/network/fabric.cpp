@@ -18,12 +18,34 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
   const std::uint32_t racks = cluster.racks;
   const std::uint32_t boxes_per_rack = cluster.total_boxes_per_rack();
   const std::uint32_t total_boxes = cluster.total_boxes();
+  const std::uint32_t pods =
+      config_.racks_per_pod > 0
+          ? (racks + config_.racks_per_pod - 1) / config_.racks_per_pod
+          : 0;
 
-  box_switches_.resize(total_boxes);
-  rack_switches_.resize(racks);
-  box_first_.resize(total_boxes);
-  rack_first_.resize(racks);
-  rack_intra_available_.assign(racks, 0);
+  // Every table's final size follows from the shape, so each one is
+  // allocated once and each entry written once: no growth, no re-copy.
+  const std::uint64_t box_links =
+      std::uint64_t{total_boxes} * config_.links_per_box;
+  const std::uint64_t inter_links =
+      std::uint64_t{racks} * config_.links_per_rack +
+      std::uint64_t{pods} * config_.links_per_pod;
+  const std::uint64_t num_links = box_links + inter_links;
+  if (num_links >= LinkId::kInvalid) {
+    throw std::invalid_argument("Fabric: link count exceeds the u32 id space");
+  }
+  switches_.reserve(std::size_t{racks} * (1 + boxes_per_rack) + pods + 1);
+  links_.reserve(num_links);
+  link_ids_.reserve(num_links);
+  free_.assign(num_links, config_.link_capacity);
+  box_switches_.reserve(total_boxes);
+  box_first_.reserve(total_boxes);
+  box_best_.reserve(total_boxes);
+  rack_switches_.reserve(racks);
+  rack_first_.reserve(racks);
+  rack_best_.reserve(racks);
+  pod_switches_.reserve(pods);
+  pod_first_.reserve(pods);
 
   auto add_switch = [&](SwitchKind kind, std::uint32_t ports, RackId rack,
                         BoxId box) {
@@ -31,85 +53,82 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
     switches_.push_back(SwitchNode{id, kind, ports, rack, box});
     return id;
   };
+  // `n` parallel idle links from `a` up to `b`, on the next run of ids.
+  auto add_links = [&](std::uint32_t n, LinkKind kind, SwitchId a, SwitchId b,
+                       RackId rack, BoxId box) {
+    const auto first = static_cast<std::uint32_t>(links_.size());
+    for (std::uint32_t l = 0; l < n; ++l) {
+      const LinkId id{first + l};
+      links_.emplace_back(id, kind, a, b, rack, box, config_.link_capacity);
+      link_ids_.push_back(id);
+    }
+    return first;
+  };
 
-  // Box ids are assigned by the Cluster in rack-major order; mirror that.
+  // Switches: each rack's switch followed by its box switches (box ids are
+  // assigned by the Cluster in rack-major order; mirror that), then the
+  // optional pod tier (three-tier extension), then the core.
   for (std::uint32_t r = 0; r < racks; ++r) {
     const RackId rack_id{r};
-    rack_switches_[r] =
-        add_switch(SwitchKind::RackSwitch, config_.rack_switch_ports, rack_id,
-                   BoxId::invalid());
+    rack_switches_.push_back(add_switch(SwitchKind::RackSwitch,
+                                        config_.rack_switch_ports, rack_id,
+                                        BoxId::invalid()));
     for (std::uint32_t b = 0; b < boxes_per_rack; ++b) {
-      const BoxId box_id{r * boxes_per_rack + b};
-      box_switches_[box_id.value()] =
-          add_switch(SwitchKind::BoxSwitch, config_.box_switch_ports, rack_id,
-                     box_id);
+      box_switches_.push_back(add_switch(SwitchKind::BoxSwitch,
+                                         config_.box_switch_ports, rack_id,
+                                         BoxId{r * boxes_per_rack + b}));
     }
   }
-  // Optional pod tier (three-tier extension): ceil(racks / racks_per_pod)
-  // pod switches between the rack switches and the core.
-  if (config_.racks_per_pod > 0) {
-    const std::uint32_t pods =
-        (racks + config_.racks_per_pod - 1) / config_.racks_per_pod;
-    for (std::uint32_t p = 0; p < pods; ++p) {
-      pod_switches_.push_back(add_switch(SwitchKind::PodSwitch,
-                                         config_.pod_switch_ports,
-                                         RackId::invalid(), BoxId::invalid()));
-    }
+  for (std::uint32_t p = 0; p < pods; ++p) {
+    pod_switches_.push_back(add_switch(SwitchKind::PodSwitch,
+                                       config_.pod_switch_ports,
+                                       RackId::invalid(), BoxId::invalid()));
   }
   core_switch_ = add_switch(SwitchKind::InterRackSwitch,
                             config_.inter_rack_switch_ports, RackId::invalid(),
                             BoxId::invalid());
 
-  // Links: box uplinks (intra tier), rack uplinks (to the pod switch in
-  // three-tier mode, to the core otherwise), then pod uplinks.  Each group
-  // takes the next run of consecutive ids.
-  auto next_id = [&] { return static_cast<std::uint32_t>(links_.size()); };
+  // Links: per rack, its boxes' uplinks (intra tier) then its own uplinks
+  // (to the pod switch in three-tier mode, to the core otherwise); the pod
+  // uplinks come last.  Every cached best uplink starts on its group's
+  // first link, the first argmax of an idle group.
   for (std::uint32_t r = 0; r < racks; ++r) {
     const RackId rack_id{r};
     for (std::uint32_t b = 0; b < boxes_per_rack; ++b) {
       const BoxId box_id{r * boxes_per_rack + b};
-      box_first_[box_id.value()] = next_id();
-      for (std::uint32_t l = 0; l < config_.links_per_box; ++l) {
-        links_.emplace_back(LinkId{next_id()}, LinkKind::BoxUplink,
-                            box_switches_[box_id.value()], rack_switches_[r],
-                            rack_id, box_id, config_.link_capacity);
-        intra_capacity_ += config_.link_capacity;
-        rack_intra_available_[r] += config_.link_capacity;
-      }
+      const std::uint32_t first =
+          add_links(config_.links_per_box, LinkKind::BoxUplink,
+                    box_switches_[box_id.value()], rack_switches_[r], rack_id,
+                    box_id);
+      box_first_.push_back(first);
+      box_best_.push_back(LinkId{first});
     }
-    const SwitchId rack_parent = pod_switches_.empty()
-                                     ? core_switch_
-                                     : pod_switches_[r / config_.racks_per_pod];
-    rack_first_[r] = next_id();
-    for (std::uint32_t l = 0; l < config_.links_per_rack; ++l) {
-      links_.emplace_back(LinkId{next_id()}, LinkKind::RackUplink,
-                          rack_switches_[r], rack_parent, rack_id,
-                          BoxId::invalid(), config_.link_capacity);
-      inter_capacity_ += config_.link_capacity;
-    }
+    const SwitchId rack_parent =
+        pods == 0 ? core_switch_ : pod_switches_[r / config_.racks_per_pod];
+    const std::uint32_t first =
+        add_links(config_.links_per_rack, LinkKind::RackUplink,
+                  rack_switches_[r], rack_parent, rack_id, BoxId::invalid());
+    rack_first_.push_back(first);
+    rack_best_.push_back(LinkId{first});
   }
-  for (std::uint32_t p = 0; p < pod_switches_.size(); ++p) {
-    pod_first_.push_back(next_id());
-    for (std::uint32_t l = 0; l < config_.links_per_pod; ++l) {
-      links_.emplace_back(LinkId{next_id()}, LinkKind::PodUplink,
-                          pod_switches_[p], core_switch_, RackId::invalid(),
-                          BoxId::invalid(), config_.link_capacity);
-      inter_capacity_ += config_.link_capacity;
-    }
+  for (std::uint32_t p = 0; p < pods; ++p) {
+    pod_first_.push_back(add_links(config_.links_per_pod, LinkKind::PodUplink,
+                                   pod_switches_[p], core_switch_,
+                                   RackId::invalid(), BoxId::invalid()));
   }
-  free_.reserve(links_.size());
-  link_ids_.reserve(links_.size());
-  for (const Link& l : links_) {
-    free_.push_back(l.available());
-    link_ids_.push_back(l.id());
+
+  const MbitsPerSec cap = config_.link_capacity;
+  intra_capacity_ = static_cast<MbitsPerSec>(box_links) * cap;
+  inter_capacity_ = static_cast<MbitsPerSec>(inter_links) * cap;
+  rack_intra_available_.assign(
+      racks, MbitsPerSec{boxes_per_rack} * config_.links_per_box * cap);
+  const std::size_t padded =
+      std::size_t{(racks + kShardRacks - 1) / kShardRacks} * kShardRacks;
+  rack_headroom_.reserve(padded);
+  for (std::uint32_t r = 0; r < racks; ++r) {
+    rack_headroom_.push_back(headroom_lane(r));
   }
-  box_best_.resize(total_boxes);
-  rack_best_.resize(racks);
-  rack_headroom_.assign(
-      static_cast<std::size_t>((racks + kShardRacks - 1) / kShardRacks) *
-          kShardRacks,
-      0);
-  reset_best_caches();
+  rack_headroom_.resize(padded, 0);
 }
 
 void Fabric::throw_bad_id(const char* what) {

@@ -24,6 +24,11 @@
 // most-available routing read it in O(1)), and so is a u16 lane of each
 // rack's free uplink channels, which NALB's companion walk compares 64
 // racks at a time (DESIGN.md §15).
+//
+// The constructor writes every table once, at its final size: the switch
+// and link counts follow in closed form from the cluster shape, so each
+// table is allocated exactly once and the number of heap allocations a
+// build makes does not depend on the rack count (DESIGN.md §17).
 #pragma once
 
 #include <cassert>

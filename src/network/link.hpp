@@ -30,8 +30,8 @@ class Link {
  public:
   Link(LinkId id, LinkKind kind, SwitchId a, SwitchId b, RackId rack,
        BoxId box, MbitsPerSec capacity)
-      : id_(id), kind_(kind), a_(a), b_(b), rack_(rack), box_(box),
-        capacity_(capacity) {}
+      : capacity_(capacity), id_(id), a_(a), b_(b), rack_(rack), box_(box),
+        kind_(kind) {}
 
   [[nodiscard]] LinkId id() const noexcept { return id_; }
   [[nodiscard]] LinkKind kind() const noexcept { return kind_; }
@@ -85,15 +85,19 @@ class Link {
   }
 
  private:
+  // Widest first, so the two one-byte fields share the tail word: a fabric
+  // build writes every link once, and 40 bytes a link is 8 fewer to store.
+  MbitsPerSec capacity_;
+  MbitsPerSec allocated_ = 0;
   LinkId id_;
-  LinkKind kind_;
   SwitchId a_;
   SwitchId b_;
   RackId rack_;
   BoxId box_;
-  MbitsPerSec capacity_;
-  MbitsPerSec allocated_ = 0;
+  LinkKind kind_;
   bool failed_ = false;
 };
+
+static_assert(sizeof(Link) == 40, "Link has picked up padding");
 
 }  // namespace risa::net

@@ -8,7 +8,7 @@
 namespace risa::topo {
 
 Box::Box(BoxId id, RackId rack, ResourceType type, std::uint32_t index_in_type,
-         std::vector<Units> brick_units)
+         std::span<const Units> brick_units)
     : id_(id), rack_(rack), type_(type), index_in_type_(index_in_type) {
   if (brick_units.empty()) {
     throw std::invalid_argument("Box: no bricks");

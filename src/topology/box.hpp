@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/small_vec.hpp"
@@ -45,9 +46,10 @@ static_assert(sizeof(BoxAllocation) <= 48);
 class Box {
  public:
   /// `brick_units` lists the capacity of each brick (the builder distributes
-  /// the box's units across bricks as evenly as possible).
+  /// the box's units across bricks as evenly as possible); the box keeps
+  /// its own copy.
   Box(BoxId id, RackId rack, ResourceType type, std::uint32_t index_in_type,
-      std::vector<Units> brick_units);
+      std::span<const Units> brick_units);
 
   [[nodiscard]] BoxId id() const noexcept { return id_; }
   [[nodiscard]] RackId rack() const noexcept { return rack_; }

@@ -178,28 +178,38 @@ Cluster::Cluster(ClusterConfig config)
     throw std::invalid_argument("Cluster: rack count exceeds RackSet::kMaxRacks");
   }
 
+  const std::uint32_t total_boxes = config_.total_boxes();
+  boxes_.reserve(total_boxes);
+  box_ids_.reserve(total_boxes);
   racks_.reserve(config_.racks);
-  boxes_.reserve(config_.total_boxes());
+  // Every box of a type has the same brick split: one table per type.
+  PerResource<std::vector<Units>> bricks;
+  for (ResourceType t : kAllResources) {
+    by_type_[t].reserve(std::size_t{config_.racks} * config_.boxes_per_rack[t]);
+    bricks[t] = distribute_units(config_.box_units(t), config_.bricks_per_box);
+    total_capacity_[t] = config_.total_units(t);
+  }
+  total_available_ = total_capacity_;
 
-  PerResource<std::uint32_t> type_counter{0, 0, 0};
   for (std::uint32_t r = 0; r < config_.racks; ++r) {
     const RackId rack_id{r};
-    Rack rack(rack_id);
-    // Rack layout: all CPU boxes, then RAM, then storage.  The per-type
-    // "id" of Table 3 is (rack, local index) in this order.
+    // Rack layout: all CPU boxes, then RAM, then storage, so each type's
+    // boxes in a rack are one run of ids.  The per-type "id" of Table 3 is
+    // (rack, local index) in this order.
+    PerResource<std::uint32_t> first{0, 0, 0};
     for (ResourceType t : kAllResources) {
+      first[t] = static_cast<std::uint32_t>(boxes_.size());
       for (std::uint32_t b = 0; b < config_.boxes_per_rack[t]; ++b) {
         const BoxId box_id{static_cast<std::uint32_t>(boxes_.size())};
-        boxes_.emplace_back(box_id, rack_id, t, type_counter[t]++,
-                            distribute_units(config_.box_units(t),
-                                             config_.bricks_per_box));
-        rack.boxes_[t].push_back(box_id);
+        boxes_.emplace_back(box_id, rack_id, t,
+                            static_cast<std::uint32_t>(by_type_[t].size()),
+                            bricks[t]);
+        box_ids_.push_back(box_id);
         by_type_[t].push_back(box_id);
-        total_capacity_[t] += config_.box_units(t);
-        total_available_[t] += config_.box_units(t);
       }
     }
-    racks_.push_back(std::move(rack));
+    racks_.push_back(
+        Rack(rack_id, box_ids_.data(), first, config_.boxes_per_rack));
   }
 
   for (std::uint32_t r = 0; r < config_.racks; ++r) {
@@ -230,8 +240,8 @@ const Rack& Cluster::rack(RackId id) const {
   return racks_[id.value()];
 }
 
-const std::vector<BoxId>& Cluster::boxes_of_type_in_rack(RackId rack_id,
-                                                         ResourceType t) const {
+std::span<const BoxId> Cluster::boxes_of_type_in_rack(RackId rack_id,
+                                                      ResourceType t) const {
   return rack(rack_id).boxes(t);
 }
 
@@ -292,7 +302,7 @@ void Cluster::set_box_offline(BoxId box_id, bool offline) {
 
 void Cluster::recompute_rack_max(Rack& rk, RackId rack_id, ResourceType t) {
   Units max_avail = 0;
-  for (BoxId id : rk.boxes_[t]) {
+  for (BoxId id : rk.boxes(t)) {
     max_avail = std::max(max_avail, boxes_[id.value()].available_units());
   }
   rk.max_available_[t] = max_avail;
@@ -303,7 +313,7 @@ void Cluster::refresh_rack_aggregates(RackId rack_id, ResourceType t) {
   Rack& rk = racks_[rack_id.value()];
   Units max_avail = 0;
   Units total_avail = 0;
-  for (BoxId id : rk.boxes_[t]) {
+  for (BoxId id : rk.boxes(t)) {
     const Units avail = boxes_[id.value()].available_units();
     max_avail = std::max(max_avail, avail);
     total_avail += avail;

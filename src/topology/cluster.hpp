@@ -6,10 +6,19 @@
 // per-type *maximum available box* values which this class keeps up to date
 // incrementally in O(boxes-of-type-in-rack) per mutation, while NULB/NALB
 // deliberately rescan boxes per placement, exactly as described in §4.1.
+//
+// Layout: box ids are assigned rack-major, and within a rack type-major
+// (CPU, then RAM, then storage), so each rack's boxes of one type are a
+// run of consecutive ids.  A Rack keeps only the first id of each run and
+// hands the run out as a span over one cluster-wide id table.  A build
+// sizes every table once (one brick split per type, shared by its boxes),
+// so its heap-allocation count does not depend on the rack count
+// (DESIGN.md §17).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rack_set.hpp"
@@ -23,13 +32,12 @@ namespace risa::topo {
 /// Per-rack aggregates.
 class Rack {
  public:
-  Rack(RackId id) : id_(id) {}
-
   [[nodiscard]] RackId id() const noexcept { return id_; }
 
-  /// Boxes of one type in this rack, in local order.
-  [[nodiscard]] const std::vector<BoxId>& boxes(ResourceType t) const noexcept {
-    return boxes_[t];
+  /// Boxes of one type in this rack, in local order: a run of consecutive
+  /// box ids, viewed in the owning cluster's id table.
+  [[nodiscard]] std::span<const BoxId> boxes(ResourceType t) const noexcept {
+    return {ids_ + first_[t], count_[t]};
   }
 
   /// Largest per-box availability of the given type in this rack.  This is
@@ -48,8 +56,14 @@ class Rack {
  private:
   friend class Cluster;
 
+  Rack(RackId id, const BoxId* ids, PerResource<std::uint32_t> first,
+       PerResource<std::uint32_t> count) noexcept
+      : id_(id), first_(first), count_(count), ids_(ids) {}
+
   RackId id_;
-  PerResource<std::vector<BoxId>> boxes_;
+  PerResource<std::uint32_t> first_;  ///< first box id of each type's run
+  PerResource<std::uint32_t> count_;  ///< boxes in each type's run
+  const BoxId* ids_;                  ///< the cluster's table: ids_[i] == BoxId{i}
   PerResource<Units> max_available_{0, 0, 0};
   PerResource<Units> total_available_{0, 0, 0};
 };
@@ -169,6 +183,11 @@ class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
 
+  // Racks view the id table by pointer, and a copy would view the
+  // original's table, so there is none.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
+
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint32_t num_racks() const noexcept { return config_.racks; }
   [[nodiscard]] std::size_t num_boxes() const noexcept { return boxes_.size(); }
@@ -203,8 +222,8 @@ class Cluster {
     return by_type_[t];
   }
 
-  /// Boxes of a type within one rack, in local order.
-  [[nodiscard]] const std::vector<BoxId>& boxes_of_type_in_rack(
+  /// Boxes of a type within one rack, in local order (Rack::boxes).
+  [[nodiscard]] std::span<const BoxId> boxes_of_type_in_rack(
       RackId rack, ResourceType t) const;
 
   /// Cluster-wide capacity / availability per type, maintained incrementally.
@@ -291,6 +310,8 @@ class Cluster {
 
   ClusterConfig config_;
   std::vector<Box> boxes_;
+  /// BoxId{i} at index i: racks return their per-type runs as slices of it.
+  std::vector<BoxId> box_ids_;
   std::vector<Rack> racks_;
   PerResource<std::vector<BoxId>> by_type_;
   PerResource<Units> total_capacity_{0, 0, 0};

@@ -52,7 +52,7 @@ bool TraceReader::next_row() {
     if (linebuf_.empty() || (linebuf_.size() == 1 && linebuf_[0] == '\r')) {
       continue;
     }
-    cells_ = CsvReader::parse_line(linebuf_);
+    CsvReader::parse_line(linebuf_, cells_);
     return true;
   }
   return false;

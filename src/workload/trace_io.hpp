@@ -52,6 +52,8 @@ class TraceReader {
 
   std::istream* is_;
   std::size_t line_ = 0;
+  /// Line and field storage, reused row after row: a steady-state row
+  /// parses without a heap allocation.
   std::string linebuf_;
   std::vector<std::string> cells_;
 };

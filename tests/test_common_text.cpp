@@ -81,8 +81,10 @@ TEST(Csv, RoundTrip) {
   w.write_row({"1", "a,b", "say \"hi\""});
   std::istringstream is(os.str());
   std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> cells;
   for (std::string line; std::getline(is, line);) {
-    rows.push_back(CsvReader::parse_line(line));
+    CsvReader::parse_line(line, cells);
+    rows.push_back(cells);
   }
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1][1], "a,b");
@@ -90,13 +92,36 @@ TEST(Csv, RoundTrip) {
 }
 
 TEST(Csv, UnbalancedQuotesThrow) {
-  EXPECT_THROW(CsvReader::parse_line("\"oops"), std::runtime_error);
+  std::vector<std::string> cells;
+  EXPECT_THROW(CsvReader::parse_line("\"oops", cells), std::runtime_error);
+  EXPECT_THROW(CsvReader::parse_line("a,\"b\"\"", cells), std::runtime_error);
 }
 
 TEST(Csv, ToleratesCrlf) {
-  const auto cells = CsvReader::parse_line("a,b\r");
+  std::vector<std::string> cells;
+  CsvReader::parse_line("a,b\r", cells);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[1], "b");
+  // Inside quotes a '\r' is field content.
+  CsvReader::parse_line("\"x\ry\",z\r", cells);
+  EXPECT_EQ(cells, (std::vector<std::string>{"x\ry", "z"}));
+}
+
+/// Rows parsed into one vector each see only their own fields, whatever
+/// the rows before them held.
+TEST(Csv, ReusedCellsHoldOnlyTheCurrentRow) {
+  std::vector<std::string> cells;
+  CsvReader::parse_line("alpha,beta,gamma,a much longer field than SSO holds",
+                        cells);
+  ASSERT_EQ(cells.size(), 4u);
+  CsvReader::parse_line("x", cells);
+  EXPECT_EQ(cells, (std::vector<std::string>{"x"}));
+  CsvReader::parse_line("\"q,1\",,\"say \"\"hi\"\"\"", cells);
+  EXPECT_EQ(cells, (std::vector<std::string>{"q,1", "", "say \"hi\""}));
+  CsvReader::parse_line("", cells);
+  EXPECT_EQ(cells, (std::vector<std::string>{""}));
+  CsvReader::parse_line("a\"b\"c,d", cells);  // quotes mid-field
+  EXPECT_EQ(cells, (std::vector<std::string>{"abc", "d"}));
 }
 
 // --- Flags -------------------------------------------------------------------

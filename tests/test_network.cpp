@@ -348,6 +348,11 @@ TEST(FabricConfig, ValidationRejectsBadShapes) {
   cfg = FabricConfig{};
   cfg.box_switch_ports = 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // 108 boxes x 2^31 uplinks overflows the u32 link ids: refused before
+  // any table is sized.
+  cfg = FabricConfig{};
+  cfg.links_per_box = 0x80000000u;
+  EXPECT_THROW(Fabric(paper_cluster(), cfg), std::invalid_argument);
 }
 
 /// The reference the best-uplink caches must match: a first-argmax rescan.

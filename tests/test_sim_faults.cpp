@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "network/circuit.hpp"
 #include "network/routing.hpp"
@@ -724,6 +725,58 @@ TEST(MtbfCompiler, CompilesAValidSortedPairedPlan) {
   MtbfSpec bad = spec;
   bad.mtbf_tu = 0.0;
   EXPECT_THROW((void)compile_mtbf_plan(bad), std::invalid_argument);
+}
+
+/// The compiler as first written: the fail/repair pairs emitted in draw
+/// order, then stable-sorted by time.
+FaultPlan stable_sorted_mtbf_plan(const MtbfSpec& spec) {
+  FaultPlan plan;
+  plan.seed = spec.seed;
+  Rng rng(spec.seed);
+  std::vector<double> repaired_at(spec.num_boxes, 0.0);
+  double t = 0.0;
+  for (;;) {
+    t += rng.exponential(spec.mtbf_tu);
+    if (t >= spec.horizon_tu) break;
+    const auto box = static_cast<std::uint32_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(spec.num_boxes) - 1));
+    const double repair_t = t + rng.exponential(spec.mttr_tu);
+    if (t < repaired_at[box]) continue;
+    repaired_at[box] = repair_t;
+    FaultAction fail;
+    fail.kind = FaultAction::Kind::Fail;
+    fail.at_time = t;
+    fail.box = box;
+    plan.actions.push_back(fail);
+    FaultAction repair = fail;
+    repair.kind = FaultAction::Kind::Repair;
+    repair.at_time = repair_t;
+    plan.actions.push_back(repair);
+  }
+  std::stable_sort(plan.actions.begin(), plan.actions.end(),
+                   [](const FaultAction& a, const FaultAction& b) {
+                     return a.at_time < b.at_time;
+                   });
+  return plan;
+}
+
+TEST(MtbfCompiler, MergedPlanEqualsTheStableSortedReference) {
+  Rng rng(20231112);
+  std::size_t actions = 0;
+  for (int i = 0; i < 240; ++i) {
+    MtbfSpec spec;
+    spec.mtbf_tu = rng.uniform(0.5, 50.0);
+    // Repairs from much shorter to much longer than the failure gap, so
+    // some plans interleave little and others keep many repairs pending.
+    spec.mttr_tu = spec.mtbf_tu * rng.uniform(0.05, 40.0);
+    spec.seed = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+    spec.horizon_tu = spec.mtbf_tu * static_cast<double>(rng.uniform_int(1, 400));
+    spec.num_boxes = static_cast<std::uint32_t>(rng.uniform_int(1, 120));
+    const FaultPlan plan = compile_mtbf_plan(spec);
+    ASSERT_EQ(plan, stable_sorted_mtbf_plan(spec)) << "spec " << i;
+    actions += plan.actions.size();
+  }
+  EXPECT_GT(actions, 10000u);  // the specs are not all trivial
 }
 
 TEST(MtbfCompiler, CompiledPlanDrivesTheEngine) {

@@ -77,8 +77,10 @@ TEST(Timeline, CsvRoundTripShape) {
   std::stringstream ss;
   timeline.write_csv(ss);
   std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> cells;
   for (std::string line; std::getline(ss, line);) {
-    rows.push_back(CsvReader::parse_line(line));
+    CsvReader::parse_line(line, cells);
+    rows.push_back(cells);
   }
   ASSERT_EQ(rows.size(), timeline.size() + 1);  // header + points
   EXPECT_EQ(rows[0][0], "time");

@@ -1183,7 +1183,8 @@ TEST(Log2HistogramTest, QuantilesStayResolvedAtScale) {
 }
 
 TEST(BoxRestore, RestoresHolePatternsExactly) {
-  topo::Box box(BoxId{0}, RackId{0}, ResourceType::Cpu, 0, {4, 4, 4});
+  topo::Box box(BoxId{0}, RackId{0}, ResourceType::Cpu, 0,
+                std::vector<Units>{4, 4, 4});
   topo::BoxAllocation first, second;
   ASSERT_TRUE(box.allocate_into(4, first));   // fills brick 0
   ASSERT_TRUE(box.allocate_into(4, second));  // fills brick 1
@@ -1193,7 +1194,8 @@ TEST(BoxRestore, RestoresHolePatternsExactly) {
 
   // A first-fit replay would compact the occupancy into brick 0;
   // restore_bricks must reproduce the recorded holes verbatim.
-  topo::Box fresh(BoxId{0}, RackId{0}, ResourceType::Cpu, 0, {4, 4, 4});
+  topo::Box fresh(BoxId{0}, RackId{0}, ResourceType::Cpu, 0,
+                  std::vector<Units>{4, 4, 4});
   fresh.restore_bricks(holes);
   EXPECT_EQ(fresh.available_by_brick(), holes);
   EXPECT_EQ(fresh.allocated_units(), 4u);

@@ -1,18 +1,52 @@
 // Topology substrate: Table 1 shape, unit-granular allocation with brick
-// accounting, incremental rack/cluster aggregates, snapshot/restore.
+// accounting, incremental rack/cluster aggregates, snapshot/restore, and
+// the build layout (per-rack box runs, a rack-count-free allocation count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <limits>
+#include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "network/fabric.hpp"
 #include "topology/cluster.hpp"
 #include "topology/config.hpp"
 
+// Every global operator new of this binary counts itself, so a test can
+// count the heap allocations a build makes.  The array and nothrow forms
+// forward here in libstdc++; the aligned forms stay the library's own.
+namespace {
+std::atomic<std::size_t> g_new_calls{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// All out of line: inlined into a caller, one of the pair would show GCC a
+// malloc matched with a delete (or a new with a free) and draw
+// -Wmismatched-new-delete, although the pair is malloc/free throughout.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace risa::topo {
 namespace {
+
+/// Heap allocations `build` makes.
+template <typename F>
+std::size_t allocations_during(F&& build) {
+  const std::size_t before = g_new_calls.load(std::memory_order_relaxed);
+  build();
+  return g_new_calls.load(std::memory_order_relaxed) - before;
+}
 
 TEST(ClusterConfig, Table1Defaults) {
   const ClusterConfig cfg{};
@@ -101,6 +135,107 @@ TEST(Cluster, PerTypeOrderingIsRackMajor) {
     EXPECT_EQ(box.index_in_type(), i);
     EXPECT_EQ(box.rack().value(), i / 2);  // 2 CPU boxes per rack
     EXPECT_EQ(box.type(), ResourceType::Cpu);
+  }
+}
+
+/// Box ids are assigned rack-major and type-major, so each rack's boxes of
+/// a type are one run of consecutive ids.  On even and uneven rack shapes,
+/// under a two-tier and a three-tier fabric: every run is consecutive,
+/// holds exactly its rack's boxes of its type, and the runs partition the
+/// boxes; the fabric's box switches and uplink groups follow the same
+/// order, and its tables have their closed-form sizes.
+TEST(Cluster, BoxRunsPartitionTheBoxesByRackAndType) {
+  const PerResource<std::uint32_t> shapes[] = {{2, 2, 2}, {3, 1, 2}};
+  for (const std::uint32_t racks_per_pod : {0u, 4u}) {
+    for (const PerResource<std::uint32_t>& per_rack : shapes) {
+      ClusterConfig shape;
+      shape.racks = 10;
+      shape.boxes_per_rack = per_rack;
+      net::FabricConfig fc;
+      fc.racks_per_pod = racks_per_pod;
+      const Cluster cluster(shape);
+      const net::Fabric fabric(shape, fc);
+      SCOPED_TRACE("racks_per_pod " + std::to_string(racks_per_pod) +
+                   ", CPU boxes per rack " + std::to_string(per_rack.cpu()));
+
+      const std::uint32_t pods = racks_per_pod > 0 ? 3 : 0;  // 4 + 4 + 2
+      const std::size_t boxes = cluster.num_boxes();
+      EXPECT_EQ(fabric.num_switches(), 10 + boxes + pods + 1);
+      EXPECT_EQ(fabric.num_links(),
+                boxes * fc.links_per_box + 10 * fc.links_per_rack +
+                    pods * fc.links_per_pod);
+
+      // Boxes per (rack, type), tallied from the boxes themselves.
+      std::vector<PerResource<std::uint32_t>> tally(
+          10, PerResource<std::uint32_t>{0, 0, 0});
+      for (std::uint32_t i = 0; i < boxes; ++i) {
+        const Box& box = cluster.box(BoxId{i});
+        ++tally[box.rack().value()][box.type()];
+      }
+      std::vector<int> covered(boxes, 0);
+      for (std::uint32_t r = 0; r < 10; ++r) {
+        const RackId rack{r};
+        for (ResourceType t : kAllResources) {
+          const std::span<const BoxId> run = cluster.rack(rack).boxes(t);
+          const std::span<const BoxId> same =
+              cluster.boxes_of_type_in_rack(rack, t);
+          EXPECT_EQ(same.data(), run.data());
+          EXPECT_EQ(same.size(), run.size());
+          ASSERT_EQ(run.size(), per_rack[t]);
+          EXPECT_EQ(run.size(), tally[r][t]);
+          for (std::size_t i = 0; i < run.size(); ++i) {
+            const BoxId id = run[i];
+            EXPECT_EQ(id.value(), run[0].value() + i);
+            EXPECT_EQ(cluster.box(id).rack(), rack);
+            EXPECT_EQ(cluster.box(id).type(), t);
+            ++covered[id.value()];
+            const net::SwitchNode& sw =
+                fabric.switch_node(fabric.box_switch(id));
+            EXPECT_EQ(sw.box, id);
+            EXPECT_EQ(sw.rack, rack);
+            for (LinkId l : fabric.box_uplinks(id)) {
+              EXPECT_EQ(fabric.link(l).box(), id);
+              EXPECT_EQ(fabric.link(l).rack(), rack);
+            }
+          }
+        }
+      }
+      EXPECT_TRUE(std::all_of(covered.begin(), covered.end(),
+                              [](int n) { return n == 1; }));
+      fabric.check_invariants();
+      cluster.check_invariants();
+    }
+  }
+}
+
+/// A build writes each table at its final size, so the number of heap
+/// allocations it makes is the same at 18 racks as at 256 (a Cluster's
+/// ceiling) and, for a Fabric alone, at 4,096 -- on a two-tier and a
+/// three-tier fabric.
+TEST(TopologyBuild, AllocationCountDoesNotDependOnTheRackCount) {
+  for (const std::uint32_t racks_per_pod : {0u, 6u}) {
+    net::FabricConfig fc;
+    fc.racks_per_pod = racks_per_pod;
+    auto shape = [](std::uint32_t racks) {
+      ClusterConfig config;
+      config.racks = racks;
+      return config;
+    };
+    auto both = [&](std::uint32_t racks) {
+      return allocations_during([&] {
+        const Cluster cluster(shape(racks));
+        const net::Fabric fabric(shape(racks), fc);
+      });
+    };
+    auto fabric_only = [&](std::uint32_t racks) {
+      return allocations_during(
+          [&] { const net::Fabric fabric(shape(racks), fc); });
+    };
+    const std::size_t at_18 = both(18);
+    EXPECT_GT(at_18, 0u) << "the counting operator new is not in use";
+    EXPECT_EQ(both(256), at_18) << "racks_per_pod " << racks_per_pod;
+    EXPECT_EQ(fabric_only(4096), fabric_only(18))
+        << "racks_per_pod " << racks_per_pod;
   }
 }
 
