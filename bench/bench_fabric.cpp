@@ -31,7 +31,9 @@
 //                                circuits) and settles the oldest (circuits
 //                                torn down, allocations released, record
 //                                erased); the record_bytes counter is
-//                                sizeof(Placement) + 2 * sizeof(Circuit);
+//                                what a live engine VM holds, both arena
+//                                slots with their headers
+//                                (Engine::kLiveVmRecordBytes);
 //   BM_CompanionSearch/<order>   bfs_search(GlobalOrder) from random anchor
 //                                racks for random (type, units) demands;
 //   BM_FabricBuild/<racks>       net::Fabric construction for a Table 1
@@ -335,7 +337,6 @@ class LiveRecords {
     const VmId vm{next_vm_++};
     core::Placement& p = records_.find_or_insert(vm.value());
     p.vm = vm;
-    p.units = spec.units;
     live_.push_back(vm);
     for (const ResourceType t : kAllResources) {
       if (!cluster_.allocate_into(spec.boxes[t], spec.units[t],
@@ -405,8 +406,8 @@ void BM_VmRecordChurn(benchmark::State& state) {
       live.settle_oldest();
     }
   }
-  state.counters["record_bytes"] = static_cast<double>(
-      sizeof(core::Placement) + 2 * sizeof(net::Circuit));
+  state.counters["record_bytes"] =
+      static_cast<double>(sim::Engine::kLiveVmRecordBytes);
   state.SetLabel(std::to_string(kChurnLiveVms) + " live VMs");
 }
 BENCHMARK(BM_VmRecordChurn);

@@ -161,6 +161,12 @@ class SlotArena {
     return slot_ref(s).gen;
   }
 
+  /// Bytes one entry occupies in the slab: the value plus the slot's
+  /// key/generation header.
+  [[nodiscard]] static constexpr std::size_t slot_bytes() noexcept {
+    return sizeof(Slot);
+  }
+
   [[nodiscard]] std::size_t slab_capacity() const noexcept {
     return slab_pages_.size() * kSlabPageSize;
   }

@@ -6,9 +6,10 @@
 // box allocation, bricks per box), so storing them inline removes the
 // per-VM heap round-trips; pathological configurations (a box with
 // hundreds of bricks, an allocation fragmented across many of them) spill
-// transparently.  The bookkeeping is one pointer plus a u32 size/capacity
-// pair -- 16 bytes on top of the inline array -- because these vectors sit
-// in every live VM's record (DESIGN.md §13).
+// transparently.  The heap pointer overlays the inline array (a vector is
+// spilled exactly when its capacity exceeds N), so the bookkeeping is a u32
+// size/capacity pair -- 8 bytes on top of the inline array -- because
+// these vectors sit in every live VM's record (DESIGN.md §13).
 //
 // Restricted to trivially copyable element types, which keeps the
 // implementation a simple memcpy-able buffer; every current use site
@@ -71,13 +72,13 @@ class SmallVec {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// True once the elements live in the heap buffer rather than inline.
-  [[nodiscard]] bool spilled() const noexcept { return heap_ != nullptr; }
+  [[nodiscard]] bool spilled() const noexcept { return capacity_ > N; }
 
   [[nodiscard]] T* data() noexcept {
-    return heap_ != nullptr ? heap_ : inline_.data();
+    return spilled() ? heap_ : inline_.data();
   }
   [[nodiscard]] const T* data() const noexcept {
-    return heap_ != nullptr ? heap_ : inline_.data();
+    return spilled() ? heap_ : inline_.data();
   }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data()[i]; }
@@ -108,6 +109,7 @@ class SmallVec {
       throw std::length_error("SmallVec: capacity overflow");
     }
     T* fresh = std::allocator<T>{}.allocate(cap);
+    // Copy out before heap_ is written: it overlays the inline elements.
     std::uninitialized_copy_n(data(), size_, fresh);
     release_heap();
     heap_ = fresh;
@@ -123,10 +125,9 @@ class SmallVec {
   /// Steal `other`'s heap buffer, or copy its inline elements; `other` is
   /// left empty and inline.  Precondition: this holds no heap buffer.
   void take(SmallVec& other) noexcept {
-    if (other.heap_ != nullptr) {
+    if (other.spilled()) {
       heap_ = other.heap_;
       capacity_ = other.capacity_;
-      other.heap_ = nullptr;
       other.capacity_ = N;
     } else {
       std::copy_n(other.inline_.data(), other.size_, inline_.data());
@@ -136,13 +137,16 @@ class SmallVec {
   }
 
   void release_heap() noexcept {
-    if (heap_ != nullptr) std::allocator<T>{}.deallocate(heap_, capacity_);
-    heap_ = nullptr;
+    if (spilled()) std::allocator<T>{}.deallocate(heap_, capacity_);
     capacity_ = N;
   }
 
-  std::array<T, N> inline_{};
-  T* heap_ = nullptr;
+  // The inline elements while capacity_ == N, the heap buffer's address
+  // once spilled.
+  union {
+    std::array<T, N> inline_{};
+    T* heap_;
+  };
   std::uint32_t size_ = 0;
   std::uint32_t capacity_ = N;
 };

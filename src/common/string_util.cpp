@@ -1,6 +1,9 @@
 #include "common/string_util.hpp"
 
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -74,9 +77,25 @@ std::optional<T> convert_whole(std::string_view s, Convert convert) {
 
 }  // namespace
 
+// The grammar is strtod's.  std::from_chars reads a subset of it -- no
+// leading '+', hex float or leading whitespace -- about four times faster
+// and, like strtod, correctly rounded, so a text it reads whole into a
+// value of magnitude strictly between DBL_MIN and DBL_MAX is one strtod
+// reads whole into the same value without ERANGE.  Everything else (those
+// spellings, inf/nan, zero, values at or past either end of the normal
+// range, which strtod may flag as underflow or overflow, and malformed
+// text) goes to strtod.
 std::optional<double> to_f64(std::string_view s) {
+  const std::string_view text = trim(s);
+  double v = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec == std::errc{} && end == text.data() + text.size()) {
+    const double magnitude = std::fabs(v);
+    if (magnitude > DBL_MIN && magnitude < DBL_MAX) return v;
+  }
   return convert_whole<double>(
-      s, [](const char* p, char** end) { return std::strtod(p, end); });
+      text, [](const char* p, char** e) { return std::strtod(p, e); });
 }
 
 std::int64_t parse_i64(std::string_view s) {

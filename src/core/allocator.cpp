@@ -11,7 +11,6 @@ std::optional<DropReason> Allocator::commit(const wl::VmRequest& vm,
   topo::Cluster& cluster = *ctx_.cluster;
 
   out.vm = vm.id;
-  out.units = units;
   out.demand = ctx_.bandwidth.demand(units);
   out.used_fallback = used_fallback;
 

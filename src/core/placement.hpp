@@ -32,9 +32,8 @@ inline constexpr std::size_t kNumDropReasons = 2;
 
 struct Placement {
   VmId vm;
-  UnitVector units;                       ///< demand in allocation units
-  std::array<topo::BoxAllocation, kNumResourceTypes> compute;  ///< by type
   std::array<RackId, kNumResourceTypes> racks;                 ///< by type
+  std::array<topo::BoxAllocation, kNumResourceTypes> compute;  ///< by type
   net::BandwidthDemand demand;            ///< circuit bandwidths
   bool inter_rack = false;   ///< any resource pair spans racks
   bool used_fallback = false;///< RISA/RISA-BF: placed via SUPER_RACK + NULB
@@ -45,10 +44,14 @@ struct Placement {
   [[nodiscard]] RackId rack(ResourceType t) const noexcept {
     return racks[index(t)];
   }
+  /// Demand in allocation units: each type's allocation holds exactly it.
+  [[nodiscard]] UnitVector units() const noexcept {
+    return {compute[0].units, compute[1].units, compute[2].units};
+  }
 };
 
 // Every live VM holds one Placement in its engine record (DESIGN.md §13);
-// two inline brick slices per box keep it at 216 bytes on LP64.
-static_assert(sizeof(Placement) <= 232);
+// two inline brick slices per box keep it at 136 bytes on LP64.
+static_assert(sizeof(Placement) <= 136);
 
 }  // namespace risa::core

@@ -12,12 +12,13 @@ Result<CircuitId, const char*> CircuitTable::establish(
     return Err<const char*>{"a hop of the path lacks the bandwidth"};
   }
   const CircuitId id{next_id_++};
-  Circuit& c = append(vm);
+  Circuit c;
+  c.bandwidth = bw;
   c.id = id;
   c.vm = vm;
-  c.flow = flow;
-  c.bandwidth = bw;
   c.path = path;
+  c.flow = flow;
+  append(vm, c);
   return id;
 }
 
@@ -36,16 +37,14 @@ void CircuitTable::adopt(Circuit circuit) {
         " of VM " + std::to_string(circuit.vm.value()) +
         ": a hop of the recorded path lacks the bandwidth");
   }
-  append(circuit.vm) = circuit;
+  append(circuit.vm, circuit);
 }
 
 std::size_t CircuitTable::teardown_vm(VmId vm) {
   VmCircuits* vc = by_vm_.find(vm.value());
   if (vc == nullptr) return 0;
-  const std::uint32_t removed = vc->count;
-  for (std::uint32_t i = 0; i < removed; ++i) {
-    router_->release(slot(*vc, i).path, slot(*vc, i).bandwidth);
-  }
+  const std::size_t removed = vc->size();
+  for (const Circuit& c : *vc) router_->release(c.path, c.bandwidth);
   truncate(vm, *vc, 0);
   return removed;
 }
@@ -53,44 +52,39 @@ std::size_t CircuitTable::teardown_vm(VmId vm) {
 std::size_t CircuitTable::teardown_prefix(VmId vm, std::uint32_t k) {
   VmCircuits* vc = by_vm_.find(vm.value());
   if (vc == nullptr || k == 0) return 0;
-  k = std::min(k, vc->count);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    router_->release(slot(*vc, i).path, slot(*vc, i).bandwidth);
+  const std::size_t n = vc->size();
+  const std::size_t removed = std::min<std::size_t>(k, n);
+  for (std::size_t i = 0; i < removed; ++i) {
+    router_->release((*vc)[i].path, (*vc)[i].bandwidth);
   }
-  for (std::uint32_t i = k; i < vc->count; ++i) {
-    slot(*vc, i - k) = std::move(slot(*vc, i));
-  }
-  truncate(vm, *vc, vc->count - k);
-  return k;
+  std::copy(vc->begin() + removed, vc->end(), vc->begin());
+  truncate(vm, *vc, n - removed);
+  return removed;
 }
 
 std::size_t CircuitTable::teardown_suffix(VmId vm, std::uint32_t keep) {
   VmCircuits* vc = by_vm_.find(vm.value());
-  if (vc == nullptr || keep >= vc->count) return 0;
-  const std::uint32_t removed = vc->count - keep;
-  for (std::uint32_t i = keep; i < vc->count; ++i) {
-    router_->release(slot(*vc, i).path, slot(*vc, i).bandwidth);
+  if (vc == nullptr || keep >= vc->size()) return 0;
+  const std::size_t removed = vc->size() - keep;
+  for (std::size_t i = keep; i < vc->size(); ++i) {
+    router_->release((*vc)[i].path, (*vc)[i].bandwidth);
   }
   truncate(vm, *vc, keep);
   return removed;
 }
 
-Circuit& CircuitTable::append(VmId vm) {
-  VmCircuits& vc = by_vm_.find_or_insert(vm.value());
+void CircuitTable::append(VmId vm, const Circuit& c) {
+  by_vm_.find_or_insert(vm.value()).push_back(c);
   ++active_;
-  const std::uint32_t i = vc.count++;
-  return i < kInlineCircuits ? vc.inline_circuits[i]
-                             : vc.overflow.emplace_back();
 }
 
-void CircuitTable::truncate(VmId vm, VmCircuits& vc, std::uint32_t count) {
-  active_ -= vc.count - count;
-  vc.count = count;
-  // Every current scenario keeps both circuits inline: skip the call then.
-  if (!vc.overflow.empty()) {
-    vc.overflow.resize(count > kInlineCircuits ? count - kInlineCircuits : 0);
+void CircuitTable::truncate(VmId vm, VmCircuits& vc, std::size_t count) {
+  active_ -= vc.size() - count;
+  if (count == 0) {
+    by_vm_.erase(vm.value());
+    return;
   }
-  if (count == 0) by_vm_.erase(vm.value());
+  while (vc.size() > count) vc.pop_back();
 }
 
 }  // namespace risa::net

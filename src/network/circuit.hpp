@@ -17,13 +17,12 @@
 // before (one root-vector cell per 4096 keys).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "common/slot_arena.hpp"
+#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "network/path.hpp"
@@ -43,16 +42,16 @@ enum class FlowKind : std::uint8_t { CpuRam = 0, RamStorage = 1 };
 }
 
 struct Circuit {
+  MbitsPerSec bandwidth = 0;
   CircuitId id;
   VmId vm;
-  FlowKind flow = FlowKind::CpuRam;
-  MbitsPerSec bandwidth = 0;
   CircuitPath path;
+  FlowKind flow = FlowKind::CpuRam;
 };
 
 // Two circuits per live VM sit inline in the table's arena slot (DESIGN.md
-// §7.2); the fixed-array path keeps each at 80 bytes.
-static_assert(sizeof(Circuit) <= 80);
+// §7.2); the link-only path keeps each at 48 bytes.
+static_assert(sizeof(Circuit) <= 48);
 
 class CircuitTable {
  public:
@@ -121,43 +120,35 @@ class CircuitTable {
   void for_each_circuit_of(VmId vm, Fn&& fn) const {
     const VmCircuits* vc = by_vm_.find(vm.value());
     if (vc == nullptr) return;
-    for (std::uint32_t i = 0; i < vc->count && i < kInlineCircuits; ++i) {
-      fn(vc->inline_circuits[i]);
-    }
-    for (const Circuit& c : vc->overflow) fn(c);
+    for (const Circuit& c : *vc) fn(c);
   }
 
   /// Number of circuits `vm` currently holds (0 when none) -- O(1) probe,
   /// used by allocator rollback, migration and the checkpoint writer.
   [[nodiscard]] std::size_t circuit_count_of(VmId vm) const {
     const VmCircuits* vc = by_vm_.find(vm.value());
-    return vc == nullptr ? 0 : vc->count;
+    return vc == nullptr ? 0 : vc->size();
+  }
+
+  /// Bytes of one VM's slot in the table's arena, its header included
+  /// (DESIGN.md §13).
+  [[nodiscard]] static constexpr std::size_t slot_bytes() noexcept {
+    return SlotArena<VmCircuits>::slot_bytes();
   }
 
  private:
   /// A VM holds two circuits (CPU-RAM, RAM-storage) in every current
   /// scenario, stored inline in the single VM-keyed arena slot so the
-  /// placement path costs one probe, not three.  More circuits per VM
-  /// (future multi-flow models) spill to the overflow vector.
-  static constexpr std::uint32_t kInlineCircuits = 2;
-  struct VmCircuits {
-    std::uint32_t count = 0;
-    std::array<Circuit, kInlineCircuits> inline_circuits;
-    std::vector<Circuit> overflow;
-  };
+  /// placement path costs one probe, not three.  A migration's brief
+  /// old-plus-new window holds up to four; the extra ones spill to the
+  /// heap.
+  using VmCircuits = SmallVec<Circuit, 2>;
 
-  /// Circuit at position `i` in establishment order (inline slots first).
-  [[nodiscard]] static Circuit& slot(VmCircuits& vc, std::uint32_t i) {
-    return i < kInlineCircuits ? vc.inline_circuits[i]
-                               : vc.overflow[i - kInlineCircuits];
-  }
-
-  /// The slot of `vm`'s next circuit (its bandwidth already reserved),
-  /// counted as live; the caller fills it.
-  [[nodiscard]] Circuit& append(VmId vm);
+  /// Append `c` (its bandwidth already reserved) to `vm`'s circuits.
+  void append(VmId vm, const Circuit& c);
   /// Keep the first `count` of `vm`'s circuits (the rest already
   /// released), dropping the VM's entry when none remain.
-  void truncate(VmId vm, VmCircuits& vc, std::uint32_t count);
+  void truncate(VmId vm, VmCircuits& vc, std::size_t count);
 
   Router* router_;
   SlotArena<VmCircuits> by_vm_;  // by vm id

@@ -14,6 +14,7 @@ Fabric::Fabric(const topo::ClusterConfig& cluster, FabricConfig config)
     : config_(config) {
   config_.validate();
   cluster.validate();
+  channel_divisor_ = Divisor(static_cast<std::uint64_t>(config_.channel_rate));
 
   const std::uint32_t racks = cluster.racks;
   const std::uint32_t boxes_per_rack = cluster.total_boxes_per_rack();
@@ -229,9 +230,11 @@ std::span<const LinkId> Fabric::group_of(const Link& l) const noexcept {
 }
 
 std::uint16_t Fabric::headroom_lane(std::size_t rack) const noexcept {
-  constexpr MbitsPerSec kLaneMax = std::numeric_limits<std::uint16_t>::max();
-  return static_cast<std::uint16_t>(std::min(
-      free_[rack_best_[rack].value()] / config_.channel_rate, kLaneMax));
+  constexpr std::uint64_t kLaneMax = std::numeric_limits<std::uint16_t>::max();
+  // Free bandwidth is never negative: a failed link reads 0.
+  const auto free = static_cast<std::uint64_t>(free_[rack_best_[rack].value()]);
+  return static_cast<std::uint16_t>(
+      std::min(channel_divisor_.quotient(free), kLaneMax));
 }
 
 // Both run after the caller has written `l`'s new availability into the

@@ -36,9 +36,11 @@
 #include <span>
 #include <vector>
 
+#include "common/divisor.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "network/link.hpp"
+#include "network/path.hpp"
 #include "network/switch_node.hpp"
 #include "topology/config.hpp"
 
@@ -116,6 +118,50 @@ class Fabric {
     return links_[id.value()];
   }
   [[nodiscard]] std::size_t num_links() const noexcept { return links_.size(); }
+
+  /// Call `fn(SwitchId)` for each switch `path` traverses, source to
+  /// destination, derived from its links: consecutive hops share one
+  /// switch, so the walk starts at the first hop's endpoint the second hop
+  /// does not touch (endpoint_a of a one-hop path) and crosses each hop to
+  /// its far end.  Returns false, having visited only a prefix, when the
+  /// path has no links or a hop does not start where the previous one
+  /// ended -- only a corrupt checkpoint holds such a path.  Every link id
+  /// must be this fabric's (unchecked, like link_unchecked).  The walk
+  /// reads the hops' `Link` records, which the placement path has just
+  /// touched when it reserved them.
+  template <typename Fn>
+  bool for_each_path_switch(const CircuitPath& path, Fn&& fn) const noexcept {
+    const std::span<const LinkId> links = path.links();
+    if (links.empty()) return false;
+    const Link& first = link_unchecked(links[0]);
+    SwitchId at = first.endpoint_a();
+    if (links.size() > 1) {
+      const Link& second = link_unchecked(links[1]);
+      if (at == second.endpoint_a() || at == second.endpoint_b()) {
+        at = first.endpoint_b();
+      }
+    }
+    fn(at);
+    for (const LinkId id : links) {
+      const Link& l = link_unchecked(id);
+      const SwitchId a = l.endpoint_a();
+      const SwitchId b = l.endpoint_b();
+      if (at != a && at != b) return false;
+      at = SwitchId{a.value() ^ b.value() ^ at.value()};  // the far end
+      fn(at);
+    }
+    return true;
+  }
+
+  /// The switches for_each_path_switch visits, as a list; empty when the
+  /// links do not chain.
+  [[nodiscard]] SwitchList path_switches(const CircuitPath& path) const noexcept {
+    SwitchList out;
+    if (!for_each_path_switch(path, [&](SwitchId s) { out.push_back(s); })) {
+      return SwitchList{};
+    }
+    return out;
+  }
 
   /// link(id).available() read from the free lane -- 0 while the link is
   /// failed.  Bounds-unchecked, like link_unchecked.
@@ -287,6 +333,8 @@ class Fabric {
   [[nodiscard]] std::uint16_t headroom_lane(std::size_t rack) const noexcept;
 
   FabricConfig config_;
+  /// Divides by config_.channel_rate for headroom_lane.
+  Divisor channel_divisor_;
   std::vector<SwitchNode> switches_;
   std::vector<Link> links_;
   std::vector<SwitchId> box_switches_;             // by box id

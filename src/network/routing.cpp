@@ -46,8 +46,6 @@ bool Router::find_path(BoxId src, RackId src_rack, BoxId dst, RackId dst_rack,
 
   CircuitPath path;
   path.inter_rack = src_rack != dst_rack;
-  path.push_switch(fabric_->box_switch(src));
-  path.push_switch(fabric_->rack_switch(src_rack));
   path.push_link(src_up);
 
   if (path.inter_rack) {
@@ -57,14 +55,10 @@ bool Router::find_path(BoxId src, RackId src_rack, BoxId dst, RackId dst_rack,
     if (!up_b.valid()) return false;
     path.push_link(up_a);
 
-    if (fabric_->num_pods() == 0) {
-      // Two-tier (the paper's topology): rack -> core -> rack.
-      path.push_switch(fabric_->core_switch());
-    } else if (fabric_->same_pod(src_rack, dst_rack)) {
-      // Three-tier, same pod: rack -> pod -> rack.
-      path.push_switch(fabric_->pod_switch(fabric_->pod_of_rack(src_rack)));
-    } else {
-      // Three-tier, cross-pod: rack -> pod -> core -> pod -> rack.
+    // Two-tier (the paper's topology): rack -> core -> rack, and
+    // three-tier within a pod: rack -> pod -> rack.  Across pods the route
+    // climbs to the core: rack -> pod -> core -> pod -> rack.
+    if (fabric_->num_pods() > 0 && !fabric_->same_pod(src_rack, dst_rack)) {
       const std::uint32_t pod_a = fabric_->pod_of_rack(src_rack);
       const std::uint32_t pod_b = fabric_->pod_of_rack(dst_rack);
       const LinkId pod_up_a =
@@ -73,19 +67,14 @@ bool Router::find_path(BoxId src, RackId src_rack, BoxId dst, RackId dst_rack,
       const LinkId pod_up_b =
           select_link(fabric_->pod_uplinks(pod_b), bw, policy);
       if (!pod_up_b.valid()) return false;
-      path.push_switch(fabric_->pod_switch(pod_a));
       path.push_link(pod_up_a);
-      path.push_switch(fabric_->core_switch());
       path.push_link(pod_up_b);
-      path.push_switch(fabric_->pod_switch(pod_b));
     }
 
     path.push_link(up_b);
-    path.push_switch(fabric_->rack_switch(dst_rack));
   }
 
   path.push_link(dst_up);
-  path.push_switch(fabric_->box_switch(dst));
   out = path;
   return true;
 }

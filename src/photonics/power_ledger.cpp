@@ -6,7 +6,7 @@ namespace risa::phot {
 
 PowerLedger::PowerLedger(const PhotonicConfig& config,
                          const net::Fabric& fabric)
-    : config_(config) {
+    : config_(config), fabric_(&fabric) {
   config_.validate();
   // FabricConfig::validate guarantees every switch has >= 2 ports, so the
   // Beneš helpers cannot throw here.
@@ -21,9 +21,9 @@ PowerLedger::PowerLedger(const PhotonicConfig& config,
 
 double PowerLedger::holding_power_w(const net::Circuit& circuit) const {
   double power = 0.0;
-  for (SwitchId sw : circuit.path.switches()) {
+  fabric_->for_each_path_switch(circuit.path, [&](SwitchId sw) {
     power += per_switch_[sw.value()].trim_w;
-  }
+  });
   power += transceiver_power_w(config_.transceiver, circuit.bandwidth,
                                circuit.path.hop_count());
   return power;
@@ -36,12 +36,12 @@ VmEnergy PowerLedger::charge_circuit(const net::Circuit& circuit,
   }
   const double s_per_tu = config_.switch_energy.seconds_per_time_unit;
   VmEnergy e;
-  for (SwitchId sw : circuit.path.switches()) {
+  fabric_->for_each_path_switch(circuit.path, [&](SwitchId sw) {
     // The left-to-right product of circuit_switch_energy: coeff * T * s.
     const SwitchCoefficients& k = per_switch_[sw.value()];
     e.switch_switching_j += k.switching_j;
     e.switch_trimming_j += k.trim_w * lifetime_tu * s_per_tu;
-  }
+  });
   const double lifetime_s = lifetime_tu * s_per_tu;
   e.transceiver_j += transceiver_energy_j(
       config_.transceiver, circuit.bandwidth, circuit.path.hop_count(),
@@ -71,12 +71,12 @@ void PowerLedger::accumulate_circuit_refund(const net::Circuit& circuit,
                                             double unused_tu,
                                             VmEnergy& refund) {
   const double s_per_tu = config_.switch_energy.seconds_per_time_unit;
-  for (SwitchId sw : circuit.path.switches()) {
+  fabric_->for_each_path_switch(circuit.path, [&](SwitchId sw) {
     // Only the holding (trimming) term of Eq. (1) scales with duration;
     // the switching term is sunk reconfiguration cost.
     refund.switch_trimming_j += per_switch_[sw.value()].trim_w * unused_tu *
                                 s_per_tu;
-  }
+  });
   const double unused_s = unused_tu * s_per_tu;
   refund.transceiver_j += transceiver_energy_j(
       config_.transceiver, circuit.bandwidth, circuit.path.hop_count(),

@@ -52,7 +52,9 @@ struct VmEnergy {
 class PowerLedger {
  public:
   /// Validates `config` and precomputes Eq. (1)'s per-switch coefficients
-  /// for every switch of `fabric` (DESIGN.md §8.4).
+  /// for every switch of `fabric` (DESIGN.md §8.4).  The ledger reads each
+  /// circuit's switches through `fabric` (Fabric::for_each_path_switch), so
+  /// the fabric must outlive it.
   PowerLedger(const PhotonicConfig& config, const net::Fabric& fabric);
 
   /// Charge the energy of one circuit held for `lifetime_tu` simulated time
@@ -147,6 +149,7 @@ class PowerLedger {
   };
 
   PhotonicConfig config_;
+  const net::Fabric* fabric_;
   /// Indexed by SwitchId; built once from the fabric's port counts.
   std::vector<SwitchCoefficients> per_switch_;
   VmEnergy total_{};

@@ -223,19 +223,11 @@ class BrickLedger {
     held_.assign(total, 0);
   }
 
-  /// Check one placement's allocations (box ids, brick indices and slice
-  /// units were range-checked as they were read) and add its slices.
+  /// Check one placement's allocations (box ids and types, allocation
+  /// units, brick indices and slice units were checked as they were read)
+  /// and add its slices.
   void add(const core::Placement& p) {
-    for (ResourceType t : kAllResources) {
-      const topo::BoxAllocation& a = p.compute[index(t)];
-      if (a.type != t || cluster_.box_unchecked(a.box).type() != t) {
-        throw std::runtime_error(
-            "checkpoint: allocation type is not its box's");
-      }
-      if (a.units != p.units[t]) {
-        throw std::runtime_error(
-            "checkpoint: allocation units are not the VM's demand");
-      }
+    for (const topo::BoxAllocation& a : p.compute) {
       Units sum = 0;
       for (const topo::BrickSlice& sl : a.slices) {
         sum += sl.units;
@@ -1584,6 +1576,8 @@ void Engine::Run::transfer_records(Ar& ar) {
   const auto switch_field = [&](auto& s) {
     ar.u32(s, fabric.num_switches(), "switch id out of range");
   };
+  // The switch list and the inter-rack byte are derived from the links,
+  // so the reader checks them against the links instead of storing them.
   const auto circuit_fields = [&](auto& c) {
     ar.u32(c.id);
     ar.u32(c.vm);
@@ -1597,12 +1591,24 @@ void Engine::Run::transfer_records(Ar& ar) {
       ar.seq(switches, switch_field, net::CircuitPath::kMaxSwitches,
              "circuit path too long");
       for (const LinkId l : links) c.path.push_link(l);
-      for (const SwitchId sw : switches) c.path.push_switch(sw);
+      const net::SwitchList derived = fabric.path_switches(c.path);
+      if (derived.empty()) {
+        throw std::runtime_error("checkpoint: circuit links do not chain");
+      }
+      if (!std::ranges::equal(derived, switches)) {
+        throw std::runtime_error(
+            "checkpoint: circuit switches do not match its links");
+      }
     } else {
       ar.seq(c.path.links(), link_field);
-      ar.seq(c.path.switches(), switch_field);
+      ar.seq(fabric.path_switches(c.path), switch_field);
     }
     ar.u8(c.path.inter_rack);
+    // Only an inter-rack route climbs past the rack switch.
+    if (Ar::kLoading && c.path.inter_rack != (c.path.hop_count() > 2)) {
+      throw std::runtime_error(
+          "checkpoint: circuit inter-rack flag does not match its hops");
+    }
   };
   std::optional<BrickLedger> ledger;
   if constexpr (Ar::kLoading) ledger.emplace(cluster);
@@ -1635,11 +1641,27 @@ void Engine::Run::transfer_records(Ar& ar) {
         throw std::runtime_error(
             "checkpoint: placement vm is not its record's");
       }
-      for (topo::BoxAllocation& a : p.compute) {
+      for (ResourceType t : kAllResources) {
+        topo::BoxAllocation& a = p.compute[index(t)];
         ar.u32(a.box, cluster.num_boxes(), "box id out of range");
-        ar.u8(a.type, kNumResourceTypes, "bad resource type");
-        ar.i64(a.units);
         const topo::Box& box = cluster.box_unchecked(a.box);
+        // The type and the units are stored in the v1 widths: the type
+        // is its box's, and the units fit a u32 because the box does.
+        ResourceType type = box.type();
+        ar.u8(type, kNumResourceTypes, "bad resource type");
+        std::int64_t units = a.units;
+        ar.i64(units);
+        if constexpr (Ar::kLoading) {
+          if (type != t || box.type() != t) {
+            throw std::runtime_error(
+                "checkpoint: allocation type is not its box's");
+          }
+          if (units < 1 || units > box.capacity_units()) {
+            throw std::runtime_error(
+                "checkpoint: allocation units out of range");
+          }
+          a.units = static_cast<std::uint32_t>(units);
+        }
         ar.seq(
             a.slices,
             [&](auto& sl) {
@@ -1659,7 +1681,14 @@ void Engine::Run::transfer_records(Ar& ar) {
       for (RackId& rack : p.racks) {
         ar.u32(rack, cluster.num_racks(), "rack id out of range");
       }
-      for (ResourceType t : kAllResources) ar.i64(p.units[t]);
+      for (const topo::BoxAllocation& a : p.compute) {
+        std::int64_t demand = a.units;
+        ar.i64(demand);
+        if (Ar::kLoading && demand != a.units) {
+          throw std::runtime_error(
+              "checkpoint: allocation units are not the VM's demand");
+        }
+      }
       ar.i64(p.demand.cpu_ram);
       ar.i64(p.demand.ram_sto);
       ar.u8(p.inter_rack);

@@ -279,10 +279,17 @@ class Engine {
     std::uint8_t live = 0;
     std::uint8_t ever_placed = 0;
   };
-  // The arena slab holds one of these per live VM (DESIGN.md §13).
-  static_assert(sizeof(VmState) <= 320);
   SlotArena<VmState> vms_;
 
+ public:
+  /// Bytes one live VM holds in the engine's two arenas -- its VmState
+  /// slot and its CircuitTable slot -- slot headers included (DESIGN.md
+  /// §13).
+  static constexpr std::size_t kLiveVmRecordBytes =
+      SlotArena<VmState>::slot_bytes() + net::CircuitTable::slot_bytes();
+  static_assert(kLiveVmRecordBytes <= 384);
+
+ private:
   /// Arrival refill chunk: the engine pulls the source in batches of this
   /// ring's size.  Chunk boundaries (ring empty, top of the merge loop)
   /// are the checkpoint safe points.

@@ -15,10 +15,11 @@ Box::Box(BoxId id, RackId rack, ResourceType type, std::uint32_t index_in_type,
   }
   for (Units u : brick_units) {
     if (u < 0) throw std::invalid_argument("Box: negative brick capacity");
-    // Slices record units as u32 (BrickSlice); ClusterConfig::validate
-    // bounds whole boxes, this guards directly built ones.
-    if (u > ClusterConfig::kMaxBoxUnits) {
-      throw std::invalid_argument("Box: brick exceeds u32 units");
+    // Allocations and slices record units as u32 (BoxAllocation,
+    // BrickSlice); ClusterConfig::validate bounds whole boxes, this guards
+    // directly built ones.
+    if (u > ClusterConfig::kMaxBoxUnits - capacity_) {
+      throw std::invalid_argument("Box: capacity exceeds u32 units");
     }
     brick_capacity_.push_back(u);
     brick_allocated_.push_back(0);
@@ -39,8 +40,8 @@ Units Box::brick_available(std::uint32_t brick) const {
 bool Box::allocate_into(Units units, BoxAllocation& out) {
   if (units <= 0 || units > available_units()) return false;
   out.box = id_;
-  out.type = type_;
-  out.units = units;
+  // available_units() <= capacity_ <= ClusterConfig::kMaxBoxUnits.
+  out.units = static_cast<std::uint32_t>(units);
   out.slices.clear();
   const Units* capacity = brick_capacity_.data();
   Units* allocated = brick_allocated_.data();

@@ -25,6 +25,8 @@ struct BrickSlice {
 };
 
 /// Record of one allocation inside one box; the handle needed to release.
+/// The resource type is its box's (Box::type), so it is not stored; the
+/// unit count is exact in a u32 for the same reason a slice's is.
 struct BoxAllocation {
   /// Slices held inline.  Sized from the measured slice-count histogram:
   /// on the 256-rack RISA benchmark 86% of allocations take one brick,
@@ -33,15 +35,15 @@ struct BoxAllocation {
   static constexpr std::size_t kInlineSlices = 2;
 
   BoxId box;
-  ResourceType type = ResourceType::Cpu;
-  Units units = 0;
+  std::uint32_t units = 0;
   SmallVec<BrickSlice, kInlineSlices> slices;
 
   [[nodiscard]] bool empty() const noexcept { return units == 0; }
 };
 
 static_assert(sizeof(BrickSlice) == 8);
-static_assert(sizeof(BoxAllocation) <= 48);
+static_assert(sizeof(SmallVec<BrickSlice, BoxAllocation::kInlineSlices>) == 24);
+static_assert(sizeof(BoxAllocation) <= 32);
 
 class Box {
  public:

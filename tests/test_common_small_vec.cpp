@@ -6,6 +6,8 @@
 // and release.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -128,6 +130,71 @@ TEST(SmallVec, ClearAfterSpillReturnsToInline) {
   v.push_back(6);
   EXPECT_FALSE(v.spilled());
   EXPECT_EQ(contents(v), (std::vector<std::uint32_t>{5, 6}));
+}
+
+// The heap pointer overlays the inline elements, so only the capacity
+// tells the two representations apart: a vector back in inline storage
+// must read the elements written there, never the pointer bytes the
+// spilled buffer left in the same storage, through every transition.
+template <typename T, std::size_t N>
+void cycle_representations() {
+  using V = SmallVec<T, N>;
+  static_assert(sizeof(V) ==
+                std::max(sizeof(T) * N, sizeof(T*)) + 2 * sizeof(std::uint32_t));
+  const auto fill = [](V& v, std::size_t n, std::size_t base) {
+    for (std::size_t i = 0; i < n; ++i) v.push_back(static_cast<T>(base + i));
+  };
+  const auto holds = [](const V& v, std::size_t n, std::size_t base) {
+    std::vector<T> want;
+    for (std::size_t i = 0; i < n; ++i) want.push_back(static_cast<T>(base + i));
+    return std::vector<T>(v.begin(), v.end()) == want;
+  };
+  for (int round = 0; round < 3; ++round) {
+    V v;
+    fill(v, N + 3, 10);  // spill
+    ASSERT_TRUE(v.spilled());
+    V copy(v);           // copy of a spilled vector: its own buffer
+    ASSERT_TRUE(copy.spilled());
+    ASSERT_NE(copy.data(), v.data());
+    V moved(std::move(v));  // steals the buffer; v is inline and empty
+    ASSERT_TRUE(holds(moved, N + 3, 10));
+    ASSERT_TRUE(holds(copy, N + 3, 10));
+    ASSERT_FALSE(v.spilled());  // NOLINT(bugprone-use-after-move)
+    ASSERT_EQ(v.capacity(), N);
+    fill(v, N, 40);  // inline again, over the stolen pointer's bytes
+    ASSERT_FALSE(v.spilled());
+    ASSERT_TRUE(holds(v, N, 40));
+    v.push_back(static_cast<T>(40 + N));  // re-spill from inline
+    ASSERT_TRUE(v.spilled());
+    ASSERT_TRUE(holds(v, N + 1, 40));
+
+    copy.clear();  // frees the buffer, back to inline
+    ASSERT_FALSE(copy.spilled());
+    ASSERT_EQ(copy.capacity(), N);
+    fill(copy, 1, 70);
+    ASSERT_TRUE(holds(copy, 1, 70));
+    fill(copy, N + 4, 71);  // re-spill after clear()
+    ASSERT_TRUE(copy.spilled());
+    ASSERT_TRUE(holds(copy, N + 5, 70));
+
+    V inline_copy;
+    fill(inline_copy, N, 90);
+    moved = inline_copy;  // copy-assign inline into a spilled target
+    ASSERT_TRUE(holds(moved, N, 90));
+    moved = std::move(copy);  // move-assign spilled over spilled or inline
+    ASSERT_TRUE(holds(moved, N + 5, 70));
+    ASSERT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    ASSERT_FALSE(copy.spilled());
+    copy = std::move(inline_copy);  // move of an inline vector copies
+    ASSERT_TRUE(holds(copy, N, 90));
+    ASSERT_FALSE(copy.spilled());
+  }
+}
+
+TEST(SmallVec, OverlaidPointerSurvivesSpillCopyMoveClearRespill) {
+  cycle_representations<std::uint32_t, 2>();
+  cycle_representations<std::uint8_t, 1>();  // inline bytes < pointer
+  cycle_representations<std::uint64_t, 8>();  // Box's brick-ledger shape
 }
 
 TEST(SmallVec, EqualityComparesElementsAcrossRepresentations) {

@@ -2,12 +2,21 @@
 // flags, string utilities and table rendering.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "common/csv.hpp"
 #include "common/flags.hpp"
 #include "common/histogram.hpp"
+#include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 
@@ -302,6 +311,101 @@ TEST(StringUtil, Parsers) {
   EXPECT_THROW((void)parse_f64("2.5junk"), std::runtime_error);
   EXPECT_THROW((void)parse_f64("1e999"), std::runtime_error);
   EXPECT_THROW((void)parse_bool("maybe"), std::runtime_error);
+}
+
+TEST(StringUtil, ToF64KeepsTheStrtodGrammar) {
+  // Spellings std::from_chars does not read are still numbers.
+  EXPECT_EQ(to_f64("+1.5"), 1.5);
+  EXPECT_EQ(to_f64("0x1p3"), 8.0);
+  EXPECT_EQ(to_f64("-0X1.8P1"), -3.0);
+  for (const char* inf : {"inf", "INF", "Infinity", "+inf", "iNfInItY"}) {
+    EXPECT_EQ(to_f64(inf), HUGE_VAL) << inf;
+  }
+  EXPECT_EQ(to_f64("-inf"), -HUGE_VAL);
+  for (const char* nan : {"nan", "NaN", "-nan", "nan(123)", "NAN(abc_9)"}) {
+    const std::optional<double> v = to_f64(nan);
+    ASSERT_TRUE(v.has_value()) << nan;
+    EXPECT_TRUE(std::isnan(*v)) << nan;
+  }
+  // Surrounding whitespace is trimmed; strtod also skips a leading \v or
+  // \f that trim() keeps.
+  EXPECT_EQ(to_f64(" \t2.5\r\n"), 2.5);
+  EXPECT_EQ(to_f64("\v2.5"), 2.5);
+  EXPECT_EQ(to_f64(" \f 2.5"), 2.5);
+  EXPECT_EQ(to_f64("2.5\v"), std::nullopt);
+  EXPECT_EQ(to_f64(".5"), 0.5);
+  EXPECT_EQ(to_f64("5."), 5.0);
+  EXPECT_EQ(to_f64("-0"), 0.0);
+  EXPECT_TRUE(std::signbit(*to_f64("-0")));
+  EXPECT_EQ(to_f64("0.0"), 0.0);
+  // Malformed or partly read text.
+  for (const char* bad : {"", " ", ".", "1e", "1e+", "--1", "+-1", "1.5x",
+                          "0x", "in", "1,5", "1 2"}) {
+    EXPECT_EQ(to_f64(bad), std::nullopt) << '"' << bad << '"';
+  }
+  // Overflow, and underflow: strtod flags (ERANGE) every result whose
+  // exact value is below DBL_MIN, subnormal or zero, even one that rounds
+  // up to DBL_MIN.
+  for (const char* range : {"1e309", "-1e309", "1.7976931348623159e308",
+                            "1e-400", "-2e-324", "4.9e-324", "1e-310",
+                            "2.2250738585072011e-308"}) {
+    EXPECT_EQ(to_f64(range), std::nullopt) << range;
+  }
+  EXPECT_EQ(to_f64("1.7976931348623157e308"), 1.7976931348623157e308);
+  EXPECT_EQ(to_f64("2.2250738585072014e-308"), 2.2250738585072014e-308);
+  EXPECT_EQ(to_f64("0.1"), 0.1);
+  EXPECT_EQ(to_f64("123456.78901234567"), 123456.78901234567);
+}
+
+/// The strtod reading to_f64 must reproduce: the whole of trim(s), no
+/// ERANGE.
+std::optional<double> strtod_reference(std::string_view s) {
+  const std::string text(trim(s));
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+TEST(StringUtil, ToF64MatchesStrtodOnRandomText) {
+  Rng rng(20231112);
+  const std::string alphabet = "0123456789.eE+-xXpPaAfFnNiItTyY( )\t";
+  const auto expect_same = [](const std::string& text) {
+    const std::optional<double> got = to_f64(text);
+    const std::optional<double> want = strtod_reference(text);
+    ASSERT_EQ(got.has_value(), want.has_value()) << '"' << text << '"';
+    if (got) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(*got),
+                std::bit_cast<std::uint64_t>(*want))
+          << '"' << text << '"';
+    }
+  };
+  for (int i = 0; i < 20000; ++i) {
+    // Random doubles over the whole exponent range, subnormals included,
+    // printed at 17 significant digits (the trace writer's precision) and
+    // at random shorter ones.
+    const auto bits = static_cast<std::uint64_t>(rng.uniform_int(
+        0, std::numeric_limits<std::int64_t>::max()));
+    const double x = std::bit_cast<double>(bits);
+    char buf[64];
+    const int digits = rng.uniform_int(0, 1) == 0
+                           ? 17
+                           : static_cast<int>(rng.uniform_int(1, 20));
+    std::snprintf(buf, sizeof buf, "%.*g", digits, x);
+    expect_same(buf);
+    // Near-numbers: short random strings over the number alphabet.
+    std::string text;
+    const auto len = rng.uniform_int(0, 8);
+    for (std::int64_t k = 0; k < len; ++k) {
+      text.push_back(alphabet[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(alphabet.size()) - 1))]);
+    }
+    expect_same(text);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(StringUtil, Strformat) {

@@ -2,11 +2,56 @@
 // strong ids.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/divisor.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 
 namespace risa {
 namespace {
+
+TEST(Divisor, QuotientMatchesPlainDivision) {
+  // Powers of two (where the reciprocal is one short of 2^64 / d), odd and
+  // composite non-powers of two, the paper's 25 Gb/s channel in Mb/s, and
+  // divisors near the top of the dividend range.
+  std::vector<std::uint64_t> divisors = {
+      1, 2, 3, 5, 7, 10, 1000, 1024, 25000, 33333, 65535, 65536, 65537,
+      (std::uint64_t{1} << 31) - 1, std::uint64_t{1} << 32,
+      (std::uint64_t{1} << 62) + 1, (std::uint64_t{1} << 63) - 1};
+  Rng rng(20231112);
+  for (int i = 0; i < 64; ++i) {
+    divisors.push_back(static_cast<std::uint64_t>(
+        rng.uniform_int(1, std::int64_t{1} << rng.uniform_int(1, 62))));
+  }
+  constexpr std::uint64_t kMaxDividend = (std::uint64_t{1} << 63) - 1;
+  for (const std::uint64_t d : divisors) {
+    const Divisor div(d);
+    ASSERT_EQ(div.divisor(), d);
+    // Multiples of d and their neighbours, where a one-off estimate shows.
+    std::vector<std::uint64_t> dividends = {0, 1, d - 1, d, kMaxDividend,
+                                            kMaxDividend - 1};
+    for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{2},
+                                  std::uint64_t{65535}, std::uint64_t{65536},
+                                  kMaxDividend / d}) {
+      if (k == 0 || k > kMaxDividend / d) continue;
+      dividends.push_back(k * d);
+      dividends.push_back(k * d - 1);
+      if (k * d < kMaxDividend) dividends.push_back(k * d + 1);
+    }
+    for (int j = 0; j < 2000; ++j) {
+      const auto bits = rng.uniform_int(0, 63);
+      dividends.push_back(static_cast<std::uint64_t>(rng.uniform_int(
+          0, bits == 63 ? static_cast<std::int64_t>(kMaxDividend)
+                        : (std::int64_t{1} << bits) - 1)));
+    }
+    for (const std::uint64_t n : dividends) {
+      ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+    }
+  }
+}
 
 TEST(Units, GbConversionRoundTrips) {
   EXPECT_EQ(gb(4.0), 4096);

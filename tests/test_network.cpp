@@ -169,7 +169,11 @@ TEST(Router, IntraRackPathHasTwoHopsThreeSwitches) {
                                gbps(5.0), LinkSelectPolicy::FirstFit, path));
   EXPECT_FALSE(path.inter_rack);
   EXPECT_EQ(path.hop_count(), 2u);
-  ASSERT_EQ(path.switches().size(), 3u);  // box -> rack -> box
+  const SwitchList switches = fabric.path_switches(path);
+  EXPECT_EQ(std::vector<SwitchId>(switches.begin(), switches.end()),
+            (std::vector<SwitchId>{fabric.box_switch(BoxId{0}),
+                                   fabric.rack_switch(RackId{0}),
+                                   fabric.box_switch(BoxId{2})}));
 }
 
 TEST(Router, InterRackPathHasFourHopsFiveSwitches) {
@@ -181,8 +185,29 @@ TEST(Router, InterRackPathHasFourHopsFiveSwitches) {
                                gbps(5.0), LinkSelectPolicy::FirstFit, path));
   EXPECT_TRUE(path.inter_rack);
   EXPECT_EQ(path.hop_count(), 4u);
-  ASSERT_EQ(path.switches().size(), 5u);  // box, rack, core, rack, box
-  EXPECT_EQ(path.switches()[2], fabric.core_switch());
+  const SwitchList switches = fabric.path_switches(path);
+  EXPECT_EQ(std::vector<SwitchId>(switches.begin(), switches.end()),
+            (std::vector<SwitchId>{
+                fabric.box_switch(BoxId{0}), fabric.rack_switch(RackId{0}),
+                fabric.core_switch(), fabric.rack_switch(RackId{1}),
+                fabric.box_switch(BoxId{8})}));
+}
+
+TEST(Fabric, PathSwitchesRejectLinksThatDoNotChain) {
+  Fabric fabric(paper_cluster(), FabricConfig{});
+  // Box 0's and box 8's uplinks meet no common switch (racks 0 and 1).
+  CircuitPath broken;
+  broken.push_link(fabric.box_uplinks(BoxId{0})[0]);
+  broken.push_link(fabric.box_uplinks(BoxId{8})[0]);
+  EXPECT_TRUE(fabric.path_switches(broken).empty());
+  EXPECT_TRUE(fabric.path_switches(CircuitPath{}).empty());
+  // One hop runs from endpoint a (the box switch) to endpoint b.
+  CircuitPath one;
+  one.push_link(fabric.box_uplinks(BoxId{3})[1]);
+  const SwitchList ends = fabric.path_switches(one);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_EQ(ends[0], fabric.box_switch(BoxId{3}));
+  EXPECT_EQ(ends[1], fabric.rack_switch(RackId{0}));
 }
 
 TEST(Router, SameBoxPathRejected) {
@@ -505,6 +530,51 @@ void churn_best_uplinks(const FabricConfig& config, std::uint64_t seed) {
   }
   // The lane check above covered failed links that still hold bandwidth.
   EXPECT_GT(failed_and_reserved, 1000);
+}
+
+TEST(Fabric, HeadroomLaneMatchesPlainDivisionAtTheU16Edge) {
+  // Channel rates that are not powers of two, on links holding about
+  // 70,000 channels, so a rack's free channel count crosses the u16 lane's
+  // saturation point.  Every rack-0 uplink holds the same reservation, so
+  // the best one (the first) has exactly `free` Mb/s available.
+  Rng rng(20231112);
+  for (const MbitsPerSec rate : {MbitsPerSec{3}, MbitsPerSec{7},
+                                 MbitsPerSec{1000}, MbitsPerSec{33333}}) {
+    FabricConfig config;
+    config.channel_rate = rate;
+    config.link_capacity = rate * 70000 + rate - 1;
+    const MbitsPerSec capacity = config.link_capacity;
+    std::vector<MbitsPerSec> frees = {capacity, 0, 1, rate - 1, rate};
+    for (const MbitsPerSec channels : {65534, 65535, 65536}) {
+      for (const MbitsPerSec delta : {MbitsPerSec{-1}, MbitsPerSec{0},
+                                      MbitsPerSec{1}, rate - 1}) {
+        frees.push_back(channels * rate + delta);
+      }
+    }
+    for (int i = 0; i < 64; ++i) frees.push_back(rng.uniform_int(0, capacity));
+    for (const MbitsPerSec free : frees) {
+      Fabric fabric(paper_cluster(), config);
+      if (free < capacity) {
+        for (const LinkId id : fabric.rack_uplinks(RackId{0})) {
+          ASSERT_TRUE(fabric.allocate(id, capacity - free));
+        }
+      }
+      ASSERT_EQ(fabric.link(fabric.best_rack_uplink(RackId{0})).available(),
+                free);
+      const MbitsPerSec have = free / rate;  // plain division
+      for (const MbitsPerSec channels :
+           {MbitsPerSec{0}, MbitsPerSec{1}, have - 1, have, have + 1,
+            MbitsPerSec{65534}, MbitsPerSec{65535}, MbitsPerSec{65536}}) {
+        if (channels < 0) continue;
+        for (const MbitsPerSec need : {channels * rate, channels * rate + 1}) {
+          const bool fits = have >= (need + rate - 1) / rate;
+          ASSERT_EQ(fabric.rack_headroom_word(0, need) & 1, fits ? 1u : 0u)
+              << "rate " << rate << " free " << free << " need " << need;
+        }
+      }
+      fabric.check_invariants();
+    }
+  }
 }
 
 TEST(Fabric, BestUplinkCachesMatchRescanUnderChurn) {

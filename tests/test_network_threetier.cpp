@@ -1,6 +1,8 @@
 // Three-tier (pod) fabric extension: construction, routing and latency.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "network/fabric.hpp"
 #include "network/routing.hpp"
 #include "sim/engine.hpp"
@@ -54,8 +56,13 @@ TEST(ThreeTier, IntraPodPathUsesPodSwitch) {
                                gbps(5.0), LinkSelectPolicy::FirstFit, path));
   EXPECT_TRUE(path.inter_rack);
   EXPECT_EQ(path.hop_count(), 4u);
-  ASSERT_EQ(path.switches().size(), 5u);
-  EXPECT_EQ(fabric.switch_node(path.switches()[2]).kind, SwitchKind::PodSwitch);
+  const SwitchList switches = fabric.path_switches(path);
+  EXPECT_EQ(std::vector<SwitchId>(switches.begin(), switches.end()),
+            (std::vector<SwitchId>{
+                fabric.box_switch(BoxId{0}), fabric.rack_switch(RackId{0}),
+                fabric.pod_switch(0), fabric.rack_switch(RackId{1}),
+                fabric.box_switch(BoxId{8})}));
+  EXPECT_EQ(fabric.switch_node(switches[2]).kind, SwitchKind::PodSwitch);
 }
 
 TEST(ThreeTier, CrossPodPathTraversesSixHops) {
@@ -66,10 +73,14 @@ TEST(ThreeTier, CrossPodPathTraversesSixHops) {
   ASSERT_TRUE(router.find_path(BoxId{0}, RackId{0}, BoxId{38}, RackId{6},
                                gbps(5.0), LinkSelectPolicy::FirstFit, path));
   EXPECT_EQ(path.hop_count(), 6u);
-  ASSERT_EQ(path.switches().size(), 7u);
-  EXPECT_EQ(fabric.switch_node(path.switches()[2]).kind, SwitchKind::PodSwitch);
-  EXPECT_EQ(path.switches()[3], fabric.core_switch());
-  EXPECT_EQ(fabric.switch_node(path.switches()[4]).kind, SwitchKind::PodSwitch);
+  const SwitchList switches = fabric.path_switches(path);
+  EXPECT_EQ(std::vector<SwitchId>(switches.begin(), switches.end()),
+            (std::vector<SwitchId>{
+                fabric.box_switch(BoxId{0}), fabric.rack_switch(RackId{0}),
+                fabric.pod_switch(0), fabric.core_switch(), fabric.pod_switch(1),
+                fabric.rack_switch(RackId{6}), fabric.box_switch(BoxId{38})}));
+  EXPECT_EQ(fabric.switch_node(switches[2]).kind, SwitchKind::PodSwitch);
+  EXPECT_EQ(fabric.switch_node(switches[4]).kind, SwitchKind::PodSwitch);
   // Reserving and releasing keeps aggregates clean across all three tiers.
   ASSERT_TRUE(router.reserve(path, gbps(5.0)));
   fabric.check_invariants();

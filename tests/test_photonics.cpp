@@ -193,7 +193,7 @@ double eq1_trimming_j(const SwitchEnergyConfig& cfg, std::uint32_t ports,
 /// ledger's accumulation order (each switch, then the transceivers).
 void add_reference(const PhotonicConfig& cfg, const net::Fabric& fabric,
                    const net::Circuit& c, double tu, VmEnergy& e) {
-  for (SwitchId sw : c.path.switches()) {
+  for (SwitchId sw : fabric.path_switches(c.path)) {
     const std::uint32_t ports = fabric.switch_node(sw).ports;
     e.switch_switching_j += eq1_switching_j(cfg.switch_energy, ports);
     e.switch_trimming_j += eq1_trimming_j(cfg.switch_energy, ports, tu);
@@ -251,7 +251,7 @@ std::set<net::SwitchKind> check_ledger_bits(const net::FabricConfig& fabric_cfg,
                             bw, net::LinkSelectPolicy::FirstFit, path)) {
         continue;
       }
-      for (SwitchId sw : path.switches()) {
+      for (SwitchId sw : fabric.path_switches(path)) {
         kinds.insert(fabric.switch_node(sw).kind);
       }
       EXPECT_TRUE(table.establish(VmId{v}, flow, bw, path).ok());
@@ -272,7 +272,7 @@ std::set<net::SwitchKind> check_ledger_bits(const net::FabricConfig& fabric_cfg,
       ++charged;
 
       double want_w = 0.0;
-      for (SwitchId sw : c.path.switches()) {
+      for (SwitchId sw : fabric.path_switches(c.path)) {
         const auto n = static_cast<double>(
             benes_path_cells(fabric.switch_node(sw).ports));
         want_w += cfg.switch_energy.mrr.alpha * n *

@@ -725,13 +725,14 @@ class V1Cursor {
 /// and the id of another live VM.  For the same VM's CPU allocation: its
 /// units, slice count and first slice (brick, then units), and the CPU
 /// entry of the placement's demand vector; for its first circuit: the
-/// link and switch counts.
+/// link and switch counts, its first switch and its inter-rack byte.
 struct V1Offsets {
   std::size_t vm = 0, placement_vm = 0, box = 0, type = 0, rack = 0,
               circuit_vm = 0, flow = 0, link = 0, events = 0,
               fault_subject = 0, rr_cursor = 0;
   std::size_t alloc_units = 0, slice_count = 0, slice = 0, demand_units = 0,
-              link_count = 0, switch_count = 0;
+              link_count = 0, switch_count = 0, first_switch = 0,
+              inter_rack = 0;
   /// The first drop reason's count, and whether the tally lists it.
   std::size_t drop_count = 0;
   bool drop_listed = false;
@@ -797,6 +798,8 @@ V1Offsets locate_v1_fields(const std::string& bytes) {
         rec.link = c.pos();
         rec.link_count = link_count;
         rec.switch_count = c.pos() + links * 4;
+        rec.first_switch = rec.switch_count + 8;
+        rec.inter_rack = rec.first_switch + (links + 1) * 4;
       }
       c.skip(links * 4);
       c.skip(c.get(8) * 4 + 1);  // switches, inter-rack flag
@@ -982,6 +985,28 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptPlacements) {
   const std::uint64_t brick = read(at.slice, 4);
   const std::uint64_t slice_units = read(at.slice + 4, 8);
   ASSERT_EQ(read(at.demand_units, 8), units) << "layout walk lost sync";
+  const std::uint64_t links = read(at.link_count, 8);
+  ASSERT_EQ(read(at.switch_count, 8), links + 1) << "layout walk lost sync";
+  const std::uint64_t first_switch = read(at.first_switch, 4);
+  const std::uint64_t inter_rack = read(at.inter_rack, 1);
+  ASSERT_LE(inter_rack, 1u) << "layout walk lost sync";
+  ASSERT_EQ(inter_rack == 1, links > 2) << "layout walk lost sync";
+  // A second hop that touches neither end of the first.
+  const net::Fabric fabric(Scenario::paper_defaults().cluster,
+                           Scenario::paper_defaults().fabric);
+  const net::Link& first_hop =
+      fabric.link(LinkId{static_cast<std::uint32_t>(read(at.link, 4))});
+  std::uint64_t stray_link = 0;
+  for (std::uint32_t l = 0; l < fabric.num_links(); ++l) {
+    const net::Link& hop = fabric.link(LinkId{l});
+    const auto touches = [&](SwitchId s) {
+      return s == first_hop.endpoint_a() || s == first_hop.endpoint_b();
+    };
+    if (!touches(hop.endpoint_a()) && !touches(hop.endpoint_b())) {
+      stray_link = l;
+      break;
+    }
+  }
   ASSERT_GE(slices, 1u);
   ASSERT_GE(slice_units, 1u);
   const topo::ClusterConfig& cluster = Scenario::paper_defaults().cluster;
@@ -1040,6 +1065,15 @@ TEST(StreamingCheckpoint, RestoreFailsClosedOnCorruptPlacements) {
        "circuit path too long"},
       {{{at.switch_count, {8, net::CircuitPath::kMaxSwitches + 1}}},
        "switch count", "circuit path too long"},
+      // A switch id in range, but not where the links meet.
+      {{{at.first_switch, {4, first_switch + 1}}}, "switch list",
+       "switches do not match its links"},
+      {{{at.inter_rack, {1, inter_rack == 0 ? 1 : 0}}}, "inter-rack flag",
+       "inter-rack flag does not match its hops"},
+      // RAM and storage tags on the CPU allocation of a CPU box.
+      {{{at.type, {1, 2}}}, "allocation type (storage)", "not its box's"},
+      {{{at.link + 4, {4, stray_link}}}, "links that do not chain",
+       "links do not chain"},
   };
   for (const auto& c : cases) {
     try {

@@ -114,6 +114,25 @@ TEST(ClusterConfig, ValidationRejectsBoxesPastU32Units) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(Box, DirectlyBuiltBoxIsBoundedByU32Units) {
+  // An allocation's units are a u32 too, so a box built without a config
+  // is bounded as a whole, not only brick by brick.
+  const Units half = ClusterConfig::kMaxBoxUnits / 2;
+  const std::vector<Units> fits = {half, half + 1};  // exactly UINT32_MAX
+  EXPECT_NO_THROW(Box(BoxId{0}, RackId{0}, ResourceType::Cpu, 0, fits));
+  const std::vector<Units> too_big = {half + 1, half + 1};
+  EXPECT_THROW(Box(BoxId{0}, RackId{0}, ResourceType::Cpu, 0, too_big),
+               std::invalid_argument);
+
+  // A whole UINT32_MAX-unit box allocates exactly.
+  Box box(BoxId{0}, RackId{0}, ResourceType::Cpu, 0, fits);
+  BoxAllocation all;
+  ASSERT_TRUE(box.allocate_into(ClusterConfig::kMaxBoxUnits, all));
+  EXPECT_EQ(all.units, 0xFFFFFFFFu);
+  box.release(all);
+  EXPECT_EQ(box.available_units(), ClusterConfig::kMaxBoxUnits);
+}
+
 TEST(Cluster, BuildsPaperShape) {
   const Cluster cluster((ClusterConfig()));
   EXPECT_EQ(cluster.num_racks(), 18u);
@@ -244,7 +263,7 @@ TEST(Cluster, AllocateReleasesRoundTripExactly) {
   const BoxId target = cluster.boxes_of_type(ResourceType::Ram)[3];
   BoxAllocation alloc;
   ASSERT_TRUE(cluster.allocate_into(target, 100, alloc));
-  EXPECT_EQ(alloc.units, 100);
+  EXPECT_EQ(alloc.units, 100u);
   EXPECT_EQ(cluster.box(target).available_units(), 28);
   EXPECT_EQ(cluster.total_available(ResourceType::Ram), 4508);
   cluster.check_invariants();
@@ -317,7 +336,6 @@ TEST(Cluster, RefusedAllocateIntoTouchesNothing) {
 
   BoxAllocation sentinel;
   sentinel.box = BoxId{77};
-  sentinel.type = ResourceType::Storage;
   sentinel.units = 9;
   sentinel.slices.push_back(BrickSlice{3, 9});
 
@@ -331,7 +349,6 @@ TEST(Cluster, RefusedAllocateIntoTouchesNothing) {
     BoxAllocation out = sentinel;
     EXPECT_FALSE(cluster.allocate_into(box, units, out)) << units;
     EXPECT_EQ(out.box, sentinel.box) << units;
-    EXPECT_EQ(out.type, sentinel.type) << units;
     EXPECT_EQ(out.units, sentinel.units) << units;
     EXPECT_EQ(out.slices, sentinel.slices) << units;
     EXPECT_TRUE(view(cluster, box) == before)
