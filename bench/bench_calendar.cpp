@@ -5,8 +5,16 @@
 // delta.  That is exactly the engine's churn regime (DESIGN.md §7/§12):
 // the heap pays O(log N) per hold, the ladder O(1) amortized.
 //
-// Four delta distributions bracket the engine's workloads:
-//   churny        -- uniform holds (the synthetic stream's steady state)
+// Six delta distributions bracket the engine's workloads:
+//   constant      -- one fixed hold over a census spread evenly across one
+//                    hold: every push lands after every pending entry, the
+//                    departure order of the benchmark workloads and of the
+//                    paper's §5.1 stream, whose lifetimes never decrease
+//                    (the in-order epoch path of DESIGN.md §12)
+//   in_order_stragglers -- constant holds, 1% of them short: the short
+//                    ones land inside the pending run (retries, migration
+//                    sweeps), so the in-order run is re-bucketed
+//   churny        -- uniform holds: pushes land anywhere in the next 200 tu
 //   tie_heavy     -- 70% zero deltas: long equal-time runs (settlement
 //                    windows)
 //   bimodal       -- 80% short / 20% epoch-length holds (rung + top traffic)
@@ -20,6 +28,8 @@
 // (structure x distribution x census grid, best-of-3 timed hold loops; the
 // ladder rows also record the buffer bytes it retains at the end of the
 // loop).  Interactive mode runs the same grid through google-benchmark.
+// Both modes also check every grid point's pop order against the heap's
+// (a hash of the popped seqs) and exit 1 on a divergence.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,6 +39,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -42,10 +53,19 @@ namespace {
 using Heap = risa::des::BasicCalendar<std::uint32_t, 4>;
 using Ladder = risa::des::LadderCalendar<std::uint32_t>;
 
-enum class Dist { Churny, TieHeavy, Bimodal, FaultHorizon };
+enum class Dist {
+  Constant,
+  InOrderStragglers,
+  Churny,
+  TieHeavy,
+  Bimodal,
+  FaultHorizon
+};
 
 const char* dist_name(Dist d) {
   switch (d) {
+    case Dist::Constant: return "constant";
+    case Dist::InOrderStragglers: return "in_order_stragglers";
     case Dist::Churny: return "churny";
     case Dist::TieHeavy: return "tie_heavy";
     case Dist::FaultHorizon: return "fault_horizon";
@@ -60,8 +80,17 @@ const char* dist_name(Dist d) {
 constexpr double kSentinelHorizon = 61'440.0;
 constexpr int kSentinels = 16;
 
+/// constant's and in_order_stragglers' fixed hold.
+constexpr double kConstantHold = 200.0;
+
 double next_delta(Dist d, risa::Rng& rng) {
   switch (d) {
+    case Dist::Constant:
+      return kConstantHold;
+    case Dist::InOrderStragglers:
+      return rng.uniform_int(0, 99) == 0
+                 ? static_cast<double>(rng.uniform_int(0, 50))
+                 : kConstantHold;
     case Dist::Churny:
     case Dist::FaultHorizon:
       return static_cast<double>(rng.uniform_int(0, 200));
@@ -74,6 +103,16 @@ double next_delta(Dist d, risa::Rng& rng) {
                  ? static_cast<double>(rng.uniform_int(0, 50))
                  : static_cast<double>(rng.uniform_int(50'000, 200'000));
   }
+}
+
+/// Time of the i-th of `census` initial pushes: in-order distributions
+/// spread them evenly over one hold (arrivals in order, each holding
+/// kConstantHold), the others draw a hold from `now` = 0.
+double fill_time(Dist d, std::size_t i, std::size_t census, risa::Rng& rng) {
+  if (d == Dist::Constant || d == Dist::InOrderStragglers) {
+    return kConstantHold * static_cast<double>(i) / static_cast<double>(census);
+  }
+  return next_delta(d, rng);
 }
 
 /// Bytes of buffer capacity `cal` holds (ladder only; the heap reports 0).
@@ -101,18 +140,36 @@ std::uint64_t hold_loop(Calendar& cal, Dist d, std::size_t census,
     }
   }
   for (std::size_t i = 0; i < census; ++i) {
-    cal.push(next_delta(d, rng), static_cast<std::uint32_t>(i));
+    cal.push(fill_time(d, i, census, rng), static_cast<std::uint32_t>(i));
   }
-  std::uint64_t sum = 0;
+  // FNV-1a over the popped seqs: a plain sum would read the same for any
+  // pop order, since every seq ever assigned is popped exactly once.
+  std::uint64_t sum = 0xcbf29ce484222325ULL;
+  const auto mix = [&sum](std::uint64_t seq) {
+    sum = (sum ^ seq) * 0x100000001b3ULL;
+  };
   for (std::size_t i = 0; i < ops; ++i) {
     const auto e = cal.pop();
-    sum += e.seq;
+    mix(e.seq);
     cal.push(e.time + next_delta(d, rng), e.payload);
   }
   if (retained != nullptr) *retained = retained_bytes(cal);
-  while (!cal.empty()) sum += cal.pop().seq;
+  while (!cal.empty()) mix(cal.pop().seq);
   return sum;
 }
+
+/// Same seed, same schedule: the checksums match exactly unless the heap
+/// and the ladder disagreed on pop order somewhere in the loop.
+bool orders_agree(Dist d, std::size_t census) {
+  Heap heap;
+  Ladder ladder;
+  return hold_loop(heap, d, census, census * 4, 42) ==
+         hold_loop(ladder, d, census, census * 4, 42);
+}
+
+/// Set by any ladder row whose pop order diverged from the heap's; main
+/// then exits 1, so a smoke run of the grid is an order-identity check.
+bool g_diverged = false;
 
 template <typename Calendar>
 void run_hold(benchmark::State& state, Dist d) {
@@ -128,8 +185,26 @@ void run_hold(benchmark::State& state, Dist d) {
   if (retained > 0) {
     state.counters["retained_bytes"] = static_cast<double>(retained);
   }
+  if constexpr (std::is_same_v<Calendar, Ladder>) {
+    if (!orders_agree(d, census)) {
+      g_diverged = true;
+      state.SkipWithError("heap/ladder pop-order divergence");
+    }
+  }
 }
 
+void BM_Heap_Constant(benchmark::State& s) {
+  run_hold<Heap>(s, Dist::Constant);
+}
+void BM_Ladder_Constant(benchmark::State& s) {
+  run_hold<Ladder>(s, Dist::Constant);
+}
+void BM_Heap_InOrderStragglers(benchmark::State& s) {
+  run_hold<Heap>(s, Dist::InOrderStragglers);
+}
+void BM_Ladder_InOrderStragglers(benchmark::State& s) {
+  run_hold<Ladder>(s, Dist::InOrderStragglers);
+}
 void BM_Heap_Churny(benchmark::State& s) { run_hold<Heap>(s, Dist::Churny); }
 void BM_Ladder_Churny(benchmark::State& s) { run_hold<Ladder>(s, Dist::Churny); }
 void BM_Heap_TieHeavy(benchmark::State& s) { run_hold<Heap>(s, Dist::TieHeavy); }
@@ -151,6 +226,10 @@ void census_args(benchmark::internal::Benchmark* b) {
   b->Arg(1'000)->Arg(10'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
 }
 
+BENCHMARK(BM_Heap_Constant)->Apply(census_args);
+BENCHMARK(BM_Ladder_Constant)->Apply(census_args);
+BENCHMARK(BM_Heap_InOrderStragglers)->Apply(census_args);
+BENCHMARK(BM_Ladder_InOrderStragglers)->Apply(census_args);
 BENCHMARK(BM_Heap_Churny)->Apply(census_args);
 BENCHMARK(BM_Ladder_Churny)->Apply(census_args);
 BENCHMARK(BM_Heap_TieHeavy)->Apply(census_args);
@@ -227,16 +306,11 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.str("emit_json");
   if (!json_path.empty()) {
     std::vector<Row> rows;
-    for (const Dist d : {Dist::Churny, Dist::TieHeavy, Dist::Bimodal,
-                         Dist::FaultHorizon}) {
+    for (const Dist d : {Dist::Constant, Dist::InOrderStragglers, Dist::Churny,
+                         Dist::TieHeavy, Dist::Bimodal, Dist::FaultHorizon}) {
       for (const std::size_t census : {std::size_t{1'000}, std::size_t{10'000},
                                        std::size_t{100'000}}) {
-        // Same seed, same schedule: the checksums must match exactly or
-        // the two structures disagreed on pop order.
-        Heap heap;
-        Ladder ladder;
-        if (hold_loop(heap, d, census, census * 4, 42) !=
-            hold_loop(ladder, d, census, census * 4, 42)) {
+        if (!orders_agree(d, census)) {
           std::cerr << "bench_calendar: heap/ladder divergence at "
                     << dist_name(d) << "/" << census << "\n";
           return 1;
@@ -266,5 +340,9 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (g_diverged) {
+    std::cerr << "bench_calendar: heap/ladder pop-order divergence\n";
+    return 1;
+  }
   return 0;
 }

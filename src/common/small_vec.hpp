@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <type_traits>
 
@@ -74,11 +75,15 @@ class SmallVec {
   /// True once the elements live in the heap buffer rather than inline.
   [[nodiscard]] bool spilled() const noexcept { return capacity_ > N; }
 
+  // The inline pointer is laundered so GCC's -Warray-bounds cannot tie it
+  // to the inline array on paths it fails to prove dead: after a move from
+  // a spilled vector it otherwise flags v[i], i >= N, as reading past the
+  // object even though such an index only ever reaches the heap buffer.
   [[nodiscard]] T* data() noexcept {
-    return spilled() ? heap_ : inline_.data();
+    return spilled() ? heap_ : std::launder(inline_.data());
   }
   [[nodiscard]] const T* data() const noexcept {
-    return spilled() ? heap_ : inline_.data();
+    return spilled() ? heap_ : std::launder(inline_.data());
   }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data()[i]; }

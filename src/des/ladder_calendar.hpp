@@ -21,30 +21,48 @@
 // rung's dequeue cursor, else insertion-sort into bottom.  Every tier move
 // sorts by (time, seq), so ties pop FIFO exactly like the heap.
 //
-// Order-identity argument (the differential test in tests/test_des.cpp pins
-// it): within a rung, the bucket index idx(t) = clamp(floor((t - start) /
-// width)) is a deterministic nondecreasing function of t -- so bucket a's
-// times never exceed bucket b's for a < b, and equal times always share a
-// bucket (never split across a tier boundary).  An entry is routed below a
-// rung's cursor -- to a finer rung or to bottom -- only when idx(t) < cur,
-// the same test every resident of those lower tiers once passed, so lower
-// tiers hold strictly earlier times.  Draining bottom, then rungs finest to
+// In-order epochs: when every VM outlives none before it (a fixed or
+// nondecreasing lifetime), each push lands at or after every pending one.
+// A flag records whether the current epoch was appended that way (one
+// compare per push against top_max_); such an epoch is already its own
+// (time, seq) sort, so surface() swaps its buffer into bottom whole -- no
+// rung, no sort, no bucket buffer.  A push below top_start_ that finds a
+// long run of distinct times in bottom and no rung first buckets the run's
+// rest into a rung, as surface() would have bucketed the epoch, so traffic
+// out of order (retries, migration sweeps, fault actions, trace lifetimes,
+// a restored epoch that is not sorted) pays what it paid before and never
+// an O(run) insertion shift.
+//
+// Order-identity argument (the differential tests in
+// tests/test_ladder_calendar.cpp pin it): within a rung, the bucket index
+// idx(t) = clamp(floor((t - start) / width)) is a deterministic
+// nondecreasing function of t -- so bucket a's times never exceed bucket
+// b's for a < b, and equal times always share a bucket (never split across
+// a tier boundary).  An entry is routed below a rung's cursor -- to a finer
+// rung or to bottom -- only when idx(t) < cur, the same test every resident
+// of those lower tiers once passed, so lower tiers hold strictly earlier
+// times.  Draining bottom, then rungs finest to
 // coarsest bucket by bucket, then top therefore emits a globally sorted
 // (time, seq) sequence.  The comparisons use only idx(t) itself (never a
 // separately computed bucket boundary), which keeps the argument exact
 // under floating-point rounding: monotonicity of idx is all that is needed.
+// An epoch taken whole needs no bucketing at all: appended with
+// nondecreasing times and rising seqs, it is sorted as it stands, and
+// re-bucketing the rest of such a run is the same move as bucketing an
+// epoch, over entries that all precede top_start_.
 //
 // Like BasicCalendar, the structure never schedules into the past: pushes
 // at or after the last popped (time, seq) are the engine's contract, and
 // equal-time pushes during a drain insert into bottom behind their already
 // popped predecessors (their seq is larger, so FIFO order is preserved).
 //
-// Retained capacity: a bucket holds a buffer only while it has residents.
-// Draining a bucket (into bottom, which keeps one buffer of its own, or
-// into a finer rung) hands its buffer to a spare pool, and the next empty
-// bucket to receive a push takes it from there -- so buffers circulate
-// across buckets and rung respawns instead of each of up to kMaxBuckets
-// buckets keeping its own.  The pool keeps only small buffers
+// Retained capacity: in-order epochs use only top's and bottom's buffers,
+// which trade places at each epoch.  A bucket holds a buffer only while it
+// has residents.  Draining a bucket (into bottom, which never takes a
+// bucket's buffer, or into a finer rung) hands its buffer to a spare pool,
+// and the next empty bucket to receive a push takes it from there -- so
+// buffers circulate across buckets and rung respawns instead of each of up
+// to kMaxBuckets buckets keeping its own.  The pool keeps only small buffers
 // (<= kMaxSpareCapacity entries) and at most four times the peak size() in
 // entries, freeing the rest, so retained capacity follows the pending
 // population rather than buckets x largest-bucket (DESIGN.md §12).
@@ -53,7 +71,8 @@
 // restore() accepts entries in any order -- it reloads them as a fresh top
 // epoch with top_start_ = -inf, which is exactly the state of a calendar
 // whose every entry was pushed and none popped, so a v1 checkpoint's
-// verbatim heap array restores bit-identically too (DESIGN.md §12).
+// verbatim heap array restores bit-identically too (DESIGN.md §12); a
+// sorted snapshot is flagged in order, like an epoch pushed that way.
 #pragma once
 
 #include <algorithm>
@@ -82,11 +101,15 @@ class LadderCalendar {
     Entry e{time, next_seq_++, std::move(payload)};
     peak_size_ = std::max(peak_size_, ++size_);
     if (e.time >= top_start_) {
+      // seq rises with every push, so a nondecreasing time keeps the epoch
+      // in (time, seq) order.
+      top_sorted_ = top_sorted_ && e.time >= top_max_;
       top_min_ = std::min(top_min_, e.time);
       top_max_ = std::max(top_max_, e.time);
       top_.push_back(std::move(e));
       return;
     }
+    if (nrungs_ == 0) rebucket_bottom();
     for (std::size_t i = 0; i < nrungs_; ++i) {
       Rung& r = rungs_[i];
       const std::size_t idx = r.bucket_index(e.time);
@@ -209,6 +232,7 @@ class LadderCalendar {
       top_min_ = std::min(top_min_, e.time);
       top_max_ = std::max(top_max_, e.time);
     }
+    top_sorted_ = std::is_sorted(top_.begin(), top_.end(), before);
   }
 
  private:
@@ -260,6 +284,7 @@ class LadderCalendar {
     top_start_ = -std::numeric_limits<double>::infinity();
     top_min_ = std::numeric_limits<double>::infinity();
     top_max_ = -std::numeric_limits<double>::infinity();
+    top_sorted_ = true;
   }
 
   /// Append to a rung bucket, first giving an empty buffer-less bucket a
@@ -296,8 +321,9 @@ class LadderCalendar {
 
   /// Copy `src` (unsorted) into bottom's own buffer as the new bottom tier,
   /// sorted ascending with the dequeue cursor at the minimum; `src` is
-  /// left empty.  Bottom never trades buffers with a bucket, so its one
-  /// buffer's capacity stays bounded by the largest run it has held.
+  /// left empty.  Bottom trades buffers only with top (an in-order epoch
+  /// taken whole), never with a bucket, so the two buffers' capacities stay
+  /// bounded by the largest run or epoch either has held.
   void sort_into_bottom(std::vector<Entry>& src) {
     assert(bottom_pos_ >= bottom_.size());
     bottom_.assign(std::make_move_iterator(src.begin()),
@@ -307,32 +333,61 @@ class LadderCalendar {
     std::sort(bottom_.begin(), bottom_.end(), before);
   }
 
-  /// Spawn a fresh rung over `src`'s [lo, hi] span and distribute it.
-  void spawn_rung(std::vector<Entry>& src, double lo, double hi) {
+  /// Spawn a fresh rung over the [lo, hi] span of [first, last) and move
+  /// those entries into its buckets.  Returns false, touching nothing, when
+  /// the span underflows the bucket width (hi - lo denormal-tiny): a finer
+  /// width cannot split it, so the caller keeps the entries in bottom.
+  bool spawn_rung(Entry* first, Entry* last, double lo, double hi) {
     assert(nrungs_ < kMaxRungs && lo < hi);
+    const auto n = static_cast<std::size_t>(last - first);
+    const std::size_t want = std::clamp(n, kMinBuckets, kMaxBuckets);
+    const double width = (hi - lo) / static_cast<double>(want);
+    if (!(width > 0.0)) return false;
     Rung& r = rungs_[nrungs_++];
-    const std::size_t want =
-        std::clamp(src.size(), kMinBuckets, kMaxBuckets);
     if (r.buckets.size() < want) r.buckets.resize(want);
     r.start = lo;
-    r.width = (hi - lo) / static_cast<double>(want);
-    if (!(r.width > 0.0)) {
-      // Underflowed span (hi - lo denormal-tiny): treat as degenerate.
-      --nrungs_;
-      sort_into_bottom(src);
-      return;
-    }
+    r.width = width;
     r.cur = 0;
     r.nbuckets = want;
-    r.count = src.size();
-    for (Entry& e : src) {
-      bucket_push(r.buckets[r.bucket_index(e.time)], std::move(e));
+    r.count = n;
+    for (; first != last; ++first) {
+      bucket_push(r.buckets[r.bucket_index(first->time)], std::move(*first));
     }
-    src.clear();
+    return true;
+  }
+
+  /// Bucket an unsorted buffer into a fresh rung, or sort it into bottom
+  /// when its span underflows; `src` is left empty either way.
+  void spawn_rung_or_sort(std::vector<Entry>& src, double lo, double hi) {
+    if (spawn_rung(src.data(), src.data() + src.size(), lo, hi)) {
+      src.clear();
+    } else {
+      sort_into_bottom(src);
+    }
+  }
+
+  /// A push is about to land below top_start_ with no rung live.  If bottom
+  /// holds a long run of distinct times -- an in-order epoch taken whole --
+  /// bucket its pending rest into a rung first, as surface() would have
+  /// bucketed the epoch, so the push (and any that follow it) costs a
+  /// bucket append, not an O(run) insertion shift.  A short run, a tie
+  /// storm or an underflowing span stays in bottom, as surface() keeps it.
+  void rebucket_bottom() {
+    if (bottom_.size() - bottom_pos_ <= kBottomThreshold) return;
+    const double lo = bottom_[bottom_pos_].time, hi = bottom_.back().time;
+    if (lo == hi) return;
+    if (spawn_rung(bottom_.data() + bottom_pos_,
+                   bottom_.data() + bottom_.size(), lo, hi)) {
+      bottom_.clear();
+      bottom_pos_ = 0;
+    }
   }
 
   /// Make bottom non-empty.  Precondition: size_ > 0, bottom drained.
-  void surface() {
+  /// Kept out of line so the dequeue fast path (a cursor bump) inlines
+  /// into its caller without it: inlined, it cost bench_calendar's
+  /// tie_heavy rows ~15%.
+  [[gnu::noinline]] void surface() {
     assert(size_ > 0);
     while (bottom_pos_ >= bottom_.size()) {
       if (nrungs_ > 0) {
@@ -360,7 +415,7 @@ class LadderCalendar {
         if (lo == hi) {
           sort_into_bottom(b);  // tie storm: a finer width cannot split it
         } else {
-          spawn_rung(b, lo, hi);
+          spawn_rung_or_sort(b, lo, hi);
         }
         recycle(b);
       } else {
@@ -370,11 +425,19 @@ class LadderCalendar {
         top_start_ = hi;  // later pushes at >= hi start the next epoch
         top_min_ = std::numeric_limits<double>::infinity();
         top_max_ = -std::numeric_limits<double>::infinity();
-        if (top_.size() <= kBottomThreshold || lo == hi) {
+        if (top_sorted_) {
+          // Appended in (time, seq) order: the epoch already is bottom's
+          // sorted run.  Take its buffer whole; top keeps bottom's drained
+          // one for the next epoch.
+          bottom_.swap(top_);
+          top_.clear();
+          bottom_pos_ = 0;
+        } else if (top_.size() <= kBottomThreshold || lo == hi) {
           sort_into_bottom(top_);
         } else {
-          spawn_rung(top_, lo, hi);
+          spawn_rung_or_sort(top_, lo, hi);
         }
+        top_sorted_ = true;
       }
     }
   }
@@ -390,6 +453,7 @@ class LadderCalendar {
   double top_start_ = -std::numeric_limits<double>::infinity();
   double top_min_ = std::numeric_limits<double>::infinity();
   double top_max_ = -std::numeric_limits<double>::infinity();
+  bool top_sorted_ = true;  ///< top_ was appended in (time, seq) order
   std::size_t size_ = 0;
   std::size_t peak_size_ = 0;  ///< high-water mark of size_, never reset
   std::uint64_t next_seq_ = 0;

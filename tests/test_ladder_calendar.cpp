@@ -30,13 +30,15 @@ using Ladder = des::LadderCalendar<std::uint32_t>;
 /// push/pop schedule and demand bit-identical pop streams.  `next_delta`
 /// yields the next push's offset from the last popped time (the engine's
 /// no-past-scheduling contract: every push lands at now + delta, delta >=
-/// 0).  Pops interleave with pushes so the ladder exercises mid-drain
-/// routing (pushes below top_start_ landing in live rungs and in bottom).
+/// 0); `now` starts at `start` (the last time both already popped).  Pops
+/// interleave with pushes so the ladder exercises mid-drain routing
+/// (pushes below top_start_ landing in live rungs and in bottom).
 template <typename DeltaFn>
 void expect_differential_identical(DeltaFn next_delta, int rounds,
                                    int pushes_per_round, Rng& rng,
-                                   Heap& heap, Ladder& ladder) {
-  double now = 0.0;
+                                   Heap& heap, Ladder& ladder,
+                                   double start = 0.0) {
+  double now = start;
   std::uint32_t id = 0;
   auto pop_both = [&] {
     const auto h = heap.pop();
@@ -267,6 +269,193 @@ TEST(LadderCalendar, DrainedBucketsDoNotRetainBuffers) {
   }
   EXPECT_TRUE(ladder.empty());
   EXPECT_LE(max_retained, 4 * peak) << "peak size " << peak;
+}
+
+// --- In-order epochs (DESIGN.md §12, point 5) --------------------------------
+//
+// When every push lands at or after the latest pending time -- the
+// departure order of a fixed or nondecreasing lifetime -- the top epoch is
+// already sorted and is taken into bottom whole.  An earlier push that then
+// finds a long run in bottom re-buckets the run's rest into a rung first.
+
+TEST(LadderInOrder, ConstantDeltaHoldsMatchHeap) {
+  for (const double hold : {100.0, 37.25}) {
+    Rng rng(909);
+    Heap heap;
+    Ladder ladder;
+    expect_differential_identical([&] { return hold; },
+                                  /*rounds=*/600, /*pushes_per_round=*/8, rng,
+                                  heap, ladder);
+  }
+}
+
+TEST(LadderInOrder, NondecreasingHoldsWithLongEqualTimeRunsMatchHeap) {
+  // The paper's §5.1 shape: the hold steps up every 100 pushes and never
+  // falls, so pushes stay in order, in equal-time runs that span rounds
+  // whenever a round pops nothing.
+  Rng rng(910);
+  Heap heap;
+  Ladder ladder;
+  std::uint64_t pushes = 0;
+  expect_differential_identical(
+      [&] { return 60.0 + 4.0 * static_cast<double>(pushes++ / 100); },
+      /*rounds=*/500, /*pushes_per_round=*/16, rng, heap, ladder);
+}
+
+/// Push `run` (ascending times) into both structures, pop once -- the
+/// ladder takes the whole epoch into bottom -- then push one entry at
+/// `early` (below the run's last time, at or after the popped one) and
+/// continue with in-order holds broken by 2% short ones.
+void expect_broken_run_identical(const std::vector<double>& run, double early,
+                                 std::uint64_t seed) {
+  Heap heap;
+  Ladder ladder;
+  std::uint32_t id = 0;
+  for (const double t : run) {
+    heap.push(t, id);
+    ladder.push(t, id);
+    ++id;
+  }
+  const auto h = heap.pop();
+  const auto l = ladder.pop();
+  ASSERT_EQ(l.seq, h.seq);
+  ASSERT_LE(h.time, early);
+  heap.push(early, id);
+  ladder.push(early, id);
+  Rng rng(seed);
+  Rng deltas(seed + 1);
+  expect_differential_identical(
+      [&] {
+        return deltas.uniform_int(0, 49) == 0
+                   ? static_cast<double>(deltas.uniform_int(0, 20))
+                   : 300.0;
+      },
+      /*rounds=*/400, /*pushes_per_round=*/4, rng, heap, ladder, h.time);
+}
+
+TEST(LadderInOrder, EarlierPushAfterTakingAnEpochMatchesHeap) {
+  std::vector<double> spread;
+  for (int i = 0; i < 500; ++i) spread.push_back(0.5 * i);
+  // Pops 0.0; the pending run is [0.5, 249.5], top_start_ = 249.5.
+  expect_broken_run_identical(spread, 0.25, 1);    // before every pending
+  expect_broken_run_identical(spread, 100.25, 2);  // inside the run
+  expect_broken_run_identical(spread, 100.0, 3);   // tied with a pending one
+  expect_broken_run_identical(spread, 0.0, 4);     // at the last popped time
+  // A run whose rest is all at one time cannot be split by a rung: the
+  // push insertion-sorts into bottom ahead of it.
+  std::vector<double> ties(1, 1.0);
+  ties.resize(400, 5.0);
+  expect_broken_run_identical(ties, 3.0, 5);
+  expect_broken_run_identical(ties, 1.0, 6);
+  // The rest spans only the smallest denormal: the rung width underflows,
+  // so the run stays sorted in bottom and the push insertion-sorts into it.
+  std::vector<double> tiny(300, 0.0);
+  tiny.push_back(std::numeric_limits<double>::denorm_min());
+  expect_broken_run_identical(tiny, 0.0, 7);
+}
+
+TEST(LadderInOrder, RestoredSortedEntriesThenInOrderPushesMatchHeap) {
+  Heap heap;
+  std::vector<Ladder::Entry> entries;
+  for (std::uint32_t i = 0; i < 700; ++i) {
+    const double t = 0.25 * (i / 3);  // runs of three equal times
+    heap.push(t, i);
+    entries.push_back(Ladder::Entry{t, i, i});
+  }
+  Ladder ladder;
+  ladder.restore(std::move(entries), heap.scheduled_total());
+  Rng rng(911);
+  expect_differential_identical([] { return 180.0; }, /*rounds=*/400,
+                                /*pushes_per_round=*/3, rng, heap, ladder);
+
+  // A mid-run snapshot (the canonical checkpoint form) restores into a
+  // calendar that continues exactly like the original.
+  Heap original;
+  Ladder snapshot_source;
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    original.push(0.5 * i, i);
+    snapshot_source.push(0.5 * i, i);
+  }
+  double now = 0.0;
+  for (int i = 0; i < 150; ++i) {
+    const auto a = original.pop();
+    const auto b = snapshot_source.pop();
+    ASSERT_EQ(b.seq, a.seq);
+    now = a.time;
+    original.push(now + 200.0, static_cast<std::uint32_t>(1000 + i));
+    snapshot_source.push(now + 200.0, static_cast<std::uint32_t>(1000 + i));
+  }
+  Ladder restored;
+  restored.restore(snapshot_source.sorted_entries(),
+                   snapshot_source.scheduled_total());
+  expect_differential_identical([] { return 200.0; }, /*rounds=*/300,
+                                /*pushes_per_round=*/3, rng, original,
+                                restored, now);
+}
+
+TEST(LadderInOrder, ResetMidRunAndReuseMatchesHeap) {
+  Rng rng(912);
+  Heap heap;
+  Ladder ladder;
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    // Leave a taken epoch half drained in bottom and a fresh one in top,
+    // then reset: the reused calendar must behave like a fresh one.
+    for (std::uint32_t i = 0; i < 300; ++i) {
+      heap.push(1.5 * i, i);
+      ladder.push(1.5 * i, i);
+    }
+    for (int i = 0; i < 120; ++i) {
+      const auto h = heap.pop();
+      const auto l = ladder.pop();
+      ASSERT_EQ(l.seq, h.seq);
+      heap.push(h.time + 450.0, 0);
+      ladder.push(h.time + 450.0, 0);
+    }
+    const std::uint64_t first_seq = round * 10'000;
+    heap.reset(first_seq);
+    ladder.reset(first_seq);
+    Rng deltas(913 + round);
+    expect_differential_identical(
+        [&] {
+          return deltas.uniform_int(0, 9) == 0
+                     ? static_cast<double>(deltas.uniform_int(0, 30))
+                     : 90.0;
+        },
+        /*rounds=*/150, /*pushes_per_round=*/6, rng, heap, ladder);
+  }
+}
+
+TEST(LadderInOrder, ConstantDeltaChurnAllocatesNoBucket) {
+  // Hold model at a 10k census over distinct, evenly spread times: every
+  // epoch arrives sorted, so the ladder's only buffers are top's and
+  // bottom's, each grown by push_back to at most the peak population.  A
+  // bucketed epoch would add a buffer per occupied bucket (~4096 x 8
+  // entries here) on top of those two.
+  constexpr std::uint32_t kCensus = 10'000;
+  constexpr double kHold = 6300.0;
+  Heap heap;
+  Ladder ladder;
+  for (std::uint32_t i = 0; i < kCensus; ++i) {
+    const double t = kHold * i / kCensus;
+    heap.push(t, i);
+    ladder.push(t, i);
+  }
+  const std::size_t peak = ladder.size();
+  std::size_t max_retained = 0;
+  for (int step = 0; step < 8 * static_cast<int>(kCensus); ++step) {
+    const auto h = heap.pop();
+    const auto l = ladder.pop();
+    ASSERT_EQ(l.time, h.time);
+    ASSERT_EQ(l.seq, h.seq);
+    heap.push(h.time + kHold, h.payload);
+    ladder.push(h.time + kHold, l.payload);
+    ASSERT_EQ(ladder.size(), peak);
+    max_retained = std::max(max_retained, ladder.retained_capacity());
+  }
+  std::vector<Ladder::Entry> grown;
+  for (std::size_t i = 0; i < peak; ++i) grown.emplace_back();
+  EXPECT_LE(max_retained, 2 * grown.capacity());
+  EXPECT_LE(max_retained, 4 * peak);
 }
 
 // Ladder::Entry and Heap::Entry must stay layout-compatible: the engine's
