@@ -1,7 +1,9 @@
 #include "common/histogram.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 namespace risa {
@@ -85,14 +87,16 @@ Log2Histogram::Log2Histogram(std::size_t sub_bins) : sub_bins_(sub_bins) {
 
 std::size_t Log2Histogram::bin_of(double x) const noexcept {
   if (!(x >= 1.0)) return 0;  // [0, 1), negatives and NaN
-  int exp = 0;
-  // frexp: x = m * 2^exp with m in [0.5, 1), so the octave is exp - 1.
-  const double m = std::frexp(x, &exp);
-  const auto octave = static_cast<std::size_t>(exp - 1);
-  if (octave >= 64) return counts_.size() - 1;
-  // m - 0.5 in [0, 0.5) sweeps the octave linearly: sub = floor(2(m-1/2)*S).
-  auto sub = static_cast<std::size_t>((m - 0.5) * 2.0 *
-                                      static_cast<double>(sub_bins_));
+  // x >= 1 is normal (or +inf): x = (1 + f) * 2^octave with the 52-bit
+  // fraction f read straight from the bits.  frexp's mantissa m = (1 + f)/2
+  // gives the same f as 2(m - 1/2), exactly, so the bins match its formula.
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  constexpr std::uint64_t kFractionMask = (std::uint64_t{1} << 52) - 1;
+  const auto octave = static_cast<std::size_t>(bits >> 52) - 1023;
+  if (octave >= 64) return counts_.size() - 1;  // +inf too (exponent 1024)
+  const double f = static_cast<double>(bits & kFractionMask) * 0x1p-52;
+  // f in [0, 1) sweeps the octave linearly: sub = floor(f * S).
+  auto sub = static_cast<std::size_t>(f * static_cast<double>(sub_bins_));
   sub = std::min(sub, sub_bins_ - 1);
   return 1 + octave * sub_bins_ + sub;
 }

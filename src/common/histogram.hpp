@@ -88,8 +88,11 @@ class Log2Histogram {
   /// Drop all counts; bin layout and value scale are retained.
   void clear() noexcept;
 
- private:
+  /// The bin add(x) counts `x` in: 0 for x < 1 and NaN, the last bin for
+  /// x >= 2^64 and +inf.
   [[nodiscard]] std::size_t bin_of(double x) const noexcept;
+
+ private:
   [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;
 
   std::size_t sub_bins_;

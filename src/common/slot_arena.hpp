@@ -29,6 +29,15 @@
 // id (held across the value's death and the slot's reuse) is detectable --
 // the differential tests pin slot reuse and stamp bumps explicitly.
 //
+// Insert contract: find_or_insert() hands out a value that reads as V{} in
+// every field its next occupant may read before writing.  erase() and
+// clear() establish it when they vacate a slot.  A value type may declare
+// `void recycle() noexcept`, which resets exactly those fields and leaves
+// the ones every occupant overwrites first (the engine's VmState keeps its
+// request and placement bytes; DESIGN.md §13).  Any other type is rebuilt
+// as V{} -- for a SmallVec that writes only its two counters.  Either way a
+// vacated value owns no heap memory.
+//
 // Key restriction: 0xFFFFFFFF is reserved as the vacant-slot key.  Keys
 // index the directory directly: the arena is built for *dense* key spaces
 // (the engine's workload indices), where max_key/kDirPageSize pointer
@@ -52,9 +61,9 @@ class SlotArena {
   static constexpr std::uint32_t kEmptyKey = 0xFFFFFFFFu;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// Value for `key`, default-constructed and inserted when absent.  The
-  /// returned reference is STABLE: it remains valid across any number of
-  /// later insertions/erasures, until `key` itself is erased.
+  /// Value for `key`, inserted under the insert contract (above) when
+  /// absent.  The returned reference is STABLE: it remains valid across any
+  /// number of later insertions/erasures, until `key` itself is erased.
   V& find_or_insert(std::uint32_t key) {
     check_key(key);
     DirPage& page = dir_page_for(key);
@@ -67,8 +76,8 @@ class SlotArena {
     ++page.occupancy;
     Slot& slot = slot_ref(s);
     slot.key = key;
-    // A vacant slot already holds V{}: slab pages are value-initialised and
-    // erase()/clear() reset the value, so there is nothing to reset here.
+    // A vacant slot already meets the insert contract: slab pages are
+    // value-initialised and erase()/clear() vacate the value.
     ++size_;
     return slot.value;
   }
@@ -200,17 +209,22 @@ class SlotArena {
     }
   }
 
-  /// Mark `slot` vacant: its value is reset to V{} in place (releasing
-  /// value-owned resources eagerly) and its generation stamp is bumped, so
-  /// any reference held past this point is stale.
+  /// Mark `slot` vacant: its value is reset under the insert contract
+  /// (releasing value-owned resources eagerly) and its generation stamp is
+  /// bumped, so any reference held past this point is stale.
   static void vacate(Slot& slot) noexcept {
-    // A throwing constructor would leave the slot holding a destroyed
-    // object.  (Asserted here, not at class scope: a nested V's default
-    // member initializers are incomplete until its enclosing class is.)
-    static_assert(std::is_nothrow_default_constructible_v<V>);
     slot.key = kEmptyKey;
-    std::destroy_at(&slot.value);
-    std::construct_at(&slot.value);
+    if constexpr (requires(V& v) { v.recycle(); }) {
+      static_assert(noexcept(slot.value.recycle()));
+      slot.value.recycle();
+    } else {
+      // A throwing constructor would leave the slot holding a destroyed
+      // object.  (Asserted here, not at class scope: a nested V's default
+      // member initializers are incomplete until its enclosing class is.)
+      static_assert(std::is_nothrow_default_constructible_v<V>);
+      std::destroy_at(&slot.value);
+      std::construct_at(&slot.value);
+    }
     ++slot.gen;
   }
 

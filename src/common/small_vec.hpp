@@ -11,13 +11,21 @@
 // size/capacity pair -- 8 bytes on top of the inline array -- because
 // these vectors sit in every live VM's record (DESIGN.md §13).
 //
+// The inline array is raw storage: an element exists only below size(),
+// built by the push that appends it, so constructing, clearing or
+// resetting a vector writes its two counters and nothing else.  A value-
+// built std::array<T, N> would construct all N on every reset -- two
+// 48-byte circuits per circuit-table slot, six brick slices per placement.
+// The default constructor is user-provided for the same reason: a defaulted
+// one would let value-initialisation (T{}, std::construct_at) zero the
+// whole array first.
+//
 // Restricted to trivially copyable element types, which keeps the
 // implementation a simple memcpy-able buffer; every current use site
-// (Units, BrickSlice) satisfies this.
+// (Units, BrickSlice, Circuit) satisfies this.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -25,6 +33,7 @@
 #include <new>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 namespace risa {
 
@@ -35,7 +44,7 @@ class SmallVec {
   static_assert(N >= 1 && N <= std::numeric_limits<std::uint32_t>::max());
 
  public:
-  SmallVec() = default;
+  SmallVec() noexcept {}  // user-provided on purpose: see the header
   SmallVec(const SmallVec& other) { append(other.data(), other.size_); }
   SmallVec(SmallVec&& other) noexcept { take(other); }
   SmallVec& operator=(const SmallVec& other) {
@@ -56,8 +65,17 @@ class SmallVec {
 
   void push_back(const T& value) {
     const T copy = value;  // `value` may alias the buffer grow() frees
+    emplace_back(copy);
+  }
+
+  /// Build an element in place at the end from `args`, which must not
+  /// refer into this vector (a spill frees the buffer they would read).
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
     if (size_ == capacity_) grow(std::size_t{capacity_} + 1);
-    data()[size_++] = copy;
+    T* slot = std::construct_at(data() + size_, std::forward<Args>(args)...);
+    ++size_;
+    return *slot;
   }
 
   void pop_back() noexcept { --size_; }
@@ -80,10 +98,11 @@ class SmallVec {
   // a spilled vector it otherwise flags v[i], i >= N, as reading past the
   // object even though such an index only ever reaches the heap buffer.
   [[nodiscard]] T* data() noexcept {
-    return spilled() ? heap_ : std::launder(inline_.data());
+    return spilled() ? heap_ : std::launder(reinterpret_cast<T*>(inline_));
   }
   [[nodiscard]] const T* data() const noexcept {
-    return spilled() ? heap_ : std::launder(inline_.data());
+    return spilled() ? heap_
+                     : std::launder(reinterpret_cast<const T*>(inline_));
   }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data()[i]; }
@@ -123,7 +142,7 @@ class SmallVec {
 
   void append(const T* src, std::uint32_t n) {
     if (n > capacity_) grow(n);
-    std::copy_n(src, n, data());
+    std::uninitialized_copy_n(src, n, data());
     size_ = n;
   }
 
@@ -135,7 +154,7 @@ class SmallVec {
       capacity_ = other.capacity_;
       other.capacity_ = N;
     } else {
-      std::copy_n(other.inline_.data(), other.size_, inline_.data());
+      std::uninitialized_copy_n(other.data(), other.size_, data());
     }
     size_ = other.size_;
     other.size_ = 0;
@@ -146,10 +165,10 @@ class SmallVec {
     capacity_ = N;
   }
 
-  // The inline elements while capacity_ == N, the heap buffer's address
-  // once spilled.
+  // Storage for the inline elements while capacity_ == N (only the first
+  // size_ are built), the heap buffer's address once spilled.
   union {
-    std::array<T, N> inline_{};
+    alignas(T) std::byte inline_[N * sizeof(T)];
     T* heap_;
   };
   std::uint32_t size_ = 0;

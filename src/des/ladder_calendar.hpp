@@ -62,10 +62,12 @@
 // bucket's buffer, or into a finer rung) hands its buffer to a spare pool,
 // and the next empty bucket to receive a push takes it from there -- so
 // buffers circulate across buckets and rung respawns instead of each of up
-// to kMaxBuckets buckets keeping its own.  The pool keeps only small buffers
-// (<= kMaxSpareCapacity entries) and at most four times the peak size() in
-// entries, freeing the rest, so retained capacity follows the pending
-// population rather than buckets x largest-bucket (DESIGN.md §12).
+// to kMaxBuckets buckets keeping its own.  A taken epoch's run that is
+// re-bucketed gives up bottom's buffer the same way.  The pool keeps only
+// small buffers (<= kMaxSpareCapacity entries) and at most four times the
+// peak size() in entries, freeing the rest, so retained capacity follows
+// the pending population rather than buckets x largest-bucket (DESIGN.md
+// §12).
 //
 // Checkpointing serializes the *sorted* entry sequence (sorted_entries());
 // restore() accepts entries in any order -- it reloads them as a fresh top
@@ -372,6 +374,9 @@ class LadderCalendar {
   /// bucketed the epoch, so the push (and any that follow it) costs a
   /// bucket append, not an O(run) insertion shift.  A short run, a tie
   /// storm or an underflowing span stays in bottom, as surface() keeps it.
+  /// The emptied run buffer goes to the spare pool when small and is freed
+  /// otherwise: kept as bottom's, it would sit idle beside the rung holding
+  /// the run's rest and top filling the next epoch.
   void rebucket_bottom() {
     if (bottom_.size() - bottom_pos_ <= kBottomThreshold) return;
     const double lo = bottom_[bottom_pos_].time, hi = bottom_.back().time;
@@ -380,6 +385,7 @@ class LadderCalendar {
                    bottom_.data() + bottom_.size(), lo, hi)) {
       bottom_.clear();
       bottom_pos_ = 0;
+      recycle(bottom_);
     }
   }
 

@@ -12,13 +12,8 @@ Result<CircuitId, const char*> CircuitTable::establish(
     return Err<const char*>{"a hop of the path lacks the bandwidth"};
   }
   const CircuitId id{next_id_++};
-  Circuit c;
-  c.bandwidth = bw;
-  c.id = id;
-  c.vm = vm;
-  c.path = path;
-  c.flow = flow;
-  append(vm, c);
+  by_vm_.find_or_insert(vm.value()).emplace_back(bw, id, vm, path, flow);
+  ++active_;
   return id;
 }
 
@@ -37,7 +32,8 @@ void CircuitTable::adopt(Circuit circuit) {
         " of VM " + std::to_string(circuit.vm.value()) +
         ": a hop of the recorded path lacks the bandwidth");
   }
-  append(circuit.vm, circuit);
+  by_vm_.find_or_insert(circuit.vm.value()).push_back(circuit);
+  ++active_;
 }
 
 std::size_t CircuitTable::teardown_vm(VmId vm) {
@@ -71,11 +67,6 @@ std::size_t CircuitTable::teardown_suffix(VmId vm, std::uint32_t keep) {
   }
   truncate(vm, *vc, keep);
   return removed;
-}
-
-void CircuitTable::append(VmId vm, const Circuit& c) {
-  by_vm_.find_or_insert(vm.value()).push_back(c);
-  ++active_;
 }
 
 void CircuitTable::truncate(VmId vm, VmCircuits& vc, std::size_t count) {

@@ -144,8 +144,6 @@ class CircuitTable {
   /// heap.
   using VmCircuits = SmallVec<Circuit, 2>;
 
-  /// Append `c` (its bandwidth already reserved) to `vm`'s circuits.
-  void append(VmId vm, const Circuit& c);
   /// Keep the first `count` of `vm`'s circuits (the rest already
   /// released), dropping the VM's entry when none remain.
   void truncate(VmId vm, VmCircuits& vc, std::size_t count);

@@ -329,7 +329,7 @@ class Engine::Run {
 
  private:
   // Shared helpers.
-  bool admit(std::uint32_t vm_index, const wl::VmRequest& vm, double expected);
+  bool admit(std::uint32_t vm_index, VmState& st, double expected);
   bool requeue(std::uint32_t vm_index, VmState& st);
   void drop();
   void kill_vm(std::uint32_t vm_index, VmState& st);
@@ -431,8 +431,10 @@ class Engine::Run {
 
   /// Reason of the latest failed placement.
   core::DropReason drop_reason{};
-  /// The record every placement attempt (admission, retry, migration) is
-  /// written into; a successful one is moved into its VM record once.
+  /// The record a migration's make-before-break placement is written into
+  /// while the VM's record still holds the old one; a committed migration
+  /// moves it into the record.  Admission and retries place straight into
+  /// the VM's record.
   core::Placement placing;
   /// Cause reported for kills by the current teardown scan.
   LifecycleKind kill_cause = LifecycleKind::BoxFail;
@@ -755,14 +757,15 @@ void Engine::Run::admit_window(SimTime limit) {
     now = item.vm.arrival;
     if (lifecycle) note_time(now);
     ++window_events;
-    bool pushed = admit(item.index, item.vm, item.vm.lifetime);
+    // The arrival's record is claimed first and placed into; a refused VM
+    // keeps it only when requeued (the retry path needs the request after
+    // the ring moves on).
+    VmState& st = e.vms_.find_or_insert(item.index);
+    st.vm = item.vm;
+    bool pushed = admit(item.index, st, item.vm.lifetime);
     if (pushed) {
       fire_admission_triggers();
-    } else if (plan.retry.max_attempts > 0) {
-      // First requeue of a never-admitted VM creates its record (the
-      // retry path needs the request after the ring moves on).
-      VmState& st = e.vms_.find_or_insert(item.index);
-      st.vm = item.vm;
+    } else {
       pushed = requeue(item.index, st);
       if (!pushed) e.vms_.erase(item.index);
     }
@@ -885,13 +888,10 @@ void Engine::Run::retry(const Entry& ev) {
   if (st == nullptr) {
     throw std::logic_error("Engine: retry for unknown VM");
   }
-  // `st` stays valid through the attempt either way: arena records are
-  // slab-stable, so a successful admit's re-insert of the same key cannot
-  // move it (DESIGN.md §13).
   const bool was_placed = st->ever_placed != 0;
   const double expected = was_placed ? st->expected_hold : st->vm.lifetime;
   prof.begin(phase_slot(Phase::Admission));
-  const bool readmitted = admit(vm_index, st->vm, expected);
+  const bool readmitted = admit(vm_index, *st, expected);
   prof.end();
   if (readmitted) {
     ++m.retry_placed;
@@ -932,21 +932,22 @@ void Engine::Run::migration_sweep(const Entry& ev) {
 
 // ---- Shared helpers ---------------------------------------------------------
 
-// One placement attempt (arrival or retry) for `vm_index`, holding for
-// `expected` time units when it sticks.  On success all metrics/state
-// updates happen here, in the historical order that keeps the empty-plan
-// run bit-identical; on failure the reason lands in `drop_reason` and the
-// caller applies its retry/drop policy.  `vm` is passed in because
-// arrivals have no record yet; record references stay valid throughout
-// (the arena's references are slab-stable).  The caller holds the
-// Admission span open.
-bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
-                        double expected) {
+// One placement attempt (arrival or retry) for `vm_index` into its record
+// `st`, whose request is already in place, holding for `expected` time
+// units when it sticks.  On success all metrics/state updates happen here,
+// in the historical order that keeps the empty-plan run bit-identical; on
+// failure `st.placement` is unspecified (it is read only while live), the
+// reason lands in `drop_reason`, and the caller applies its retry/drop
+// policy and erases a record it claimed.  The caller holds the Admission
+// span open.
+bool Engine::Run::admit(std::uint32_t vm_index, VmState& st, double expected) {
+  const wl::VmRequest& vm = st.vm;
   // Placement attribution is free: the run times every placement for
   // scheduler_exec_seconds anyway, so the same two reads are carved out of
   // the admission span instead of paying two more.
   const std::uint64_t t0 = CycleClock::now();
-  const std::optional<core::DropReason> refused = alloc.place(vm, placing);
+  const std::optional<core::DropReason> refused =
+      alloc.place(vm, st.placement);
   const std::uint64_t t1 = CycleClock::now();
   prof.carve(phase_slot(Phase::Placement), t1 - t0);
   sched_ticks += t1 - t0;
@@ -957,9 +958,6 @@ bool Engine::Run::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
     drop_reason = *refused;
     return false;
   }
-  VmState& st = e.vms_.find_or_insert(vm_index);
-  st.vm = vm;
-  st.placement = std::move(placing);
   const core::Placement& p = st.placement;
   st.live = 1;
   ++live_count;

@@ -266,6 +266,7 @@ class Engine {
   ///
   /// The record carries its own placement (boxes, racks, demand), so one
   /// lookup reaches everything settlement, kills and migration need.
+  /// Admission places straight into it (DESIGN.md §13).
   struct VmState {
     wl::VmRequest vm{};          ///< the request (streams are not replayable)
     core::Placement placement{}; ///< the current placement, meaningful iff live
@@ -278,6 +279,23 @@ class Engine {
     double holding_power = 0.0;
     std::uint8_t live = 0;
     std::uint8_t ever_placed = 0;
+
+    /// The arena's reset of a vacated record (SlotArena's insert
+    /// contract): the lifecycle scalars return to their defaults, and
+    /// spilled brick slices are freed.  `vm` and the rest of `placement`
+    /// keep the last occupant's bytes: every path that claims a record
+    /// writes `vm` first, and `placement` is read only while `live`, which
+    /// a successful place() sets after overwriting all of it.
+    void recycle() noexcept {
+      for (topo::BoxAllocation& a : placement.compute) a.slices.clear();
+      attempts = 0;
+      epoch = 0;
+      place_time = 0.0;
+      expected_hold = 0.0;
+      holding_power = 0.0;
+      live = 0;
+      ever_placed = 0;
+    }
   };
   SlotArena<VmState> vms_;
 

@@ -75,24 +75,44 @@ void Box::release(const BoxAllocation& allocation) {
   if (allocation.box != id_) {
     throw std::logic_error("Box::release: allocation belongs to another box");
   }
+  // One pass checks each slice against the ledger as already updated by
+  // the slices before it (so a brick named twice is checked against what
+  // is left of it) and applies it; a bad slice undoes the applied prefix
+  // before throwing, leaving the box as it was.
+  const BrickSlice* const slices = allocation.slices.data();
+  const std::size_t n = allocation.slices.size();
+  const auto bricks = static_cast<std::uint32_t>(brick_capacity_.size());
+  Units* allocated = brick_allocated_.data();
+  std::uint32_t lowest = first_free_;
   Units total = 0;
-  for (const BrickSlice& s : allocation.slices) {
-    if (s.brick >= brick_capacity_.size()) {
-      throw std::logic_error("Box::release: bad brick index");
+  for (std::size_t i = 0; i < n; ++i) {
+    const BrickSlice& s = slices[i];
+    const char* fault = nullptr;
+    if (s.brick >= bricks) {
+      fault = "Box::release: bad brick index";
+    } else if (s.units == 0 || Units{s.units} > allocated[s.brick]) {
+      fault = "Box::release: slice exceeds allocated units";
     }
-    if (s.units == 0 || Units{s.units} > brick_allocated_[s.brick]) {
-      throw std::logic_error("Box::release: slice exceeds allocated units");
+    if (fault != nullptr) {
+      undo_release(slices, i);
+      throw std::logic_error(fault);
     }
+    allocated[s.brick] -= s.units;
     total += s.units;
+    if (s.brick < lowest) lowest = s.brick;
   }
   if (total != allocation.units) {
+    undo_release(slices, n);
     throw std::logic_error("Box::release: slice sum != allocation units");
   }
-  for (const BrickSlice& s : allocation.slices) {
-    brick_allocated_[s.brick] -= s.units;
-    if (s.brick < first_free_) first_free_ = s.brick;
-  }
+  first_free_ = lowest;
   allocated_ -= total;
+}
+
+void Box::undo_release(const BrickSlice* slices, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    brick_allocated_[slices[i].brick] += slices[i].units;
+  }
 }
 
 void Box::restore_bricks(const std::vector<Units>& available) {

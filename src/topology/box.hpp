@@ -133,6 +133,10 @@ class Box {
   }
 
  private:
+  /// Give back the first `n` slices a failed release() already applied.
+  [[gnu::cold]] void undo_release(const BrickSlice* slices,
+                                  std::size_t n) noexcept;
+
   BoxId id_;
   RackId rack_;
   ResourceType type_;

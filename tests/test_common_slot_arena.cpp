@@ -5,16 +5,48 @@
 // std::unordered_map shaped like the engine's lifecycle ops: admit,
 // depart, kill, migrate, retry.  Generation stamps, directory-page
 // recycling (pooled pages come back vacant), and deterministic slot reuse
-// are pinned explicitly.
+// are pinned explicitly, and so is the insert contract: a recycled slot
+// holds no stale field its next occupant could read, and a vacated value's
+// spilled buffer is freed, never accumulated.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/slot_arena.hpp"
+#include "common/small_vec.hpp"
+
+// Every global operator new/delete of this binary counts itself, so a test
+// can watch the heap blocks outstanding.  The array and nothrow forms
+// forward here in libstdc++.
+namespace {
+std::atomic<std::ptrdiff_t> g_outstanding{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    g_outstanding.fetch_add(1, std::memory_order_relaxed);
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a caller, one of the pair would show GCC a
+// malloc matched with a delete and draw -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr) g_outstanding.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  operator delete(p);
+}
 
 namespace risa {
 namespace {
@@ -314,6 +346,122 @@ TEST(SlotArena, DrainToEmptyAndRefill) {
     ASSERT_NE(arena.find(i), nullptr);
     EXPECT_EQ(*arena.find(i), 2);
   }
+}
+
+// ---- Insert contract -------------------------------------------------------
+
+/// A record without recycle(): vacating rebuilds it as V{}.
+struct Plain {
+  std::uint32_t count = 0;
+  double time = 0.0;
+  std::array<std::uint64_t, 3> payload{};
+  SmallVec<std::uint32_t, 2> list;
+};
+
+/// A record with recycle(), shaped like the engine's VmState: `request` is
+/// written by every occupant before it is read, so recycle() keeps it;
+/// the scalars and the spillable list are reset.
+struct Recycled {
+  std::array<std::uint64_t, 4> request{};
+  SmallVec<std::uint32_t, 2> list;
+  std::uint32_t attempts = 0;
+  double time = 0.0;
+  std::uint8_t live = 0;
+  void recycle() noexcept {
+    list.clear();
+    attempts = 0;
+    time = 0.0;
+    live = 0;
+  }
+};
+
+void spill(SmallVec<std::uint32_t, 2>& v, std::uint32_t n) {
+  for (std::uint32_t i = 0; i < n; ++i) v.push_back(i + 1);
+}
+
+TEST(SlotArenaInsertContract, RebuiltSlotHoldsNoStaleField) {
+  for (const bool by_clear : {false, true}) {
+    SlotArena<Plain> arena;
+    Plain& p = arena.find_or_insert(7);
+    p.count = 11;
+    p.time = 2.5;
+    p.payload = {1, 2, 3};
+    spill(p.list, 5);
+    ASSERT_TRUE(p.list.spilled());
+    const std::uint32_t slot = arena.slot_of(7);
+    if (by_clear) {
+      arena.clear();
+    } else {
+      ASSERT_TRUE(arena.erase(7));
+    }
+    const Plain& q = arena.find_or_insert(99);
+    ASSERT_EQ(arena.slot_of(99), slot) << "the erased slot is reused";
+    EXPECT_EQ(q.count, 0u);
+    EXPECT_EQ(q.time, 0.0);
+    EXPECT_EQ(q.payload, (std::array<std::uint64_t, 3>{}));
+    EXPECT_TRUE(q.list.empty());
+    EXPECT_FALSE(q.list.spilled());
+  }
+}
+
+TEST(SlotArenaInsertContract, RecycledSlotResetsWhatTheNextOccupantReads) {
+  for (const bool by_clear : {false, true}) {
+    SlotArena<Recycled> arena;
+    Recycled& r = arena.find_or_insert(3);
+    r.request = {4, 5, 6, 7};
+    spill(r.list, 4);
+    r.attempts = 2;
+    r.time = 9.0;
+    r.live = 1;
+    const std::uint32_t slot = arena.slot_of(3);
+    if (by_clear) {
+      arena.clear();
+    } else {
+      ASSERT_TRUE(arena.erase(3));
+    }
+    const Recycled& q = arena.find_or_insert(40);
+    ASSERT_EQ(arena.slot_of(40), slot);
+    EXPECT_EQ(q.attempts, 0u);
+    EXPECT_EQ(q.time, 0.0);
+    EXPECT_EQ(q.live, 0);
+    EXPECT_TRUE(q.list.empty());
+    EXPECT_FALSE(q.list.spilled());
+    // recycle() ran instead of a rebuild: the field every occupant writes
+    // first still holds the last one's bytes.
+    EXPECT_EQ(q.request, (std::array<std::uint64_t, 4>{4, 5, 6, 7}));
+  }
+}
+
+template <typename V>
+void expect_churn_holds_no_buffers() {
+  constexpr std::uint32_t kLive = 200;
+  SlotArena<V> arena;
+  const auto fill = [&] {
+    for (std::uint32_t k = 0; k < kLive; ++k) {
+      spill(arena.find_or_insert(k).list, 3 + k % 6);
+    }
+  };
+  fill();
+  arena.clear();  // grows the directory pool's vector, once
+  fill();
+  const std::ptrdiff_t before = g_outstanding.load();
+  ASSERT_GT(before, std::ptrdiff_t{kLive}) << "the counting new is not in use";
+  // Same keys, so the directory never changes: every block outstanding
+  // after the churn is a live value's buffer or the arena's own.
+  for (std::uint32_t r = 0; r < 20000; ++r) {
+    const std::uint32_t k = r % kLive;
+    ASSERT_TRUE(arena.erase(k));
+    EXPECT_EQ(g_outstanding.load(), before - 1) << "round " << r;
+    spill(arena.find_or_insert(k).list, 3 + r % 6);
+  }
+  EXPECT_EQ(g_outstanding.load(), before);
+  arena.clear();
+  EXPECT_EQ(g_outstanding.load(), before - std::ptrdiff_t{kLive});
+}
+
+TEST(SlotArenaInsertContract, SpilledBuffersAreFreedNotAccumulated) {
+  expect_churn_holds_no_buffers<Plain>();
+  expect_churn_holds_no_buffers<Recycled>();
 }
 
 }  // namespace

@@ -1,20 +1,25 @@
 // SmallVec (common/small_vec.hpp): the inline-then-spill vector behind
-// every live VM's brick slices.  Pins the inline -> heap transition, copy
-// and move of both representations, clear() returning to inline storage,
-// equality across representations, and a fragmented box whose allocation
-// spills past the inline slices through allocate, checkpoint round-trip
-// and release.
+// every live VM's brick slices and circuits.  Pins the inline -> heap
+// transition, copy and move of both representations, clear() returning to
+// inline storage, equality across representations, raw inline storage (no
+// element is built except by the push that appends it; net::Circuit, a type
+// with default member initializers, through every transition), and a
+// fragmented box whose allocation spills past the inline slices through
+// allocate, checkpoint round-trip and release.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/small_vec.hpp"
+#include "network/circuit.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiments.hpp"
 #include "sim/scenario.hpp"
@@ -210,6 +215,120 @@ TEST(SmallVec, EqualityComparesElementsAcrossRepresentations) {
   EXPECT_NE(spilled, make({1}));
   EXPECT_NE(make({1, 2, 3}), make({1, 2, 4}));
   EXPECT_EQ(Vec{}, Vec{});
+}
+
+// A trivially copyable type whose default constructor counts itself: the
+// inline storage is raw, so no SmallVec operation may build an element
+// except the emplace that asks for one.
+struct Counted {
+  static inline int built = 0;
+  int value = 7;
+  Counted() noexcept { ++built; }
+  explicit Counted(int v) noexcept : value(v) {}
+};
+static_assert(std::is_trivially_copyable_v<Counted>);
+
+TEST(SmallVec, InlineStorageBuildsOnlyTheElementsBelowSize) {
+  using CV = SmallVec<Counted, 4>;
+  Counted::built = 0;
+  {
+    CV a;
+    CV b{};  // value-initialisation must not build the inline array either
+    alignas(CV) std::byte raw[sizeof(CV)];
+    CV* c = std::construct_at(reinterpret_cast<CV*>(raw));
+    a.push_back(Counted(1));
+    a.emplace_back(2);
+    CV copy(a);
+    CV moved(std::move(copy));
+    b = moved;
+    a.clear();
+    std::destroy_at(c);
+    EXPECT_EQ(Counted::built, 0);
+    EXPECT_EQ(b.size(), 2u);
+    EXPECT_EQ(b[1].value, 2);
+    a.emplace_back();  // the one default-built element asked for
+    EXPECT_EQ(Counted::built, 1);
+    EXPECT_EQ(a[0].value, 7);
+  }
+  EXPECT_EQ(Counted::built, 1);
+}
+
+// The circuit table's per-VM slot: net::Circuit has default member
+// initializers, so a value-built inline array would construct both.
+using CircuitVec = SmallVec<net::Circuit, 2>;
+
+net::Circuit circuit(std::uint32_t id) {
+  net::Circuit c;
+  c.bandwidth = 1000 + id;
+  c.id = CircuitId{id};
+  c.vm = VmId{id / 4};
+  c.path.push_link(LinkId{id});
+  c.path.push_link(LinkId{id + 1});
+  c.flow = id % 2 == 0 ? net::FlowKind::CpuRam : net::FlowKind::RamStorage;
+  return c;
+}
+
+bool same(const net::Circuit& a, const net::Circuit& b) {
+  return a.bandwidth == b.bandwidth && a.id == b.id && a.vm == b.vm &&
+         a.flow == b.flow && std::ranges::equal(a.path.links(), b.path.links());
+}
+
+/// `v` holds circuit(base), circuit(base + 1), ..., n of them.
+bool holds_circuits(const CircuitVec& v, std::size_t n, std::uint32_t base) {
+  if (v.size() != n) return false;
+  std::uint32_t id = base;
+  for (const net::Circuit& c : v) {
+    if (!same(c, circuit(id++))) return false;
+  }
+  return true;
+}
+
+TEST(SmallVec, CircuitsThroughPushPopCopyMoveClearRespill) {
+  const auto fill = [](CircuitVec& v, std::size_t n, std::uint32_t base) {
+    for (std::uint32_t i = 0; i < n; ++i) v.push_back(circuit(base + i));
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+    const bool spills = n > 2;
+    CircuitVec v;
+    fill(v, n, 10);
+    ASSERT_EQ(v.spilled(), spills);
+    ASSERT_TRUE(holds_circuits(v, n, 10));
+
+    CircuitVec copy(v);
+    ASSERT_TRUE(holds_circuits(copy, n, 10));
+    ASSERT_EQ(copy.spilled(), spills);
+    if (spills) {
+      EXPECT_NE(copy.data(), v.data());
+    }
+
+    CircuitVec moved(std::move(v));
+    ASSERT_TRUE(holds_circuits(moved, n, 10));
+    EXPECT_TRUE(v.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(v.spilled());
+
+    CircuitVec assigned;
+    fill(assigned, 3, 50);  // a spilled target
+    assigned = copy;
+    ASSERT_TRUE(holds_circuits(assigned, n, 10));
+    CircuitVec target;
+    fill(target, 1, 60);  // an inline target
+    target = std::move(copy);
+    ASSERT_TRUE(holds_circuits(target, n, 10));
+
+    moved.pop_back();
+    ASSERT_TRUE(holds_circuits(moved, n - 1, 10));
+    moved.emplace_back(circuit(10 + static_cast<std::uint32_t>(n) - 1));
+    ASSERT_TRUE(holds_circuits(moved, n, 10));
+
+    moved.clear();  // back to inline, no heap buffer
+    EXPECT_TRUE(moved.empty());
+    EXPECT_FALSE(moved.spilled());
+    fill(moved, 2, 70);  // inline over whatever the old buffer left
+    ASSERT_TRUE(holds_circuits(moved, 2, 70));
+    fill(moved, 3, 72);  // re-spill after clear()
+    ASSERT_TRUE(moved.spilled());
+    ASSERT_TRUE(holds_circuits(moved, 5, 70));
+  }
 }
 
 TEST(SmallVecRecords, FragmentedBoxSpillsSlicesAndReleasesExactly) {

@@ -458,6 +458,33 @@ TEST(LadderInOrder, ConstantDeltaChurnAllocatesNoBucket) {
   EXPECT_LE(max_retained, 4 * peak);
 }
 
+TEST(LadderInOrder, RebucketedRunGivesUpItsBuffer) {
+  // An in-order epoch of 4000 evenly spread times is taken whole into
+  // bottom; one earlier push then re-buckets the run's rest into a rung of
+  // one entry per bucket, each in a fresh 8-entry buffer.  Bottom's
+  // run-sized buffer must go (freed: it is far past the spare pool's size
+  // cap) rather than sit empty beside the rung; top holds no buffer yet.
+  constexpr std::uint32_t kRun = 4000;
+  Heap heap;
+  Ladder ladder;
+  for (std::uint32_t i = 0; i < kRun; ++i) {
+    heap.push(0.5 * i, i);
+    ladder.push(0.5 * i, i);
+  }
+  const auto h = heap.pop();
+  const auto l = ladder.pop();
+  ASSERT_EQ(l.seq, h.seq);
+  const std::size_t pending = ladder.size();
+  ASSERT_GE(ladder.retained_capacity(), pending);  // the run's buffer
+  heap.push(100.25, kRun);
+  ladder.push(100.25, kRun);  // below the run's last time: re-buckets it
+  EXPECT_LE(ladder.retained_capacity(), 8 * (pending + 2));
+  Rng rng(914);
+  expect_differential_identical([] { return 2000.0; }, /*rounds=*/200,
+                                /*pushes_per_round=*/4, rng, heap, ladder,
+                                h.time);
+}
+
 // Ladder::Entry and Heap::Entry must stay layout-compatible: the engine's
 // checkpoint reader deserializes either generation's array into
 // decltype(events_)::Entry fields.

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -1214,6 +1216,108 @@ TEST(Log2HistogramTest, QuantilesStayResolvedAtScale) {
   h.clear();
   EXPECT_EQ(h.total(), 0);
   EXPECT_THROW((void)h.percentile(50.0), std::logic_error);
+}
+
+TEST(Log2HistogramTest, BinsMatchTheFrexpFormula) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // The reference: frexp gives x = m * 2^exp with m in [0.5, 1), so the
+  // octave is exp - 1 and 2(m - 1/2) sweeps it linearly.
+  for (const std::size_t sub_bins : {std::size_t{16}, std::size_t{5}}) {
+    const Log2Histogram h(sub_bins);
+    const std::size_t last = 64 * sub_bins;
+    const auto reference = [&](double x) -> std::size_t {
+      if (!(x >= 1.0)) return 0;
+      int exp = 0;
+      const double m = std::frexp(x, &exp);
+      const auto octave = static_cast<std::size_t>(exp - 1);
+      if (octave >= 64) return last;
+      auto sub = static_cast<std::size_t>((m - 0.5) * 2.0 *
+                                          static_cast<double>(sub_bins));
+      sub = std::min(sub, sub_bins - 1);
+      return 1 + octave * sub_bins + sub;
+    };
+    const auto check = [&](double x) {
+      ASSERT_EQ(h.bin_of(x), reference(x)) << std::hexfloat << x;
+    };
+    // Every power-of-two edge from 2^-2 to 2^66 and its neighbours.
+    for (int e = -2; e <= 66; ++e) {
+      const double edge = std::ldexp(1.0, e);
+      check(edge);
+      check(std::nextafter(edge, 0.0));
+      check(std::nextafter(edge, kInf));
+    }
+    // Sub-bin edges of a few octaves and their neighbours.
+    for (const int e : {0, 1, 17, 40, 63}) {
+      for (std::size_t k = 0; k <= sub_bins; ++k) {
+        const double edge = std::ldexp(
+            1.0 + static_cast<double>(k) / static_cast<double>(sub_bins), e);
+        check(edge);
+        check(std::nextafter(edge, 0.0));
+        check(std::nextafter(edge, kInf));
+      }
+    }
+    // 1M random doubles in [1, 2^64): a uniform octave, random fraction.
+    Xoshiro256 rng(20231112 + sub_bins);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t r = rng();
+      const double x =
+          std::ldexp(1.0 + static_cast<double>(r >> 12) * 0x1p-52,
+                     static_cast<int>(r % 64));
+      check(x);
+    }
+    for (const double x : {0.0, -0.0, 0.5, -1.0, -kInf, kInf, kNaN, -kNaN,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::lowest()}) {
+      check(x);
+    }
+    EXPECT_EQ(h.bin_of(kInf), last);
+    EXPECT_EQ(h.bin_of(kNaN), 0u);
+    EXPECT_EQ(h.bin_of(-5.0), 0u);
+  }
+}
+
+TEST(BoxRelease, BadSliceThrowsAndLeavesTheBoxUnchanged) {
+  topo::Box box(BoxId{2}, RackId{0}, ResourceType::Cpu, 0,
+                std::vector<Units>{4, 4, 4});
+  topo::BoxAllocation a;
+  ASSERT_TRUE(box.allocate_into(6, a));  // bricks 0 (4) and 1 (2)
+  const std::vector<Units> before = box.available_by_brick();
+  const std::uint32_t first_free = box.first_free_brick();
+  const auto expect_refused = [&](const topo::BoxAllocation& bad) {
+    EXPECT_THROW(box.release(bad), std::logic_error);
+    EXPECT_EQ(box.available_by_brick(), before);
+    EXPECT_EQ(box.allocated_units(), 6);
+    EXPECT_EQ(box.first_free_brick(), first_free);
+  };
+  topo::BoxAllocation foreign = a;
+  foreign.box = BoxId{3};
+  expect_refused(foreign);
+  topo::BoxAllocation bad_brick = a;
+  bad_brick.slices.push_back({7, 1});  // after two valid slices
+  bad_brick.units += 1;
+  expect_refused(bad_brick);
+  topo::BoxAllocation too_many = a;
+  too_many.slices[1].units = 3;  // brick 1 holds only 2
+  too_many.units = 7;
+  expect_refused(too_many);
+  topo::BoxAllocation twice = a;
+  twice.slices.push_back({1, 2});  // brick 1's 2 units named twice
+  twice.units = 8;
+  expect_refused(twice);
+  topo::BoxAllocation empty_slice = a;
+  empty_slice.slices.push_back({2, 0});
+  expect_refused(empty_slice);
+  topo::BoxAllocation short_sum = a;
+  short_sum.units = 5;
+  expect_refused(short_sum);
+
+  box.release(a);  // the real allocation still releases exactly
+  EXPECT_EQ(box.available_units(), 12);
+  EXPECT_EQ(box.first_free_brick(), 0u);
+  EXPECT_THROW(box.release(a), std::logic_error);  // a double release
+  EXPECT_EQ(box.available_units(), 12);
 }
 
 TEST(BoxRestore, RestoresHolePatternsExactly) {
