@@ -1,37 +1,37 @@
-// The full figure-suite sweep in one command: every table behind Figures 5
-// and 7-12 (plus the §5.1 utilization text), computed from a single
-// (scenario x workload x seed x algorithm) matrix on the thread pool and
-// emitted through the unified JSON/CSV reporters.
+// The experiment matrices of sim/matrices.hpp in one command: the tables
+// behind Figures 5-12 (and the §5.1 text) by default, or any ablation or
+// extension, each a sweep on the thread pool followed by its checked
+// claims.  A failed claim prints what it measured and the driver exits 1.
 //
-//   $ ./figure_suite                         # all tables, default threads
-//   $ ./figure_suite --threads=8             # explicit worker count
-//   $ ./figure_suite --json=suite.json --csv=suite.csv
-//   $ ./figure_suite --verify                # run twice, compare digests
+//   $ ./figure_suite --matrix=all --threads=2 --verify
+//   $ ./figure_suite --matrix=failures --json=BENCH_failures.json
 //
-// The sweep is byte-deterministic at any thread count; --verify proves it
-// on the spot by re-running serially and comparing metric fingerprints.
-// Scheduler timing (Figures 11/12 shape) is reported from whatever thread
-// count you pick; for publication-grade timing use the dedicated
-// bench_fig11/bench_fig12 binaries, which sweep serially.
+// Sweeps are byte-deterministic at any thread count; --verify re-runs each
+// matrix serially and compares metric fingerprints.  Figures 11/12 timing
+// comes from the chosen thread count; bench_fig11/bench_fig12 time serially.
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 #include "common/flags.hpp"
 #include "sim/experiments.hpp"
+#include "sim/matrices.hpp"
 #include "sim/report.hpp"
 #include "sim/scenario_io.hpp"
 #include "sim/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace risa;
+  std::string names;
+  for (const sim::Matrix& m : sim::matrices()) names += m.name + " | ";
   Flags flags;
+  flags.define("matrix", "figures", "Matrix to run: " + names + "all");
   flags.define_i64("seed", sim::kDefaultSeed, "Workload RNG seed");
   flags.define("json", "", "Write the unified sweep JSON to this file");
   flags.define("csv", "", "Write the unified sweep CSV to this file");
-  flags.define("faults", "",
-               "FaultPlan JSON file applied to every cell of the matrix");
+  flags.define("faults", "", "FaultPlan JSON file for every figure cell");
   flags.define("migrations", "",
-               "MigrationPlan JSON file applied to every cell of the matrix");
+               "MigrationPlan JSON file for every figure cell");
   flags.define("trace-dir", "",
                "Write a per-cell Perfetto trace into this directory "
                "(must exist; observation only, results are unchanged)");
@@ -39,112 +39,111 @@ int main(int argc, char** argv) {
                "Trace categories for --trace-dir: csv of "
                "lifecycle,placement,power,calendar | all | none");
   flags.define("verify", "false",
-               "Re-run the matrix serially and compare bit-exact digests");
+               "Re-run each matrix serially and compare bit-exact digests");
   define_threads_flag(flags);
   if (!flags.parse_or_usage(argc, argv)) return 1;
 
+  const std::string& chosen = flags.str("matrix");
+  std::vector<const sim::Matrix*> selected;
+  for (const sim::Matrix& m : sim::matrices()) {
+    if (chosen == "all" || chosen == m.name) selected.push_back(&m);
+  }
+  if (selected.empty()) {
+    std::cerr << "unknown --matrix=" << chosen << " (known: " << names
+              << "all)\n";
+    return 1;
+  }
+  // A flag the chosen matrices cannot honor is an error, not a no-op: the
+  // writers take one matrix, and a plan file joins the figure matrix only.
+  for (const std::string flag :
+       {"json", "csv", "trace-dir", "faults", "migrations"}) {
+    const bool figures_only = flag == "faults" || flag == "migrations";
+    if (!flags.str(flag).empty() &&
+        (selected.size() > 1 ||
+         (figures_only && selected[0]->name != "figures"))) {
+      std::cerr << "--" << flag << " does not apply to --matrix=" << chosen
+                << '\n';
+      return 1;
+    }
+  }
+
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed"));
-  sim::SweepSpec spec = sim::SweepSpec::figure_matrix(seed);
-  if (!flags.str("faults").empty()) {
-    const sim::FaultPlan plan = sim::load_fault_plan_file(flags.str("faults"));
-    // A one-entry fault axis (factor 1: cell count and indexing unchanged)
-    // so every result row carries the plan's label.
-    spec.fault_plans.emplace_back(flags.str("faults"), plan);
-    std::cout << "fault plan applied: " << plan.actions.size()
-              << " action(s), retry max_attempts=" << plan.retry.max_attempts
-              << "\n\n";
-  }
-  if (!flags.str("migrations").empty()) {
-    const sim::MigrationPlan plan =
-        sim::load_migration_plan_file(flags.str("migrations"));
-    // Same one-entry-axis trick as --faults: factor 1, labeled rows.
-    spec.migration_plans.emplace_back(flags.str("migrations"), plan);
-    std::cout << "migration plan applied: period=" << plan.period_tu
-              << " tu, per_sweep=" << plan.per_sweep_budget
-              << ", total_budget=" << plan.total_budget << "\n\n";
-  }
-  if (!flags.str("trace-dir").empty()) {
-    spec.trace_dir = flags.str("trace-dir");
-    spec.telemetry.categories =
-        sim::parse_trace_categories(flags.str("trace-categories"));
-    std::cout << "per-cell traces: " << spec.trace_dir << "/cell<i>.*.json\n\n";
-  }
   const sim::SweepRunner runner(thread_count(flags));
+  std::size_t failed_claims = 0;
+  for (const sim::Matrix* matrix : selected) {
+    sim::MatrixRun run{matrix->spec(seed), {}};
+    sim::SweepSpec& spec = run.spec;
+    if (!flags.str("faults").empty()) {
+      const sim::FaultPlan plan =
+          sim::load_fault_plan_file(flags.str("faults"));
+      // A one-entry fault axis (factor 1: cell count and indexing
+      // unchanged) so every result row carries the plan's label.
+      spec.fault_plans.emplace_back(flags.str("faults"), plan);
+      std::cout << "fault plan applied: " << plan.actions.size()
+                << " action(s), retry max_attempts="
+                << plan.retry.max_attempts << "\n\n";
+    }
+    if (!flags.str("migrations").empty()) {
+      const sim::MigrationPlan plan =
+          sim::load_migration_plan_file(flags.str("migrations"));
+      // Same one-entry-axis trick as --faults: factor 1, labeled rows.
+      spec.migration_plans.emplace_back(flags.str("migrations"), plan);
+      std::cout << "migration plan applied: period=" << plan.period_tu
+                << " tu, per_sweep=" << plan.per_sweep_budget
+                << ", total_budget=" << plan.total_budget << "\n\n";
+    }
+    if (!flags.str("trace-dir").empty()) {
+      spec.trace_dir = flags.str("trace-dir");
+      spec.telemetry.categories =
+          sim::parse_trace_categories(flags.str("trace-categories"));
+      std::cout << "per-cell traces: " << spec.trace_dir
+                << "/cell<i>.*.json\n\n";
+    }
 
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  const auto results = runner.run(spec);
-  const double wall_s =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  const auto runs = sim::metrics_of(results);
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    run.results = runner.run(spec);
+    const double wall_s =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    std::cout << "matrix " << matrix->name << ": " << spec.cell_count()
+              << " cells on " << runner.threads() << " thread(s) in "
+              << TextTable::num(wall_s, 2) << " s\n\n";
+    matrix->print(std::cout, run);
+    std::cout << '\n';
+    failed_claims += sim::report_claims(std::cout, *matrix, run);
 
-  std::cout << "figure suite: " << spec.cell_count() << " cells on "
-            << runner.threads() << " thread(s) in "
-            << TextTable::num(wall_s, 2) << " s\n\n";
-
-  // Synthetic rows feed Figures 5/11; Azure rows feed Figures 7-10/12.
-  std::vector<sim::SimMetrics> synthetic, azure;
-  for (const auto& m : runs) {
-    (m.workload == "Synthetic" ? synthetic : azure).push_back(m);
-  }
-
-  std::cout << "=== Figure 5: inter-rack VM assignments (synthetic) ===\n"
-            << sim::figure5_table(synthetic) << '\n'
-            << "=== SS5.1 text: average utilization (synthetic) ===\n"
-            << sim::utilization_table(synthetic) << '\n'
-            << "=== Figure 7: % inter-rack VM assignments (Azure) ===\n"
-            << sim::figure7_table(azure) << '\n'
-            << "=== Figure 8: network utilization (Azure) ===\n"
-            << sim::figure8_table(azure) << '\n'
-            << "=== Figure 9: optical component power (Azure) ===\n"
-            << sim::figure9_table(azure) << '\n'
-            << sim::figure9_reduction_table(azure) << '\n'
-            << "=== Figure 10: CPU-RAM round-trip latency (Azure) ===\n"
-            << sim::figure10_table(azure) << '\n'
-            << "=== Figure 11 shape: scheduler execution time (synthetic) "
-               "===\n"
-            << sim::exec_time_table(synthetic, "fig11") << '\n'
-            << "=== Figure 12 shape: scheduler execution time (Azure) ===\n"
-            << sim::exec_time_table(azure, "fig12") << '\n'
-            << "=== Full metrics ===\n"
-            << sim::full_metrics_table(runs);
-  if (!flags.str("faults").empty()) {
-    std::cout << "\n=== Lifecycle outcomes (fault plan) ===\n"
-              << sim::lifecycle_table(results);
-  }
-  if (!flags.str("migrations").empty()) {
-    std::cout << "\n=== Defragmentation outcomes (migration plan) ===\n"
-              << sim::migration_table(results);
-  }
-
-  if (!flags.str("json").empty() &&
-      !sim::write_sweep_json(flags.str("json"), "figure_suite", results)) {
-    return 1;
-  }
-  if (!flags.str("json").empty()) {
-    std::cout << "\nwrote sweep JSON: " << flags.str("json") << '\n';
-  }
-  if (!flags.str("csv").empty() &&
-      !sim::write_sweep_csv(flags.str("csv"), results)) {
-    return 1;
-  }
-  if (!flags.str("csv").empty()) {
-    std::cout << "wrote sweep CSV: " << flags.str("csv") << '\n';
-  }
-
-  if (flags.b("verify")) {
-    const auto serial = sim::SweepRunner(1).run(spec);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (sim::metrics_fingerprint(results[i].metrics) !=
-          sim::metrics_fingerprint(serial[i].metrics)) {
-        std::cerr << "DETERMINISM VIOLATION in cell " << i << " ("
-                  << results[i].metrics.workload << ", "
-                  << results[i].metrics.algorithm << ")\n";
+    if (!flags.str("json").empty()) {
+      if (!sim::write_sweep_json(flags.str("json"), matrix->benchmark,
+                                 run.results)) {
         return 1;
       }
+      std::cout << "\nwrote sweep JSON: " << flags.str("json") << '\n';
     }
-    std::cout << "\nverified: " << results.size() << " cells bit-identical "
-              << "between " << runner.threads() << " thread(s) and serial\n";
+    if (!flags.str("csv").empty()) {
+      if (!sim::write_sweep_csv(flags.str("csv"), run.results)) return 1;
+      std::cout << "wrote sweep CSV: " << flags.str("csv") << '\n';
+    }
+    if (flags.b("verify")) {
+      const auto serial = sim::SweepRunner(1).run(spec);
+      for (std::size_t i = 0; i < run.results.size(); ++i) {
+        if (sim::metrics_fingerprint(run.results[i].metrics) !=
+            sim::metrics_fingerprint(serial[i].metrics)) {
+          std::cerr << "DETERMINISM VIOLATION in " << matrix->name
+                    << " cell " << i << " ("
+                    << run.results[i].metrics.workload << ", "
+                    << run.results[i].metrics.algorithm << ")\n";
+          return 1;
+        }
+      }
+      std::cout << "\nverified: " << run.results.size()
+                << " cells bit-identical between " << runner.threads()
+                << " thread(s) and serial\n";
+    }
+    std::cout << '\n';
+  }
+  if (failed_claims > 0) {
+    std::cerr << failed_claims << " claim(s) failed\n";
+    return 1;
   }
   return 0;
 }

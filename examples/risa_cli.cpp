@@ -45,7 +45,7 @@ using namespace risa;
 int main(int argc, char** argv) {
   Flags flags;
   flags.define("algorithm", "RISA",
-               "NULB | NALB | RISA | RISA-BF | RANDOM | FF | WF");
+               "NULB | NALB | RISA | RISA-BF | RANDOM | WF");
   flags.define("workload", "synthetic",
                "synthetic | azure-3000 | azure-5000 | azure-7500");
   flags.define_i64("seed", sim::kDefaultSeed, "Workload RNG seed");

@@ -47,27 +47,6 @@ void RandomAllocator::restore_state(std::istream& is) {
   rng_.generator().set_state(s);
 }
 
-std::optional<DropReason> FirstFitAllocator::place(const wl::VmRequest& vm,
-                                                   Placement& out) {
-  const UnitVector units = demand_units(vm);
-  PerResource<BoxId> boxes{BoxId::invalid(), BoxId::invalid(), BoxId::invalid()};
-  for (ResourceType t : kAllResources) {
-    BoxId found = BoxId::invalid();
-    for (BoxId id : ctx().cluster->boxes_of_type(t)) {
-      if (ctx().cluster->box(id).available_units() >= units[t]) {
-        found = id;
-        break;
-      }
-    }
-    if (!found.valid()) {
-      return DropReason::NoComputeResources;
-    }
-    boxes[t] = found;
-  }
-  return commit(vm, units, boxes, net::LinkSelectPolicy::FirstFit,
-                /*used_fallback=*/false, out);
-}
-
 std::optional<DropReason> WorstFitAllocator::place(const wl::VmRequest& vm,
                                                    Placement& out) {
   const UnitVector units = demand_units(vm);

@@ -6,13 +6,13 @@
 // choice:
 //   * RandomAllocator   -- uniformly random feasible box per type (the
 //                          load-balancing strawman; seeded, deterministic);
-//   * FirstFitAllocator -- global first-fit per type, no contention anchor
-//                          (what NULB degenerates to without CR ordering);
 //   * WorstFitAllocator -- emptiest box per type (spreads load, maximizes
 //                          per-box headroom -- the anti-RISA).
-// They participate in the registry ("RANDOM", "FF", "WF") and in the
-// extension bench, quantifying how much of RISA's win comes from rack
-// affinity rather than mere load balancing.
+// They participate in the registry ("RANDOM", "WF") and in the `baselines`
+// matrix (sim/matrices.hpp), quantifying how much of RISA's win comes from
+// rack affinity rather than mere load balancing.  Global first-fit per type
+// needs no class of its own: it is exactly NULB's default reading
+// (CompanionSearch::GlobalOrder takes the first fitting box in id order).
 #pragma once
 
 #include "common/rng.hpp"
@@ -40,16 +40,6 @@ class RandomAllocator : public Allocator {
  private:
   std::uint64_t seed_;
   Rng rng_;
-};
-
-class FirstFitAllocator : public Allocator {
- public:
-  explicit FirstFitAllocator(AllocContext ctx) : Allocator(ctx) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "FF"; }
-
-  [[nodiscard]] std::optional<DropReason> place(const wl::VmRequest& vm,
-                                                Placement& out) override;
 };
 
 class WorstFitAllocator : public Allocator {

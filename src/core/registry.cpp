@@ -31,7 +31,6 @@ std::unique_ptr<Allocator> make_allocator(const std::string& name,
   // Extension baselines (not part of the paper's comparison set; see
   // core/baselines.hpp).
   if (key == "random") return std::make_unique<RandomAllocator>(ctx);
-  if (key == "ff") return std::make_unique<FirstFitAllocator>(ctx);
   if (key == "wf") return std::make_unique<WorstFitAllocator>(ctx);
   throw std::invalid_argument("make_allocator: unknown algorithm '" + name +
                               "'");

@@ -79,6 +79,20 @@ constexpr PaperRef kRefs[] = {
     {"fig12", "Azure-7500", "RISA-BF", 4013},
 };
 
+// Figure 6: each Azure subset's 10-bin CPU-core then RAM-GB histogram,
+// decoded from the paper's bars.
+constexpr struct {
+  const char* workload;
+  std::int64_t counts[20];
+} kFigure6[] = {
+    {"Azure-3000", {1326, 1269, 0, 0, 316, 0, 0, 0, 0, 89,  //
+                    2591, 299, 15, 0, 17, 0, 0, 0, 0, 78}},
+    {"Azure-5000", {1931, 2514, 0, 0, 444, 0, 0, 0, 0, 111,  //
+                    4439, 427, 39, 0, 17, 0, 0, 0, 0, 78}},
+    {"Azure-7500", {4153, 2536, 0, 0, 507, 0, 0, 0, 0, 304,  //
+                    6682, 488, 203, 0, 19, 0, 0, 0, 0, 108}},
+};
+
 [[nodiscard]] bool matches(const char* pattern, const std::string& value) {
   return pattern[0] == '*' || value == pattern;
 }
@@ -102,6 +116,13 @@ std::string paper_cell(const std::string& figure, const std::string& workload,
   const auto ref = paper_reference(figure, workload, algorithm);
   if (!ref.has_value()) return "-";
   return TextTable::num(*ref, precision);
+}
+
+std::span<const std::int64_t> figure6_counts(const std::string& workload) {
+  for (const auto& ref : kFigure6) {
+    if (workload == ref.workload) return ref.counts;
+  }
+  return {};
 }
 
 // --- §4.3 toy examples -------------------------------------------------------

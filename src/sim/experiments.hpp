@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,11 +43,17 @@ inline constexpr std::uint64_t kDefaultSeed = 20231112;  // SC-W'23 start date
                                      const std::string& algorithm,
                                      int precision = 2);
 
+/// Figure 6's bar counts as decoded from the paper (DESIGN.md §2.1): one
+/// Azure subset's 10 CPU-core bins, then its 10 RAM-GB bins.  Empty for any
+/// other workload.
+[[nodiscard]] std::span<const std::int64_t> figure6_counts(
+    const std::string& workload);
+
 // --- §4.3 toy examples -------------------------------------------------------
 
 /// A standalone allocator stack (cluster + fabric + router + circuits) on
-/// the toy-example topology, used by the Table 3/4 reproductions in tests,
-/// the toy_examples example and bench_toy_examples.
+/// any cluster shape: the Table 3/4 reproductions in test_core_toy_examples
+/// and bench_toy_examples, and bench_ablation_roundrobin's replays.
 class ToyStack {
  public:
   explicit ToyStack(topo::ClusterConfig config);

@@ -248,8 +248,7 @@ TEST(Allocator, PlaceIntoReusedRecordMatchesFresh) {
   links.links_per_rack = 2;
   links.link_capacity = gbps(50.0);
   std::size_t network_refusals = 0;
-  for (const char* algo : {"NULB", "NALB", "RISA", "RISA-BF", "RANDOM", "FF",
-                           "WF"}) {
+  for (const char* algo : {"NULB", "NALB", "RISA", "RISA-BF", "RANDOM", "WF"}) {
     SCOPED_TRACE(algo);
     PaperStack fresh_stack(shape, links);
     PaperStack reused_stack(shape, links);

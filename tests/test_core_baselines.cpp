@@ -1,5 +1,5 @@
-// Extension baselines: RANDOM / FF / WF behaviours and their relationship
-// to the paper's algorithms.
+// Extension baselines: RANDOM / WF behaviours, global first-fit (NULB's
+// default reading), and their relationship to the paper's algorithms.
 #include <gtest/gtest.h>
 
 #include "core/baselines.hpp"
@@ -34,22 +34,22 @@ struct Stack {
 TEST(Baselines, RegistryKnowsThem) {
   Stack stack;
   EXPECT_EQ(make_allocator("RANDOM", stack.context())->name(), "RANDOM");
-  EXPECT_EQ(make_allocator("ff", stack.context())->name(), "FF");
   EXPECT_EQ(make_allocator("WF", stack.context())->name(), "WF");
   // The paper's canonical list stays untouched (figures iterate over it).
   EXPECT_EQ(algorithm_names().size(), 4u);
 }
 
 TEST(Baselines, FirstFitAlwaysPicksLowestIds) {
+  // Global first-fit per type is NULB's default (global id order) reading.
   Stack stack;
-  FirstFitAllocator ff(stack.context());
-  auto placed = ff.try_place(sim::toy_vm(0, 8, 16.0, 128.0));
+  auto ff = make_allocator("NULB", stack.context());
+  auto placed = ff->try_place(sim::toy_vm(0, 8, 16.0, 128.0));
   ASSERT_TRUE(placed.ok());
   for (ResourceType t : kAllResources) {
     EXPECT_EQ(stack.cluster.box(placed->box(t)).index_in_type(), 0u);
   }
   EXPECT_FALSE(placed->inter_rack);  // all index-0 boxes live in rack 0
-  ff.release(placed.value());
+  ff->release(placed.value());
 }
 
 TEST(Baselines, WorstFitSpreadsAcrossEmptyBoxes) {
@@ -82,7 +82,7 @@ TEST(Baselines, RandomIsSeedDeterministicAndFeasible) {
 }
 
 TEST(Baselines, AllDropCleanlyWhenATypeIsExhausted) {
-  for (const char* algo : {"RANDOM", "FF", "WF"}) {
+  for (const char* algo : {"RANDOM", "WF"}) {
     Stack stack;
     topo::BoxAllocation taken;
     for (BoxId id : stack.cluster.boxes_of_type(ResourceType::Storage)) {
@@ -108,7 +108,7 @@ TEST(Baselines, RisaBeatsAllBaselinesOnInterRackSplits) {
     return engine.run(workload, "baselines");
   };
   const auto risa = run("RISA");
-  for (const char* algo : {"RANDOM", "WF", "FF"}) {
+  for (const char* algo : {"RANDOM", "WF"}) {
     const auto m = run(algo);
     EXPECT_LE(risa.inter_rack_placements, m.inter_rack_placements) << algo;
     EXPECT_LE(risa.avg_optical_power_w, m.avg_optical_power_w * 1.001) << algo;

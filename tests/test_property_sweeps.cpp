@@ -88,7 +88,7 @@ std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAndFabrics, AlgorithmSweep,
     ::testing::Combine(::testing::Values("NULB", "NALB", "RISA", "RISA-BF",
-                                         "RANDOM", "FF", "WF"),
+                                         "RANDOM", "WF"),
                        ::testing::Values(0u, 6u)),
     sweep_name);
 
