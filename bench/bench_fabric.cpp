@@ -12,6 +12,9 @@
 //                                random box (0: 6-link group) or rack (1:
 //                                18-link group): the allocation rescans
 //                                the group, the release re-ranks one link;
+//   BM_FirstFit/<group>          Fabric::first_fit on a box's 6-link (0)
+//                                or a rack's 18-link (1) group, the fitting
+//                                position drawn uniformly per call;
 //   BM_FindPath/<policy>         Router::find_path over random box pairs
 //                                (half intra-, half inter-rack);
 //   BM_EstablishTeardown/<policy> the same path, routed and reserved
@@ -27,10 +30,13 @@
 //   BM_VmRecordChurn             the engine's two per-live-VM records at
 //                                the same census: each iteration admits
 //                                the newest VM (three box allocations into
-//                                its arena-held core::Placement, two routed
+//                                the placement of its arena-held
+//                                sim::Engine::VmState, two routed
 //                                circuits) and settles the oldest (circuits
 //                                torn down, allocations released, record
-//                                erased); the record_bytes counter is
+//                                erased and reset by VmState::recycle(),
+//                                as the engine's arena resets it); the
+//                                record_bytes counter is
 //                                what a live engine VM holds, both arena
 //                                slots with their headers
 //                                (Engine::kLiveVmRecordBytes);
@@ -49,6 +55,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -158,6 +165,50 @@ void BM_UplinkUpkeep(benchmark::State& state) {
   state.SetLabel(std::to_string(links) + (rack ? "-link rack" : "-link box"));
 }
 BENCHMARK(BM_UplinkUpkeep)->Arg(0)->Arg(1);
+
+/// Fabric::first_fit over the uplink groups of a Table 1 fabric whose free
+/// bandwidth rises along each group: link i of an n-link group keeps
+/// (i + 1) / n of its capacity, so a demand of k / n first fits at position
+/// k - 1.  Each query draws its group and k uniformly, so the fitting
+/// position changes from call to call, as on the placement path.
+void BM_FirstFit(benchmark::State& state) {
+  const topo::ClusterConfig shape;
+  net::Fabric fabric(shape, net::FabricConfig{});
+  const bool rack = state.range(0) == 1;
+  const std::uint32_t groups = rack ? shape.racks : shape.total_boxes();
+  const auto group_of = [&](std::uint32_t g) {
+    return rack ? fabric.rack_uplinks(RackId{g}) : fabric.box_uplinks(BoxId{g});
+  };
+  const auto n = static_cast<std::int64_t>(group_of(0).size());
+  const MbitsPerSec step = fabric.config().link_capacity / n;
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    const std::span<const LinkId> group = group_of(g);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const auto keep = static_cast<std::int64_t>(i) + 1;
+      if (!fabric.allocate(group[i], fabric.config().link_capacity - keep * step)) {
+        state.SkipWithError("uplink allocation failed");
+        return;
+      }
+    }
+  }
+  struct Query {
+    std::span<const LinkId> group;
+    MbitsPerSec bw;
+  };
+  Rng rng(kSeed + 5);
+  std::vector<Query> queries(kQueries);
+  for (Query& q : queries) {
+    q.group = group_of(static_cast<std::uint32_t>(rng.uniform_int(0, groups - 1)));
+    q.bw = rng.uniform_int(1, n) * step;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fabric.first_fit(queries[i].group, queries[i].bw));
+    i = (i + 1) & (kQueries - 1);
+  }
+  state.SetLabel(std::to_string(n) + (rack ? "-link rack" : "-link box"));
+}
+BENCHMARK(BM_FirstFit)->Arg(0)->Arg(1);
 
 net::LinkSelectPolicy policy_arg(const benchmark::State& state) {
   return state.range(0) == 0 ? net::LinkSelectPolicy::FirstFit
@@ -294,9 +345,10 @@ void BM_LedgerChargeRefund(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerChargeRefund);
 
-/// kChurnLiveVms placed VMs, oldest first: each holds a core::Placement in
-/// a VM-keyed SlotArena (the engine's record arena, DESIGN.md §13) and two
-/// circuits in the CircuitTable (§7.2).  Every VM is intra-rack -- CPU, RAM
+/// kChurnLiveVms placed VMs, oldest first: each holds a sim::Engine::VmState
+/// in a VM-keyed SlotArena (the engine's record arena and record type, so
+/// an erase runs VmState::recycle(), DESIGN.md §13) and two circuits in the
+/// CircuitTable (§7.2).  Every VM is intra-rack -- CPU, RAM
 /// and storage boxes of one rack, 1-4 units each, the rack256 RISA
 /// workload's success path -- on a fresh cluster, with its circuits
 /// reserved at 10 Mb/s on the shared churned fabric.  VMs go round robin
@@ -335,7 +387,9 @@ class LiveRecords {
   bool admit() {
     const VmSpec& spec = specs_[next_vm_ & (kSpecs - 1)];
     const VmId vm{next_vm_++};
-    core::Placement& p = records_.find_or_insert(vm.value());
+    sim::Engine::VmState& st = records_.find_or_insert(vm.value());
+    st.vm.id = vm;
+    core::Placement& p = st.placement;
     p.vm = vm;
     live_.push_back(vm);
     for (const ResourceType t : kAllResources) {
@@ -360,6 +414,8 @@ class LiveRecords {
         return false;
       }
     }
+    st.live = 1;
+    st.ever_placed = 1;
     return true;
   }
 
@@ -368,9 +424,11 @@ class LiveRecords {
     const VmId vm = live_.front();
     live_.pop_front();
     circuits_.teardown_vm(vm);
-    for (const topo::BoxAllocation& a : records_.find(vm.value())->compute) {
+    sim::Engine::VmState& st = *records_.find(vm.value());
+    for (const topo::BoxAllocation& a : st.placement.compute) {
       if (!a.empty()) cluster_.release(a);
     }
+    st.live = 0;
     records_.erase(vm.value());
   }
 
@@ -391,7 +449,7 @@ class LiveRecords {
   topo::Cluster cluster_;
   net::Router router_;
   net::CircuitTable circuits_;
-  SlotArena<core::Placement> records_;
+  SlotArena<sim::Engine::VmState> records_;
   std::vector<VmSpec> specs_;
   std::uint32_t next_vm_ = 0;
   std::deque<VmId> live_;

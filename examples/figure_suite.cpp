@@ -35,9 +35,10 @@ int main(int argc, char** argv) {
   flags.define("trace-dir", "",
                "Write a per-cell Perfetto trace into this directory "
                "(must exist; observation only, results are unchanged)");
-  flags.define("trace-categories", "all",
+  flags.define("trace-categories", "",
                "Trace categories for --trace-dir: csv of "
-               "lifecycle,placement,power,calendar | all | none");
+               "lifecycle,placement,power,calendar | all | none "
+               "(default all)");
   flags.define("verify", "false",
                "Re-run each matrix serially and compare bit-exact digests");
   define_threads_flag(flags);
@@ -65,6 +66,10 @@ int main(int argc, char** argv) {
                 << '\n';
       return 1;
     }
+  }
+  if (!flags.str("trace-categories").empty() && flags.str("trace-dir").empty()) {
+    std::cerr << "--trace-categories needs --trace-dir\n";
+    return 1;
   }
 
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed"));
@@ -94,8 +99,10 @@ int main(int argc, char** argv) {
     }
     if (!flags.str("trace-dir").empty()) {
       spec.trace_dir = flags.str("trace-dir");
-      spec.telemetry.categories =
-          sim::parse_trace_categories(flags.str("trace-categories"));
+      if (!flags.str("trace-categories").empty()) {
+        spec.telemetry.categories =
+            sim::parse_trace_categories(flags.str("trace-categories"));
+      }
       std::cout << "per-cell traces: " << spec.trace_dir
                 << "/cell<i>.*.json\n\n";
     }

@@ -196,14 +196,18 @@ class Fabric {
     return LinkId{first + best};
   }
   /// The first link with at least `bw` available; invalid when none has.
+  /// Branch-free: a select per link, walked from the back of the group so
+  /// the last fit written is the first in group order.  The scan's length
+  /// does not depend on where the fitting link sits, where an early-exit
+  /// loop would stop at a position the branch predictor cannot guess.
   [[nodiscard]] LinkId first_fit(std::span<const LinkId> group,
                                  MbitsPerSec bw) const noexcept {
     const std::uint32_t first = group_first(group);
     const MbitsPerSec* lane = free_.data() + first;
-    for (std::uint32_t i = 0; i < group.size(); ++i) {
-      if (lane[i] >= bw) return LinkId{first + i};
-    }
-    return LinkId::invalid();
+    const auto n = static_cast<std::uint32_t>(group.size());
+    std::uint32_t fit = n;  // none fits
+    for (std::uint32_t i = n; i-- > 0;) fit = lane[i] >= bw ? i : fit;
+    return fit < n ? LinkId{first + fit} : LinkId::invalid();
   }
 
   /// The first uplink, in group order, with the most available() bandwidth

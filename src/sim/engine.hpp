@@ -250,6 +250,9 @@ class Engine {
   /// oracle (DESIGN.md §12).
   des::LadderCalendar<des::LifecycleEvent> events_;
 
+  // VmState is public so bench_fabric's record-churn row can hold the
+  // engine's own record type, reset the way the engine's arena resets it.
+ public:
   /// Per-VM state, keyed by workload index.  A record is created when a VM
   /// is admitted (or first requeued) and erased at its final event
   /// (departure, kill without requeue, or last failed retry), so the table
@@ -297,9 +300,7 @@ class Engine {
       ever_placed = 0;
     }
   };
-  SlotArena<VmState> vms_;
 
- public:
   /// Bytes one live VM holds in the engine's two arenas -- its VmState
   /// slot and its CircuitTable slot -- slot headers included (DESIGN.md
   /// §13).
@@ -308,6 +309,8 @@ class Engine {
   static_assert(kLiveVmRecordBytes <= 384);
 
  private:
+  SlotArena<VmState> vms_;  ///< the live-VM records described above
+
   /// Arrival refill chunk: the engine pulls the source in batches of this
   /// ring's size.  Chunk boundaries (ring empty, top of the merge loop)
   /// are the checkpoint safe points.

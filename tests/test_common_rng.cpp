@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -225,6 +227,93 @@ TEST(Rng, OneDrawRangesAreThePowersOfTwo) {
   }
   for (std::int64_t hi : {3, 24, 33, 1000}) {
     EXPECT_FALSE(Rng::uniform_int_is_one_draw(1, hi)) << hi;
+  }
+}
+
+// The C library's log and exp on a fixed sample, bit for bit.  The
+// arrival stream's exponential gaps and the Poisson draws go through them,
+// so a libm whose rounding differs moves every fingerprint; these pins fail
+// first and name the cause (DESIGN.md §18).  Inputs pass through a
+// volatile so the compiler cannot fold the calls at build time.
+double libm_log(double x) {
+  volatile double in = x;
+  return std::log(in);
+}
+double libm_exp(double x) {
+  volatile double in = x;
+  return std::exp(in);
+}
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(LibmPins, LogBitsOnAFixedSample) {
+  const std::pair<double, std::uint64_t> pins[] = {
+      {0x1p-53, 0xc0425e4f7b2737faULL},
+      {1e-300, 0xc085963447f87fb5ULL},
+      {0.1, 0xc0026bb1bbb55515ULL},
+      {0.5, 0xbfe62e42fefa39efULL},
+      {0.75, 0xbfd269621134db92ULL},
+      {0x1.fffffffffffffp-1, 0xbca0000000000000ULL},
+      {2.0, 0x3fe62e42fefa39efULL},
+      {6300.0, 0x40217f21d24c3698ULL},
+      {1e300, 0x4085963447f87fb5ULL}};
+  for (const auto& [x, want] : pins) {
+    EXPECT_EQ(bits(libm_log(x)), want) << "log(" << x << ")";
+  }
+}
+
+TEST(LibmPins, ExpBitsOnAFixedSample) {
+  const std::pair<double, std::uint64_t> pins[] = {
+      {-700.0, 0x00d14f2b0fb9307fULL},
+      {-60.0, 0x3a85ae191a99585aULL},
+      {-30.0, 0x3d3a56e0c2ac7f75ULL},
+      {-5.0, 0x3f7b993fe00d5376ULL},
+      {-0.5, 0x3fe368b2fc6f960aULL},
+      {-0x1p-30, 0x3fefffffff800000ULL},
+      {0.25, 0x3ff48b5e3c3e8186ULL},
+      {1.0, 0x4005bf0a8b145769ULL},
+      {700.0, 0x7f0d945df4f8ec8eULL}};
+  for (const auto& [x, want] : pins) {
+    EXPECT_EQ(bits(libm_exp(x)), want) << "exp(" << x << ")";
+  }
+}
+
+TEST(LibmPins, LogExpDigestOverUniformDraws) {
+  // FNV-1a over log(u) and exp(-60 u) for 4096 uniform01 draws: the
+  // ranges the exponential and the Knuth Poisson draws evaluate.
+  Rng rng(20231112);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double v) {
+    h ^= bits(v);
+    h *= 0x100000001b3ULL;
+  };
+  for (int i = 0; i < 4096; ++i) {
+    double u = rng.uniform01();
+    if (u <= 0) u = 0x1p-53;
+    mix(libm_log(u));
+    mix(libm_exp(-60.0 * u));
+  }
+  EXPECT_EQ(h, 0x26c139107f3bd2a5ULL);
+}
+
+TEST(LibmPins, FirstExponentialAndPoissonDraws) {
+  Rng expo(20231112);
+  for (const std::uint64_t want :
+       {0x40682bc17be4f84fULL, 0x403d166975d625bfULL, 0x4043b9e172e1ff0bULL,
+        0x4067f372a3026c22ULL}) {
+    EXPECT_EQ(bits(expo.exponential(110.5)), want);
+  }
+  // Means below 60 take Knuth's product of uniforms against exp(-mean);
+  // 100 takes the normal approximation through log, sqrt and cos.
+  const std::pair<double, std::array<std::int64_t, 8>> poisson[] = {
+      {0.5, {1, 4, 0, 0, 0, 0, 2, 0}},
+      {5.0, {7, 7, 3, 5, 2, 2, 11, 6}},
+      {30.0, {29, 40, 25, 32, 35, 29, 20, 26}},
+      {100.0, {98, 106, 101, 119, 108, 99, 103, 88}}};
+  for (const auto& [mean, want] : poisson) {
+    Rng rng(7);
+    std::array<std::int64_t, 8> got{};
+    for (std::int64_t& n : got) n = rng.poisson(mean);
+    EXPECT_EQ(got, want) << "mean " << mean;
   }
 }
 
